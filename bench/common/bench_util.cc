@@ -1,6 +1,8 @@
 #include "common/bench_util.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
@@ -26,6 +28,46 @@ bool SplitFlagToken(const std::string& arg, std::string* key,
     *value = arg.substr(eq + 1);
   }
   return true;
+}
+
+[[noreturn]] void ThrowBadValue(const std::string& key,
+                                const std::string& value,
+                                const std::string& expected) {
+  throw FatalError("flag --" + key + "=" + value + ": expected " +
+                   expected);
+}
+
+// The whole token must parse: from_chars takes no leading whitespace or
+// '+', no sign at all for unsigned types, and reports overflow.
+std::uint64_t ParseUint(const std::string& key, const std::string& value) {
+  std::uint64_t parsed = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+  if (value.empty() || ec != std::errc() || ptr != end) {
+    ThrowBadValue(key, value, "an unsigned decimal integer below 2^64");
+  }
+  return parsed;
+}
+
+double ParseDouble(const std::string& key, const std::string& value) {
+  double parsed = 0.0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+  if (value.empty() || ec != std::errc() || ptr != end ||
+      !std::isfinite(parsed)) {
+    ThrowBadValue(key, value, "a finite decimal number");
+  }
+  return parsed;
+}
+
+bool ParseBool(const std::string& key, const std::string& value) {
+  if (value == "true" || value == "1") {
+    return true;
+  }
+  if (value == "false" || value == "0") {
+    return false;
+  }
+  ThrowBadValue(key, value, "one of true, false, 1, 0");
 }
 
 }  // namespace
@@ -67,7 +109,7 @@ std::uint64_t Flags::GetUint(const std::string& key,
   if (it == values_.end()) {
     return default_value;
   }
-  return std::strtoull(it->second.c_str(), nullptr, 10);
+  return ParseUint(key, it->second);
 }
 
 double Flags::GetDouble(const std::string& key,
@@ -76,7 +118,7 @@ double Flags::GetDouble(const std::string& key,
   if (it == values_.end()) {
     return default_value;
   }
-  return std::strtod(it->second.c_str(), nullptr);
+  return ParseDouble(key, it->second);
 }
 
 std::string Flags::GetString(const std::string& key,
@@ -90,7 +132,7 @@ bool Flags::GetBool(const std::string& key, bool default_value) const {
   if (it == values_.end()) {
     return default_value;
   }
-  return it->second == "true" || it->second == "1";
+  return ParseBool(key, it->second);
 }
 
 const FlagSpec& Flags::SpecFor(const std::string& key) const {
@@ -106,13 +148,11 @@ const FlagSpec& Flags::SpecFor(const std::string& key) const {
 }
 
 std::uint64_t Flags::GetUint(const std::string& key) const {
-  return std::strtoull(
-      GetString(key, SpecFor(key).default_value).c_str(), nullptr, 10);
+  return ParseUint(key, GetString(key));
 }
 
 double Flags::GetDouble(const std::string& key) const {
-  return std::strtod(GetString(key, SpecFor(key).default_value).c_str(),
-                     nullptr);
+  return ParseDouble(key, GetString(key));
 }
 
 std::string Flags::GetString(const std::string& key) const {
@@ -120,8 +160,7 @@ std::string Flags::GetString(const std::string& key) const {
 }
 
 bool Flags::GetBool(const std::string& key) const {
-  const std::string value = GetString(key, SpecFor(key).default_value);
-  return value == "true" || value == "1";
+  return ParseBool(key, GetString(key));
 }
 
 std::string Flags::Describe() const { return Describe(schema_); }

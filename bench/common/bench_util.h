@@ -36,6 +36,11 @@ struct FlagSpec {
  * unknown flags with a FatalError whose message embeds Describe(), so
  * an abort always prints the real schema. The schema-less (argc,
  * argv) form is kept for ad-hoc tools and tests.
+ *
+ * Typed getters parse strictly: the whole value must be consumed, an
+ * unsigned value takes no sign, out-of-range numbers are rejected, and
+ * a bool is one of true/false/1/0. Anything else raises FatalError
+ * naming the flag, the value, and the expected form.
  */
 class Flags {
  public:

@@ -10,10 +10,8 @@
 
 #include <atomic>
 #include <cstring>
-#include <span>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -48,13 +46,19 @@ struct ProfilerFixture {
   std::uint64_t guess = 0;
 };
 
+// The path every campaign shard runs: one analytic series per
+// iteration into a hoisted buffer; items are measurements.
 void BM_MeasurementAnalytic(benchmark::State& state) {
+  constexpr std::size_t kSeriesLength = 1000;
   ProfilerFixture fx(core::SweepMode::kAnalytic);
+  std::vector<std::int64_t> series;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        fx.profiler->MeasureOnce(fx.victim, fx.guess));
+    fx.profiler->MeasureSeries(fx.victim, fx.guess, kSeriesLength, series);
+    benchmark::DoNotOptimize(series.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kSeriesLength));
 }
 BENCHMARK(BM_MeasurementAnalytic);
 
@@ -129,98 +133,6 @@ void BM_ThreadPoolParallelFor(benchmark::State& state) {
 }
 BENCHMARK(BM_ThreadPoolParallelFor)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-// Bank-wide measurement fixture: one device and a contiguous span of
-// physical rows measured together each "tick". The three strategies
-// below produce bit-identical per-row hammer counts; only the work per
-// value differs (fresh context / persistent scalar contexts / one
-// batched SoA context). This trio is the PR6 perf gate: batched must
-// beat the per-row baseline by >= 3x (BENCH_pr6.json).
-struct BankFixture {
-  static constexpr std::uint32_t kRows = 64;
-
-  BankFixture() : device(vrd::BuildDevice("M1")) {
-    engine = dynamic_cast<vrd::TrapFaultEngine*>(&device->model());
-    VRD_FATAL_IF(engine == nullptr, "M1 must use the trap engine");
-    rows.reserve(kRows);
-    for (std::uint32_t r = 0; r < kRows; ++r) {
-      rows.push_back(dram::PhysicalRow{100 + r});
-    }
-  }
-
-  std::unique_ptr<dram::Device> device;
-  vrd::TrapFaultEngine* engine = nullptr;
-  std::vector<dram::PhysicalRow> rows;
-};
-
-// Baseline (pre-PR5 style): a fresh MeasureContext per row per tick —
-// per-call row-state lookup, invariant recomputation, allocation.
-void BM_BankMeasurePerRow(benchmark::State& state) {
-  BankFixture fx;
-  const Tick t_on = fx.device->timing().tRAS;
-  double sum = 0.0;
-  for (auto _ : state) {
-    for (const dram::PhysicalRow row : fx.rows) {
-      sum += fx.engine->MinFlipHammerCount(
-          0, row, 0x55, 0xAA, t_on, 50.0, fx.device->encoding(),
-          fx.device->Now());
-    }
-    benchmark::DoNotOptimize(sum);
-    fx.device->Sleep(units::kMillisecond);
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) * BankFixture::kRows);
-}
-BENCHMARK(BM_BankMeasurePerRow);
-
-// PR5 style: one persistent scalar MeasureContext per row, queried
-// sequentially each tick.
-void BM_BankMeasureScalarCtx(benchmark::State& state) {
-  BankFixture fx;
-  const Tick t_on = fx.device->timing().tRAS;
-  std::vector<vrd::MeasureContext> contexts(BankFixture::kRows);
-  for (std::uint32_t r = 0; r < BankFixture::kRows; ++r) {
-    fx.engine->MakeMeasureContext(0, fx.rows[r], 0x55, 0xAA, t_on, 50.0,
-                                  fx.device->encoding(),
-                                  fx.device->Now(), contexts[r]);
-  }
-  double sum = 0.0;
-  for (auto _ : state) {
-    for (auto& ctx : contexts) {
-      sum += fx.engine->MinFlipHammerCount(ctx, fx.device->Now());
-    }
-    benchmark::DoNotOptimize(sum);
-    fx.device->Sleep(units::kMillisecond);
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) * BankFixture::kRows);
-}
-BENCHMARK(BM_BankMeasureScalarCtx);
-
-// PR6 tentpole: one BatchMeasureContext advancing the whole bank span
-// in lockstep — SIMD decay evaluation over the SoA arrays, arena-backed
-// storage, zero steady-state allocation.
-void BM_BankMeasureBatched(benchmark::State& state) {
-  BankFixture fx;
-  const Tick t_on = fx.device->timing().tRAS;
-  MonotonicArena arena;
-  vrd::BatchMeasureContext ctx = fx.engine->MakeBatchMeasureContext(
-      0, fx.rows, 0x55, 0xAA, t_on, 50.0, fx.device->encoding(),
-      fx.device->Now(), arena);
-  std::vector<double> min_hc(BankFixture::kRows);
-  double sum = 0.0;
-  for (auto _ : state) {
-    fx.engine->BatchMinFlipHammerCounts(ctx, fx.device->Now(), min_hc);
-    for (const double hc : min_hc) {
-      sum += hc;
-    }
-    benchmark::DoNotOptimize(sum);
-    fx.device->Sleep(units::kMillisecond);
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) * BankFixture::kRows);
-}
-BENCHMARK(BM_BankMeasureBatched);
-
 // Poisson draw throughput: row-state initialization is dominated by
 // per-cell/per-trap count draws, all served by PoissonSampler.
 void BM_SamplePoisson(benchmark::State& state) {
@@ -253,7 +165,7 @@ BENCHMARK(BM_MemsimRequests);
  * results to BENCH_perf.json in the working directory. That makes
  * `bench_perf_throughput` self-recording — local runs and the CI perf
  * job both produce a machine-readable snapshot to diff against the
- * committed BENCH_pr5.json baseline (see docs/API.md).
+ * committed BENCH_pr<N>.json baseline (see docs/API.md).
  */
 int main(int argc, char** argv) {
   bool has_out = false;

@@ -57,15 +57,6 @@ std::vector<dram::RowAddr> SelectVulnerableRows(
     dram::Device& device, vrd::TrapFaultEngine& engine, dram::BankId bank,
     std::size_t per_region, std::size_t scan_per_region,
     dram::DataPattern pattern, Tick t_on) {
-  MonotonicArena arena;
-  return SelectVulnerableRows(device, engine, bank, per_region,
-                              scan_per_region, pattern, t_on, arena);
-}
-
-std::vector<dram::RowAddr> SelectVulnerableRows(
-    dram::Device& device, vrd::TrapFaultEngine& engine, dram::BankId bank,
-    std::size_t per_region, std::size_t scan_per_region,
-    dram::DataPattern pattern, Tick t_on, MonotonicArena& arena) {
   VRD_FATAL_IF(per_region == 0 || scan_per_region < per_region,
                "invalid row-selection counts");
   const dram::RowAddr rows = device.org().rows_per_bank;
@@ -76,19 +67,19 @@ std::vector<dram::RowAddr> SelectVulnerableRows(
     double mean_rdt;
   };
 
-  // One measurement context reused across every scanned row (rebuilt
-  // in place), one arena-backed candidate buffer per region: the scan
-  // does not touch the heap beyond the returned row list.
+  // One measurement context (rebuilt in place per scanned row) and one
+  // candidate buffer serve every region of the scan.
   vrd::MeasureContext mctx;
+  std::vector<Candidate> candidates;
+  candidates.reserve(scan_per_region);
 
-  auto scan_region = [&](dram::RowAddr begin) {
-    std::span<Candidate> candidates =
-        arena.AllocSpan<Candidate>(scan_per_region);
-    std::size_t count = 0;
-    const dram::RowAddr last = device.org().LargestRowAddress();
-    for (dram::RowAddr row = begin;
-         row < begin + static_cast<dram::RowAddr>(scan_per_region);
-         ++row) {
+  std::vector<dram::RowAddr> selected;
+  const dram::RowAddr last = device.org().LargestRowAddress();
+  const dram::RowAddr scan = static_cast<dram::RowAddr>(scan_per_region);
+  for (const dram::RowAddr begin :
+       {dram::RowAddr{0}, (rows - scan) / 2, rows - scan}) {
+    candidates.clear();
+    for (dram::RowAddr row = begin; row < begin + scan; ++row) {
       const dram::PhysicalRow phys = device.mapper().ToPhysical(row);
       if (phys.value == 0 || phys.value >= last) {
         continue;
@@ -111,30 +102,20 @@ std::vector<dram::RowAddr> SelectVulnerableRows(
         }
       }
       if (hits == 10) {
-        candidates[count++] = Candidate{row, sum / 10.0};
+        candidates.push_back(Candidate{row, sum / 10.0});
       }
     }
     // Tie-break equal means by row so the selected set is a pure
     // function of the measurements, not of sort implementation or
     // candidate order.
-    std::span<Candidate> found = candidates.first(count);
-    std::sort(found.begin(), found.end(),
+    std::sort(candidates.begin(), candidates.end(),
               [](const Candidate& a, const Candidate& b) {
                 return std::tie(a.mean_rdt, a.row) <
                        std::tie(b.mean_rdt, b.row);
               });
-    if (found.size() > per_region) {
-      found = found.first(per_region);
-    }
-    return found;
-  };
-
-  std::vector<dram::RowAddr> selected;
-  const dram::RowAddr scan = static_cast<dram::RowAddr>(scan_per_region);
-  for (const dram::RowAddr begin :
-       {dram::RowAddr{0}, (rows - scan) / 2, rows - scan}) {
-    for (const Candidate& candidate : scan_region(begin)) {
-      selected.push_back(candidate.row);
+    const std::size_t keep = std::min(per_region, candidates.size());
+    for (std::size_t i = 0; i < keep; ++i) {
+      selected.push_back(candidates[i].row);
     }
   }
   return selected;
@@ -163,10 +144,6 @@ std::vector<SeriesRecord> RunShard(const CampaignConfig& config,
     device->SetOnDieEccEnabled(false);
   }
 
-  // Per-shard arena: backs the row-selection scan (and any future
-  // batched contexts) so the shard's steady state stays off the heap.
-  MonotonicArena arena;
-
   // Row selection runs on the freshly built device, before the shard
   // temperature is applied, so every shard of the same device selects
   // the identical row set.
@@ -175,7 +152,7 @@ std::vector<SeriesRecord> RunShard(const CampaignConfig& config,
   const std::vector<dram::RowAddr> rows = SelectVulnerableRows(
       *device, *engine, /*bank=*/0, per_region,
       config.scan_rows_per_region, dram::DataPattern::kCheckered0,
-      device->timing().tRAS, arena);
+      device->timing().tRAS);
 
   if (config.use_thermal_rig) {
     bender::TemperatureController rig(*device);

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.h"
 #include "core/rdt_profiler.h"
 #include "vrd/chip_catalog.h"
 
@@ -147,15 +146,6 @@ std::vector<dram::RowAddr> SelectVulnerableRows(
     dram::Device& device, vrd::TrapFaultEngine& engine, dram::BankId bank,
     std::size_t per_region, std::size_t scan_per_region,
     dram::DataPattern pattern, Tick t_on);
-
-/// Arena-backed variant: candidate storage is carved out of `arena`
-/// (campaign shards pass their per-shard arena so the scan performs no
-/// heap allocation besides the returned row list). Selected rows are
-/// identical to the overload above.
-std::vector<dram::RowAddr> SelectVulnerableRows(
-    dram::Device& device, vrd::TrapFaultEngine& engine, dram::BankId bank,
-    std::size_t per_region, std::size_t scan_per_region,
-    dram::DataPattern pattern, Tick t_on, MonotonicArena& arena);
 
 /**
  * Run a full campaign. Work is sharded per (device, temperature) and

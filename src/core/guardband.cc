@@ -4,7 +4,6 @@
 #include <cmath>
 #include <ostream>
 
-#include "common/arena.h"
 #include "common/error.h"
 #include "core/campaign.h"
 
@@ -42,18 +41,16 @@ std::vector<RowGuardbandOutcome> RunGuardbandStudy(
   VRD_FATAL_IF(config.trials == 0, "study needs trials");
   std::vector<RowGuardbandOutcome> outcomes;
 
-  // Per-study arena + scratch reused by every (device, pattern, row,
-  // margin) combination: the measurement loops are allocation-free
-  // once the buffers reach their high-water capacity.
-  MonotonicArena arena;
+  // Scratch reused by every (device, pattern, row, margin)
+  // combination: the measurement loops are allocation-free once the
+  // buffers reach their high-water capacity.
   vrd::MeasureContext mctx;
+  std::vector<std::int64_t> baseline;
   std::vector<vrd::TrapFaultEngine::CellFlipPoint> points;
   std::vector<std::uint32_t> flipped_bits;
   std::vector<std::uint32_t> chip_scratch;
 
   for (const std::string& name : config.devices) {
-    // The previous device's selection spans are dead; reuse the pages.
-    arena.Reset();
     std::unique_ptr<dram::Device> device =
         vrd::BuildDevice(name, config.base_seed);
     auto* engine = dynamic_cast<vrd::TrapFaultEngine*>(&device->model());
@@ -65,7 +62,7 @@ std::vector<RowGuardbandOutcome> RunGuardbandStudy(
     const std::vector<dram::RowAddr> rows = SelectVulnerableRows(
         *device, *engine, /*bank=*/0, per_region,
         config.scan_rows_per_region, dram::DataPattern::kCheckered0,
-        device->timing().tRAS, arena);
+        device->timing().tRAS);
     if (progress != nullptr) {
       *progress << "guardband: " << name << ", " << rows.size()
                 << " rows\n";
@@ -85,13 +82,9 @@ std::vector<RowGuardbandOutcome> RunGuardbandStudy(
         if (!guess) {
           continue;
         }
-        std::int64_t min_rdt = -1;
-        for (std::size_t i = 0; i < config.baseline_measurements; ++i) {
-          const std::int64_t rdt = profiler.MeasureOnce(row, *guess);
-          if (rdt >= 0 && (min_rdt < 0 || rdt < min_rdt)) {
-            min_rdt = rdt;
-          }
-        }
+        profiler.MeasureSeries(row, *guess, config.baseline_measurements,
+                               baseline);
+        const std::int64_t min_rdt = MinObservedRdt(baseline);
         if (min_rdt <= 0) {
           continue;
         }

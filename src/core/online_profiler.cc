@@ -37,20 +37,14 @@ bool OnlineRdtProfiler::RunMaintenanceWindow() {
     }
   }
 
-  bool discovered = false;
-  for (std::size_t i = 0; i < config_.measurements_per_window; ++i) {
-    const std::int64_t rdt = profiler_.MeasureOnce(victim_, *rdt_guess_);
-    if (rdt < 0) {
-      continue;
-    }
-    const auto value = static_cast<std::uint64_t>(rdt);
-    if (!observed_min_ || value < *observed_min_) {
-      observed_min_ = value;
-      discovered = true;
-    }
-  }
-
+  const std::int64_t window_min = MinObservedRdt(profiler_.MeasureSeries(
+      victim_, *rdt_guess_, config_.measurements_per_window));
+  const bool discovered =
+      window_min >= 0 &&
+      (!observed_min_ ||
+       static_cast<std::uint64_t>(window_min) < *observed_min_);
   if (discovered) {
+    observed_min_ = static_cast<std::uint64_t>(window_min);
     ++discoveries_;
     guardband_ = std::min(config_.max_guardband,
                           guardband_ + config_.widen_on_discovery);

@@ -12,10 +12,12 @@
  * discovered (the row is VRD-active) and narrows as the estimate
  * stabilizes, bounded below by `min_guardband`.
  *
- * Thread safety: maintenance windows run on a background thread while
- * the mitigation polls RecommendedThreshold() from the request path,
- * so every estimate field is guarded by `mu_` (and annotated for the
- * vrdlint lock-discipline rule, which verifies the coverage).
+ * Thread safety: every estimate field is guarded by `mu_`, so
+ * RecommendedThreshold() and the other accessors are safe to poll from
+ * another thread while RunMaintenanceWindow() runs. Nothing in the tree
+ * does so today: every caller runs windows and polls on one thread.
+ * The fields are annotated for the vrdlint lock-discipline rule, which
+ * verifies the coverage.
  */
 #ifndef VRDDRAM_CORE_ONLINE_PROFILER_H
 #define VRDDRAM_CORE_ONLINE_PROFILER_H
@@ -86,8 +88,8 @@ class OnlineRdtProfiler {
   dram::RowAddr victim_;
   OnlineProfilerConfig config_;
   RdtProfiler profiler_;
-  /// Guards every estimate field below: windows mutate them on the
-  /// maintenance thread while the mitigation reads the recommendation.
+  /// Guards every estimate field below: windows mutate them, and a
+  /// reader on another thread may poll the recommendation.
   mutable std::mutex mu_;
   // vrdlint: guarded_by(mu_)
   std::optional<std::uint64_t> rdt_guess_;

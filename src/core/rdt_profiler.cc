@@ -8,6 +8,16 @@
 
 namespace vrddram::core {
 
+std::int64_t MinObservedRdt(std::span<const std::int64_t> series) {
+  std::int64_t min_rdt = kNoFlip;
+  for (const std::int64_t rdt : series) {
+    if (rdt >= 0 && (min_rdt < 0 || rdt < min_rdt)) {
+      min_rdt = rdt;
+    }
+  }
+  return min_rdt;
+}
+
 RdtProfiler::RdtProfiler(dram::Device& device, ProfilerConfig config)
     : device_(&device), host_(device), config_(config) {
   VRD_FATAL_IF(config_.sweep_lo_frac <= 0.0 ||
@@ -56,13 +66,6 @@ Tick RdtProfiler::IterationTime(std::uint64_t hc) const {
   const Tick read = t.tRCD + (bursts - 1) * t.tCCD_L + t.tCL + t.tBL +
                     t.tRTP + t.tRP;
   return init + hammer + read;
-}
-
-RdtProfiler::SeriesContext RdtProfiler::MakeSeriesContext(
-    dram::RowAddr victim, std::uint64_t rdt_guess) {
-  SeriesContext ctx;
-  MakeSeriesContext(victim, rdt_guess, ctx);
-  return ctx;
 }
 
 void RdtProfiler::MakeSeriesContext(dram::RowAddr victim,
@@ -157,16 +160,8 @@ std::int64_t RdtProfiler::MeasureOnceWith(SeriesContext& ctx,
 
 std::int64_t RdtProfiler::MeasureOnce(dram::RowAddr victim,
                                       std::uint64_t rdt_guess) {
-  if (!once_cache_.valid || once_cache_.victim != victim ||
-      once_cache_.rdt_guess != rdt_guess ||
-      once_cache_.temperature != device_->temperature()) {
-    MakeSeriesContext(victim, rdt_guess, once_cache_.ctx);
-    once_cache_.victim = victim;
-    once_cache_.rdt_guess = rdt_guess;
-    once_cache_.temperature = device_->temperature();
-    once_cache_.valid = true;
-  }
-  return MeasureOnceWith(once_cache_.ctx, victim);
+  MakeSeriesContext(victim, rdt_guess, series_scratch_);
+  return MeasureOnceWith(series_scratch_, victim);
 }
 
 std::vector<std::int64_t> RdtProfiler::MeasureSeries(

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "bender/host.h"
@@ -61,6 +62,10 @@ struct ProfilerConfig {
 /// Sentinel recorded when no hammer count in the sweep grid flips.
 inline constexpr std::int64_t kNoFlip = -1;
 
+/// Smallest flipping measurement of a series, or kNoFlip if none
+/// flipped.
+std::int64_t MinObservedRdt(std::span<const std::int64_t> series);
+
 class RdtProfiler {
  public:
   RdtProfiler(dram::Device& device, ProfilerConfig config);
@@ -70,7 +75,8 @@ class RdtProfiler {
 
   /**
    * One RDT measurement (Alg. 1 lines 18-26): sweep hammer counts and
-   * return the first flipping count, or kNoFlip.
+   * return the first flipping count, or kNoFlip. Builds the series
+   * context afresh; loops measure through MeasureSeries instead.
    */
   std::int64_t MeasureOnce(dram::RowAddr victim, std::uint64_t rdt_guess);
 
@@ -133,8 +139,6 @@ class RdtProfiler {
     /// threading below.
     vrd::MeasureContext measure;
   };
-  SeriesContext MakeSeriesContext(dram::RowAddr victim,
-                                  std::uint64_t rdt_guess);
   /// Rebuild `ctx` in place (engine-side context reused with retained
   /// capacity): the allocation-free path for series-over-series loops.
   void MakeSeriesContext(dram::RowAddr victim, std::uint64_t rdt_guess,
@@ -149,27 +153,10 @@ class RdtProfiler {
   /// Elapsed time of one init+hammer+read iteration at hammer count hc.
   Tick IterationTime(std::uint64_t hc) const;
 
-  /**
-   * MeasureOnce memo: the last series context, keyed on everything it
-   * depends on that can change between calls — victim, guess, and the
-   * device temperature (pattern and t_on are fixed per profiler). Lets
-   * call sites that measure in a loop without holding a SeriesContext
-   * (e.g. the throughput benchmarks) still hit the series-scoped fast
-   * path. The pinned row state stays valid: the engine never erases.
-   */
-  struct OnceCache {
-    bool valid = false;
-    dram::RowAddr victim = 0;
-    std::uint64_t rdt_guess = 0;
-    Celsius temperature = 0.0;
-    SeriesContext ctx;
-  };
-  OnceCache once_cache_;
-
-  /// Scratch series context reused by GuessRdt and MeasureSeries so
+  /// Scratch series context reused by every measuring call so
   /// back-to-back series on one profiler stop allocating once every
   /// vector has reached its high-water capacity. Never live across a
-  /// call boundary (OnceCache has its own context).
+  /// call boundary.
   SeriesContext series_scratch_;
 
   dram::Device* device_;

@@ -63,13 +63,8 @@ std::vector<SecurityResult> EvaluateGuardbands(
   const std::optional<std::uint64_t> guess = profiler.GuessRdt(victim);
   VRD_FATAL_IF(!guess, "victim does not flip under this pattern");
 
-  std::int64_t min_rdt = -1;
-  for (std::size_t i = 0; i < profile_measurements; ++i) {
-    const std::int64_t rdt = profiler.MeasureOnce(victim, *guess);
-    if (rdt >= 0 && (min_rdt < 0 || rdt < min_rdt)) {
-      min_rdt = rdt;
-    }
-  }
+  const std::int64_t min_rdt = MinObservedRdt(
+      profiler.MeasureSeries(victim, *guess, profile_measurements));
   VRD_FATAL_IF(min_rdt <= 0, "profiling observed no flips");
 
   std::vector<SecurityResult> results;

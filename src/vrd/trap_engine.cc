@@ -4,9 +4,7 @@
 #include <cmath>
 #include <string>
 
-#include "common/arena.h"
 #include "common/error.h"
-#include "common/simd.h"
 #include "dram/cell_encoding.h"
 
 namespace vrddram::vrd {
@@ -80,8 +78,8 @@ TrapFaultEngine::RowState TrapFaultEngine::BuildRowState(
                      rng.NextLognormal(0.0, profile_.sigma_rdt_cell);
     // Products are computed into named temporaries before the adds
     // throughout this file: `a + b * c` written inline is
-    // FMA-contractable, and one fused rounding on the scalar path
-    // would break scalar-vs-AVX2 bit-equality (DESIGN.md §6).
+    // FMA-contractable, and one fused rounding would make the reports
+    // depend on the compiler and target (DESIGN.md §6).
     const double alpha_span = 0.4 * rng.NextDouble();
     cell.alpha_above = 0.3 + alpha_span;
     cell.temp_beta =
@@ -282,8 +280,8 @@ double TrapFaultEngine::FixedPerHammerDose(
   // Per-hammer dose: one activation of each aggressor (the paper's
   // hammer-count convention counts activations per aggressor, so one
   // "hammer" = both sides once: alpha_above + alpha_below = 1). The
-  // factor association order below is the bit-identity reference for
-  // every context builder.
+  // factor association order below is pinned by the kernel's golden
+  // digests.
   double per_hammer =
       press * cell.aggr_jitter[aggr_bit ? 1 : 0] *
       (aggr_bit != victim_bit ? 1.0 : profile_.same_bit_factor);
@@ -300,29 +298,11 @@ TrapFaultEngine::PerCellFlipHammerCounts(
     dram::BankId bank, dram::PhysicalRow victim, std::uint8_t victim_byte,
     std::uint8_t aggressor_byte, Tick t_on, Celsius temperature,
     const dram::CellEncodingLayout& encoding, Tick now) {
-  RowState& state = MutableRowState(bank, victim, now);
-  const double press = profile_.PressFactor(t_on);
-
+  MeasureContext ctx = MakeMeasureContext(bank, victim, victim_byte,
+                                          aggressor_byte, t_on, temperature,
+                                          encoding, now);
   std::vector<CellFlipPoint> points;
-  points.reserve(state.cells.size());
-  for (WeakCell& cell : state.cells) {
-    const double boost = SampleTrapBoost(state, cell, now, temperature);
-    double per_hammer = FixedPerHammerDose(
-        cell, victim, victim_byte, aggressor_byte, press, temperature,
-        encoding);
-    per_hammer *= 1.0 + boost;
-    // Analog measurement noise jitters the effective charge budget
-    // symmetrically (normal in the hammer-count domain).
-    const double noise = std::max(
-        0.05, 1.0 + state.dynamics_rng.NextGaussian(
-                        0.0, cell.noise_sigma));
-
-    CellFlipPoint point;
-    point.bit_index = cell.bit_index;
-    point.hammer_count =
-        (per_hammer > 0.0) ? cell.threshold * noise / per_hammer : -1.0;
-    points.push_back(point);
-  }
+  PerCellFlipHammerCounts(ctx, now, points);
   return points;
 }
 
@@ -330,16 +310,10 @@ double TrapFaultEngine::MinFlipHammerCount(
     dram::BankId bank, dram::PhysicalRow victim, std::uint8_t victim_byte,
     std::uint8_t aggressor_byte, Tick t_on, Celsius temperature,
     const dram::CellEncodingLayout& encoding, Tick now) {
-  double min_hc = -1.0;
-  for (const CellFlipPoint& point : PerCellFlipHammerCounts(
-           bank, victim, victim_byte, aggressor_byte, t_on, temperature,
-           encoding, now)) {
-    if (point.hammer_count >= 0.0 &&
-        (min_hc < 0.0 || point.hammer_count < min_hc)) {
-      min_hc = point.hammer_count;
-    }
-  }
-  return min_hc;
+  MeasureContext ctx = MakeMeasureContext(bank, victim, victim_byte,
+                                          aggressor_byte, t_on, temperature,
+                                          encoding, now);
+  return MinFlipHammerCount(ctx, now);
 }
 
 void TrapFaultEngine::Evaluate(const dram::VictimContext& ctx,
@@ -400,8 +374,8 @@ const double* MeasureContext::DecayFor(Tick dt) {
       return entry.decay.data();
     }
   }
-  // Miss: compute exp(-rate*dt) for every trap of the row, exactly as
-  // the per-call path would. The analytic sweep revisits a bounded set
+  // Miss: compute exp(-rate*dt) for every trap of the row. The
+  // analytic sweep revisits a bounded set
   // of durations, so the memo saturates after a handful of entries;
   // round-robin eviction bounds memory without affecting values.
   constexpr std::size_t kMemoCapacity = 16;
@@ -517,8 +491,8 @@ void TrapFaultEngine::ForEachFlipPoint(MeasureContext& ctx, Tick now,
       const bool occupied = rng.NextBernoulli(p_occupied);
       trap.occupied = occupied;
       trap.last_sample = now;
-      // weight*1.0 and +0.0 are exact, so this matches the per-call
-      // path's `if (occupied) boost += weight` bit for bit without its
+      // weight*1.0 and +0.0 are exact, so this equals
+      // `if (occupied) boost += weight` bit for bit without its
       // data-dependent branch.
       const double hit = trap.weight * static_cast<double>(occupied);
       boost += hit;
@@ -549,235 +523,6 @@ void TrapFaultEngine::PerCellFlipHammerCounts(
   ForEachFlipPoint(ctx, now, [&](std::uint32_t bit_index, double hc) {
     out.push_back(CellFlipPoint{bit_index, hc});
   });
-}
-
-const double* BatchMeasureContext::DecayFor(Tick dt) {
-  for (DecayEntry& entry : memo_) {
-    if (entry.dt == dt) {
-      return entry.decay.data();
-    }
-  }
-  DecayEntry* slot = nullptr;
-  for (DecayEntry& entry : memo_) {
-    if (entry.dt < 0) {  // unused lane (all lanes pre-allocated)
-      slot = &entry;
-      break;
-    }
-  }
-  if (slot == nullptr) {
-    slot = &memo_[memo_next_evict_];
-    memo_next_evict_ = (memo_next_evict_ + 1) % kMemoCapacity;
-  }
-  slot->dt = dt;
-  // Bank-wide argument fill first: rate * (-seconds) is bit-identical
-  // to the scalar context's -rate * seconds (IEEE sign manipulation is
-  // exact), and the elementwise multiply vectorizes. The exp itself
-  // stays scalar by contract: a vectorized exp approximation would
-  // differ from the scalar reference path in ulps, so the
-  // transcendental is the one part of the batch kernel that must not
-  // be vectorized (common/simd.h documents the boundary).
-  const double seconds = units::ToSeconds(dt);
-  const std::size_t n = soa_.rate_scaled.size();
-  simd::ScaleTo(slot->decay.data(), soa_.rate_scaled.data(), -seconds, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    slot->decay[i] = std::exp(slot->decay[i]);
-  }
-  return slot->decay.data();
-}
-
-BatchMeasureContext TrapFaultEngine::MakeBatchMeasureContext(
-    dram::BankId bank, std::span<const dram::PhysicalRow> rows,
-    std::uint8_t victim_byte, std::uint8_t aggressor_byte, Tick t_on,
-    Celsius temperature, const dram::CellEncodingLayout& encoding,
-    Tick now, MonotonicArena& arena) {
-  using Batch = BatchMeasureContext;
-  Batch ctx;
-  const double press = profile_.PressFactor(t_on);
-  const double q10_scale =
-      std::pow(profile_.trap_rate_q10, (temperature - 50.0) / 10.0);
-
-  // Pass 1: materialize every row state and lay out the bank-wide
-  // (begin, count) addressing.
-  ctx.rows_ = arena.AllocSpan<Batch::RowRef>(rows.size());
-  std::size_t cell_total = 0;
-  std::size_t trap_total = 0;
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    RowState& state = MutableRowState(bank, rows[r], now);
-    Batch::RowRef& ref = ctx.rows_[r];
-    ref.state = &state;
-    ref.cell_begin = static_cast<std::uint32_t>(cell_total);
-    ref.cell_count = static_cast<std::uint32_t>(state.cells.size());
-    ref.trap_begin = static_cast<std::uint32_t>(trap_total);
-    ref.trap_count = static_cast<std::uint32_t>(state.traps.size());
-    cell_total += state.cells.size();
-    trap_total += state.traps.size();
-  }
-
-  // Pass 2: carve the SoA, the scratch lanes, and every decay memo
-  // lane out of the arena up front — the kernel itself never
-  // allocates, not even from the arena.
-  BankTrapSoA& soa = ctx.soa_;
-  soa.rate_scaled = arena.AllocSpan<double>(trap_total);
-  soa.occupancy = arena.AllocSpan<double>(trap_total);
-  soa.weight = arena.AllocSpan<double>(trap_total);
-  soa.per_hammer_fixed = arena.AllocSpan<double>(cell_total);
-  soa.threshold = arena.AllocSpan<double>(cell_total);
-  soa.noise_sigma = arena.AllocSpan<double>(cell_total);
-  soa.bit_index = arena.AllocSpan<std::uint32_t>(cell_total);
-  soa.trap_begin = arena.AllocSpan<std::uint32_t>(cell_total);
-  soa.trap_count = arena.AllocSpan<std::uint32_t>(cell_total);
-  ctx.hot_cells_ = arena.AllocSpan<Batch::CellHot>(cell_total);
-  for (Batch::DecayEntry& entry : ctx.memo_) {
-    entry.dt = -1;
-    entry.decay = arena.AllocSpan<double>(trap_total);
-  }
-
-  // Pass 3: gather the per-series constants.
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    const Batch::RowRef& ref = ctx.rows_[r];
-    const RowState& state = *ref.state;
-    for (std::uint32_t i = 0; i < ref.trap_count; ++i) {
-      const Trap& trap = state.traps[i];
-      const std::size_t g = ref.trap_begin + i;
-      soa.rate_scaled[g] = trap.rate_hz;  // Q10-scaled below
-      soa.occupancy[g] = trap.occupancy;
-      soa.weight[g] = trap.weight;
-    }
-    for (std::uint32_t c = 0; c < ref.cell_count; ++c) {
-      const WeakCell& cell = state.cells[c];
-      const std::size_t g = ref.cell_begin + c;
-      soa.per_hammer_fixed[g] = FixedPerHammerDose(
-          cell, rows[r], victim_byte, aggressor_byte, press, temperature,
-          encoding);
-      soa.threshold[g] = cell.threshold;
-      soa.noise_sigma[g] = cell.noise_sigma;
-      soa.bit_index[g] = cell.bit_index;
-      soa.trap_begin[g] = ref.trap_begin + cell.trap_begin;
-      soa.trap_count[g] = cell.trap_count;
-    }
-  }
-  // One bank-wide elementwise multiply turns the gathered rate_hz
-  // lanes into Q10-scaled rates: the same trap.rate_hz * q10_scale
-  // product as the scalar context, so every value is bit-identical.
-  simd::ScaleTo(soa.rate_scaled.data(), soa.rate_scaled.data(),
-                q10_scale, trap_total);
-  // Packed mirror of the kernel-hot per-cell constants (see CellHot).
-  for (std::size_t c = 0; c < cell_total; ++c) {
-    ctx.hot_cells_[c] = {soa.per_hammer_fixed[c], soa.threshold[c],
-                         soa.noise_sigma[c],      soa.bit_index[c],
-                         soa.trap_begin[c],       soa.trap_count[c]};
-  }
-  return ctx;
-}
-
-template <typename Sink>
-void TrapFaultEngine::ForEachBatchFlipPoint(BatchMeasureContext& ctx,
-                                            Tick now, Sink&& sink) {
-  using Batch = BatchMeasureContext;
-  const BankTrapSoA& soa = ctx.soa_;
-
-  // Bank-wide sampling instant: every sampling path advances all traps
-  // of a row together, so one first-trap probe per row establishes
-  // whether the whole batch shares a single decay factor per trap (the
-  // lockstep steady state). A row measured through another path since
-  // the last batch call surfaces here and degrades to the per-trap
-  // exp fallback in the main loop below.
-  bool uniform = true;
-  bool base_set = false;
-  Tick base = 0;
-  for (const Batch::RowRef& row : ctx.rows_) {
-    if (row.trap_count == 0) {
-      continue;
-    }
-    const Tick first = row.state->traps[0].last_sample;
-    if (!base_set) {
-      base = first;
-      base_set = true;
-    } else if (first != base) {
-      uniform = false;
-      break;
-    }
-  }
-  const bool have_lane = base_set && uniform;
-  // One memoized bank-wide decay lane (SIMD-filled arguments, scalar
-  // exp — see DecayFor) shared by every trap sampled at `base`.
-  // In the mixed-history case the lane pointer targets valid (but
-  // unused) memory and `match` is a tick no trap can carry, so the
-  // single per-trap comparison below routes every trap to the exp
-  // fallback; in the lockstep case the unconditional lane load issues
-  // without a control dependency, exactly like the scalar kernel.
-  const double* const decay =
-      have_lane ? ctx.DecayFor(std::max<Tick>(0, now - base))
-                : soa.rate_scaled.data();
-  const Tick match = have_lane ? base : Tick{-1};
-
-  // Single fused pass, sequential per row: each row owns its
-  // dynamics_rng, and within a row the draw order is exactly the
-  // scalar kernel's — per cell, its traps' Bernoullis then the noise
-  // Gaussian — so batched and scalar sequences are interchangeable.
-  // The blend below is the same expression the scalar context
-  // evaluates, so results are bit-identical.
-  for (std::size_t r = 0; r < ctx.rows_.size(); ++r) {
-    const Batch::RowRef& row = ctx.rows_[r];
-    Rng& rng = row.state->dynamics_rng;
-    Trap* const traps = row.state->traps.data();
-    const std::uint32_t cell_end = row.cell_begin + row.cell_count;
-    for (std::uint32_t c = row.cell_begin; c < cell_end; ++c) {
-      const Batch::CellHot& cell = ctx.hot_cells_[c];
-      double boost = 0.0;
-      const std::uint32_t trap_end = cell.trap_begin + cell.trap_count;
-      Trap* trap = traps + (cell.trap_begin - row.trap_begin);
-      for (std::uint32_t i = cell.trap_begin; i < trap_end;
-           ++i, ++trap) {
-        double d = decay[i];
-        if (trap->last_sample != match) [[unlikely]] {
-          // Mixed history: same expression as the memo fill, so the
-          // value still matches the scalar path bit for bit.
-          const double dt = units::ToSeconds(
-              std::max<Tick>(0, now - trap->last_sample));
-          d = std::exp(-soa.rate_scaled[i] * dt);
-        }
-        const double prev = static_cast<double>(trap->occupied);
-        const double relax = (prev - trap->occupancy) * d;
-        const double p = trap->occupancy + relax;
-        const bool occupied = rng.NextBernoulli(p);
-        trap->occupied = occupied;
-        trap->last_sample = now;
-        const double hit = trap->weight * static_cast<double>(occupied);
-        boost += hit;
-      }
-      const double per_hammer = cell.per_hammer_fixed * (1.0 + boost);
-      const double noise = std::max(
-          0.05, 1.0 + rng.NextGaussian(0.0, cell.noise_sigma));
-      sink(r, cell.bit_index,
-           (per_hammer > 0.0) ? cell.threshold * noise / per_hammer
-                              : -1.0);
-    }
-  }
-}
-
-void TrapFaultEngine::BatchMinFlipHammerCounts(
-    BatchMeasureContext& ctx, Tick now, std::span<double> out_min_hc) {
-  VRD_ASSERT(out_min_hc.size() == ctx.row_count());
-  for (double& v : out_min_hc) {
-    v = -1.0;
-  }
-  ForEachBatchFlipPoint(
-      ctx, now, [&](std::size_t r, std::uint32_t, double hc) {
-        if (hc >= 0.0 && (out_min_hc[r] < 0.0 || hc < out_min_hc[r])) {
-          out_min_hc[r] = hc;
-        }
-      });
-}
-
-void TrapFaultEngine::BatchPerCellFlipHammerCounts(
-    BatchMeasureContext& ctx, Tick now, std::vector<CellFlipPoint>& out) {
-  out.clear();
-  out.reserve(ctx.total_cell_count());
-  ForEachBatchFlipPoint(
-      ctx, now, [&](std::size_t, std::uint32_t bit_index, double hc) {
-        out.push_back(CellFlipPoint{bit_index, hc});
-      });
 }
 
 }  // namespace vrddram::vrd

@@ -21,11 +21,9 @@
 #ifndef VRDDRAM_VRD_TRAP_ENGINE_H
 #define VRDDRAM_VRD_TRAP_ENGINE_H
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -33,10 +31,6 @@
 #include "dram/disturbance_model.h"
 #include "dram/organization.h"
 #include "vrd/fault_profile.h"
-
-namespace vrddram {
-class MonotonicArena;
-}
 
 namespace vrddram::vrd {
 
@@ -68,30 +62,6 @@ class PoissonSampler {
 std::size_t SamplePoisson(Rng& rng, double lambda);
 
 class MeasureContext;
-class BatchMeasureContext;
-
-/**
- * Bank-wide structure-of-arrays measurement constants for a set of
- * rows measured in lockstep (DESIGN.md §10). Every span is a view into
- * a caller-owned MonotonicArena: contiguous across the whole batch,
- * per-trap arrays indexed by bank-wide trap offsets and per-cell
- * arrays by bank-wide cell offsets (rows are addressed by their
- * (begin, count) spans held in BatchMeasureContext).
- */
-struct BankTrapSoA {
-  // Per trap, concatenated row by row.
-  std::span<double> rate_scaled;  ///< rate_hz * q10_scale
-  std::span<double> occupancy;    ///< stationary occupied probability
-  std::span<double> weight;       ///< coupling boost while occupied
-
-  // Per cell, concatenated row by row.
-  std::span<double> per_hammer_fixed;  ///< series-invariant dose factor
-  std::span<double> threshold;
-  std::span<double> noise_sigma;
-  std::span<std::uint32_t> bit_index;
-  std::span<std::uint32_t> trap_begin;  ///< bank-wide trap offset
-  std::span<std::uint32_t> trap_count;
-};
 
 class TrapFaultEngine final : public dram::ReadDisturbanceModel {
  public:
@@ -112,7 +82,7 @@ class TrapFaultEngine final : public dram::ReadDisturbanceModel {
   /// One charge trap attached to a weak cell.
   struct Trap {
     // Field order is deliberate: the four fields the measurement
-    // kernels touch every sample sit in the first 32 bytes, so a
+    // kernel touches every sample sit in the first 32 bytes, so a
     // sequential trap walk pulls one hot half-line per trap; rate_hz
     // is only read at context build and in decay-memo misses.
     double occupancy = 0.0;   ///< stationary occupied probability
@@ -168,6 +138,9 @@ class TrapFaultEngine final : public dram::ReadDisturbanceModel {
    * Behaviourally this is the continuum limit of sweeping hammer
    * counts through the command path with trap states frozen for the
    * duration of one measurement (tests check the correspondence).
+   *
+   * One-shot convenience: builds a MeasureContext and runs the context
+   * kernel once. Series of measurements hold a context instead.
    */
   double MinFlipHammerCount(dram::BankId bank, dram::PhysicalRow victim,
                             std::uint8_t victim_byte,
@@ -186,7 +159,8 @@ class TrapFaultEngine final : public dram::ReadDisturbanceModel {
    * Per-cell variant of MinFlipHammerCount: the flipping hammer count
    * of every weak cell of the victim (trap states sampled at `now`).
    * Used by the guardband bitflip study (Fig. 16), which needs to know
-   * *which* cells flip at a given hammer count.
+   * *which* cells flip at a given hammer count. One-shot convenience
+   * over the context kernel, like MinFlipHammerCount above.
    */
   std::vector<CellFlipPoint> PerCellFlipHammerCounts(
       dram::BankId bank, dram::PhysicalRow victim,
@@ -212,7 +186,7 @@ class TrapFaultEngine final : public dram::ReadDisturbanceModel {
   /// Reuse overload: rebuild `ctx` in place for a new series. Clears
   /// and refills the context's storage without releasing capacity, so
   /// a context hoisted out of a scan loop makes the steady state
-  /// allocation-free. Same bit-identity contract as above.
+  /// allocation-free.
   void MakeMeasureContext(dram::BankId bank, dram::PhysicalRow victim,
                           std::uint8_t victim_byte,
                           std::uint8_t aggressor_byte, Tick t_on,
@@ -220,82 +194,31 @@ class TrapFaultEngine final : public dram::ReadDisturbanceModel {
                           const dram::CellEncodingLayout& encoding,
                           Tick now, MeasureContext& ctx);
 
-  /**
-   * Context-based MinFlipHammerCount: bit-identical results and
-   * dynamics_rng consumption to the per-call overload above (a tier-1
-   * regression test asserts this across the chip catalog), without the
-   * per-call state lookup, invariant recomputation, or allocation.
-   */
+  /// Context-based MinFlipHammerCount: the measurement kernel itself,
+  /// without the per-call state lookup, invariant recomputation, or
+  /// allocation.
   double MinFlipHammerCount(MeasureContext& ctx, Tick now);
 
   /// Context-based PerCellFlipHammerCounts writing into caller-owned
-  /// scratch (cleared first); same bit-identity contract as above.
+  /// scratch (cleared first).
   void PerCellFlipHammerCounts(MeasureContext& ctx, Tick now,
                                std::vector<CellFlipPoint>& out);
-
-  // -- bank-wide batched fast path ------------------------------------------
-  /**
-   * Build a BatchMeasureContext for measuring `rows` of `bank` in
-   * lockstep under one fixed (pattern, t_on, temperature, encoding)
-   * setup. All storage — the SoA arrays, scratch, and the decay memo —
-   * comes from `arena`, so the batch kernel never touches the heap.
-   * The context stays valid until the arena is Reset or destroyed, and
-   * it must only be used with this engine. Row states are materialized
-   * at `now` (new rows stamp their traps' last_sample then), and
-   * construction draws nothing from any row's dynamics RNG.
-   *
-   * The batch kernel is a *lockstep* semantic: every call advances all
-   * rows of the batch to the same instant. That is a different tick
-   * pattern from scanning rows one-by-one through per-row contexts, so
-   * the two APIs answer different experimental setups; per row, the
-   * batch kernel is bit-identical to the scalar context path given the
-   * same (state, tick) history (tests pin this across the catalog).
-   */
-  BatchMeasureContext MakeBatchMeasureContext(
-      dram::BankId bank, std::span<const dram::PhysicalRow> rows,
-      std::uint8_t victim_byte, std::uint8_t aggressor_byte, Tick t_on,
-      Celsius temperature, const dram::CellEncodingLayout& encoding,
-      Tick now, MonotonicArena& arena);
-
-  /// Advance every row of the batch to `now` and write each row's
-  /// smallest flipping hammer count (negative: cannot flip) into
-  /// `out_min_hc`, which must have exactly row_count() elements.
-  /// Decay factors are evaluated bank-wide (SIMD where available, see
-  /// common/simd.h); per-row RNG draws keep the scalar path's order.
-  void BatchMinFlipHammerCounts(BatchMeasureContext& ctx, Tick now,
-                                std::span<double> out_min_hc);
-
-  /// Per-cell variant: flip points of every cell of every row of the
-  /// batch, concatenated in row order, written into caller-owned
-  /// scratch (cleared first). Row r's slice is ctx.RowCellRange(r).
-  void BatchPerCellFlipHammerCounts(BatchMeasureContext& ctx, Tick now,
-                                    std::vector<CellFlipPoint>& out);
 
   const FaultProfile& profile() const { return profile_; }
 
  private:
   friend class MeasureContext;
-  friend class BatchMeasureContext;
 
   RowState& MutableRowState(dram::BankId bank, dram::PhysicalRow row,
                             Tick now);
 
-  /// Shared context kernel: advance every trap of the pinned row to
+  /// The measurement kernel: advance every trap of the pinned row to
   /// `now` and emit (bit_index, flip hammer count) per cell.
   template <typename Sink>
   void ForEachFlipPoint(MeasureContext& ctx, Tick now, Sink&& sink);
 
-  /// Shared batch kernel: advance every row of the batch to `now` and
-  /// emit (row index, bit_index, flip hammer count) per cell.
-  template <typename Sink>
-  void ForEachBatchFlipPoint(BatchMeasureContext& ctx, Tick now,
-                             Sink&& sink);
-
   /// The series-invariant part of a cell's per-hammer dose — pattern
-  /// jitters, same-bit/discharged selection, temperature exponential —
-  /// accumulated in exactly the per-call path's association order.
-  /// Single source of truth for every context builder, so the scalar
-  /// and batched paths cannot drift apart by a rounding.
+  /// jitters, same-bit/discharged selection, temperature exponential.
   double FixedPerHammerDose(const WeakCell& cell,
                             dram::PhysicalRow victim,
                             std::uint8_t victim_byte,
@@ -304,7 +227,7 @@ class TrapFaultEngine final : public dram::ReadDisturbanceModel {
                             const dram::CellEncodingLayout& encoding) const;
 
   /// Advance all traps of `cell` to `now` and return the summed weight
-  /// of the occupied ones.
+  /// of the occupied ones (the command path's Evaluate).
   double SampleTrapBoost(RowState& state, WeakCell& cell, Tick now,
                          Celsius temperature);
   RowState BuildRowState(dram::BankId bank, dram::PhysicalRow row,
@@ -338,16 +261,14 @@ class TrapFaultEngine final : public dram::ReadDisturbanceModel {
  *  - the pinned RowState pointer (stable: states_ never erases),
  *  - per-cell fixed per-hammer multipliers — pattern jitters,
  *    same-bit/discharged selection, and the temperature exponential,
- *    accumulated in exactly the per-call path's association order,
  *  - per-trap Q10-scaled transition rates, and
  *  - an exact memo of exp(-rate*dt) keyed on the tick delta between
  *    measurements (the analytic sweep revisits a handful of distinct
  *    durations, so almost every measurement reuses a cached decay).
  *
- * Construction draws nothing from the dynamics RNG; the memo caches
- * only values std::exp would return for identical arguments. Both
- * together are what keep the context path bit-identical to the legacy
- * per-call path.
+ * Construction draws nothing from the dynamics RNG, and the memo
+ * caches only values std::exp would return for identical arguments, so
+ * a rebuilt or fresh context continues any series bit for bit.
  */
 class MeasureContext {
  public:
@@ -382,95 +303,6 @@ class MeasureContext {
   std::vector<CellPre> cells_;
   std::vector<double> rate_scaled_;  ///< rate_hz * q10_scale, per trap
   std::vector<DecayEntry> memo_;
-  std::size_t memo_next_evict_ = 0;
-};
-
-/**
- * Bank-wide batched counterpart of MeasureContext (DESIGN.md §10):
- * one context covering many rows of a bank, measured in lockstep. All
- * per-series constants live in a BankTrapSoA carved out of a
- * caller-owned MonotonicArena, and the exp(-rate*dt) decay memo is a
- * fixed set of arena-backed bank-wide lanes — after construction, the
- * batch kernel performs no heap allocation at all.
- *
- * Mutable trap state (occupied, last_sample) intentionally stays in
- * the engine's RowState structs: the batch kernel writes its Bernoulli
- * outcomes back there, so batched and scalar measurements of the same
- * row can interleave and always observe one coherent trap history.
- *
- * Lifetime: valid while the arena it was carved from is neither Reset
- * nor destroyed and the engine is alive. Copies are shallow views.
- */
-class BatchMeasureContext {
- public:
-  BatchMeasureContext() = default;
-
-  /// Number of rows measured in lockstep.
-  std::size_t row_count() const { return rows_.size(); }
-  /// Total weak cells across the batch (size of per-cell SoA arrays).
-  std::size_t total_cell_count() const { return soa_.bit_index.size(); }
-  /// Total traps across the batch (size of per-trap SoA arrays).
-  std::size_t total_trap_count() const {
-    return soa_.rate_scaled.size();
-  }
-
-  /// Row r's (begin, count) slice of the flat per-cell outputs.
-  std::pair<std::uint32_t, std::uint32_t> RowCellRange(
-      std::size_t r) const {
-    return {rows_[r].cell_begin, rows_[r].cell_count};
-  }
-
-  /// The underlying SoA (introspection; spans are arena-backed).
-  const BankTrapSoA& soa() const { return soa_; }
-
- private:
-  friend class TrapFaultEngine;
-
-  /// One row of the batch: its pinned state plus the row's (begin,
-  /// count) spans into the bank-wide SoA arrays.
-  struct RowRef {
-    TrapFaultEngine::RowState* state = nullptr;
-    std::uint32_t cell_begin = 0;
-    std::uint32_t cell_count = 0;
-    std::uint32_t trap_begin = 0;
-    std::uint32_t trap_count = 0;
-  };
-
-  /// One memoized bank-wide decay lane; dt < 0 marks it unused. The
-  /// lane spans are allocated once at construction, so memo misses
-  /// only recompute values, never allocate.
-  struct DecayEntry {
-    Tick dt = -1;
-    std::span<double> decay;
-  };
-
-  /// Packed per-cell constants for the sequential RNG pass. The SoA
-  /// spans stay the canonical bank-wide lanes (they feed the SIMD
-  /// decay fill), but the fused kernel walks one packed stream instead
-  /// of six parallel arrays — fewer concurrent prefetch streams. The
-  /// per-trap constants need no mirror: the kernel reads them straight
-  /// from the Trap structs whose mutable state it touches anyway.
-  struct CellHot {
-    double per_hammer_fixed = 0.0;
-    double threshold = 0.0;
-    double noise_sigma = 0.0;
-    std::uint32_t bit_index = 0;
-    std::uint32_t trap_begin = 0;  ///< bank-wide
-    std::uint32_t trap_count = 0;
-  };
-
-  static constexpr std::size_t kMemoCapacity = 16;
-
-  /// exp(-rate_scaled * ToSeconds(dt)) per trap, bank-wide, memoized
-  /// on dt. Scalar std::exp fill on miss — see common/simd.h for why
-  /// the transcendental must stay scalar under the bit-equality
-  /// contract.
-  const double* DecayFor(Tick dt);
-
-  std::span<RowRef> rows_;
-  BankTrapSoA soa_;
-  std::span<CellHot> hot_cells_;
-  std::array<DecayEntry, kMemoCapacity> memo_{};
   std::size_t memo_next_evict_ = 0;
 };
 

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+#include <vector>
+
 #include "common/error.h"
+#include "common/experiment.h"
 
 namespace vrddram::bench {
 namespace {
@@ -35,6 +40,109 @@ TEST(FlagsTest, ParsesKeyValuePairs) {
 TEST(FlagsTest, BareFlagIsTrue) {
   const Flags flags = MakeFlags({"--full"});
   EXPECT_TRUE(flags.GetBool("full", false));
+}
+
+/// The FatalError message of `get`, or "" if it did not throw.
+template <typename Get>
+std::string FatalMessage(Get get) {
+  try {
+    get();
+  } catch (const FatalError& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(FlagsTest, RejectsNonNumericUnsigned) {
+  const Flags flags = MakeFlags({"--threads=abc", "--rows=12x"});
+  const std::string message =
+      FatalMessage([&] { flags.GetUint("threads", 1); });
+  EXPECT_NE(message.find("--threads=abc"), std::string::npos) << message;
+  EXPECT_NE(message.find("unsigned"), std::string::npos) << message;
+  EXPECT_THROW(flags.GetUint("rows", 1), FatalError);
+}
+
+TEST(FlagsTest, RejectsSignedAndOutOfRangeUnsigned) {
+  const Flags flags =
+      MakeFlags({"--measurements=-1", "--plus=+5", "--space= 5",
+                 "--big=18446744073709551616", "--max=18446744073709551615"});
+  EXPECT_NE(FatalMessage([&] { flags.GetUint("measurements", 1); })
+                .find("--measurements=-1"),
+            std::string::npos);
+  EXPECT_THROW(flags.GetUint("plus", 1), FatalError);
+  EXPECT_THROW(flags.GetUint("space", 1), FatalError);
+  EXPECT_THROW(flags.GetUint("big", 1), FatalError);
+  EXPECT_EQ(flags.GetUint("max", 1), 18446744073709551615u);
+}
+
+TEST(FlagsTest, RejectsMalformedAndNonFiniteDoubles) {
+  const Flags flags = MakeFlags(
+      {"--ber=0.5x", "--huge=1e999", "--nan=nan", "--empty=", "--neg=-2.5"});
+  EXPECT_NE(FatalMessage([&] { flags.GetDouble("ber", 0.0); })
+                .find("--ber=0.5x"),
+            std::string::npos);
+  EXPECT_THROW(flags.GetDouble("huge", 0.0), FatalError);
+  EXPECT_THROW(flags.GetDouble("nan", 0.0), FatalError);
+  EXPECT_THROW(flags.GetDouble("empty", 0.0), FatalError);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("neg", 0.0), -2.5);
+}
+
+TEST(FlagsTest, BoolAcceptsOnlyTheEnumeratedSpellings) {
+  const Flags flags =
+      MakeFlags({"--rig=ture", "--a=true", "--b=1", "--c=false", "--d=0"});
+  const std::string message = FatalMessage([&] { flags.GetBool("rig", true); });
+  EXPECT_NE(message.find("--rig=ture"), std::string::npos) << message;
+  EXPECT_NE(message.find("true, false, 1, 0"), std::string::npos)
+      << message;
+  EXPECT_TRUE(flags.GetBool("a", false));
+  EXPECT_TRUE(flags.GetBool("b", false));
+  EXPECT_FALSE(flags.GetBool("c", true));
+  EXPECT_FALSE(flags.GetBool("d", true));
+}
+
+TEST(FlagsTest, SchemaGettersParseStrictly) {
+  const std::vector<FlagSpec> schema = {{"threads", "0", ""},
+                                        {"rig", "true", ""}};
+  const Flags flags({"--threads=abc", "--rig=ture"}, schema);
+  EXPECT_THROW(flags.GetUint("threads"), FatalError);
+  EXPECT_THROW(flags.GetBool("rig"), FatalError);
+  const Flags defaults({}, schema);
+  EXPECT_EQ(defaults.GetUint("threads"), 0u);
+  EXPECT_TRUE(defaults.GetBool("rig"));
+}
+
+/**
+ * Every registered experiment's schema defaults survive strict parsing.
+ * Campaign builders read their knobs through the typed getters, so
+ * building each campaign from pure defaults exercises the real
+ * getter-per-flag pairing; every numeric- or bool-looking default must
+ * also parse as such.
+ */
+TEST(FlagsTest, EveryExperimentSchemaDefaultParses) {
+  const std::vector<const ExperimentSpec*> specs =
+      ExperimentRegistry::Instance().All();
+  ASSERT_FALSE(specs.empty());
+  for (const ExperimentSpec* spec : specs) {
+    SCOPED_TRACE(spec->name);
+    const Flags flags({}, spec->flags);
+    if (spec->build_campaign) {
+      EXPECT_NO_THROW(spec->build_campaign(flags));
+    }
+    for (const FlagSpec& flag : spec->flags) {
+      SCOPED_TRACE(flag.name + "=" + flag.default_value);
+      const std::string& value = flag.default_value;
+      if (value == "true" || value == "false") {
+        EXPECT_NO_THROW(flags.GetBool(flag.name));
+      } else if (!value.empty() &&
+                 (std::isdigit(static_cast<unsigned char>(value[0])) ||
+                  value[0] == '-' || value[0] == '.')) {
+        EXPECT_NO_THROW(flags.GetDouble(flag.name));
+        if (value.find_first_not_of("0123456789") == std::string::npos) {
+          EXPECT_NO_THROW(flags.GetUint(flag.name));
+        }
+      }
+    }
+  }
 }
 
 TEST(DevicesTest, ResolvesAliases) {

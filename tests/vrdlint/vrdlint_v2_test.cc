@@ -2,8 +2,7 @@
  * vrdlint v2 self-tests: the symbol-aware rule families (rng-flow,
  * float-determinism, lock-discipline, scope-aware kernel-allocation)
  * pinned against fixtures, plus the SARIF writer's schema shape and
- * the baseline round-trip (write -> rescan clean -> inject violation
- * -> only the new finding survives).
+ * its line-content fingerprints.
  */
 #include <gtest/gtest.h>
 
@@ -13,13 +12,11 @@
 #include <string>
 #include <vector>
 
-#include "baseline.h"
 #include "sarif.h"
 #include "vrdlint.h"
 
 namespace {
 
-using vrdlint::Baseline;
 using vrdlint::Config;
 using vrdlint::Diagnostic;
 
@@ -169,59 +166,11 @@ TEST(VrdlintSarif, ReportHasSchemaRulesAndFingerprints) {
             std::string::npos);
 }
 
-TEST(VrdlintBaseline, HashIsTrimInvariantAndContentSensitive) {
+TEST(VrdlintSarif, ContentHashIsTrimInvariantAndContentSensitive) {
   EXPECT_EQ(vrdlint::HashLineContent("  a * b + c;  "),
             vrdlint::HashLineContent("a * b + c;"));
   EXPECT_NE(vrdlint::HashLineContent("a * b + c;"),
             vrdlint::HashLineContent("a * b - c;"));
-}
-
-TEST(VrdlintBaseline, RoundTripSuppressesRecordedFindingsOnly) {
-  Config config;
-  config.float_paths = {"float_determinism.cc"};
-  const std::vector<Diagnostic> found =
-      LintFixture("float_determinism.cc", config);
-  ASSERT_EQ(found.size(), 3u);
-
-  // Write -> parse -> rescan: everything suppressed, nothing stale.
-  const std::string text = vrdlint::BaselineText(found);
-  Baseline baseline;
-  std::string error;
-  ASSERT_TRUE(vrdlint::ParseBaselineText(text, &baseline, &error))
-      << error;
-  bool stale = true;
-  EXPECT_TRUE(vrdlint::FilterBaseline(found, baseline, &stale).empty());
-  EXPECT_FALSE(stale);
-
-  // A fixed finding leaves its baseline entry unconsumed: stale.
-  std::vector<Diagnostic> fewer(found.begin(), found.end() - 1);
-  EXPECT_TRUE(vrdlint::FilterBaseline(fewer, baseline, &stale).empty());
-  EXPECT_TRUE(stale);
-
-  // A new finding (same rule/file, different line content) is the one
-  // and only survivor.
-  std::vector<Diagnostic> more = found;
-  more.push_back(Diagnostic{found[0].file, 99, found[0].rule,
-                            "injected violation",
-                            vrdlint::HashLineContent("zz += q * r;")});
-  const std::vector<Diagnostic> surviving =
-      vrdlint::FilterBaseline(more, baseline, &stale);
-  ASSERT_EQ(surviving.size(), 1u);
-  EXPECT_EQ(surviving[0].line, 99u);
-  EXPECT_FALSE(stale);
-}
-
-TEST(VrdlintBaseline, ParserRejectsBadHeaderAndMalformedRecords) {
-  Baseline baseline;
-  std::string error;
-  EXPECT_FALSE(
-      vrdlint::ParseBaselineText("not a header\n", &baseline, &error));
-  EXPECT_NE(error.find("header"), std::string::npos);
-  EXPECT_FALSE(vrdlint::ParseBaselineText(
-      "# vrdlint baseline v1\nrule\tfile\tnothex\t1\n", &baseline,
-      &error));
-  EXPECT_TRUE(vrdlint::ParseBaselineText("", &baseline, &error));
-  EXPECT_TRUE(baseline.empty());
 }
 
 }  // namespace

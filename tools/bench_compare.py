@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare a google-benchmark JSON run against a committed baseline.
 
-CI perf gate (DESIGN.md section 10): the perf job runs
+CI perf gate (DESIGN.md section 9): the perf job runs
 bench_perf_throughput (which self-records BENCH_perf.json) and this
 script diffs it against the committed BENCH_pr<N>.json snapshot. A
 benchmark that got more than --tolerance slower than the baseline

@@ -1,24 +1,15 @@
 /**
  * vrdlint CLI.
  *
- *   vrdlint [--root DIR] [--config FILE] [--sarif FILE]
- *           [--baseline FILE [--stale-check]]
- *           [--write-baseline FILE] [file...]
+ *   vrdlint [--root DIR] [--config FILE] [--sarif FILE] [file...]
  *
  * With file arguments, lints exactly those files; otherwise walks the
  * configured scan directories under --root (default: the current
  * directory). The config defaults to <root>/tools/vrdlint/vrdlint.conf
- * when that file exists.
+ * when that file exists. --sarif writes the findings as SARIF 2.1.0
+ * for GitHub code-scanning upload.
  *
- * --baseline suppresses findings recorded in the given baseline file
- * (keyed by rule, file, and line content — see baseline.h);
- * --stale-check additionally fails when the baseline holds entries no
- * finding consumed. --write-baseline snapshots the current findings
- * (pre-suppression) and exits 0. --sarif writes the surviving
- * findings as SARIF 2.1.0 for GitHub code-scanning upload.
- *
- * Exit status: 0 clean, 1 diagnostics emitted, 2 usage/IO error,
- * 3 stale baseline (1 wins when both apply).
+ * Exit status: 0 clean, 1 diagnostics emitted, 2 usage/IO error.
  */
 #include <filesystem>
 #include <fstream>
@@ -27,16 +18,14 @@
 #include <string>
 #include <vector>
 
-#include "baseline.h"
 #include "sarif.h"
 #include "vrdlint.h"
 
 namespace {
 
 int Usage(std::ostream& out) {
-  out << "usage: vrdlint [--root DIR] [--config FILE] [--sarif FILE]\n"
-         "               [--baseline FILE [--stale-check]]\n"
-         "               [--write-baseline FILE] [file...]\n";
+  out << "usage: vrdlint [--root DIR] [--config FILE] [--sarif FILE]"
+         " [file...]\n";
   return 2;
 }
 
@@ -55,9 +44,6 @@ int main(int argc, char** argv) {
   std::string root = ".";
   std::string config_path;
   std::string sarif_path;
-  std::string baseline_path;
-  std::string write_baseline_path;
-  bool stale_check = false;
   std::vector<std::string> files;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -80,28 +66,12 @@ int main(int argc, char** argv) {
         return Usage(std::cerr);
       }
       sarif_path = argv[i];
-    } else if (arg == "--baseline") {
-      if (++i >= argc) {
-        return Usage(std::cerr);
-      }
-      baseline_path = argv[i];
-    } else if (arg == "--write-baseline") {
-      if (++i >= argc) {
-        return Usage(std::cerr);
-      }
-      write_baseline_path = argv[i];
-    } else if (arg == "--stale-check") {
-      stale_check = true;
     } else if (arg.rfind("--", 0) == 0) {
       std::cerr << "vrdlint: unknown option: " << arg << '\n';
       return Usage(std::cerr);
     } else {
       files.push_back(arg);
     }
-  }
-  if (stale_check && baseline_path.empty()) {
-    std::cerr << "vrdlint: --stale-check requires --baseline\n";
-    return Usage(std::cerr);
   }
 
   vrdlint::Config config;
@@ -141,33 +111,6 @@ int main(int argc, char** argv) {
     diagnostics = vrdlint::LintTree(root, config);
   }
 
-  if (!write_baseline_path.empty()) {
-    if (!WriteFile(write_baseline_path,
-                   vrdlint::BaselineText(diagnostics))) {
-      std::cerr << "vrdlint: cannot write baseline: "
-                << write_baseline_path << '\n';
-      return 2;
-    }
-    std::cerr << "vrdlint: baseline with " << diagnostics.size()
-              << " finding(s) written to " << write_baseline_path
-              << '\n';
-    return 0;
-  }
-
-  std::size_t suppressed = 0;
-  bool stale = false;
-  if (!baseline_path.empty()) {
-    vrdlint::Baseline baseline;
-    if (!vrdlint::LoadBaselineFile(baseline_path, &baseline, &error)) {
-      std::cerr << "vrdlint: " << error << '\n';
-      return 2;
-    }
-    const std::size_t before = diagnostics.size();
-    diagnostics =
-        vrdlint::FilterBaseline(diagnostics, baseline, &stale);
-    suppressed = before - diagnostics.size();
-  }
-
   if (!sarif_path.empty() &&
       !WriteFile(sarif_path, vrdlint::SarifReport(diagnostics))) {
     std::cerr << "vrdlint: cannot write SARIF: " << sarif_path << '\n';
@@ -177,17 +120,7 @@ int main(int argc, char** argv) {
   for (const vrdlint::Diagnostic& d : diagnostics) {
     std::cout << d.ToString() << '\n';
   }
-  std::cerr << "vrdlint: " << diagnostics.size() << " issue(s)";
-  if (!baseline_path.empty()) {
-    std::cerr << " (" << suppressed << " suppressed by baseline)";
-  }
-  std::cerr << " in " << scanned << " file(s) scanned\n";
-  if (stale && stale_check) {
-    std::cerr << "vrdlint: baseline is stale: it records findings that "
-                 "no longer fire; refresh it with --write-baseline\n";
-  }
-  if (!diagnostics.empty()) {
-    return 1;
-  }
-  return (stale && stale_check) ? 3 : 0;
+  std::cerr << "vrdlint: " << diagnostics.size() << " issue(s) in "
+            << scanned << " file(s) scanned\n";
+  return diagnostics.empty() ? 0 : 1;
 }

@@ -700,7 +700,7 @@ bool ReserveExcusesGrowth(const FileSymbols& symbols,
 }
 
 /// The measurement kernel must stay allocation-free end to end
-/// (DESIGN.md §10): in kernel-path files, flag `new` expressions,
+/// (DESIGN.md §9): in kernel-path files, flag `new` expressions,
 /// make_unique/make_shared, and container growth whose capacity was
 /// not provisioned by a reserve (same scope before the growth, or any
 /// other function scope — typically the constructor). Construction-
@@ -731,7 +731,7 @@ void CheckKernelAllocation(const std::string& path, const FileView& view,
     diagnostics->push_back(Diagnostic{
         path, line, "kernel-allocation",
         "`new` in a kernel path: the measurement kernel must stay "
-        "allocation-free (DESIGN.md §10); allocate at construction or "
+        "allocation-free (DESIGN.md §9); allocate at construction or "
         "annotate with // vrdlint: allow(kernel-allocation)"});
   }
 
@@ -759,7 +759,7 @@ void CheckKernelAllocation(const std::string& path, const FileView& view,
           path, line, "kernel-allocation",
           std::string(maker) +
               " in a kernel path: the measurement kernel must stay "
-              "allocation-free (DESIGN.md §10); allocate at construction "
+              "allocation-free (DESIGN.md §9); allocate at construction "
               "or annotate with // vrdlint: allow(kernel-allocation)"});
     }
   }
@@ -788,7 +788,7 @@ void CheckKernelAllocation(const std::string& path, const FileView& view,
           "'" + std::string(obj) + "." + std::string(method) +
               "' with no earlier '" + std::string(obj) +
               ".reserve(...)': growth in a kernel path allocates "
-              "(DESIGN.md §10); reserve the capacity at construction or "
+              "(DESIGN.md §9); reserve the capacity at construction or "
               "annotate with // vrdlint: allow(kernel-allocation)"});
     }
   }

@@ -1,13 +1,14 @@
 /**
  * @file
- * Rule family: float-determinism — guards the PR 6 scalar-vs-AVX2
- * bit-equality contract against silent floating-point reassociation:
+ * Rule family: float-determinism — guards the bit-identical-reports
+ * contract (DESIGN.md §6) against silent floating-point contraction
+ * and reassociation:
  *
  *  (A) in bit-equality kernel files (the `float-path` entries of the
  *      config), FMA-contractable shapes: `a*b + c` with the multiply
  *      and the add at the same parenthesis depth, and `acc += a*b`
  *      compound accumulation — `-ffp-contract` may fuse either into
- *      one rounding, diverging from the element-exact SIMD mirror;
+ *      one rounding, so the result would depend on the compiler;
  *  (B) anywhere in the tree, a float accumulator written with
  *      `+=`/`-=` inside a ParallelFor/Submit lambda when the
  *      accumulator is declared outside the lambda — cross-task
@@ -187,7 +188,7 @@ void CheckKernelStatement(const RuleContext& ctx, std::size_t stmt_begin,
             ctx.path, line, "float-determinism",
             "float accumulation with a product on the right-hand side "
             "is FMA-contractable: -ffp-contract may fuse it into one "
-            "rounding and break scalar-vs-AVX2 bit-equality "
+            "rounding and make the reports compiler-dependent "
             "(DESIGN.md §6); compute the product into an explicit "
             "temporary first or annotate with "
             "// vrdlint: allow(float-determinism)"});
@@ -250,7 +251,7 @@ void CheckKernelStatement(const RuleContext& ctx, std::size_t stmt_begin,
           ctx.path, line, "float-determinism",
           "FMA-contractable `a*b + c` shape (multiply and add at the "
           "same depth): -ffp-contract may fuse them into one rounding "
-          "and break scalar-vs-AVX2 bit-equality (DESIGN.md §6); "
+          "and make the reports compiler-dependent (DESIGN.md §6); "
           "split the product into an explicit temporary or annotate "
           "with // vrdlint: allow(float-determinism)"});
       return;

@@ -104,7 +104,7 @@ std::vector<std::string> OuterRngNames(const RuleContext& ctx,
 void CheckRefCaptures(const RuleContext& ctx, const DispatchLambda& dl,
                       const std::vector<std::string>& rng_names,
                       std::vector<Diagnostic>* diagnostics) {
-  const std::string_view intro = ctx.view.flat.substr(
+  const std::string_view intro = std::string_view(ctx.view.flat).substr(
       dl.intro + 1, dl.intro_close - dl.intro - 1);
   for (const std::string_view entry : SplitArgs(intro)) {
     const std::string trimmed = Trim(entry);

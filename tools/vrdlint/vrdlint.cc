@@ -18,7 +18,6 @@
 #include <tuple>
 #include <utility>
 
-#include "baseline.h"
 #include "rules.h"
 #include "symbol_index.h"
 #include "tokenizer.h"
@@ -34,8 +33,8 @@ void SortDiagnostics(std::vector<Diagnostic>* diagnostics) {
             });
 }
 
-/// Key diagnostics to their source line's content (baseline / SARIF
-/// fingerprints survive pure line-number churn this way).
+/// Key diagnostics to their source line's content (SARIF fingerprints
+/// survive pure line-number churn this way).
 void StampContentHashes(const FileView& view,
                         std::vector<Diagnostic>* diagnostics,
                         std::size_t from) {
@@ -60,6 +59,16 @@ void RunFileRules(const RuleContext& ctx,
 }
 
 }  // namespace
+
+std::uint64_t HashLineContent(std::string_view line) {
+  const std::string trimmed = Trim(line);
+  std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a 64 offset basis
+  for (const char c : trimmed) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;  // FNV-1a 64 prime
+  }
+  return hash;
+}
 
 std::string Diagnostic::ToString() const {
   std::ostringstream out;

@@ -37,7 +37,7 @@
  *                          emplace_back / resize) on an object with no
  *                          earlier `.reserve(...)` in the file — the
  *                          hot path must stay allocation-free
- *                          (DESIGN.md §10); construction-time growth
+ *                          (DESIGN.md §9); construction-time growth
  *                          is excused by pairing it with a reserve or
  *                          by annotation
  *
@@ -76,8 +76,7 @@
  * Diagnostics print as `file:line: rule: message`, and the scan exits
  * nonzero when anything fires — which is what lets ctest gate the
  * tree (see the `vrdlint_tree` test). The CLI can additionally emit
- * SARIF 2.1.0 (`--sarif`, see sarif.h) and suppress accepted findings
- * through a checked-in baseline (`--baseline`, see baseline.h).
+ * SARIF 2.1.0 (`--sarif`, see sarif.h).
  */
 #ifndef VRDDRAM_TOOLS_VRDLINT_H
 #define VRDDRAM_TOOLS_VRDLINT_H
@@ -98,7 +97,7 @@ struct Diagnostic {
   std::string rule;
   std::string message;
   /// FNV-1a 64 hash of the trimmed source line, the line-number-churn-
-  /// resistant key used by the baseline and SARIF fingerprints.
+  /// resistant key used by the SARIF fingerprints.
   std::uint64_t content_hash = 0;
 
   /// "file:line: rule: message" — the stable output format.
@@ -106,6 +105,10 @@ struct Diagnostic {
 
   friend bool operator==(const Diagnostic&, const Diagnostic&) = default;
 };
+
+/// FNV-1a 64-bit hash of the trimmed source line — the content key
+/// that survives line-number churn.
+std::uint64_t HashLineContent(std::string_view line);
 
 /**
  * Linter configuration, read from a plain-text file of
