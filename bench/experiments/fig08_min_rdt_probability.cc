@@ -1,7 +1,7 @@
 /**
  * @file
  * Figure 8 (and its expanded version, Figure 25) / Findings 7-9:
- * Monte Carlo analysis of identifying the minimum RDT. Top panel:
+ * exact analysis of identifying the minimum RDT. Top panel:
  * distribution (across rows) of the probability of finding the series
  * minimum with N = 1, 3, 5, 10, 50, 500 uniformly drawn measurements.
  * Middle: distribution of the expected value of the minimum found,
@@ -10,10 +10,9 @@
  */
 #include <algorithm>
 #include <iostream>
-#include <memory>
 
 #include "common/experiment.h"
-#include "core/min_rdt_mc.h"
+#include "core/min_rdt.h"
 
 namespace vrddram::bench {
 namespace {
@@ -33,42 +32,42 @@ core::CampaignConfig BuildFig08Campaign(const Flags& flags) {
 }
 
 void AnalyzeFig08(const core::CampaignResult& result, Report* report) {
-  const Flags& flags = report->flags;
   std::ostream& out = report->out;
-  const core::CampaignConfig config = BuildFig08Campaign(flags);
-
-  core::MinRdtSettings settings;
-  settings.iterations =
-      static_cast<std::size_t>(flags.GetUint("iters"));
+  const core::MinRdtSettings settings;
 
   PrintBanner(out,
               "Figure 8: probability of finding the minimum RDT and "
               "expected normalized minimum vs. N measurements");
 
   PrintShardSummary(out, result);
-  Rng rng(config.base_seed ^ 0xf18);
-
-  // The Monte Carlo stage reuses the campaign's thread setting; the
-  // per-N fan-out inside AnalyzeRowSeries is deterministic either way.
-  std::unique_ptr<ThreadPool> pool;
-  if (config.threads != 1) {
-    pool = std::make_unique<ThreadPool>(config.threads);
-  }
 
   std::vector<std::vector<double>> prob_by_n(
       settings.sample_sizes.size());
   std::vector<std::vector<double>> norm_by_n(
       settings.sample_sizes.size());
-  // Hoisted result + scratch: the per-record Monte Carlo loop reuses
-  // one set of buffers instead of reallocating per series.
-  core::RowMinRdtResult mc;
-  core::MinRdtScratch mc_scratch;
+  // Rows with low probability and high expected normalized minimum are
+  // the worst VRD rows (top-left corner in the paper's Fig. 25 plot).
+  // N = 1 is the first sample size; its P(find min) is k/L, so the
+  // classes are decided on the integer counts.
+  std::size_t low_prob_rows = 0;
+  std::size_t high_prob_rows = 0;
+  double worst_norm_low_prob = 1.0;
+  double sum_norm_low_prob = 0.0;
   for (const core::SeriesRecord& record : result.records) {
-    core::AnalyzeRowSeries(record.series, settings, rng, mc, mc_scratch,
-                           pool.get());
+    const core::RowMinRdtResult mc =
+        core::AnalyzeRowSeries(record.series, settings);
     for (std::size_t i = 0; i < mc.per_n.size(); ++i) {
       prob_by_n[i].push_back(mc.per_n[i].prob_find_min);
       norm_by_n[i].push_back(mc.per_n[i].expected_norm_min);
+    }
+    if (core::SingleDrawFindMinAtMost(mc, 1)) {
+      ++low_prob_rows;
+      const double norm_n1 = mc.per_n[0].expected_norm_min;
+      worst_norm_low_prob = std::max(worst_norm_low_prob, norm_n1);
+      sum_norm_low_prob += norm_n1;
+    }
+    if (core::SingleDrawFindMinAtLeast(mc, 999)) {
+      ++high_prob_rows;
     }
   }
 
@@ -93,23 +92,6 @@ void AnalyzeFig08(const core::CampaignResult& result, Report* report) {
 
   PrintBanner(out,
               "Bottom (Fig. 25): per-row scatter summary for N = 1");
-  // Rows with low probability and high expected normalized minimum are
-  // the worst VRD rows (top-left corner in the paper's plot).
-  std::size_t low_prob_rows = 0;
-  std::size_t high_prob_rows = 0;
-  double worst_norm_low_prob = 1.0;
-  double sum_norm_low_prob = 0.0;
-  for (std::size_t r = 0; r < prob_by_n[0].size(); ++r) {
-    if (prob_by_n[0][r] <= 0.001) {
-      ++low_prob_rows;
-      worst_norm_low_prob =
-          std::max(worst_norm_low_prob, norm_by_n[0][r]);
-      sum_norm_low_prob += norm_by_n[0][r];
-    }
-    if (prob_by_n[0][r] >= 0.999) {
-      ++high_prob_rows;
-    }
-  }
   const auto total_rows = static_cast<double>(prob_by_n[0].size());
   out << "rows analyzed: " << prob_by_n[0].size() << "\n";
 
@@ -137,17 +119,15 @@ ExperimentSpec Fig08Spec() {
   ExperimentSpec spec;
   spec.name = "fig08_min_rdt_probability";
   spec.description =
-      "Figure 8: Monte Carlo probability of finding the minimum RDT";
+      "Figure 8: probability of finding the minimum RDT";
   spec.flags = WithCampaignFlags({
       {"devices", "all", "device set: all, ddr4, hbm2, or comma list"},
       {"rows", "9", "victim rows per device"},
       {"measurements", "1000", "measurements per series"},
       {"seed", "2025", "base RNG seed"},
       {"scan", "96", "rows scanned per region when selecting victims"},
-      {"iters", "10000", "Monte Carlo iterations per (row, N)"},
   });
-  spec.smoke_args = {"--devices=M1,S2", "--rows=3", "--measurements=150",
-                     "--iters=500"};
+  spec.smoke_args = {"--devices=M1,S2", "--rows=3", "--measurements=150"};
   spec.build_campaign = BuildFig08Campaign;
   spec.analyze = AnalyzeFig08;
   return spec;

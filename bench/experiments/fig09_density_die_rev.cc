@@ -10,7 +10,7 @@
 #include <map>
 
 #include "common/experiment.h"
-#include "core/min_rdt_mc.h"
+#include "core/min_rdt.h"
 
 namespace vrddram::bench {
 namespace {
@@ -30,20 +30,14 @@ core::CampaignConfig BuildFig09Campaign(const Flags& flags) {
 }
 
 void AnalyzeFig09(const core::CampaignResult& result, Report* report) {
-  const Flags& flags = report->flags;
   std::ostream& out = report->out;
-  const core::CampaignConfig config = BuildFig09Campaign(flags);
-
-  core::MinRdtSettings settings;
-  settings.iterations =
-      static_cast<std::size_t>(flags.GetUint("iters"));
+  const core::MinRdtSettings settings;
 
   PrintBanner(out,
               "Figure 9: expected normalized min RDT by die density "
               "and die revision");
 
   PrintShardSummary(out, result);
-  Rng rng(config.base_seed ^ 0xf19);
 
   // Group rows by (manufacturer, density, die revision).
   struct GroupKey {
@@ -58,7 +52,7 @@ void AnalyzeFig09(const core::CampaignResult& result, Report* report) {
   std::map<GroupKey, std::vector<std::vector<double>>> groups;
   for (const core::SeriesRecord& record : result.records) {
     const core::RowMinRdtResult mc =
-        core::AnalyzeRowSeries(record.series, settings, rng);
+        core::AnalyzeRowSeries(record.series, settings);
     auto& group =
         groups[GroupKey{record.mfr, record.density_gbit,
                         record.die_rev}];
@@ -112,9 +106,8 @@ ExperimentSpec Fig09Spec() {
       {"measurements", "1000", "measurements per series"},
       {"seed", "2025", "base RNG seed"},
       {"scan", "96", "rows scanned per region when selecting victims"},
-      {"iters", "4000", "Monte Carlo iterations per (row, N)"},
   });
-  spec.smoke_args = {"--rows=3", "--measurements=120", "--iters=500"};
+  spec.smoke_args = {"--rows=3", "--measurements=120"};
   spec.build_campaign = BuildFig09Campaign;
   spec.analyze = AnalyzeFig09;
   return spec;

@@ -9,7 +9,7 @@
 #include <map>
 
 #include "common/experiment.h"
-#include "core/min_rdt_mc.h"
+#include "core/min_rdt.h"
 
 namespace vrddram::bench {
 namespace {
@@ -31,20 +31,14 @@ core::CampaignConfig BuildFig10Campaign(const Flags& flags) {
 }
 
 void AnalyzeFig10(const core::CampaignResult& result, Report* report) {
-  const Flags& flags = report->flags;
   std::ostream& out = report->out;
-  const core::CampaignConfig config = BuildFig10Campaign(flags);
-
-  core::MinRdtSettings settings;
-  settings.iterations =
-      static_cast<std::size_t>(flags.GetUint("iters"));
+  const core::MinRdtSettings settings;
 
   PrintBanner(out,
               "Figure 10: expected normalized min RDT per data "
               "pattern and manufacturer");
 
   PrintShardSummary(out, result);
-  Rng rng(config.base_seed ^ 0xf1a);
 
   // group -> pattern -> per-N list of expected normalized minima.
   std::map<std::string,
@@ -52,7 +46,7 @@ void AnalyzeFig10(const core::CampaignResult& result, Report* report) {
       groups;
   for (const core::SeriesRecord& record : result.records) {
     const core::RowMinRdtResult mc =
-        core::AnalyzeRowSeries(record.series, settings, rng);
+        core::AnalyzeRowSeries(record.series, settings);
     auto& per_pattern =
         groups[ManufacturerGroupName(record)][record.pattern];
     if (per_pattern.empty()) {
@@ -110,10 +104,8 @@ ExperimentSpec Fig10Spec() {
       {"measurements", "1000", "measurements per series"},
       {"seed", "2025", "base RNG seed"},
       {"scan", "96", "rows scanned per region when selecting victims"},
-      {"iters", "4000", "Monte Carlo iterations per (row, N)"},
   });
-  spec.smoke_args = {"--devices=M1,S2", "--rows=3", "--measurements=120",
-                     "--iters=500"};
+  spec.smoke_args = {"--devices=M1,S2", "--rows=3", "--measurements=120"};
   spec.build_campaign = BuildFig10Campaign;
   spec.analyze = AnalyzeFig10;
   return spec;

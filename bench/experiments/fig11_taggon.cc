@@ -10,7 +10,7 @@
 #include <map>
 
 #include "common/experiment.h"
-#include "core/min_rdt_mc.h"
+#include "core/min_rdt.h"
 
 namespace vrddram::bench {
 namespace {
@@ -32,27 +32,21 @@ core::CampaignConfig BuildFig11Campaign(const Flags& flags) {
 }
 
 void AnalyzeFig11(const core::CampaignResult& result, Report* report) {
-  const Flags& flags = report->flags;
   std::ostream& out = report->out;
-  const core::CampaignConfig config = BuildFig11Campaign(flags);
-
-  core::MinRdtSettings settings;
-  settings.iterations =
-      static_cast<std::size_t>(flags.GetUint("iters"));
+  const core::MinRdtSettings settings;
 
   PrintBanner(out,
               "Figure 11: expected normalized min RDT per tAggOn and "
               "manufacturer");
 
   PrintShardSummary(out, result);
-  Rng rng(config.base_seed ^ 0xf1b);
 
   std::map<std::string,
            std::map<core::TOnChoice, std::vector<std::vector<double>>>>
       groups;
   for (const core::SeriesRecord& record : result.records) {
     const core::RowMinRdtResult mc =
-        core::AnalyzeRowSeries(record.series, settings, rng);
+        core::AnalyzeRowSeries(record.series, settings);
     auto& per_ton = groups[ManufacturerGroupName(record)][record.t_on];
     if (per_ton.empty()) {
       per_ton.resize(settings.sample_sizes.size());
@@ -111,10 +105,8 @@ ExperimentSpec Fig11Spec() {
       {"measurements", "1000", "measurements per series"},
       {"seed", "2025", "base RNG seed"},
       {"scan", "96", "rows scanned per region when selecting victims"},
-      {"iters", "4000", "Monte Carlo iterations per (row, N)"},
   });
-  spec.smoke_args = {"--devices=M1,S2", "--rows=3", "--measurements=120",
-                     "--iters=500"};
+  spec.smoke_args = {"--devices=M1,S2", "--rows=3", "--measurements=120"};
   spec.build_campaign = BuildFig11Campaign;
   spec.analyze = AnalyzeFig11;
   return spec;

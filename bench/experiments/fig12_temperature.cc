@@ -10,7 +10,7 @@
 #include <map>
 
 #include "common/experiment.h"
-#include "core/min_rdt_mc.h"
+#include "core/min_rdt.h"
 
 namespace vrddram::bench {
 namespace {
@@ -34,26 +34,20 @@ core::CampaignConfig BuildFig12Campaign(const Flags& flags) {
 }
 
 void AnalyzeFig12(const core::CampaignResult& result, Report* report) {
-  const Flags& flags = report->flags;
   std::ostream& out = report->out;
-  const core::CampaignConfig config = BuildFig12Campaign(flags);
-
   core::MinRdtSettings settings;
   settings.sample_sizes = {1};
-  settings.iterations =
-      static_cast<std::size_t>(flags.GetUint("iters"));
 
   PrintBanner(out,
               "Figure 12: expected normalized min RDT (N = 1) vs. "
               "temperature, Rowstripe1, tAggOn = min tRAS");
 
   PrintShardSummary(out, result);
-  Rng rng(config.base_seed ^ 0xf1c);
 
   std::map<std::string, std::map<int, std::vector<double>>> groups;
   for (const core::SeriesRecord& record : result.records) {
     const core::RowMinRdtResult mc =
-        core::AnalyzeRowSeries(record.series, settings, rng);
+        core::AnalyzeRowSeries(record.series, settings);
     groups[record.device][static_cast<int>(record.temperature)]
         .push_back(mc.per_n[0].expected_norm_min);
   }
@@ -100,11 +94,9 @@ ExperimentSpec Fig12Spec() {
       {"measurements", "1000", "measurements per series"},
       {"seed", "2025", "base RNG seed"},
       {"scan", "96", "rows scanned per region when selecting victims"},
-      {"iters", "4000", "Monte Carlo iterations per (row, N)"},
       {"rig", "true", "run the simulated heater-pad + PID thermal rig"},
   });
-  spec.smoke_args = {"--devices=M1,S2", "--rows=3", "--measurements=120",
-                     "--iters=500"};
+  spec.smoke_args = {"--devices=M1,S2", "--rows=3", "--measurements=120"};
   spec.build_campaign = BuildFig12Campaign;
   spec.analyze = AnalyzeFig12;
   return spec;

@@ -10,7 +10,7 @@
 #include <iostream>
 
 #include "common/experiment.h"
-#include "core/min_rdt_mc.h"
+#include "core/min_rdt.h"
 
 namespace vrddram::bench {
 namespace {
@@ -34,22 +34,14 @@ core::CampaignConfig BuildFig15Campaign(const Flags& flags) {
 }
 
 void AnalyzeFig15(const core::CampaignResult& result, Report* report) {
-  const Flags& flags = report->flags;
   std::ostream& out = report->out;
-  const core::CampaignConfig config = BuildFig15Campaign(flags);
-
-  core::MinRdtSettings settings;
-  settings.sample_sizes = {1, 3, 5, 10, 50, 500};
-  settings.iterations =
-      static_cast<std::size_t>(flags.GetUint("iters"));
-  settings.margins = {0.10, 0.20, 0.30, 0.40, 0.50};
+  const core::MinRdtSettings settings;
 
   PrintBanner(out,
               "Figure 15: probability of finding the min RDT within a "
               "safety margin, vs. N measurements");
 
   PrintShardSummary(out, result);
-  Rng rng(config.base_seed ^ 0xf15);
 
   // per (N index, margin index): list across rows.
   std::vector<std::vector<std::vector<double>>> probs(
@@ -57,7 +49,7 @@ void AnalyzeFig15(const core::CampaignResult& result, Report* report) {
       std::vector<std::vector<double>>(settings.margins.size()));
   for (const core::SeriesRecord& record : result.records) {
     const core::RowMinRdtResult mc =
-        core::AnalyzeRowSeries(record.series, settings, rng);
+        core::AnalyzeRowSeries(record.series, settings);
     for (std::size_t n = 0; n < settings.sample_sizes.size(); ++n) {
       for (std::size_t m = 0; m < settings.margins.size(); ++m) {
         probs[n][m].push_back(mc.per_n[n].prob_within_margin[m]);
@@ -77,13 +69,13 @@ void AnalyzeFig15(const core::CampaignResult& result, Report* report) {
       const double mn = *std::min_element(values.begin(), values.end());
       table.AddRow(
           {Cell(static_cast<std::uint64_t>(settings.sample_sizes[n])),
-           Cell(settings.margins[m] * 100.0, 0) + "%", Cell(mean, 4),
+           Cell(std::uint64_t{settings.margins[m]}) + "%", Cell(mean, 4),
            Cell(mn, 4)});
-      if (settings.sample_sizes[n] == 50 && m == 0) {
+      if (settings.sample_sizes[n] == 50 && settings.margins[m] == 10) {
         mean_n50_m10 = mean;
         min_n50_m10 = mn;
       }
-      if (settings.sample_sizes[n] == 500 && m == 4) {
+      if (settings.sample_sizes[n] == 500 && settings.margins[m] == 50) {
         min_n500_m50 = mn;
       }
     }
@@ -109,10 +101,8 @@ ExperimentSpec Fig15Spec() {
       {"measurements", "1000", "measurements per series"},
       {"seed", "2025", "base RNG seed"},
       {"scan", "96", "rows scanned per region when selecting victims"},
-      {"iters", "4000", "Monte Carlo iterations per (row, N)"},
   });
-  spec.smoke_args = {"--devices=M1,S2", "--rows=3", "--measurements=150",
-                     "--iters=500"};
+  spec.smoke_args = {"--devices=M1,S2", "--rows=3", "--measurements=150"};
   spec.build_campaign = BuildFig15Campaign;
   spec.analyze = AnalyzeFig15;
   return spec;

@@ -10,7 +10,7 @@
 #include <map>
 
 #include "common/experiment.h"
-#include "core/min_rdt_mc.h"
+#include "core/min_rdt.h"
 
 namespace vrddram::bench {
 namespace {
@@ -37,13 +37,10 @@ void AnalyzeTable07(const core::CampaignResult& result, Report* report) {
 
   core::MinRdtSettings settings;
   settings.sample_sizes = {1, 5, 50, 500};
-  settings.iterations =
-      static_cast<std::size_t>(flags.GetUint("iters"));
 
   PrintBanner(out, "Table 7: per-module VRD summary");
 
   PrintShardSummary(out, result);
-  Rng rng(config.base_seed ^ 0x707);
 
   struct ModuleAgg {
     std::vector<std::vector<double>> norm_by_n;  // per N
@@ -57,7 +54,7 @@ void AnalyzeTable07(const core::CampaignResult& result, Report* report) {
       agg.norm_by_n.resize(settings.sample_sizes.size());
     }
     const core::RowMinRdtResult mc =
-        core::AnalyzeRowSeries(record.series, settings, rng);
+        core::AnalyzeRowSeries(record.series, settings);
     for (std::size_t i = 0; i < mc.per_n.size(); ++i) {
       agg.norm_by_n[i].push_back(mc.per_n[i].expected_norm_min);
     }
@@ -127,10 +124,8 @@ ExperimentSpec Table07Spec() {
       {"measurements", "1000", "measurements per series"},
       {"seed", "2025", "base RNG seed"},
       {"scan", "96", "rows scanned per region when selecting victims"},
-      {"iters", "4000", "Monte Carlo iterations per (row, N)"},
   });
-  spec.smoke_args = {"--devices=M1,S2", "--rows=3", "--measurements=120",
-                     "--iters=500"};
+  spec.smoke_args = {"--devices=M1,S2", "--rows=3", "--measurements=120"};
   spec.build_campaign = BuildTable07Campaign;
   spec.analyze = AnalyzeTable07;
   return spec;

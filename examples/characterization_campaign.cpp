@@ -15,7 +15,7 @@
 
 #include "common/table.h"
 #include "core/campaign.h"
-#include "core/min_rdt_mc.h"
+#include "core/min_rdt.h"
 #include "core/series_analysis.h"
 
 int main() {
@@ -51,8 +51,6 @@ int main() {
   std::map<std::string, ModuleSummary> modules;
   core::MinRdtSettings settings;
   settings.sample_sizes = {10};
-  settings.iterations = 2000;
-  Rng rng(7);
 
   for (const core::SeriesRecord& record : result.records) {
     const core::SeriesAnalysis a =
@@ -65,7 +63,7 @@ int main() {
       summary.min_rdt = a.min_rdt;
     }
     const core::RowMinRdtResult mc =
-        core::AnalyzeRowSeries(record.series, settings, rng);
+        core::AnalyzeRowSeries(record.series, settings);
     summary.worst_norm_min_n10 = std::max(
         summary.worst_norm_min_n10, mc.per_n[0].expected_norm_min);
   }

@@ -173,15 +173,4 @@ void ThreadPool::WorkerLoop(std::size_t index) {
   }
 }
 
-void ParallelFor(ThreadPool* pool, std::size_t n,
-                 const std::function<void(std::size_t)>& fn) {
-  if (pool != nullptr && pool->worker_count() > 1 && n > 1) {
-    pool->ParallelFor(n, fn);
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    fn(i);
-  }
-}
-
 }  // namespace vrddram

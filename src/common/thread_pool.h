@@ -1,8 +1,7 @@
 /**
  * @file
- * Work-stealing thread pool for the embarrassingly-parallel hot loops
- * of the suite (campaign shards, Monte Carlo resampling, bootstrap
- * chunks).
+ * Work-stealing thread pool for the embarrassingly-parallel hot loop
+ * of the suite: campaign shards.
  *
  * Design constraints, in order:
  *  1. Determinism: the pool never owns randomness or ordering. Callers
@@ -99,15 +98,6 @@ class ThreadPool {
   /// rethrown exception is deterministic under concurrent failures.
   std::size_t error_index_ = 0;
 };
-
-/**
- * Convenience fan-out used by the parallel hot loops: runs fn(i) for i
- * in [0, n) on `pool` when it is non-null and has more than one
- * worker, inline on the calling thread otherwise. Either way every
- * index runs exactly once, so results are identical.
- */
-void ParallelFor(ThreadPool* pool, std::size_t n,
-                 const std::function<void(std::size_t)>& fn);
 
 }  // namespace vrddram
 

@@ -71,6 +71,15 @@ TEST(DriverTest, UnknownForwardedFlagAbortsWithTheRealSchema) {
   EXPECT_NE(run.err.find("victim rows per device"), std::string::npos);
 }
 
+TEST(DriverTest, RemovedItersFlagIsRejected) {
+  // The min-RDT statistics are exact; there is no iteration count to
+  // set, and an old command line must fail loudly, not run silently.
+  const DriverRun run =
+      Drive({"run", "fig08_min_rdt_probability", "--iters=10"});
+  EXPECT_NE(run.exit_code, 0);
+  EXPECT_NE(run.err.find("unknown flag --iters"), std::string::npos);
+}
+
 TEST(DriverTest, RunRequiresNamesOrAllButNotBoth) {
   EXPECT_EQ(Drive({"run"}).exit_code, 2);
   EXPECT_EQ(Drive({"run", "--all", "fig01_rdt_series"}).exit_code, 2);
@@ -85,7 +94,7 @@ TEST(DriverTest, WarmCacheRunsAreByteIdenticalAtAnyThreads) {
   const std::vector<std::string> base = {
       "run",           "fig10_data_pattern",
       "--smoke",       "--rows=2",
-      "--measurements=60", "--iters=100",
+      "--measurements=60",
       "--cache_dir=" + cache_dir};
 
   auto with_threads = [&](const std::string& threads) {

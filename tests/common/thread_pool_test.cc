@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -112,16 +111,6 @@ TEST(ThreadPoolTest, DefaultWorkerCountIsPositive) {
   EXPECT_GE(ThreadPool::DefaultWorkerCount(), 1u);
   ThreadPool pool;  // workers = 0 -> DefaultWorkerCount()
   EXPECT_EQ(pool.worker_count(), ThreadPool::DefaultWorkerCount());
-}
-
-TEST(ThreadPoolTest, FreeFunctionFallsBackInline) {
-  // Null pool: runs on the calling thread, same results.
-  std::vector<int> out(10, 0);
-  ParallelFor(nullptr, out.size(),
-              [&](std::size_t i) { out[i] = static_cast<int>(i) + 1; });
-  std::vector<int> expected(10);
-  std::iota(expected.begin(), expected.end(), 1);
-  EXPECT_EQ(out, expected);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-#include "core/min_rdt_mc.h"
+#include "core/min_rdt.h"
 
 #include <gtest/gtest.h>
 
@@ -9,37 +9,32 @@
 namespace vrddram::core {
 namespace {
 
-TEST(MinRdtMcTest, DefaultsMatchPaperProcedure) {
+TEST(MinRdtTest, DefaultsMatchPaperProcedure) {
   const MinRdtSettings settings;
   EXPECT_EQ(settings.sample_sizes,
             (std::vector<std::size_t>{1, 3, 5, 10, 50, 500}));
-  EXPECT_EQ(settings.iterations, 10000u);
   EXPECT_EQ(settings.margins.size(), 5u);
 }
 
-TEST(MinRdtMcTest, SentinelsIgnored) {
+TEST(MinRdtTest, SentinelsIgnored) {
   std::vector<std::int64_t> series(100, 1000);
   series[0] = -1;
   MinRdtSettings settings;
   settings.sample_sizes = {1};
-  settings.iterations = 1000;
-  Rng rng(5);
   const RowMinRdtResult result =
-      AnalyzeRowSeries(series, settings, rng);
+      AnalyzeRowSeries(series, settings);
   ASSERT_EQ(result.per_n.size(), 1u);
   EXPECT_DOUBLE_EQ(result.per_n[0].prob_find_min, 1.0);
 }
 
-TEST(MinRdtMcTest, ProbabilityGrowsWithN) {
+TEST(MinRdtTest, ProbabilityGrowsWithN) {
   std::vector<std::int64_t> series;
   for (int i = 0; i < 1000; ++i) {
     series.push_back(2000 + (i * 13) % 500);
   }
   MinRdtSettings settings;
-  settings.iterations = 5000;
-  Rng rng(6);
   const RowMinRdtResult result =
-      AnalyzeRowSeries(series, settings, rng);
+      AnalyzeRowSeries(series, settings);
   for (std::size_t i = 1; i < result.per_n.size(); ++i) {
     EXPECT_GE(result.per_n[i].prob_find_min + 0.02,
               result.per_n[i - 1].prob_find_min);
@@ -50,17 +45,15 @@ TEST(MinRdtMcTest, ProbabilityGrowsWithN) {
   EXPECT_GE(result.per_n.back().expected_norm_min, 1.0);
 }
 
-TEST(MinRdtMcTest, MarginsWidenTheTarget) {
+TEST(MinRdtTest, MarginsWidenTheTarget) {
   std::vector<std::int64_t> series;
   for (int i = 0; i < 200; ++i) {
     series.push_back(1000 + i * 5);  // 1000..1995
   }
   MinRdtSettings settings;
   settings.sample_sizes = {1};
-  settings.iterations = 20000;
-  Rng rng(7);
   const RowMinRdtResult result =
-      AnalyzeRowSeries(series, settings, rng);
+      AnalyzeRowSeries(series, settings);
   const auto& margins = result.per_n[0].prob_within_margin;
   ASSERT_EQ(margins.size(), 5u);
   for (std::size_t i = 1; i < margins.size(); ++i) {
@@ -68,11 +61,10 @@ TEST(MinRdtMcTest, MarginsWidenTheTarget) {
   }
 }
 
-TEST(MinRdtMcTest, AllSentinelsThrow) {
+TEST(MinRdtTest, AllSentinelsThrow) {
   const std::vector<std::int64_t> series(10, -1);
   MinRdtSettings settings;
-  Rng rng(8);
-  EXPECT_THROW(AnalyzeRowSeries(series, settings, rng), FatalError);
+  EXPECT_THROW(AnalyzeRowSeries(series, settings), FatalError);
 }
 
 }  // namespace

@@ -2,13 +2,15 @@
  * @file
  * Cross-validation between independent implementations: the Appendix A
  * analytic TestTimeModel versus the command-level Device path, and the
- * Monte Carlo resampler versus its closed forms on real campaign data.
+ * Monte Carlo resampler versus the closed-form min-RDT statistics on
+ * real campaign data.
  */
 #include <gtest/gtest.h>
 
+#include "core/min_rdt.h"
 #include "core/rdt_profiler.h"
 #include "core/test_time_model.h"
-#include "stats/monte_carlo.h"
+#include "stats/min_sample_oracle.h"
 #include "vrd/chip_catalog.h"
 
 namespace vrddram {
@@ -57,20 +59,18 @@ TEST(CrossValidationTest, MonteCarloMatchesClosedFormOnRealSeries) {
   const auto series =
       profiler.MeasureSeries(victim->row, victim->rdt_guess, 800);
 
-  std::vector<std::int64_t> valid;
-  for (const std::int64_t v : series) {
-    if (v >= 0) {
-      valid.push_back(v);
-    }
-  }
+  core::MinRdtSettings settings;
+  settings.sample_sizes = {1, 10, 100};
+  const core::RowMinRdtResult exact =
+      core::AnalyzeRowSeries(series, settings);
   Rng rng(3);
-  for (const std::size_t n : {1u, 10u, 100u}) {
-    const auto mc = stats::SampleMinStatistics(valid, n, 20000, rng);
-    EXPECT_NEAR(mc.prob_find_min, stats::ExactProbFindMin(valid, n),
-                0.02)
+  for (std::size_t i = 0; i < settings.sample_sizes.size(); ++i) {
+    const std::size_t n = settings.sample_sizes[i];
+    const auto mc = oracle::SampleMinStatistics(series, n, 20000, rng);
+    EXPECT_NEAR(mc.prob_find_min, exact.per_n[i].prob_find_min, 0.02)
         << "N=" << n;
-    EXPECT_NEAR(mc.expected_norm_min,
-                stats::ExactExpectedNormalizedMin(valid, n), 0.02)
+    EXPECT_NEAR(mc.expected_norm_min, exact.per_n[i].expected_norm_min,
+                0.02)
         << "N=" << n;
   }
 }

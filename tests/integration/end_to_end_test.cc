@@ -12,7 +12,7 @@
 #include "bender/host.h"
 #include "bender/thermal.h"
 #include "core/campaign.h"
-#include "core/min_rdt_mc.h"
+#include "core/min_rdt.h"
 #include "core/rdt_profiler.h"
 #include "core/series_analysis.h"
 #include "vrd/chip_catalog.h"
@@ -51,11 +51,9 @@ TEST(EndToEndTest, MinimumRdtIsHardToFindWithFewMeasurements) {
   const auto series =
       profiler.MeasureSeries(victim->row, victim->rdt_guess, 1000);
 
-  core::MinRdtSettings settings;
-  settings.iterations = 4000;
-  Rng rng(101);
+  const core::MinRdtSettings settings;
   const core::RowMinRdtResult mc =
-      core::AnalyzeRowSeries(series, settings, rng);
+      core::AnalyzeRowSeries(series, settings);
   // Finding 7/9: P(find min) grows with N and is small for N = 1.
   EXPECT_LT(mc.per_n.front().prob_find_min, 0.6);
   EXPECT_GT(mc.per_n.back().prob_find_min,

@@ -12,7 +12,7 @@
 #include <set>
 
 #include "core/campaign.h"
-#include "core/min_rdt_mc.h"
+#include "core/min_rdt.h"
 #include "core/rdt_profiler.h"
 #include "core/series_analysis.h"
 #include "vrd/chip_catalog.h"
@@ -64,15 +64,12 @@ class FindingsTest : public ::testing::Test {
   static double MedianNormMinN1(Predicate predicate) {
     core::MinRdtSettings settings;
     settings.sample_sizes = {1};
-    settings.iterations = 1500;
-    Rng rng(99);
     std::vector<double> values;
     for (const core::SeriesRecord& record : campaign().records) {
       if (!predicate(record)) {
         continue;
       }
-      values.push_back(core::AnalyzeRowSeries(record.series, settings,
-                                              rng)
+      values.push_back(core::AnalyzeRowSeries(record.series, settings)
                            .per_n[0]
                            .expected_norm_min);
     }
@@ -152,12 +149,10 @@ TEST_F(FindingsTest, Finding06MostRowsVaryUnderAllCombos) {
 TEST_F(FindingsTest, Finding07MinUnlikelyWithOneMeasurement) {
   core::MinRdtSettings settings;
   settings.sample_sizes = {1};
-  settings.iterations = 2000;
-  Rng rng(7);
   std::vector<double> probs;
   for (const core::SeriesRecord& record : campaign().records) {
     probs.push_back(
-        core::AnalyzeRowSeries(record.series, settings, rng)
+        core::AnalyzeRowSeries(record.series, settings)
             .per_n[0]
             .prob_find_min);
   }
@@ -173,14 +168,12 @@ TEST_F(FindingsTest, Finding08SingleMeasurementOverestimatesMin) {
 TEST_F(FindingsTest, Finding09ProbabilityGrowsWithN) {
   core::MinRdtSettings settings;
   settings.sample_sizes = {1, 10, 100};
-  settings.iterations = 1500;
-  Rng rng(8);
   double p1 = 0.0;
   double p10 = 0.0;
   double p100 = 0.0;
   for (const core::SeriesRecord& record : campaign().records) {
     const auto mc =
-        core::AnalyzeRowSeries(record.series, settings, rng);
+        core::AnalyzeRowSeries(record.series, settings);
     p1 += mc.per_n[0].prob_find_min;
     p10 += mc.per_n[1].prob_find_min;
     p100 += mc.per_n[2].prob_find_min;
@@ -213,12 +206,10 @@ TEST_F(FindingsTest, Finding11VrdWorsensWithTechnology) {
 
   core::MinRdtSettings settings;
   settings.sample_sizes = {1};
-  settings.iterations = 1500;
-  Rng rng(11);
   std::map<std::string, std::vector<double>> norm;
   for (const core::SeriesRecord& record : result.records) {
     norm[record.device].push_back(
-        core::AnalyzeRowSeries(record.series, settings, rng)
+        core::AnalyzeRowSeries(record.series, settings)
             .per_n[0]
             .expected_norm_min);
   }
@@ -260,15 +251,13 @@ TEST_F(FindingsTest, Finding13NoSingleWorstPattern) {
     for (const dram::DataPattern pattern : config.patterns) {
       core::MinRdtSettings settings;
       settings.sample_sizes = {1};
-      settings.iterations = 1500;
-      Rng rng(99);
       std::vector<double> values;
       for (const core::SeriesRecord& record : result.records) {
         if (record.device != device || record.pattern != pattern) {
           continue;
         }
         values.push_back(
-            core::AnalyzeRowSeries(record.series, settings, rng)
+            core::AnalyzeRowSeries(record.series, settings)
                 .per_n[0]
                 .expected_norm_min);
       }
