@@ -1,7 +1,6 @@
 #include "core/online_profiler.h"
 
 #include <algorithm>
-#include <mutex>
 
 #include "common/error.h"
 
@@ -25,10 +24,6 @@ OnlineRdtProfiler::OnlineRdtProfiler(dram::Device& device,
 }
 
 bool OnlineRdtProfiler::RunMaintenanceWindow() {
-  // One coarse lock for the whole window: measurements are device
-  // time, not contention-sensitive, and the readers only need a
-  // consistent (min, guardband) pair.
-  const std::lock_guard<std::mutex> lock(mu_);
   ++windows_run_;
   if (!rdt_guess_) {
     rdt_guess_ = profiler_.GuessRdt(victim_);
@@ -57,7 +52,6 @@ bool OnlineRdtProfiler::RunMaintenanceWindow() {
 
 std::optional<std::uint64_t>
 OnlineRdtProfiler::RecommendedThreshold() const {
-  const std::lock_guard<std::mutex> lock(mu_);
   if (!observed_min_) {
     return std::nullopt;
   }

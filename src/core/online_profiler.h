@@ -12,18 +12,14 @@
  * discovered (the row is VRD-active) and narrows as the estimate
  * stabilizes, bounded below by `min_guardband`.
  *
- * Thread safety: every estimate field is guarded by `mu_`, so
- * RecommendedThreshold() and the other accessors are safe to poll from
- * another thread while RunMaintenanceWindow() runs. Nothing in the tree
- * does so today: every caller runs windows and polls on one thread.
- * The fields are annotated for the vrdlint lock-discipline rule, which
- * verifies the coverage.
+ * Thread safety: none; a profiler belongs to one thread. Callers run
+ * maintenance windows and read the recommendation on that thread. A
+ * caller that polls from another thread must serialize access itself.
  */
 #ifndef VRDDRAM_CORE_ONLINE_PROFILER_H
 #define VRDDRAM_CORE_ONLINE_PROFILER_H
 
 #include <cstdint>
-#include <mutex>
 #include <optional>
 
 #include "core/rdt_profiler.h"
@@ -56,16 +52,10 @@ class OnlineRdtProfiler {
   bool RunMaintenanceWindow();
 
   /// Running minimum observed so far (nullopt before the first flip).
-  std::optional<std::uint64_t> observed_min() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return observed_min_;
-  }
+  std::optional<std::uint64_t> observed_min() const { return observed_min_; }
 
   /// Current adaptive guardband fraction.
-  double guardband() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return guardband_;
-  }
+  double guardband() const { return guardband_; }
 
   /**
    * Threshold to program into the mitigation right now: the running
@@ -74,32 +64,18 @@ class OnlineRdtProfiler {
    */
   std::optional<std::uint64_t> RecommendedThreshold() const;
 
-  std::size_t windows_run() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return windows_run_;
-  }
-  std::size_t discoveries() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return discoveries_;
-  }
+  std::size_t windows_run() const { return windows_run_; }
+  std::size_t discoveries() const { return discoveries_; }
 
  private:
   dram::Device* device_;
   dram::RowAddr victim_;
   OnlineProfilerConfig config_;
   RdtProfiler profiler_;
-  /// Guards every estimate field below: windows mutate them, and a
-  /// reader on another thread may poll the recommendation.
-  mutable std::mutex mu_;
-  // vrdlint: guarded_by(mu_)
   std::optional<std::uint64_t> rdt_guess_;
-  // vrdlint: guarded_by(mu_)
   std::optional<std::uint64_t> observed_min_;
-  // vrdlint: guarded_by(mu_)
   double guardband_;
-  // vrdlint: guarded_by(mu_)
   std::size_t windows_run_ = 0;
-  // vrdlint: guarded_by(mu_)
   std::size_t discoveries_ = 0;
 };
 

@@ -86,19 +86,6 @@ TEST(VrdlintRngDiscipline, FlagsNonSeedConstructionAndMemberInit) {
                                       "30: rng-discipline"}));
 }
 
-TEST(VrdlintRngDiscipline, FlagsSharedRngInDispatchLambda) {
-  const std::vector<Diagnostic> found = LintFixture("rng_lambda.cc");
-  EXPECT_EQ(Locations(found),
-            (std::vector<std::string>{"12: rng-discipline"}));
-  ASSERT_FALSE(found.empty());
-  EXPECT_NE(found[0].message.find("captured Rng 'rng'"),
-            std::string::npos);
-}
-
-TEST(VrdlintRngDiscipline, PreForkedStreamsLintClean) {
-  EXPECT_TRUE(LintFixture("rng_lambda_ok.cc").empty());
-}
-
 TEST(VrdlintCatchAllSwallow, FlagsSwallowingHandlersOnly) {
   const std::vector<Diagnostic> found = LintFixture("catch_all.cc");
   // The rethrow (line 26), typed conversion (line 34),
@@ -230,7 +217,7 @@ TEST(VrdlintConfig, AllowPathSuppressesRuleByPathFragment) {
   config.allow_paths["banned-api"] = {"banned_api"};
   EXPECT_TRUE(LintFixture("banned_api.cc", config).empty());
   // Other rules are unaffected by a banned-api allow-path.
-  EXPECT_FALSE(LintFixture("rng_lambda.cc", config).empty());
+  EXPECT_FALSE(LintFixture("rng_construction.cc", config).empty());
 }
 
 TEST(VrdlintConfig, ParsesSectionsKeysAndComments) {
@@ -277,6 +264,14 @@ TEST(VrdlintConfig, RejectsMalformedInput) {
   EXPECT_FALSE(vrdlint::ParseConfigText("[banned-api\n", &config, &error));
   EXPECT_FALSE(vrdlint::ParseConfigText(
       "[banned-api]\nseed-call = X\n", &config, &error));
+  // A section must name a rule family: a typo or a deleted family
+  // would otherwise parse fine and silently suppress nothing.
+  EXPECT_FALSE(vrdlint::ParseConfigText(
+      "[banned-apii]\nallow-path = x\n", &config, &error));
+  EXPECT_EQ(error, "config line 1: unknown section [banned-apii]");
+  EXPECT_FALSE(vrdlint::ParseConfigText(
+      "scan = src\n[lock-discipline]\n", &config, &error));
+  EXPECT_EQ(error, "config line 2: unknown section [lock-discipline]");
 }
 
 TEST(VrdlintConfig, CustomSeedCallExtendsDiscipline) {

@@ -3,12 +3,9 @@
  * The v1 rule families: banned-api, unordered-iteration,
  * rng-discipline, catch-all-swallow, campaign-discipline,
  * kernel-allocation (scope-aware since v2), and header-hygiene.
- * Shared pass-2 helpers (dispatch-lambda enumeration, the pre-forked
- * excusal, seed-expression classification) also live here.
  */
 #include <algorithm>
 #include <cctype>
-#include <set>
 
 #include "rules.h"
 
@@ -33,65 +30,10 @@ bool RuleSuppressedForPath(const Config& config, std::string_view rule,
   return false;
 }
 
-std::vector<DispatchLambda> FindDispatchLambdas(const FileView& view) {
-  std::vector<DispatchLambda> lambdas;
-  const std::string_view flat = view.flat;
-  for (const std::string_view dispatch : {"ParallelFor", "Submit"}) {
-    std::size_t pos = 0;
-    while ((pos = FindWord(flat, dispatch, pos)) !=
-           std::string_view::npos) {
-      const std::size_t kw = pos;
-      pos += dispatch.size();
-      const std::size_t open = SkipSpace(flat, kw + dispatch.size());
-      if (open >= flat.size() || flat[open] != '(') {
-        continue;
-      }
-      const std::size_t close = MatchBracket(flat, open, '(', ')');
-      if (close == std::string_view::npos) {
-        continue;
-      }
-      // Find a lambda among the arguments.
-      const std::size_t intro = flat.find('[', open);
-      if (intro == std::string_view::npos || intro > close) {
-        continue;
-      }
-      const std::size_t intro_close = MatchBracket(flat, intro, '[', ']');
-      if (intro_close == std::string_view::npos || intro_close > close) {
-        continue;
-      }
-      const std::size_t body_open = flat.find('{', intro_close);
-      if (body_open == std::string_view::npos || body_open > close) {
-        continue;
-      }
-      const std::size_t body_close =
-          MatchBracket(flat, body_open, '{', '}');
-      if (body_close == std::string_view::npos) {
-        continue;
-      }
-      lambdas.push_back(DispatchLambda{dispatch, kw, open, close, intro,
-                                       intro_close, body_open,
-                                       body_close});
-    }
-  }
-  return lambdas;
-}
+namespace {
 
-std::size_t EnclosingScopeStart(const FileView& view, std::size_t line) {
-  for (std::size_t l = line; l > 0; --l) {
-    const std::string& code = view.code[l - 1];
-    if (!code.empty() && (IsIdentStart(code[0]) || code[0] == '}')) {
-      return view.line_start[l - 1];
-    }
-  }
-  return 0;
-}
-
-bool ForkedInEnclosingScope(const FileView& view, std::size_t before) {
-  const std::size_t start =
-      EnclosingScopeStart(view, view.LineOf(before));
-  return ContainsCall(view.flat.substr(start, before - start), "Fork");
-}
-
+/// A seed expression: empty, pure literal arithmetic, seed-named, or
+/// rooted in a registered seed-call (MixSeed/HashLabel/... + config).
 bool IsSeedExpression(std::string_view args, const Config& config) {
   const std::string trimmed = Trim(args);
   if (trimmed.empty()) {
@@ -139,8 +81,6 @@ bool IsSeedExpression(std::string_view args, const Config& config) {
   }
   return true;
 }
-
-namespace {
 
 // ---------------------------------------------------------------------------
 // Rule: banned-api
@@ -328,11 +268,10 @@ bool LooksLikeParameterList(std::string_view args) {
   return false;
 }
 
-/// Collect Rng declarations and check construction arguments.
-std::vector<RngDecl> CheckRngConstruction(
-    const std::string& path, const FileView& view, const Config& config,
-    bool emit, std::vector<Diagnostic>* diagnostics) {
-  std::vector<RngDecl> decls;
+/// Check the arguments of every Rng construction.
+void CheckRngConstruction(const std::string& path, const FileView& view,
+                          const Config& config,
+                          std::vector<Diagnostic>* diagnostics) {
   const std::string_view flat = view.flat;
   std::size_t pos = 0;
   while ((pos = FindWord(flat, "Rng", pos)) != std::string_view::npos) {
@@ -354,7 +293,6 @@ std::vector<RngDecl> CheckRngConstruction(
     }
     std::string args;
     std::size_t args_pos = here;
-    std::string name;
     if (flat[p] == '(') {
       // Temporary: Rng(<args>)
       const std::size_t close = MatchBracket(flat, p, '(', ')');
@@ -374,8 +312,7 @@ std::vector<RngDecl> CheckRngConstruction(
       while (end < flat.size() && IsIdentChar(flat[end])) {
         ++end;
       }
-      name = std::string(flat.substr(p, end - p));
-      std::size_t after = SkipSpace(flat, end);
+      const std::size_t after = SkipSpace(flat, end);
       if (after + 1 < flat.size() && flat[after] == ':' &&
           flat[after + 1] == ':') {
         continue;  // qualified definition: Rng Rng::Fork(...)
@@ -393,12 +330,10 @@ std::vector<RngDecl> CheckRngConstruction(
         if (LooksLikeParameterList(args)) {
           continue;  // function declaration returning Rng, not a decl
         }
-        decls.push_back(RngDecl{name, here});
         if (open_char == '{' && SkipSpace(args, 0) == args.size()) {
           continue;  // empty brace init: default seed
         }
       } else {
-        decls.push_back(RngDecl{name, here});
         continue;  // plain declaration or reference bind, default seed
       }
     } else {
@@ -407,7 +342,7 @@ std::vector<RngDecl> CheckRngConstruction(
     if (LooksLikeParameterList(args)) {
       continue;  // e.g. `explicit Rng(std::uint64_t seed = ...)`
     }
-    if (emit && !IsSeedExpression(args, config)) {
+    if (!IsSeedExpression(args, config)) {
       const std::size_t line = view.LineOf(args_pos);
       if (!view.Allowed(line, {"rng-discipline"})) {
         diagnostics->push_back(Diagnostic{
@@ -418,7 +353,6 @@ std::vector<RngDecl> CheckRngConstruction(
       }
     }
   }
-  return decls;
 }
 
 /// Constructor-initializer discipline: an identifier that is
@@ -469,61 +403,6 @@ void CheckRngMemberInit(const std::string& path, const FileView& view,
         "Rng member '" + word + "' initialized from a non-seed "
         "expression (" + Trim(args) + "); derive the seed via MixSeed/"
         "HashLabel or a *seed* value so the stream is reproducible"});
-  }
-}
-
-void CheckRngInDispatchLambdas(const std::string& path,
-                               const FileView& view, const Config& config,
-                               const std::vector<RngDecl>& decls,
-                               std::vector<Diagnostic>* diagnostics) {
-  if (RuleSuppressedForPath(config, "rng-discipline", path)) {
-    return;
-  }
-  const std::string_view flat = view.flat;
-  for (const DispatchLambda& dl : FindDispatchLambdas(view)) {
-    const std::string_view body =
-        flat.substr(dl.body_open, dl.body_close - dl.body_open + 1);
-    if (ForkedInEnclosingScope(view, dl.kw)) {
-      continue;  // streams were pre-forked in this scope
-    }
-    // The same stream name can be declared more than once before the
-    // dispatch (e.g. as a parameter of several functions); one
-    // diagnostic per (dispatch, name) is enough.
-    std::set<std::string> flagged_names;
-    for (const RngDecl& decl : decls) {
-      if (decl.pos >= dl.open ||
-          flagged_names.count(decl.name) != 0) {
-        continue;  // declared after (or inside) the dispatch
-      }
-      // Re-declared inside the body -> the body name is local.
-      bool local = false;
-      for (const RngDecl& other : decls) {
-        if (other.name == decl.name && other.pos > dl.body_open &&
-            other.pos < dl.body_close) {
-          local = true;
-          break;
-        }
-      }
-      if (local) {
-        continue;
-      }
-      const std::size_t use = FindWord(body, decl.name);
-      if (use == std::string_view::npos) {
-        continue;
-      }
-      flagged_names.insert(decl.name);
-      const std::size_t line = view.LineOf(dl.body_open + use);
-      if (view.Allowed(line, {"rng-discipline"})) {
-        continue;
-      }
-      diagnostics->push_back(Diagnostic{
-          path, line, "rng-discipline",
-          "captured Rng '" + decl.name + "' touched inside a " +
-              std::string(dl.keyword) +
-              " lambda without a preceding Fork(...) in the enclosing "
-              "scope; fork per-task streams before dispatch "
-              "(DESIGN.md §6)"});
-    }
   }
 }
 
@@ -871,30 +750,23 @@ std::vector<std::string> CollectUnorderedNames(const FileView& view) {
   return names;
 }
 
-std::vector<RngDecl> RunCoreRules(const RuleContext& ctx,
-                                  std::vector<Diagnostic>* diagnostics) {
+void RunCoreRules(const RuleContext& ctx,
+                  std::vector<Diagnostic>* diagnostics) {
   static const std::vector<std::string> kNoExtra;
   const std::vector<std::string>& extra =
       ctx.extra_unordered != nullptr ? *ctx.extra_unordered : kNoExtra;
   CheckBannedApi(ctx.path, ctx.view, ctx.config, diagnostics);
   CheckUnorderedIteration(ctx.path, ctx.view, ctx.config, extra,
                           diagnostics);
-  const bool rng_suppressed =
-      RuleSuppressedForPath(ctx.config, "rng-discipline", ctx.path);
-  std::vector<RngDecl> decls = CheckRngConstruction(
-      ctx.path, ctx.view, ctx.config, /*emit=*/!rng_suppressed,
-      diagnostics);
-  if (!rng_suppressed) {
+  if (!RuleSuppressedForPath(ctx.config, "rng-discipline", ctx.path)) {
+    CheckRngConstruction(ctx.path, ctx.view, ctx.config, diagnostics);
     CheckRngMemberInit(ctx.path, ctx.view, ctx.config, diagnostics);
   }
-  CheckRngInDispatchLambdas(ctx.path, ctx.view, ctx.config, decls,
-                            diagnostics);
   CheckCatchAllSwallow(ctx.path, ctx.view, ctx.config, diagnostics);
   CheckCampaignDiscipline(ctx.path, ctx.view, ctx.config, diagnostics);
   CheckKernelAllocation(ctx.path, ctx.view, ctx.symbols, ctx.config,
                         diagnostics);
   CheckHeaderHygiene(ctx.path, ctx.view, ctx.config, diagnostics);
-  return decls;
 }
 
 }  // namespace vrdlint

@@ -1,18 +1,12 @@
 /**
  * @file
  * Rule family: float-determinism — guards the bit-identical-reports
- * contract (DESIGN.md §6) against silent floating-point contraction
- * and reassociation:
- *
- *  (A) in bit-equality kernel files (the `float-path` entries of the
- *      config), FMA-contractable shapes: `a*b + c` with the multiply
- *      and the add at the same parenthesis depth, and `acc += a*b`
- *      compound accumulation — `-ffp-contract` may fuse either into
- *      one rounding, so the result would depend on the compiler;
- *  (B) anywhere in the tree, a float accumulator written with
- *      `+=`/`-=` inside a ParallelFor/Submit lambda when the
- *      accumulator is declared outside the lambda — cross-task
- *      accumulation order is pool order, not canonical order.
+ * contract (DESIGN.md §6) against silent floating-point contraction.
+ * In bit-equality kernel files (the `float-path` entries of the
+ * config) it flags FMA-contractable shapes: `a*b + c` with the
+ * multiply and the add at the same parenthesis depth, and `acc += a*b`
+ * compound accumulation. `-ffp-contract` may fuse either into one
+ * rounding, so the result would depend on the compiler.
  *
  * Typedness is resolved through declaration-shaped float names in the
  * file and the tree-wide member index, with a float literal in the
@@ -134,7 +128,7 @@ bool HasFloatIdentifier(const RuleContext& ctx, std::string_view stmt) {
         (start >= 1 && stmt[start - 1] == '.') ||
         (start >= 2 && stmt[start - 2] == '-' && stmt[start - 1] == '>');
     if (is_field) {
-      const MemberVar* member = ctx.index.FindMember("", name);
+      const MemberVar* member = ctx.index.FindMember(name);
       if (member != nullptr && IsFloatType(member->type)) {
         return true;
       }
@@ -147,7 +141,7 @@ bool StmtIsFloatTyped(const RuleContext& ctx, std::string_view stmt) {
   return HasFloatLiteral(stmt) || HasFloatIdentifier(ctx, stmt);
 }
 
-/// (A) one statement of a bit-equality kernel file: report the first
+/// One statement of a bit-equality kernel file: report the first
 /// FMA-contractable shape, if any.
 void CheckKernelStatement(const RuleContext& ctx, std::size_t stmt_begin,
                           std::size_t stmt_end,
@@ -259,7 +253,7 @@ void CheckKernelStatement(const RuleContext& ctx, std::size_t stmt_begin,
   }
 }
 
-/// (A) driver: segment a kernel file into statements at ';', '{', '}'.
+/// Segment a kernel file into statements at ';', '{', '}'.
 void CheckKernelFile(const RuleContext& ctx,
                      std::vector<Diagnostic>* diagnostics) {
   const std::string_view flat = ctx.view.flat;
@@ -278,100 +272,14 @@ void CheckKernelFile(const RuleContext& ctx,
   }
 }
 
-/// True when `name` is declared with a float type inside [begin, end)
-/// of the flat text — a per-task local accumulator, which is fine.
-bool DeclaredFloatWithin(std::string_view flat, std::string_view name,
-                         std::size_t begin, std::size_t end) {
-  for (const std::string_view type : {"double", "float", "auto"}) {
-    std::size_t pos = begin;
-    while ((pos = FindWord(flat, type, pos)) != std::string_view::npos &&
-           pos < end) {
-      std::size_t p = pos + type.size();
-      pos += type.size();
-      while (p < end &&
-             (flat[p] == '>' || flat[p] == '*' || flat[p] == '&' ||
-              std::isspace(static_cast<unsigned char>(flat[p])))) {
-        ++p;
-      }
-      if (IsWordAt(flat, p, name)) {
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
-/// (B) float accumulation across dispatch-lambda tasks, any file.
-void CheckDispatchAccumulation(const RuleContext& ctx,
-                               std::vector<Diagnostic>* diagnostics) {
-  const std::string_view flat = ctx.view.flat;
-  for (const DispatchLambda& dl : FindDispatchLambdas(ctx.view)) {
-    for (std::size_t i = dl.body_open + 1; i + 1 < dl.body_close; ++i) {
-      if ((flat[i] != '+' && flat[i] != '-') || flat[i + 1] != '=') {
-        continue;
-      }
-      if (i > 0 && flat[i - 1] == flat[i]) {
-        continue;  // ++= is not a thing; guard anyway
-      }
-      // The left-hand side must be a plain identifier: an indexed or
-      // member target (`out[i] +=`, `s.total +=`) writes per-task or
-      // per-object state, which is the caller's contract to order.
-      std::size_t p = i;
-      while (p > 0 &&
-             std::isspace(static_cast<unsigned char>(flat[p - 1]))) {
-        --p;
-      }
-      if (p == 0 || !IsIdentChar(flat[p - 1])) {
-        continue;
-      }
-      std::size_t start = p;
-      while (start > 0 && IsIdentChar(flat[start - 1])) {
-        --start;
-      }
-      if (start > 0 &&
-          (flat[start - 1] == '.' ||
-           (start >= 2 && flat[start - 2] == '-' &&
-            flat[start - 1] == '>'))) {
-        continue;
-      }
-      const std::string name(flat.substr(start, p - start));
-      const bool is_float =
-          std::binary_search(ctx.symbols.float_names.begin(),
-                             ctx.symbols.float_names.end(), name);
-      if (!is_float) {
-        continue;
-      }
-      if (DeclaredFloatWithin(flat, name, dl.body_open, dl.body_close)) {
-        continue;  // per-task local accumulator
-      }
-      const std::size_t line = ctx.view.LineOf(i);
-      if (ctx.view.Allowed(line, {"float-determinism"})) {
-        continue;
-      }
-      diagnostics->push_back(Diagnostic{
-          ctx.path, line, "float-determinism",
-          "float accumulator '" + name + "' written with `" +
-              std::string(1, flat[i]) + "=` across " +
-              std::string(dl.keyword) +
-              " tasks: accumulation order is pool order, not canonical "
-              "order (DESIGN.md §6); accumulate into a per-task local "
-              "and merge in canonical order, or annotate with "
-              "// vrdlint: allow(float-determinism)"});
-    }
-  }
-}
-
 }  // namespace
 
 void CheckFloatDeterminism(const RuleContext& ctx,
                            std::vector<Diagnostic>* diagnostics) {
-  if (RuleSuppressedForPath(ctx.config, "float-determinism", ctx.path)) {
-    return;
-  }
-  if (IsFloatPath(ctx.config, ctx.path)) {
+  if (IsFloatPath(ctx.config, ctx.path) &&
+      !RuleSuppressedForPath(ctx.config, "float-determinism", ctx.path)) {
     CheckKernelFile(ctx, diagnostics);
   }
-  CheckDispatchAccumulation(ctx, diagnostics);
 }
 
 }  // namespace vrdlint

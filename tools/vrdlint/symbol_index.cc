@@ -67,198 +67,15 @@ int MatchBack(const Toks& toks, int close, std::string_view open_text,
   return -1;
 }
 
-/// Index of the ')' matching the '(' at `open`, or -1.
-int MatchParenForward(const Toks& toks, int open) {
-  int depth = 0;
-  for (int j = open; j < static_cast<int>(toks.size()); ++j) {
-    const std::string_view t = TokText(toks, j);
-    if (t == "(") {
-      ++depth;
-    } else if (t == ")") {
-      if (--depth == 0) {
-        return j;
-      }
-    }
-  }
-  return -1;
-}
-
-constexpr std::string_view kCvQuals[] = {"const", "noexcept", "override",
-                                         "final", "mutable"};
-
 bool IsCvQual(std::string_view text) {
-  for (const std::string_view q : kCvQuals) {
-    if (text == q) {
-      return true;
-    }
-  }
-  return false;
+  return IsAnyOf(text, {"const", "noexcept", "override", "final",
+                        "mutable"});
 }
 
-/// Parse the comma-separated parameter list between token indices
-/// (open, close) exclusive — `open` is the '(' and `close` its ')'.
-std::vector<Param> ParseParams(const Toks& toks, int open, int close) {
-  std::vector<Param> params;
-  std::vector<std::vector<int>> segments(1);
-  int depth = 0;
-  for (int j = open + 1; j < close; ++j) {
-    const std::string_view t = TokText(toks, j);
-    if (t == "(" || t == "[" || t == "{" || t == "<") {
-      ++depth;
-    } else if (t == ")" || t == "]" || t == "}" || t == ">") {
-      --depth;
-    } else if (t == "," && depth == 0) {
-      segments.emplace_back();
-      continue;
-    }
-    segments.back().push_back(j);
-  }
-  for (const std::vector<int>& seg : segments) {
-    if (seg.empty()) {
-      continue;
-    }
-    // Cut a default argument at the first top-level '='.
-    std::vector<int> decl;
-    int d = 0;
-    for (const int j : seg) {
-      const std::string_view t = TokText(toks, j);
-      if (t == "(" || t == "[" || t == "{" || t == "<") {
-        ++d;
-      } else if (t == ")" || t == "]" || t == "}" || t == ">") {
-        --d;
-      } else if (t == "=" && d == 0) {
-        break;
-      }
-      decl.push_back(j);
-    }
-    if (decl.empty()) {
-      continue;
-    }
-    if (decl.size() == 1 && (TokText(toks, decl[0]) == "void" ||
-                             TokText(toks, decl[0]) == "...")) {
-      continue;
-    }
-    Param prm;
-    // The declared name is the last bracket-depth-0 identifier not
-    // glued to a preceding '::' (which would make it a type segment).
-    int name_tok = -1;
-    int ident_count = 0;
-    d = 0;
-    for (std::size_t s = 0; s < decl.size(); ++s) {
-      const int j = decl[s];
-      const std::string_view t = TokText(toks, j);
-      if (t == "[" || t == "<" || t == "(" || t == "{") {
-        ++d;
-        continue;
-      }
-      if (t == "]" || t == ">" || t == ")" || t == "}") {
-        --d;
-        continue;
-      }
-      if (t == "&" || t == "&&") {
-        prm.is_ref = true;
-        continue;
-      }
-      if (d != 0 || !TokIdent(toks, j)) {
-        continue;
-      }
-      if (t == "const") {
-        prm.is_const = true;
-        continue;
-      }
-      ++ident_count;
-      if (s > 0 && TokText(toks, decl[s - 1]) != "::") {
-        name_tok = j;
-      }
-    }
-    if (ident_count < 2) {
-      name_tok = -1;  // single-identifier type, unnamed param
-    }
-    std::string type;
-    for (const int j : decl) {
-      if (j == name_tok) {
-        continue;
-      }
-      if (!type.empty()) {
-        type += ' ';
-      }
-      type += TokText(toks, j);
-    }
-    prm.type = std::move(type);
-    if (name_tok >= 0) {
-      prm.name = TokText(toks, name_tok);
-    }
-    params.push_back(std::move(prm));
-  }
-  return params;
-}
-
-/// Qualified-name context: given the index of a function name token,
-/// return the nearest `Class::` qualifier segment, or empty.
-std::string QualifierClass(const Toks& toks, int name_tok) {
-  if (TokIs(toks, name_tok - 1, "::") && TokIdent(toks, name_tok - 2)) {
-    return std::string(TokText(toks, name_tok - 2));
-  }
-  return {};
-}
-
-struct BraceInfo {
-  Scope::Kind kind = Scope::Kind::kBlock;
-  std::string name;
-  std::string class_name;  // from an explicit qualifier only
-  std::vector<Param> params;
-  std::size_t head_pos = 0;
-};
-
-/// Walk a constructor initializer list backwards from the token at
-/// `k` (a ',' or ':' just before a member-init element). Returns the
-/// token index of the constructor's name, or -1 when the shape does
-/// not match an init list.
-int FindCtorThroughInitList(const Toks& toks, int k) {
-  for (int steps = 0; steps < 64; ++steps) {
-    const std::string_view t = TokText(toks, k);
-    if (t == ":") {
-      if (TokIs(toks, k - 1, "::")) {
-        return -1;  // actually a qualified name, not an init list
-      }
-      int j = k - 1;
-      while (j >= 0 && TokIdent(toks, j) && IsCvQual(TokText(toks, j))) {
-        --j;
-      }
-      if (!TokIs(toks, j, ")")) {
-        return -1;
-      }
-      const int open = MatchParenBack(toks, j);
-      if (open <= 0 || !TokIdent(toks, open - 1)) {
-        return -1;
-      }
-      return open - 1;
-    }
-    if (t != ",") {
-      return -1;
-    }
-    // Step over the previous element: name(...) or name{...}.
-    int j = k - 1;
-    int opener;
-    if (TokIs(toks, j, ")")) {
-      opener = MatchParenBack(toks, j);
-    } else if (TokIs(toks, j, "}")) {
-      opener = MatchBack(toks, j, "{", "}");
-    } else {
-      return -1;
-    }
-    if (opener <= 0 || !TokIdent(toks, opener - 1)) {
-      return -1;
-    }
-    k = opener - 2;  // token before the element's name
-  }
-  return -1;
-}
-
-/// Classify the '{' at token index `i` by looking backwards.
-BraceInfo ClassifyBrace(const Toks& toks, int i) {
-  BraceInfo info;
-  info.head_pos = toks[static_cast<std::size_t>(i)].pos;
+/// Classify the '{' at token index `i` by looking backwards. Only the
+/// kind and, for classes and named namespaces, the name are filled.
+Scope ClassifyBrace(const Toks& toks, int i) {
+  Scope info;
   int p = i - 1;
   while (p >= 0 && TokIdent(toks, p) && IsCvQual(TokText(toks, p))) {
     --p;
@@ -298,72 +115,24 @@ BraceInfo ClassifyBrace(const Toks& toks, int i) {
     if (open <= 0) {
       return info;
     }
-    int b = open - 1;
+    const int b = open - 1;
     const std::string_view before = TokText(toks, b);
-    if (IsAnyOf(before, {"for", "while", "if", "switch", "catch"})) {
+    if (IsAnyOf(before, {"for", "while", "if", "switch", "catch"}) ||
+        (before == "constexpr" && TokIs(toks, b - 1, "if"))) {
       info.kind = Scope::Kind::kControl;
-      return info;
-    }
-    if (before == "constexpr" && TokIs(toks, b - 1, "if")) {
-      info.kind = Scope::Kind::kControl;
-      return info;
-    }
-    if (before == "]") {
+    } else if (before == "]") {
       info.kind = Scope::Kind::kLambda;
-      info.params = ParseParams(toks, open, p);
-      return info;
-    }
-    if (before == ")") {
+    } else if (before == ")") {
       // operator(): `... operator()(params)` — the matched parens are
       // the parameter list; the pair before them names the operator.
       const int op_open = MatchParenBack(toks, b);
       if (op_open > 0 && TokIs(toks, op_open - 1, "operator")) {
         info.kind = Scope::Kind::kFunction;
-        info.name = "operator()";
-        info.class_name = QualifierClass(toks, op_open - 1);
-        info.params = ParseParams(toks, open, p);
-        info.head_pos = toks[static_cast<std::size_t>(op_open - 1)].pos;
       }
-      return info;
-    }
-    if (TokIdent(toks, b)) {
-      if (before == "operator") {
-        info.kind = Scope::Kind::kFunction;
-        info.name = "operator";
-        info.params = ParseParams(toks, open, p);
-        info.head_pos = toks[static_cast<std::size_t>(b)].pos;
-        return info;
-      }
-      // Constructor initializer list: the matched parens belong to the
-      // last member initializer, and the real head is further back.
-      if (TokIs(toks, b - 1, ",") || TokIs(toks, b - 1, ":")) {
-        const int ctor = FindCtorThroughInitList(toks, b - 1);
-        if (ctor >= 0) {
-          info.kind = Scope::Kind::kFunction;
-          info.name = TokText(toks, ctor);
-          info.class_name = QualifierClass(toks, ctor);
-          const int ctor_open = ctor + 1;
-          info.params =
-              ParseParams(toks, ctor_open, MatchParenForward(toks, ctor_open));
-          info.head_pos = toks[static_cast<std::size_t>(ctor)].pos;
-          return info;
-        }
-      }
+    } else if (TokIdent(toks, b)) {
+      // A function head. A constructor's initializer list ends in
+      // `member(args)`, which lands here too.
       info.kind = Scope::Kind::kFunction;
-      info.name = TokText(toks, b);
-      info.head_pos = toks[static_cast<std::size_t>(b)].pos;
-      if (TokIs(toks, b - 1, "~")) {
-        info.name = "~" + info.name;
-        b -= 1;
-        info.head_pos = toks[static_cast<std::size_t>(b)].pos;
-      }
-      info.class_name = QualifierClass(toks, b);
-      info.params = ParseParams(toks, open, p);
-      return info;
-    }
-    if (before == "]") {
-      info.kind = Scope::Kind::kLambda;
-      info.params = ParseParams(toks, open, p);
     }
     return info;
   }
@@ -407,7 +176,6 @@ BraceInfo ClassifyBrace(const Toks& toks, int i) {
         if (TokIdent(toks, k + 1)) {
           info.kind = Scope::Kind::kClass;
           info.name = TokText(toks, k + 1);
-          info.head_pos = toks[static_cast<std::size_t>(k + 1)].pos;
         }
         return info;
       }
@@ -419,21 +187,6 @@ BraceInfo ClassifyBrace(const Toks& toks, int i) {
     }
   }
   return info;
-}
-
-constexpr std::string_view kStmtKeywords[] = {
-    "if",     "for",    "while",  "switch",   "return", "sizeof",
-    "catch",  "new",    "delete", "throw",    "alignof", "decltype",
-    "static_assert", "case", "goto", "co_await", "co_return",
-};
-
-bool IsStmtKeyword(std::string_view text) {
-  for (const std::string_view k : kStmtKeywords) {
-    if (text == k) {
-      return true;
-    }
-  }
-  return false;
 }
 
 /// Parse one class-body statement (token indices at class depth) into
@@ -513,11 +266,6 @@ bool ParseMemberStatement(const Toks& toks, const std::vector<int>& stmt,
   }
   member->name = TokText(toks, name_tok);
   member->type = std::move(type);
-  member->is_mutex = member->type.find("mutex") != std::string::npos;
-  member->guarded_by.clear();
-  // `line` carries the name token index out; the caller converts it
-  // to a source line via the token's flat position.
-  member->line = static_cast<std::size_t>(name_tok);
   return true;
 }
 
@@ -587,7 +335,7 @@ int FileSymbols::EnclosingFunction(int s) const {
   return -1;
 }
 
-FileSymbols AnalyzeFile(const std::string& path, const FileView& view) {
+FileSymbols AnalyzeFile(const FileView& view) {
   FileSymbols symbols;
   const Toks toks = Tokenize(view.flat);
 
@@ -596,27 +344,10 @@ FileSymbols AnalyzeFile(const std::string& path, const FileView& view) {
   for (int i = 0; i < static_cast<int>(toks.size()); ++i) {
     const std::string_view t = toks[static_cast<std::size_t>(i)].text;
     if (t == "{") {
-      BraceInfo info = ClassifyBrace(toks, i);
-      Scope scope;
-      scope.kind = info.kind;
-      scope.name = std::move(info.name);
-      scope.class_name = std::move(info.class_name);
+      Scope scope = ClassifyBrace(toks, i);
       scope.open = toks[static_cast<std::size_t>(i)].pos;
       scope.close = view.flat.size();  // patched when the '}' arrives
       scope.parent = stack.empty() ? -1 : stack.back();
-      scope.params = std::move(info.params);
-      scope.head_pos = info.head_pos;
-      scope.head_line = view.LineOf(info.head_pos);
-      scope.requires_locks = view.RequiresLock(scope.head_line);
-      // An inline method picks up its class from the enclosing scope.
-      if (scope.kind == Scope::Kind::kFunction &&
-          scope.class_name.empty() && scope.parent >= 0) {
-        const Scope& up =
-            symbols.scopes[static_cast<std::size_t>(scope.parent)];
-        if (up.kind == Scope::Kind::kClass) {
-          scope.class_name = up.name;
-        }
-      }
       stack.push_back(static_cast<int>(symbols.scopes.size()));
       symbols.scopes.push_back(std::move(scope));
     } else if (t == "}") {
@@ -633,7 +364,6 @@ FileSymbols AnalyzeFile(const std::string& path, const FileView& view) {
     if (scope.kind != Scope::Kind::kClass) {
       continue;
     }
-    int depth = 0;
     std::vector<int> stmt;
     for (int j = 0; j < static_cast<int>(toks.size()); ++j) {
       const Token& tok = toks[static_cast<std::size_t>(j)];
@@ -669,17 +399,7 @@ FileSymbols AnalyzeFile(const std::string& path, const FileView& view) {
       if (t == ";") {
         MemberVar member;
         if (ParseMemberStatement(toks, stmt, &member)) {
-          const int name_tok = static_cast<int>(member.line);
-          const std::size_t name_pos =
-              toks[static_cast<std::size_t>(name_tok)].pos;
           member.class_name = scope.name;
-          member.file = path;
-          member.line = view.LineOf(name_pos);
-          const std::vector<std::string>& guards =
-              view.GuardedBy(member.line);
-          if (!guards.empty()) {
-            member.guarded_by = guards.front();
-          }
           symbols.members.push_back(std::move(member));
         }
         stmt.clear();
@@ -692,112 +412,20 @@ FileSymbols AnalyzeFile(const std::string& path, const FileView& view) {
         continue;
       }
       stmt.push_back(j);
-      (void)depth;
     }
-  }
-
-  // Prototypes: `name(params)` at file/namespace/class scope followed
-  // by ';' (or '= 0;' / '= default;' / '= delete;').
-  for (int j = 0; j + 1 < static_cast<int>(toks.size()); ++j) {
-    if (!TokIdent(toks, j) || !TokIs(toks, j + 1, "(")) {
-      continue;
-    }
-    const std::string_view name = TokText(toks, j);
-    if (IsStmtKeyword(name) || IsCvQual(name)) {
-      continue;
-    }
-    const int scope_idx =
-        symbols.ScopeAt(toks[static_cast<std::size_t>(j)].pos);
-    if (scope_idx >= 0) {
-      const Scope::Kind kind =
-          symbols.scopes[static_cast<std::size_t>(scope_idx)].kind;
-      if (kind != Scope::Kind::kNamespace &&
-          kind != Scope::Kind::kClass) {
-        continue;
-      }
-    }
-    // Expression contexts are not declarations.
-    const std::string_view prev = TokText(toks, j - 1);
-    if (IsAnyOf(prev, {"=", "return", ",", "(", "+", "-", "/", "!",
-                       "&&", "||", "<", "."})) {
-      continue;
-    }
-    const int close = MatchParenForward(toks, j + 1);
-    if (close < 0) {
-      continue;
-    }
-    int k = close + 1;
-    while (TokIdent(toks, k) && IsCvQual(TokText(toks, k))) {
-      ++k;
-    }
-    if (!TokIs(toks, k, ";") && !TokIs(toks, k, "=")) {
-      continue;
-    }
-    FunctionSig sig;
-    sig.name = name;
-    sig.class_name = QualifierClass(toks, j);
-    if (sig.class_name.empty() && scope_idx >= 0) {
-      const Scope& scope =
-          symbols.scopes[static_cast<std::size_t>(scope_idx)];
-      if (scope.kind == Scope::Kind::kClass) {
-        sig.class_name = scope.name;
-      }
-    }
-    sig.file = path;
-    sig.line = view.LineOf(toks[static_cast<std::size_t>(j)].pos);
-    sig.params = ParseParams(toks, j + 1, close);
-    symbols.prototypes.push_back(std::move(sig));
   }
 
   symbols.float_names = CollectFloatNames(view);
   return symbols;
 }
 
-void SymbolIndex::AddFile(const std::string& path, const FileView& view,
-                          const FileSymbols& symbols) {
-  for (const Scope& scope : symbols.scopes) {
-    if (scope.kind != Scope::Kind::kFunction || scope.name.empty()) {
-      continue;
-    }
-    FunctionSig sig;
-    sig.name = scope.name;
-    sig.class_name = scope.class_name;
-    sig.file = path;
-    sig.line = view.LineOf(scope.head_pos);
-    sig.params = scope.params;
-    functions[sig.name].push_back(std::move(sig));
-  }
-  for (const FunctionSig& sig : symbols.prototypes) {
-    functions[sig.name].push_back(sig);
-  }
+void SymbolIndex::AddFile(const FileSymbols& symbols) {
   for (const MemberVar& member : symbols.members) {
     members[member.class_name].push_back(member);
   }
 }
 
-const std::vector<FunctionSig>* SymbolIndex::FindFunctions(
-    std::string_view name) const {
-  const auto it = functions.find(std::string(name));
-  if (it == functions.end()) {
-    return nullptr;
-  }
-  return &it->second;
-}
-
-const MemberVar* SymbolIndex::FindMember(std::string_view class_name,
-                                         std::string_view name) const {
-  if (!class_name.empty()) {
-    const auto it = members.find(std::string(class_name));
-    if (it == members.end()) {
-      return nullptr;
-    }
-    for (const MemberVar& member : it->second) {
-      if (member.name == name) {
-        return &member;
-      }
-    }
-    return nullptr;
-  }
+const MemberVar* SymbolIndex::FindMember(std::string_view name) const {
   for (const auto& [cls, vars] : members) {
     for (const MemberVar& member : vars) {
       if (member.name == name) {

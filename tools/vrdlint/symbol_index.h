@@ -4,16 +4,13 @@
  *
  * AnalyzeFile() walks one file's token stream and recovers the
  * structure the rules need: brace-scope nesting classified as
- * namespace / class / function / lambda / control / block, function
- * and method signatures with parameter types (definitions *and*
- * prototypes, so cross-file callers can be resolved), and class
- * members with their declared types, mutex-ness, and `guarded_by`
- * annotations.
+ * namespace / class / function / lambda / control / block, class
+ * members with their declared types, and the file's float-typed
+ * names.
  *
- * SymbolIndex aggregates the per-file results across the whole tree:
- * pass 2 rules resolve a call by name to every known signature and a
- * field by name to every known member, which is what makes the
- * rng-flow / float-determinism / lock-discipline families cross-file.
+ * SymbolIndex aggregates the members across the whole tree, so
+ * float-determinism can resolve the type of an `obj.field` access
+ * whose class is declared in another file.
  *
  * This is deliberately not a C++ front end: classification is
  * heuristic over tokens, tuned to this codebase's style, and rules
@@ -32,30 +29,15 @@
 
 namespace vrdlint {
 
-/// One function/method parameter, recovered from the token stream.
-struct Param {
-  std::string type;  // space-joined type tokens, e.g. "const Rng &"
-  std::string name;  // empty when unnamed
-  bool is_ref = false;
-  bool is_const = false;
-};
-
 /// One brace scope of a file, classified by what introduced it.
 struct Scope {
   enum class Kind { kNamespace, kClass, kFunction, kLambda, kControl,
                     kBlock };
   Kind kind = Kind::kBlock;
-  std::string name;        // function/class/namespace name, "" otherwise
-  std::string class_name;  // kFunction: qualifying or enclosing class
+  std::string name;        // class/namespace name, "" otherwise
   std::size_t open = 0;    // flat offset of '{'
   std::size_t close = 0;   // flat offset of the matching '}'
   int parent = -1;         // index into FileSymbols::scopes, -1 = file
-  std::vector<Param> params;  // kFunction / kLambda parameter list
-  std::size_t head_pos = 0;   // flat offset of the introducing token
-  std::size_t head_line = 0;  // 1-based line of head_pos
-  /// Mutex names from a `requires_lock(...)` annotation on the head
-  /// line (the caller-holds-the-lock contract).
-  std::vector<std::string> requires_locks;
 };
 
 /// One class member declaration.
@@ -63,29 +45,12 @@ struct MemberVar {
   std::string class_name;
   std::string name;
   std::string type;  // space-joined type tokens
-  std::string file;
-  std::size_t line = 0;  // 1-based declaration line
-  bool is_mutex = false;
-  /// Mutex name from a `guarded_by(...)` annotation, or empty.
-  std::string guarded_by;
-};
-
-/// One callable signature known to the tree (definition or prototype).
-struct FunctionSig {
-  std::string name;
-  std::string class_name;  // empty for free functions
-  std::string file;
-  std::size_t line = 0;
-  std::vector<Param> params;
 };
 
 /// Everything pass 1 recovers from one file.
 struct FileSymbols {
   std::vector<Scope> scopes;       // ordered by open position
   std::vector<MemberVar> members;  // class members declared here
-  /// Function prototypes (`... name(params);` at namespace/class
-  /// scope) — definitions live in `scopes` as kFunction entries.
-  std::vector<FunctionSig> prototypes;
   /// Names declared with a floating-point type anywhere in the file
   /// (declaration-shaped scan: `double x`, `float* dst`,
   /// `std::vector<double> v`), sorted and deduplicated.
@@ -98,26 +63,19 @@ struct FileSymbols {
   int EnclosingFunction(int s) const;
 };
 
-/// Analyze one file's stripped text. `path` is recorded in members.
-FileSymbols AnalyzeFile(const std::string& path, const FileView& view);
+/// Analyze one file's stripped text.
+FileSymbols AnalyzeFile(const FileView& view);
 
-/// Tree-wide symbol resolution for pass 2.
+/// Tree-wide member resolution for pass 2.
 struct SymbolIndex {
-  /// function name -> every known signature with that name.
-  std::map<std::string, std::vector<FunctionSig>> functions;
   /// class name -> members of that class.
   std::map<std::string, std::vector<MemberVar>> members;
 
-  void AddFile(const std::string& path, const FileView& view,
-               const FileSymbols& symbols);
+  void AddFile(const FileSymbols& symbols);
 
-  const std::vector<FunctionSig>* FindFunctions(
-      std::string_view name) const;
-
-  /// First member named `name`; restricted to `class_name` when that
-  /// is non-empty, across every class otherwise. Null when unknown.
-  const MemberVar* FindMember(std::string_view class_name,
-                              std::string_view name) const;
+  /// First member named `name` across every class (in class-name
+  /// order), or null when unknown.
+  const MemberVar* FindMember(std::string_view name) const;
 };
 
 /// True when a recovered type string names a floating-point type.

@@ -276,10 +276,10 @@ std::vector<std::string> SplitAnnotationList(std::string_view list_text) {
   return tokens;
 }
 
-/// Parse one `vrdlint: <verb>(a, b)` annotation out of a raw line,
-/// returning the list tokens, or empty when the verb is not present.
-std::vector<std::string> ParseAnnotation(const std::string& line,
-                                         std::string_view verb) {
+/// Parse one `vrdlint: allow(a, b)` annotation out of a raw line,
+/// returning the list tokens, or empty when there is none.
+std::vector<std::string> ParseAllow(const std::string& line) {
+  constexpr std::string_view verb = "allow";
   const std::size_t tag = line.find("vrdlint:");
   if (tag == std::string::npos) {
     return {};
@@ -300,15 +300,14 @@ std::vector<std::string> ParseAnnotation(const std::string& line,
       std::string_view(line).substr(p + 1, close - p - 1));
 }
 
-/// Collect one annotation verb for every line, with the comment-only
+/// Collect the allow tokens of every line, with the comment-only
 /// propagation rule: a trailing annotation covers its own line; an
 /// annotation on a comment-only line also covers the next line.
-void CollectAnnotations(const FileView& view, std::string_view verb,
-                        std::vector<std::vector<std::string>>* out) {
+void CollectAllows(const FileView& view,
+                   std::vector<std::vector<std::string>>* out) {
   out->assign(view.raw.size(), {});
   for (std::size_t i = 0; i < view.raw.size(); ++i) {
-    const std::vector<std::string> tokens =
-        ParseAnnotation(view.raw[i], verb);
+    const std::vector<std::string> tokens = ParseAllow(view.raw[i]);
     if (tokens.empty()) {
       continue;
     }
@@ -322,8 +321,6 @@ void CollectAnnotations(const FileView& view, std::string_view verb,
     }
   }
 }
-
-const std::vector<std::string> kNoNames;
 
 }  // namespace
 
@@ -349,30 +346,12 @@ bool FileView::Allowed(
   return false;
 }
 
-const std::vector<std::string>& FileView::GuardedBy(
-    std::size_t line) const {
-  if (line == 0 || line > guarded_by.size()) {
-    return kNoNames;
-  }
-  return guarded_by[line - 1];
-}
-
-const std::vector<std::string>& FileView::RequiresLock(
-    std::size_t line) const {
-  if (line == 0 || line > requires_lock.size()) {
-    return kNoNames;
-  }
-  return requires_lock[line - 1];
-}
-
 FileView BuildView(std::string_view text) {
   FileView view;
   view.raw = SplitLines(text);
   const std::string stripped = StripCommentsAndStrings(text);
   view.code = SplitLines(stripped);
-  CollectAnnotations(view, "allow", &view.allows);
-  CollectAnnotations(view, "guarded_by", &view.guarded_by);
-  CollectAnnotations(view, "requires_lock", &view.requires_lock);
+  CollectAllows(view, &view.allows);
   view.line_start.reserve(view.code.size());
   for (const std::string& line : view.code) {
     view.line_start.push_back(view.flat.size());

@@ -6,12 +6,9 @@
  * Everything here is shared by the symbol indexer (symbol_index.h) and
  * the rule families (rules_*.cc). The FileView keeps raw and stripped
  * lines column-aligned so flat offsets translate directly to 1-based
- * source lines, and the annotation maps carry the three in-source
- * contracts:
+ * source lines, and carries the one in-source annotation:
  *
  *   // vrdlint: allow(rule-or-token, ...)   suppress on this/next line
- *   // vrdlint: guarded_by(mu_)             member guarded by mutex mu_
- *   // vrdlint: requires_lock(mu_)          method runs with mu_ held
  */
 #ifndef VRDDRAM_TOOLS_VRDLINT_TOKENIZER_H
 #define VRDDRAM_TOOLS_VRDLINT_TOKENIZER_H
@@ -72,16 +69,12 @@ std::string StripCommentsAndStrings(std::string_view text);
  * The per-file scanning substrate: raw lines, a comment/string-
  * stripped mirror (stripped chars become spaces, so columns line up),
  * the stripped lines joined into one string for cross-line matching,
- * and the `vrdlint:` annotations attached to each line.
+ * and the `vrdlint: allow(...)` tokens attached to each line.
  */
 struct FileView {
   std::vector<std::string> raw;
   std::vector<std::string> code;
   std::vector<std::vector<std::string>> allows;
-  /// Per 1-based-line-minus-one: mutex names from `guarded_by(...)`.
-  std::vector<std::vector<std::string>> guarded_by;
-  /// Per 1-based-line-minus-one: mutex names from `requires_lock(...)`.
-  std::vector<std::vector<std::string>> requires_lock;
   std::string flat;                      // code lines joined with '\n'
   std::vector<std::size_t> line_start;   // flat offset of each line
 
@@ -92,12 +85,6 @@ struct FileView {
   /// on the given 1-based line.
   bool Allowed(std::size_t line,
                std::initializer_list<std::string_view> tokens) const;
-
-  /// guarded_by(...) names attached to the given 1-based line.
-  const std::vector<std::string>& GuardedBy(std::size_t line) const;
-
-  /// requires_lock(...) names attached to the given 1-based line.
-  const std::vector<std::string>& RequiresLock(std::size_t line) const;
 };
 
 FileView BuildView(std::string_view text);

@@ -2,17 +2,16 @@
  * @file
  * vrdlint driver: config parsing, file collection, and the two-pass
  * lint pipeline. Pass 1 builds a FileView + FileSymbols for every
- * scanned file and folds them into a tree-wide SymbolIndex; pass 2
- * runs the rule families (rules_core.cc, rules_rng_flow.cc,
- * rules_float.cc, rules_lock.cc) per file with the index in hand;
- * pass 3 runs the global lock-ordering check over the nested-
- * acquisition edges collected in pass 2.
+ * scanned file and folds their class members into a tree-wide
+ * SymbolIndex; pass 2 runs the rule families (rules_core.cc,
+ * rules_float.cc) per file with the index in hand.
  */
 #include "vrdlint.h"
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <tuple>
@@ -24,6 +23,13 @@
 
 namespace vrdlint {
 namespace {
+
+/// The rule families a config `[section]` may name.
+constexpr std::string_view kRuleFamilies[] = {
+    "banned-api",          "unordered-iteration", "rng-discipline",
+    "catch-all-swallow",   "campaign-discipline", "kernel-allocation",
+    "header-hygiene",      "float-determinism",
+};
 
 void SortDiagnostics(std::vector<Diagnostic>* diagnostics) {
   std::sort(diagnostics->begin(), diagnostics->end(),
@@ -46,15 +52,12 @@ void StampContentHashes(const FileView& view,
   }
 }
 
-/// Pass-2 body for one file: every per-file rule family.
+/// Pass-2 body for one file: every rule family.
 void RunFileRules(const RuleContext& ctx,
-                  std::vector<LockOrderEdge>* edges,
                   std::vector<Diagnostic>* diagnostics) {
   const std::size_t before = diagnostics->size();
-  const std::vector<RngDecl> decls = RunCoreRules(ctx, diagnostics);
-  CheckRngFlow(ctx, decls, diagnostics);
+  RunCoreRules(ctx, diagnostics);
   CheckFloatDeterminism(ctx, diagnostics);
-  CheckLockDiscipline(ctx, edges, diagnostics);
   StampContentHashes(ctx.view, diagnostics, before);
 }
 
@@ -97,6 +100,12 @@ bool ParseConfigText(std::string_view text, Config* config,
         return false;
       }
       section = Trim(line.substr(1, line.size() - 2));
+      if (std::find(std::begin(kRuleFamilies), std::end(kRuleFamilies),
+                    section) == std::end(kRuleFamilies)) {
+        *error = "config line " + std::to_string(lineno) +
+                 ": unknown section [" + section + "]";
+        return false;
+      }
       continue;
     }
     const std::size_t eq = line.find('=');
@@ -163,16 +172,12 @@ std::vector<Diagnostic> LintSource(const std::string& path,
                                    std::string_view text,
                                    const Config& config) {
   const FileView view = BuildView(text);
-  const FileSymbols symbols = AnalyzeFile(path, view);
+  const FileSymbols symbols = AnalyzeFile(view);
   SymbolIndex index;
-  index.AddFile(path, view, symbols);
+  index.AddFile(symbols);
   const RuleContext ctx{path, view, symbols, index, config, nullptr};
   std::vector<Diagnostic> diagnostics;
-  std::vector<LockOrderEdge> edges;
-  RunFileRules(ctx, &edges, &diagnostics);
-  const std::size_t before = diagnostics.size();
-  CheckLockOrdering(edges, &diagnostics);
-  StampContentHashes(view, &diagnostics, before);
+  RunFileRules(ctx, &diagnostics);
   SortDiagnostics(&diagnostics);
   return diagnostics;
 }
@@ -219,9 +224,8 @@ std::vector<Diagnostic> LintTree(const std::string& root,
   const std::vector<std::string> files = CollectFiles(root, config);
 
   // Pass 1: read every file once, build its view and symbols, fold
-  // them into the tree-wide index. Views must outlive pass 2 (the
-  // index stores string_views into member/type text), so everything
-  // is kept in file order for the duration.
+  // its members into the tree-wide index. Pass 2 needs every view and
+  // the complete index, so everything is kept in file order.
   struct ScannedFile {
     std::string path;
     std::string text;
@@ -247,8 +251,8 @@ std::vector<Diagnostic> LintTree(const std::string& root,
     scanned.push_back(ScannedFile{relative, buffer.str(), {}, {}});
     ScannedFile& file = scanned.back();
     file.view = BuildView(file.text);
-    file.symbols = AnalyzeFile(file.path, file.view);
-    index.AddFile(file.path, file.view, file.symbols);
+    file.symbols = AnalyzeFile(file.view);
+    index.AddFile(file.symbols);
     if (IsHeaderPath(relative)) {
       std::vector<std::string> names = CollectUnorderedNames(file.view);
       if (!names.empty()) {
@@ -260,7 +264,6 @@ std::vector<Diagnostic> LintTree(const std::string& root,
 
   // Pass 2: rules, with cross-file symbol resolution available.
   std::vector<Diagnostic> diagnostics;
-  std::vector<LockOrderEdge> edges;
   for (const ScannedFile& file : scanned) {
     const std::vector<std::string>* extra = nullptr;
     if (!IsHeaderPath(file.path)) {
@@ -273,23 +276,7 @@ std::vector<Diagnostic> LintTree(const std::string& root,
     }
     const RuleContext ctx{file.path, file.view, file.symbols,
                           index,     config,    extra};
-    RunFileRules(ctx, &edges, &diagnostics);
-  }
-
-  // Pass 3: global lock-ordering over the collected edges.
-  const std::size_t before = diagnostics.size();
-  CheckLockOrdering(edges, &diagnostics);
-  for (std::size_t i = before; i < diagnostics.size(); ++i) {
-    Diagnostic& diag = diagnostics[i];
-    for (const ScannedFile& file : scanned) {
-      if (file.path == diag.file) {
-        if (diag.line >= 1 && diag.line <= file.view.raw.size()) {
-          diag.content_hash =
-              HashLineContent(file.view.raw[diag.line - 1]);
-        }
-        break;
-      }
-    }
+    RunFileRules(ctx, &diagnostics);
   }
 
   SortDiagnostics(&diagnostics);

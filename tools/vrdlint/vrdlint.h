@@ -12,10 +12,8 @@
  *  - unordered-iteration   range-for over std::unordered_{map,set}
  *                          unless laundered through SortedByKey()/
  *                          SortedKeys() or annotated
- *  - rng-discipline        Rng must be constructed from a seed
- *                          expression; a captured Rng touched inside a
- *                          ThreadPool::Submit/ParallelFor lambda needs
- *                          a preceding Fork(...) in the enclosing scope
+ *  - rng-discipline        Rng must be constructed (and rng-named
+ *                          members initialized) from a seed expression
  *  - catch-all-swallow     `catch (...)` / `catch (std::exception&)`
  *                          handlers must rethrow, capture the
  *                          exception (std::current_exception), or
@@ -42,29 +40,22 @@
  *                          by annotation
  *
  * v2 adds a symbol-aware layer: pass 1 tokenizes every scanned file
- * and builds a tree-wide symbol index (function signatures, class
- * members and their types, mutex members, scope nesting); pass 2 runs
- * the rules with cross-file resolution in hand. That enables three
- * rule families a line-level scan cannot express:
+ * into scopes, class members and float-typed names, and folds the
+ * members into a tree-wide index; pass 2 runs the rules with that
+ * index in hand. The scopes make kernel-allocation's reserve matching
+ * scope-aware, and the index lets float-determinism resolve field
+ * types across files:
  *
- *  - rng-flow              an Rng captured by reference into a
- *                          ParallelFor/Submit lambda, passed by
- *                          non-const reference across a function
- *                          boundary into per-shard code (the callee
- *                          may live in another file), or re-seeded
- *                          from a non-seed expression
  *  - float-determinism     FMA-contractable shapes (`a*b + c`,
  *                          `acc += a*b`) in bit-equality kernel files
- *                          (the `float-path` entries of the config),
- *                          and float accumulation across ParallelFor
- *                          tasks anywhere — both break the §6
- *                          bit-identical-at-any-thread-count contract
- *  - lock-discipline       members annotated
- *                          `// vrdlint: guarded_by(mu_)` must only be
- *                          touched while `mu_` is held (or under a
- *                          `// vrdlint: requires_lock(mu_)` method
- *                          contract), and every mutex pair must be
- *                          acquired in one consistent order tree-wide
+ *                          (the `float-path` entries of the config):
+ *                          -ffp-contract may fuse them into one
+ *                          rounding, which breaks the §6 bit-identical
+ *                          reports contract
+ *
+ * Whether workers share an Rng stream or a float accumulator is not a
+ * lint question: it is checked dynamically, by the parallel==serial
+ * golden tests, the tsan preset, and CI's 1-vs-8-thread report diff.
  *
  * Suppressions are written in the source, next to the code they
  * excuse: `// vrdlint: allow(<rule-or-token>[, ...])` on the flagged
@@ -125,7 +116,8 @@ std::uint64_t HashLineContent(std::string_view line);
  *
  * `exclude` and `allow-path` values match as substrings of the
  * repo-relative path; `seed-call`/`ordering-call` values extend the
- * built-in defaults rather than replacing them.
+ * built-in defaults rather than replacing them. A section must name a
+ * rule family; any other section is a parse error.
  */
 struct Config {
   /// Directories (relative to the lint root) walked by LintTree.
@@ -145,8 +137,7 @@ struct Config {
   /// is opt-in per file).
   std::vector<std::string> kernel_paths;
   /// Path substrings naming bit-equality kernel files: only these are
-  /// subject to the FMA-shape half of float-determinism (the
-  /// ParallelFor-accumulation half applies everywhere).
+  /// subject to float-determinism. Empty by default.
   std::vector<std::string> float_paths;
   /// rule name -> path substrings where the rule is suppressed.
   std::map<std::string, std::vector<std::string>> allow_paths;
