@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
-#include <iostream>
 #include <sstream>
 
 #include "common/error.h"
@@ -72,20 +71,6 @@ bool ParseBool(const std::string& key, const std::string& value) {
 
 }  // namespace
 
-Flags::Flags(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string key;
-    std::string value;
-    if (!SplitFlagToken(arg, &key, &value)) {
-      std::cerr << "unrecognized argument: " << arg
-                << " (flags are --key=value)\n";
-      std::exit(2);
-    }
-    values_[key] = value;
-  }
-}
-
 Flags::Flags(const std::vector<std::string>& args,
              const std::vector<FlagSpec>& schema)
     : schema_(schema) {
@@ -101,38 +86,6 @@ Flags::Flags(const std::vector<std::string>& args,
     VRD_FATAL_IF(!known, "unknown flag --" + key + "\n" + Describe(schema_));
     values_[key] = value;
   }
-}
-
-std::uint64_t Flags::GetUint(const std::string& key,
-                             std::uint64_t default_value) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) {
-    return default_value;
-  }
-  return ParseUint(key, it->second);
-}
-
-double Flags::GetDouble(const std::string& key,
-                        double default_value) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) {
-    return default_value;
-  }
-  return ParseDouble(key, it->second);
-}
-
-std::string Flags::GetString(const std::string& key,
-                             const std::string& default_value) const {
-  const auto it = values_.find(key);
-  return it == values_.end() ? default_value : it->second;
-}
-
-bool Flags::GetBool(const std::string& key, bool default_value) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) {
-    return default_value;
-  }
-  return ParseBool(key, it->second);
 }
 
 const FlagSpec& Flags::SpecFor(const std::string& key) const {
@@ -156,7 +109,9 @@ double Flags::GetDouble(const std::string& key) const {
 }
 
 std::string Flags::GetString(const std::string& key) const {
-  return GetString(key, SpecFor(key).default_value);
+  const FlagSpec& spec = SpecFor(key);
+  const auto it = values_.find(key);
+  return it == values_.end() ? spec.default_value : it->second;
 }
 
 bool Flags::GetBool(const std::string& key) const {
@@ -204,20 +159,6 @@ std::vector<std::string> ResolveDevices(const std::string& spec) {
   }
   VRD_FATAL_IF(names.empty(), "no devices in --devices spec");
   return names;
-}
-
-std::size_t ResolveThreads(const Flags& flags) {
-  return static_cast<std::size_t>(flags.GetUint("threads", 0));
-}
-
-void ApplyResilienceFlags(const Flags& flags,
-                          core::CampaignConfig* config) {
-  config->checkpoint_path =
-      flags.GetString("checkpoint", config->checkpoint_path);
-  config->resume = flags.GetBool("resume", config->resume);
-  config->inject = flags.GetString("inject", config->inject);
-  config->max_attempts = static_cast<std::size_t>(
-      flags.GetUint("max_attempts", config->max_attempts));
 }
 
 void PrintShardSummary(std::ostream& os,

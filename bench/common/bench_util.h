@@ -32,10 +32,10 @@ struct FlagSpec {
 
 /**
  * Tiny --key=value flag parser. Every experiment documents its knobs
- * through a FlagSpec schema: construction against a schema rejects
- * unknown flags with a FatalError whose message embeds Describe(), so
- * an abort always prints the real schema. The schema-less (argc,
- * argv) form is kept for ad-hoc tools and tests.
+ * through a FlagSpec schema: construction rejects unknown flags with a
+ * FatalError whose message embeds Describe(), so an abort always
+ * prints the real schema, and a getter falls back to the schema's
+ * default.
  *
  * Typed getters parse strictly: the whole value must be consumed, an
  * unsigned value takes no sign, out-of-range numbers are rejected, and
@@ -44,9 +44,6 @@ struct FlagSpec {
  */
 class Flags {
  public:
-  /// Schema-less: accepts any --key=value. Bad syntax exits(2).
-  Flags(int argc, char** argv);
-
   /**
    * Schema-validating: `args` are raw "--key[=value]" tokens. A token
    * without "--", or a key absent from `schema`, raises FatalError
@@ -55,23 +52,16 @@ class Flags {
   Flags(const std::vector<std::string>& args,
         const std::vector<FlagSpec>& schema);
 
-  std::uint64_t GetUint(const std::string& key,
-                        std::uint64_t default_value) const;
-  double GetDouble(const std::string& key, double default_value) const;
-  std::string GetString(const std::string& key,
-                        const std::string& default_value) const;
-  bool GetBool(const std::string& key, bool default_value) const;
-
-  /// Schema-default getters: the fallback is the FlagSpec default.
-  /// Raise FatalError when no schema was given or `key` is not in it
-  /// — an undocumented knob is a bug in the experiment spec.
+  /// The flag's value, or its FlagSpec default when absent. Raise
+  /// FatalError when `key` is not in the schema — an undocumented knob
+  /// is a bug in the experiment spec.
   std::uint64_t GetUint(const std::string& key) const;
   double GetDouble(const std::string& key) const;
   std::string GetString(const std::string& key) const;
   bool GetBool(const std::string& key) const;
 
   /// Human-readable flag schema, one "--name=default  help" line per
-  /// spec. Empty string when constructed without a schema.
+  /// spec. Empty string for an empty schema.
   std::string Describe() const;
   static std::string Describe(const std::vector<FlagSpec>& schema);
 
@@ -85,21 +75,6 @@ class Flags {
 /// Resolve a --devices= flag value: "all", "ddr4", "hbm2", or a
 /// comma-separated list of catalog names.
 std::vector<std::string> ResolveDevices(const std::string& spec);
-
-/// Resolve the --threads= flag for the parallel campaign executor:
-/// 0 (the default) selects hardware_concurrency, 1 forces the serial
-/// path. Results are bit-identical for every value.
-std::size_t ResolveThreads(const Flags& flags);
-
-/**
- * Apply the campaign resilience flags shared by every campaign bench:
- * --checkpoint=FILE (persist completed shards), --resume (restore
- * shards from the checkpoint instead of re-running them),
- * --inject=SPEC (fault-injection plan, fi::FaultPlan grammar) and
- * --max_attempts=N (attempts per shard before quarantine).
- */
-void ApplyResilienceFlags(const Flags& flags,
-                          core::CampaignConfig* config);
 
 /// Print the per-shard execution summary (ok/retried/quarantined
 /// counts plus one line for each shard that did not run clean).

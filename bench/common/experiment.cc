@@ -68,8 +68,12 @@ std::vector<FlagSpec> WithCampaignFlags(std::vector<FlagSpec> specs) {
 
 void ApplyCampaignExecutionFlags(const Flags& flags,
                                  core::CampaignConfig* config) {
-  config->threads = ResolveThreads(flags);
-  ApplyResilienceFlags(flags, config);
+  config->threads = static_cast<std::size_t>(flags.GetUint("threads"));
+  config->checkpoint_path = flags.GetString("checkpoint");
+  config->resume = flags.GetBool("resume");
+  config->inject = flags.GetString("inject");
+  config->max_attempts =
+      static_cast<std::size_t>(flags.GetUint("max_attempts"));
 }
 
 }  // namespace vrddram::bench

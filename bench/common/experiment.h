@@ -5,7 +5,7 @@
  * Each figure or table of the paper is one `ExperimentSpec`: a name,
  * a one-line description, the flag schema with defaults, an optional
  * campaign builder, and an analysis function that renders the tables
- * and CHECK lines. Specs live in `bench/experiments/*.cc` and
+ * and CHECK lines. Specs live in the `bench/experiments/` sources and
  * self-register at static-initialization time; the `vrdrepro` driver
  * (bench/common/driver.h) is the only main() over them.
  *
@@ -109,7 +109,15 @@ std::vector<FlagSpec> CampaignFlagSpecs();
 /// Convenience: `specs` followed by CampaignFlagSpecs().
 std::vector<FlagSpec> WithCampaignFlags(std::vector<FlagSpec> specs);
 
-/// Apply --threads and the resilience flags to a built config.
+/**
+ * Apply the shared execution flags to a built config: --threads (0
+ * selects hardware_concurrency, 1 forces the serial path; results are
+ * bit-identical for every value), --checkpoint=FILE (persist completed
+ * shards), --resume (restore shards from the checkpoint instead of
+ * re-running them), --inject=SPEC (fault-injection plan,
+ * fi::FaultPlan grammar) and --max_attempts=N (attempts per shard
+ * before quarantine).
+ */
 void ApplyCampaignExecutionFlags(const Flags& flags,
                                  core::CampaignConfig* config);
 

@@ -36,8 +36,8 @@ void AnalyzeFig16(const core::CampaignResult&, Report* report) {
   out << "tested " << outcomes.size()
       << " (row, pattern) combinations\n";
 
-  for (const double margin : config.margins) {
-    PrintBanner(out, "Margin " + Cell(margin * 100.0, 0) +
+  for (const std::uint32_t margin : config.margins) {
+    PrintBanner(out, "Margin " + Cell(margin) +
                          "%: histogram of unique bitflips per "
                          "row across " +
                          Cell(static_cast<std::uint64_t>(
@@ -60,14 +60,14 @@ void AnalyzeFig16(const core::CampaignResult&, Report* report) {
   std::size_t max_flips_above_10 = 0;
   for (const auto& outcome : outcomes) {
     for (const auto& per : outcome.per_margin) {
-      if (std::abs(per.margin - 0.10) < 1e-9) {
+      if (per.margin == 10) {
         max_flips_10 = std::max(max_flips_10, per.unique_bitflips);
         max_chips_10 = std::max(max_chips_10, per.chips_touched);
         max_secded_10 =
             std::max(max_secded_10, per.max_per_secded_codeword);
         max_chipkill_10 =
             std::max(max_chipkill_10, per.max_per_chipkill_codeword);
-      } else if (per.margin > 0.10 + 1e-9) {
+      } else if (per.margin > 10) {
         max_flips_above_10 =
             std::max(max_flips_above_10, per.unique_bitflips);
       }
@@ -87,7 +87,7 @@ void AnalyzeFig16(const core::CampaignResult&, Report* report) {
              "<= 1 (no more than one bitflip observed)",
              Cell(static_cast<std::uint64_t>(max_flips_above_10)));
 
-  const double ber = core::WorstBitErrorRate(outcomes, 0.10, 65536);
+  const double ber = core::WorstBitErrorRate(outcomes, 10, 65536);
   PrintCheck(out, "fig16.worst_bit_error_rate_at_10pct", 7.6e-5, ber, 6);
   out << "\n(That bit error rate feeds Table 3; see "
          "bench_table03_ecc.)\n";

@@ -1,10 +1,9 @@
 /**
  * @file
  * Throughput microbenchmarks (google-benchmark): how fast the
- * simulation substrate itself runs - analytic vs. bulk vs.
- * command-level RDT measurements, raw fault-engine queries, and
- * memory-system events. These quantify why the analytic fast path is
- * what makes 100,000-measurement campaigns tractable.
+ * simulation substrate itself runs - analytic RDT measurements, raw
+ * fault-engine queries, campaign and thread-pool scaling, Poisson
+ * draws, and memory-system events.
  */
 #include <benchmark/benchmark.h>
 
@@ -26,14 +25,11 @@ namespace {
 using namespace vrddram;
 
 struct ProfilerFixture {
-  ProfilerFixture(core::SweepMode mode) {
+  ProfilerFixture() {
     device = vrd::BuildDevice("M1");
-    core::ProfilerConfig pc;
-    pc.mode = mode;
-    profiler = std::make_unique<core::RdtProfiler>(*device, pc);
-    core::ProfilerConfig seed_pc;
-    core::RdtProfiler seeder(*device, seed_pc);
-    const auto found = seeder.FindVictim(1, 4000);
+    profiler = std::make_unique<core::RdtProfiler>(*device,
+                                                   core::ProfilerConfig{});
+    const auto found = profiler->FindVictim(1, 4000);
     VRD_FATAL_IF(!found,
                  "perf fixture: no victim row below the find_victim "
                  "threshold in rows [1, 4000) of device M1");
@@ -50,7 +46,7 @@ struct ProfilerFixture {
 // iteration into a hoisted buffer; items are measurements.
 void BM_MeasurementAnalytic(benchmark::State& state) {
   constexpr std::size_t kSeriesLength = 1000;
-  ProfilerFixture fx(core::SweepMode::kAnalytic);
+  ProfilerFixture fx;
   std::vector<std::int64_t> series;
   for (auto _ : state) {
     fx.profiler->MeasureSeries(fx.victim, fx.guess, kSeriesLength, series);
@@ -61,16 +57,6 @@ void BM_MeasurementAnalytic(benchmark::State& state) {
                           static_cast<std::int64_t>(kSeriesLength));
 }
 BENCHMARK(BM_MeasurementAnalytic);
-
-void BM_MeasurementBulk(benchmark::State& state) {
-  ProfilerFixture fx(core::SweepMode::kBulk);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        fx.profiler->MeasureOnce(fx.victim, fx.guess));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MeasurementBulk);
 
 void BM_EngineQuery(benchmark::State& state) {
   auto device = vrd::BuildDevice("M1");

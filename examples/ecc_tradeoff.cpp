@@ -31,7 +31,7 @@ int main() {
 
   TextTable flips({"margin", "rows with flips", "worst unique flips",
                    "worst BER"});
-  for (const double margin : config.margins) {
+  for (const std::uint32_t margin : config.margins) {
     const auto hist = core::BitflipHistogramAtMargin(outcomes, margin);
     std::size_t rows_with_flips = 0;
     for (const auto& [count, rows] : hist) {
@@ -43,7 +43,7 @@ int main() {
     if (!hist.empty()) {
       worst = hist.rbegin()->first;
     }
-    flips.AddRow({Cell(margin * 100.0, 0) + "%",
+    flips.AddRow({Cell(margin) + "%",
                   Cell(static_cast<std::uint64_t>(rows_with_flips)),
                   Cell(static_cast<std::uint64_t>(worst)),
                   Cell(core::WorstBitErrorRate(outcomes, margin, 65536),
@@ -54,7 +54,7 @@ int main() {
 
   // --- Step 2: what would ECC make of the worst rate? -----------------
   const double ber = std::max(
-      core::WorstBitErrorRate(outcomes, 0.10, 65536), 1e-6);
+      core::WorstBitErrorRate(outcomes, 10, 65536), 1e-6);
   std::cout << "\nanalytic per-codeword outcome at BER " << ber << ":\n";
   TextTable table({"code", "uncorrectable", "undetectable"});
   for (const ecc::CodeKind kind :

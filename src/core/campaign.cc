@@ -174,7 +174,6 @@ std::vector<SeriesRecord> RunShard(const CampaignConfig& config,
       pc.bank = 0;
       pc.pattern = pattern;
       pc.t_on = t_on;
-      pc.mode = SweepMode::kAnalytic;
       RdtProfiler profiler(*device, pc);
 
       for (const dram::RowAddr row : rows) {

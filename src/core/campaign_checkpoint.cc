@@ -61,6 +61,18 @@ T ReadInt(std::istream& is, const char* what) {
   return value;
 }
 
+/// An enum stored as its integer value; anything outside
+/// [0, `last`] is a corrupted field, not a value to cast.
+template <typename E>
+E ReadEnum(std::istream& is, const char* what, E last) {
+  const int value = ReadInt<int>(is, what);
+  VRD_FATAL_IF(value < 0 || value > static_cast<int>(last),
+               std::string("checkpoint: ") + what + " " +
+                   std::to_string(value) + " out of range [0, " +
+                   std::to_string(static_cast<int>(last)) + "]");
+  return static_cast<E>(value);
+}
+
 double ReadHexDouble(std::istream& is, const char* what) {
   std::string token;
   is >> token;
@@ -96,15 +108,14 @@ SeriesRecord ReadRecord(std::istream& is) {
   Expect(is, "record");
   SeriesRecord record;
   record.device = ReadToken(is, "record device");
-  record.mfr = static_cast<vrd::Manufacturer>(ReadInt<int>(is, "mfr"));
-  record.standard =
-      static_cast<dram::Standard>(ReadInt<int>(is, "standard"));
+  record.mfr = ReadEnum(is, "mfr", vrd::Manufacturer::kMfrS);
+  record.standard = ReadEnum(is, "standard", dram::Standard::kHbm2);
   record.density_gbit = ReadInt<std::uint32_t>(is, "density");
   record.die_rev = static_cast<char>(ReadInt<int>(is, "die_rev"));
   record.row = ReadInt<dram::RowAddr>(is, "row");
   record.pattern =
-      static_cast<dram::DataPattern>(ReadInt<int>(is, "pattern"));
-  record.t_on = static_cast<TOnChoice>(ReadInt<int>(is, "t_on"));
+      ReadEnum(is, "pattern", dram::DataPattern::kCheckered1);
+  record.t_on = ReadEnum(is, "t_on", TOnChoice::kNineTrefi);
   record.temperature = ReadHexDouble(is, "record temperature");
   record.rdt_guess = ReadInt<std::uint64_t>(is, "rdt_guess");
   const auto n = ReadInt<std::size_t>(is, "series length");
@@ -197,7 +208,7 @@ CampaignCheckpoint ReadCheckpoint(std::istream& is) {
     entry.status.device = ReadToken(is, "shard device");
     entry.status.temperature = ReadHexDouble(is, "shard temperature");
     entry.status.state =
-        static_cast<ShardState>(ReadInt<int>(is, "shard state"));
+        ReadEnum(is, "shard state", ShardState::kQuarantined);
     VRD_FATAL_IF(entry.status.state == ShardState::kQuarantined,
                  "checkpoint: quarantined shards are never checkpointed");
     entry.status.attempts = ReadInt<std::uint64_t>(is, "shard attempts");

@@ -1,7 +1,6 @@
 #include "core/guardband.h"
 
 #include <algorithm>
-#include <cmath>
 #include <ostream>
 
 #include "common/error.h"
@@ -34,6 +33,12 @@ std::size_t MaxFlipsPerGroup(std::span<const std::uint32_t> sorted_bits,
 }
 
 }  // namespace
+
+std::uint64_t GuardbandHammerCount(std::uint64_t min_rdt,
+                                   std::uint32_t margin_pct) {
+  VRD_FATAL_IF(margin_pct > 100, "margin above 100%");
+  return min_rdt * (100 - margin_pct) / 100;
+}
 
 std::vector<RowGuardbandOutcome> RunGuardbandStudy(
     const GuardbandConfig& config, std::ostream* progress) {
@@ -72,7 +77,6 @@ std::vector<RowGuardbandOutcome> RunGuardbandStudy(
       ProfilerConfig pc;
       pc.bank = 0;
       pc.pattern = pattern;
-      pc.mode = SweepMode::kAnalytic;
       RdtProfiler profiler(*device, pc);
 
       for (const dram::RowAddr row : rows) {
@@ -111,11 +115,10 @@ std::vector<RowGuardbandOutcome> RunGuardbandStudy(
             /*bank=*/0, phys, dram::VictimByte(pattern),
             dram::AggressorByte(pattern), t_on, config.temperature,
             device->encoding(), device->Now(), mctx);
-        for (const double margin : config.margins) {
+        for (const std::uint32_t margin : config.margins) {
           MarginOutcome per;
           per.margin = margin;
-          per.hammer_count = static_cast<std::uint64_t>(
-              static_cast<double>(outcome.min_rdt) * (1.0 - margin));
+          per.hammer_count = GuardbandHammerCount(outcome.min_rdt, margin);
           flipped_bits.clear();
           for (std::size_t trial = 0; trial < config.trials; ++trial) {
             bool any = false;
@@ -170,11 +173,12 @@ std::vector<RowGuardbandOutcome> RunGuardbandStudy(
 }
 
 std::map<std::size_t, std::size_t> BitflipHistogramAtMargin(
-    const std::vector<RowGuardbandOutcome>& outcomes, double margin) {
+    const std::vector<RowGuardbandOutcome>& outcomes,
+    std::uint32_t margin_pct) {
   std::map<std::size_t, std::size_t> hist;
   for (const RowGuardbandOutcome& outcome : outcomes) {
     for (const MarginOutcome& per : outcome.per_margin) {
-      if (std::abs(per.margin - margin) < 1e-9) {
+      if (per.margin == margin_pct) {
         ++hist[per.unique_bitflips];
       }
     }
@@ -183,12 +187,12 @@ std::map<std::size_t, std::size_t> BitflipHistogramAtMargin(
 }
 
 double WorstBitErrorRate(const std::vector<RowGuardbandOutcome>& outcomes,
-                         double margin, std::size_t row_bits) {
+                         std::uint32_t margin_pct, std::size_t row_bits) {
   VRD_FATAL_IF(row_bits == 0, "row must have bits");
   std::size_t worst = 0;
   for (const RowGuardbandOutcome& outcome : outcomes) {
     for (const MarginOutcome& per : outcome.per_margin) {
-      if (std::abs(per.margin - margin) < 1e-9) {
+      if (per.margin == margin_pct) {
         worst = std::max(worst, per.unique_bitflips);
       }
     }

@@ -24,7 +24,8 @@ struct GuardbandConfig {
   std::size_t rows_per_device = 6;      ///< paper: 50
   std::size_t baseline_measurements = 5;
   std::size_t trials = 10000;
-  std::vector<double> margins = {0.50, 0.40, 0.30, 0.20, 0.10};
+  /// Safety margins in integer percent below the measured min RDT.
+  std::vector<std::uint32_t> margins = {50, 40, 30, 20, 10};
   std::vector<dram::DataPattern> patterns = {
       dram::DataPattern::kCheckered0, dram::DataPattern::kCheckered1};
   Celsius temperature = 50.0;
@@ -33,8 +34,8 @@ struct GuardbandConfig {
 };
 
 struct MarginOutcome {
-  double margin = 0.0;
-  std::uint64_t hammer_count = 0;        ///< min RDT * (1 - margin)
+  std::uint32_t margin = 0;              ///< integer percent
+  std::uint64_t hammer_count = 0;        ///< GuardbandHammerCount
   std::size_t unique_bitflips = 0;       ///< union over all trials
   std::size_t chips_touched = 0;
   std::size_t max_per_secded_codeword = 0;   ///< 8-byte granule
@@ -50,18 +51,24 @@ struct RowGuardbandOutcome {
   std::vector<MarginOutcome> per_margin;
 };
 
+/// The hammer count `margin_pct` percent below `min_rdt`, rounded
+/// down: min_rdt * (100 - margin_pct) / 100 in integer arithmetic.
+std::uint64_t GuardbandHammerCount(std::uint64_t min_rdt,
+                                   std::uint32_t margin_pct);
+
 std::vector<RowGuardbandOutcome> RunGuardbandStudy(
     const GuardbandConfig& config, std::ostream* progress = nullptr);
 
 /// Fig. 16: histogram of unique-bitflip counts across rows at one
 /// margin. Key: number of unique bitflips; value: number of rows.
 std::map<std::size_t, std::size_t> BitflipHistogramAtMargin(
-    const std::vector<RowGuardbandOutcome>& outcomes, double margin);
+    const std::vector<RowGuardbandOutcome>& outcomes,
+    std::uint32_t margin_pct);
 
 /// Worst observed bit error rate across outcomes at one margin
 /// (unique bitflips / row bits), the Table 3 input.
 double WorstBitErrorRate(const std::vector<RowGuardbandOutcome>& outcomes,
-                         double margin, std::size_t row_bits);
+                         std::uint32_t margin_pct, std::size_t row_bits);
 
 }  // namespace vrddram::core
 

@@ -8,6 +8,17 @@
 
 namespace vrddram::core {
 
+namespace {
+
+/// find_victim accepts rows whose guessed RDT is below this.
+constexpr std::uint64_t kFindVictimThreshold = 40000;
+/// Measurements averaged into RDT_guess (Alg. 1: 10).
+constexpr std::size_t kGuessMeasurements = 10;
+/// Rows that do not flip below this many hammers get no guess.
+constexpr std::uint64_t kGuessCap = 400000;
+
+}  // namespace
+
 std::int64_t MinObservedRdt(std::span<const std::int64_t> series) {
   std::int64_t min_rdt = kNoFlip;
   for (const std::int64_t rdt : series) {
@@ -19,38 +30,30 @@ std::int64_t MinObservedRdt(std::span<const std::int64_t> series) {
 }
 
 RdtProfiler::RdtProfiler(dram::Device& device, ProfilerConfig config)
-    : device_(&device), host_(device), config_(config) {
-  VRD_FATAL_IF(config_.sweep_lo_frac <= 0.0 ||
-                   config_.sweep_hi_frac <= config_.sweep_lo_frac,
-               "invalid sweep bounds");
-  VRD_FATAL_IF(config_.sweep_step_frac <= 0.0, "invalid sweep step");
+    : device_(&device),
+      config_(config),
+      engine_(dynamic_cast<vrd::TrapFaultEngine*>(&device.model())) {
   VRD_FATAL_IF(!device.org().ValidBank(config_.bank), "bank out of range");
-  engine_ = dynamic_cast<vrd::TrapFaultEngine*>(&device.model());
-  VRD_FATAL_IF(config_.mode == SweepMode::kAnalytic && engine_ == nullptr,
-               "analytic sweeps require a TrapFaultEngine device model");
+  VRD_FATAL_IF(engine_ == nullptr,
+               "RDT profiling requires a TrapFaultEngine device model");
 }
 
 Tick RdtProfiler::EffectiveTOn() const {
   return config_.t_on > 0 ? config_.t_on : device_->timing().tRAS;
 }
 
-RdtProfiler::Grid RdtProfiler::GridFor(std::uint64_t rdt_guess) const {
+RdtProfiler::Grid RdtProfiler::GridFor(std::uint64_t rdt_guess) {
   VRD_FATAL_IF(rdt_guess == 0, "RDT guess must be positive");
+  // Alg. 1: RDT_guess/2 up to (excluding) 3*RDT_guess in steps of
+  // RDT_guess/100, each at least one hammer apart.
   Grid grid;
-  grid.lo = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(
-             static_cast<double>(rdt_guess) * config_.sweep_lo_frac));
-  grid.hi = std::max<std::uint64_t>(
-      grid.lo + 1, static_cast<std::uint64_t>(
-                       static_cast<double>(rdt_guess) *
-                       config_.sweep_hi_frac));
-  grid.step = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(
-             static_cast<double>(rdt_guess) * config_.sweep_step_frac));
+  grid.lo = std::max<std::uint64_t>(1, rdt_guess / 2);
+  grid.hi = std::max<std::uint64_t>(grid.lo + 1, 3 * rdt_guess);
+  grid.step = std::max<std::uint64_t>(1, rdt_guess / 100);
   return grid;
 }
 
-Tick RdtProfiler::IterationTime(std::uint64_t hc) const {
+Tick RdtProfiler::FixedIterationTime() const {
   const dram::TimingParams& t = device_->timing();
   const auto bursts =
       static_cast<Tick>(device_->org().row_bytes / 64);
@@ -59,53 +62,31 @@ Tick RdtProfiler::IterationTime(std::uint64_t hc) const {
   const Tick row_init = t.tRCD + (bursts - 1) * t.tCCD_L_WR + t.tCWL +
                         t.tBL + t.tWR + t.tRP;
   const Tick init = 17 * std::max(row_init, t.tRAS + t.tRP);
-  // Double-sided hammering: hc activations per aggressor.
-  const Tick hammer =
-      static_cast<Tick>(2 * hc) * (EffectiveTOn() + t.tRP);
   // Victim readback: ACT, full read train, PRE.
   const Tick read = t.tRCD + (bursts - 1) * t.tCCD_L + t.tCL + t.tBL +
                     t.tRTP + t.tRP;
-  return init + hammer + read;
+  return init + read;
 }
 
 void RdtProfiler::MakeSeriesContext(dram::RowAddr victim,
                                     std::uint64_t rdt_guess,
                                     SeriesContext& ctx) {
   ctx.grid = GridFor(rdt_guess);
-  ctx.t_on = EffectiveTOn();
-  if (config_.mode == SweepMode::kAnalytic) {
-    ctx.phys = device_->mapper().ToPhysical(victim);
-    ctx.fixed_per_step = IterationTime(0);
-    ctx.per_hammer = 2 * (ctx.t_on + device_->timing().tRP);
-    // In-place rebuild: the engine clears and refills the context's
-    // vectors without releasing their capacity.
-    engine_->MakeMeasureContext(
-        config_.bank, ctx.phys, dram::VictimByte(config_.pattern),
-        dram::AggressorByte(config_.pattern), ctx.t_on,
-        device_->temperature(), device_->encoding(), device_->Now(),
-        ctx.measure);
-  }
+  const Tick t_on = EffectiveTOn();
+  ctx.fixed_per_step = FixedIterationTime();
+  // Double-sided hammering: each hammer activates both aggressors.
+  ctx.per_hammer = 2 * (t_on + device_->timing().tRP);
+  // In-place rebuild: the engine clears and refills the context's
+  // vectors without releasing their capacity.
+  engine_->MakeMeasureContext(
+      config_.bank, device_->mapper().ToPhysical(victim),
+      dram::VictimByte(config_.pattern),
+      dram::AggressorByte(config_.pattern), t_on,
+      device_->temperature(), device_->encoding(), device_->Now(),
+      ctx.measure);
 }
 
-std::int64_t RdtProfiler::MeasureOnceSwept(dram::RowAddr victim,
-                                           const SeriesContext& ctx) {
-  const Grid& grid = ctx.grid;
-  for (std::uint64_t hc = grid.lo; hc < grid.hi; hc += grid.step) {
-    const std::vector<dram::BitFlip> flips =
-        (config_.mode == SweepMode::kCommandLevel)
-            ? host_.TestOnceExact(config_.bank, victim, config_.pattern,
-                                  hc, ctx.t_on)
-            : host_.TestOnce(config_.bank, victim, config_.pattern, hc,
-                             ctx.t_on);
-    if (!flips.empty()) {
-      return static_cast<std::int64_t>(hc);
-    }
-  }
-  return kNoFlip;
-}
-
-std::int64_t RdtProfiler::MeasureOnceAnalytic(SeriesContext& ctx) {
-  VRD_ASSERT(engine_ != nullptr);
+std::int64_t RdtProfiler::MeasureOnceWith(SeriesContext& ctx) {
   const Grid& grid = ctx.grid;
   const double rdt_true =
       engine_->MinFlipHammerCount(ctx.measure, device_->Now());
@@ -142,26 +123,13 @@ std::int64_t RdtProfiler::MeasureOnceAnalytic(SeriesContext& ctx) {
       static_cast<Tick>(steps) * ctx.fixed_per_step +
       ctx.per_hammer * hammer_sum;
   device_->Sleep(duration);
-  return observed;
-}
 
-std::int64_t RdtProfiler::MeasureOnceWith(SeriesContext& ctx,
-                                          dram::RowAddr victim) {
-  const std::int64_t rdt = (config_.mode == SweepMode::kAnalytic)
-                               ? MeasureOnceAnalytic(ctx)
-                               : MeasureOnceSwept(victim, ctx);
   if (fi::ShouldFire("core.profiler.noflip")) {
     // A spuriously clean measurement: the sweep ran (device time has
     // advanced as usual) but the readout missed the flip.
     return kNoFlip;
   }
-  return rdt;
-}
-
-std::int64_t RdtProfiler::MeasureOnce(dram::RowAddr victim,
-                                      std::uint64_t rdt_guess) {
-  MakeSeriesContext(victim, rdt_guess, series_scratch_);
-  return MeasureOnceWith(series_scratch_, victim);
+  return observed;
 }
 
 std::vector<std::int64_t> RdtProfiler::MeasureSeries(
@@ -181,49 +149,30 @@ void RdtProfiler::MeasureSeries(dram::RowAddr victim,
   // scratch context is rebuilt in place with retained capacity.
   MakeSeriesContext(victim, rdt_guess, series_scratch_);
   for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(MeasureOnceWith(series_scratch_, victim));
+    out.push_back(MeasureOnceWith(series_scratch_));
   }
 }
 
 std::optional<std::uint64_t> RdtProfiler::GuessRdt(dram::RowAddr victim) {
   // Seed: rough scale of the row's RDT.
-  std::uint64_t rough = 0;
-  if (config_.mode == SweepMode::kAnalytic) {
-    const dram::PhysicalRow phys = device_->mapper().ToPhysical(victim);
-    const double rdt_true = engine_->MinFlipHammerCount(
-        config_.bank, phys, dram::VictimByte(config_.pattern),
-        dram::AggressorByte(config_.pattern), EffectiveTOn(),
-        device_->temperature(), device_->encoding(), device_->Now());
-    device_->Sleep(10 * units::kMillisecond);
-    if (rdt_true < 1.0 ||
-        rdt_true > static_cast<double>(config_.guess_cap)) {
-      return std::nullopt;
-    }
-    rough = static_cast<std::uint64_t>(rdt_true);
-  } else {
-    std::uint64_t hc = 512;
-    while (hc < config_.guess_cap) {
-      const auto flips = host_.TestOnce(config_.bank, victim,
-                                        config_.pattern, hc,
-                                        EffectiveTOn());
-      if (!flips.empty()) {
-        rough = hc;
-        break;
-      }
-      hc = hc + hc / 2;
-    }
-    if (rough == 0) {
-      return std::nullopt;
-    }
+  const dram::PhysicalRow phys = device_->mapper().ToPhysical(victim);
+  const double rdt_true = engine_->MinFlipHammerCount(
+      config_.bank, phys, dram::VictimByte(config_.pattern),
+      dram::AggressorByte(config_.pattern), EffectiveTOn(),
+      device_->temperature(), device_->encoding(), device_->Now());
+  device_->Sleep(10 * units::kMillisecond);
+  if (rdt_true < 1.0 || rdt_true > static_cast<double>(kGuessCap)) {
+    return std::nullopt;
   }
+  const auto rough = static_cast<std::uint64_t>(rdt_true);
 
-  // Alg. 1: the guess is the mean RDT across `guess_measurements`
+  // Alg. 1: the guess is the mean RDT across kGuessMeasurements
   // repeated measurements.
   double sum = 0.0;
   std::size_t hits = 0;
   MakeSeriesContext(victim, rough, series_scratch_);
-  for (std::size_t i = 0; i < config_.guess_measurements; ++i) {
-    const std::int64_t rdt = MeasureOnceWith(series_scratch_, victim);
+  for (std::size_t i = 0; i < kGuessMeasurements; ++i) {
+    const std::int64_t rdt = MeasureOnceWith(series_scratch_);
     if (rdt != kNoFlip) {
       sum += static_cast<double>(rdt);
       ++hits;
@@ -245,7 +194,7 @@ std::optional<RdtProfiler::Victim> RdtProfiler::FindVictim(
       continue;  // edge rows have no double-sided aggressors
     }
     const std::optional<std::uint64_t> guess = GuessRdt(row);
-    if (guess && *guess < config_.find_victim_threshold) {
+    if (guess && *guess < kFindVictimThreshold) {
       return Victim{row, *guess};
     }
   }

@@ -59,6 +59,29 @@ void ExpectRecordsIdentical(const std::vector<SeriesRecord>& expected,
   }
 }
 
+/// A one-shard, one-record checkpoint. `record_fields` are the
+/// record's mfr, standard, density, die_rev, row, pattern and t_on.
+std::string CheckpointText(const std::string& shard_state,
+                           const std::string& record_fields) {
+  return "vrddram-campaign-checkpoint " +
+         std::to_string(CampaignCheckpoint::kFormatVersion) +
+         "\nconfig 0000000000000000\nshards 1\nshard 0 M1 " +
+         "4054000000000000 " + shard_state + " 1 0\nerror \nrecords 1\n" +
+         "record M1 " + record_fields + " 4054000000000000 42000 1\n" +
+         "41000\nend\n";
+}
+
+/// The FatalError message of `read`, or "" if it did not throw.
+template <typename Read>
+std::string FatalMessage(Read read) {
+  try {
+    read();
+  } catch (const FatalError& error) {
+    return error.what();
+  }
+  return "";
+}
+
 TEST(CampaignCheckpointTest, RoundTripPreservesEverything) {
   CampaignCheckpoint checkpoint;
   checkpoint.config_hash = 0xdeadbeefcafef00dull;
@@ -108,6 +131,41 @@ TEST(CampaignCheckpointTest, RejectsVersionAndGarbage) {
   EXPECT_THROW(ReadCheckpoint(future_version), FatalError);
   std::stringstream garbage("not a checkpoint at all\n");
   EXPECT_THROW(ReadCheckpoint(garbage), FatalError);
+
+  // Out-of-range enum fields, as in a corrupted cache entry, raise a
+  // FatalError naming the field instead of being cast into the enum.
+  std::stringstream intact(CheckpointText("1", "1 0 8 66 77 3 2"));
+  EXPECT_NO_THROW(ReadCheckpoint(intact));
+  const struct {
+    const char* shard_state;
+    const char* record_fields;
+    const char* error;
+  } corruptions[] = {
+      {"1", "3 0 8 66 77 3 2", "mfr 3 out of range"},
+      {"1", "1 -1 8 66 77 3 2", "standard -1 out of range"},
+      {"1", "1 0 8 66 77 7 2", "pattern 7 out of range"},
+      {"1", "1 0 8 66 77 3 3", "t_on 3 out of range"},
+      {"3", "1 0 8 66 77 3 2", "shard state 3 out of range"},
+  };
+  for (const auto& c : corruptions) {
+    std::stringstream corrupted(
+        CheckpointText(c.shard_state, c.record_fields));
+    const std::string message =
+        FatalMessage([&] { ReadCheckpoint(corrupted); });
+    EXPECT_NE(message.find(c.error), std::string::npos)
+        << c.error << ": " << message;
+  }
+
+  // Loaded from a file, the message also names the file.
+  const std::string path = TempCheckpointPath("corrupt_pattern");
+  std::ofstream(path, std::ios::trunc)
+      << CheckpointText("1", "1 0 8 66 77 7 2");
+  CampaignCheckpoint out;
+  const std::string message =
+      FatalMessage([&] { LoadCheckpoint(path, &out); });
+  EXPECT_NE(message.find("checkpoint '" + path + "'"), std::string::npos)
+      << message;
+  std::filesystem::remove(path);
 }
 
 TEST(CampaignCheckpointTest, ConfigHashTracksResultsNotExecution) {

@@ -25,7 +25,7 @@ TEST(GuardbandTest, SmallerMarginsFlipAtLeastAsManyCells) {
   for (const RowGuardbandOutcome& outcome : outcomes) {
     EXPECT_GT(outcome.min_rdt, 0u);
     ASSERT_EQ(outcome.per_margin.size(), 5u);
-    // Margins are ordered 0.5 ... 0.1: in aggregate, shrinking the
+    // Margins are ordered 50% ... 10%: in aggregate, shrinking the
     // margin (hammering closer to the min RDT) flips at least as many
     // unique cells.
     at_largest_margin += outcome.per_margin.front().unique_bitflips;
@@ -39,11 +39,14 @@ TEST(GuardbandTest, HammerCountsMatchMargins) {
   ASSERT_FALSE(outcomes.empty());
   for (const RowGuardbandOutcome& outcome : outcomes) {
     for (const MarginOutcome& per : outcome.per_margin) {
-      const auto expected = static_cast<std::uint64_t>(
-          static_cast<double>(outcome.min_rdt) * (1.0 - per.margin));
-      EXPECT_EQ(per.hammer_count, expected);
+      EXPECT_EQ(per.hammer_count,
+                outcome.min_rdt * (100 - per.margin) / 100);
     }
   }
+  // 90 * (1.0 - 0.30) is 62.99999... in binary floating point; the
+  // hammer count 30% below a min RDT of 90 is exactly 63.
+  EXPECT_EQ(GuardbandHammerCount(90, 30), 63u);
+  EXPECT_THROW(GuardbandHammerCount(90, 101), FatalError);
 }
 
 TEST(GuardbandTest, CodewordCountsBoundedByBitflips) {
@@ -63,17 +66,17 @@ TEST(GuardbandTest, CodewordCountsBoundedByBitflips) {
 
 TEST(GuardbandTest, HistogramAndBerHelpers) {
   const auto outcomes = RunGuardbandStudy(TinyConfig());
-  const auto hist = BitflipHistogramAtMargin(outcomes, 0.10);
+  const auto hist = BitflipHistogramAtMargin(outcomes, 10);
   std::size_t rows_in_hist = 0;
   for (const auto& [bitflips, count] : hist) {
     rows_in_hist += count;
   }
   EXPECT_EQ(rows_in_hist, outcomes.size());
 
-  const double ber = WorstBitErrorRate(outcomes, 0.10, 65536);
+  const double ber = WorstBitErrorRate(outcomes, 10, 65536);
   EXPECT_GE(ber, 0.0);
   EXPECT_LT(ber, 0.01);
-  EXPECT_THROW(WorstBitErrorRate(outcomes, 0.10, 0), FatalError);
+  EXPECT_THROW(WorstBitErrorRate(outcomes, 10, 0), FatalError);
 }
 
 TEST(GuardbandTest, InvalidConfigsThrow) {

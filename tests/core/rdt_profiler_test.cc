@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
+#include "bender/host.h"
 #include "common/error.h"
 #include "core/series_analysis.h"
+#include "core/swept_rdt_oracle.h"
 #include "vrd/chip_catalog.h"
 
 namespace vrddram::core {
@@ -38,7 +41,6 @@ struct ProfilerRig {
 TEST(RdtProfilerTest, FindVictimRespectsThreshold) {
   ProfilerRig rig;
   ProfilerConfig pc;
-  pc.find_victim_threshold = 40000;
   RdtProfiler profiler(*rig.device, pc);
   const auto victim = profiler.FindVictim(1, 255);
   ASSERT_TRUE(victim.has_value());
@@ -95,10 +97,10 @@ TEST(RdtProfilerTest, TimeAdvancesWithMeasurements) {
   EXPECT_GT(elapsed, units::kMillisecond);
 }
 
-TEST(RdtProfilerTest, BulkModeAgreesWithAnalyticStatistically) {
-  // Two identical rigs, one profiled per sweep step through device
-  // commands, one through the analytic fast path: the RDT estimates
-  // must agree within a few percent.
+TEST(RdtProfilerTest, BulkSweepAgreesWithAnalyticStatistically) {
+  // Two identical rigs, one swept step by step through device commands
+  // (the oracle), one profiled through the analytic path: the RDT
+  // estimates must agree within a few percent.
   ProfilerRig bulk_rig;
   ProfilerRig analytic_rig;
   const auto victim_row = [&] {
@@ -109,15 +111,12 @@ TEST(RdtProfilerTest, BulkModeAgreesWithAnalyticStatistically) {
     return *victim;
   }();
 
-  ProfilerConfig bulk_pc;
-  bulk_pc.mode = SweepMode::kBulk;
-  RdtProfiler bulk(*bulk_rig.device, bulk_pc);
-  ProfilerConfig analytic_pc;
-  analytic_pc.mode = SweepMode::kAnalytic;
-  RdtProfiler analytic(*analytic_rig.device, analytic_pc);
+  const ProfilerConfig pc;
+  bender::TestHost bulk(*bulk_rig.device);
+  RdtProfiler analytic(*analytic_rig.device, pc);
 
-  const auto bulk_series =
-      bulk.MeasureSeries(victim_row.row, victim_row.rdt_guess, 40);
+  const auto bulk_series = oracle::SweptSeries(
+      bulk, pc, victim_row.row, victim_row.rdt_guess, 40);
   const auto analytic_series =
       analytic.MeasureSeries(victim_row.row, victim_row.rdt_guess, 40);
   const double bulk_mean =
@@ -127,8 +126,8 @@ TEST(RdtProfilerTest, BulkModeAgreesWithAnalyticStatistically) {
   EXPECT_NEAR(bulk_mean / analytic_mean, 1.0, 0.05);
 }
 
-TEST(RdtProfilerTest, CommandLevelModeAgreesOnDeterministicDevice) {
-  // Without measurement noise the per-command and bulk paths follow
+TEST(RdtProfilerTest, CommandLevelSweepAgreesOnDeterministicDevice) {
+  // Without measurement noise the per-command and bulk sweeps follow
   // identical trap trajectories and must agree exactly.
   ProfilerRig exact_rig(0.0);
   ProfilerRig bulk_rig(0.0);
@@ -139,16 +138,15 @@ TEST(RdtProfilerTest, CommandLevelModeAgreesOnDeterministicDevice) {
   const auto victim = probe.FindVictim(1, 255);
   ASSERT_TRUE(victim.has_value());
 
-  ProfilerConfig pc;
-  pc.mode = SweepMode::kCommandLevel;
-  RdtProfiler exact(*exact_rig.device, pc);
-  pc.mode = SweepMode::kBulk;
-  RdtProfiler bulk(*bulk_rig.device, pc);
+  const ProfilerConfig pc;
+  bender::TestHost exact(*exact_rig.device);
+  bender::TestHost bulk(*bulk_rig.device);
 
   const std::int64_t exact_rdt =
-      exact.MeasureOnce(victim->row, victim->rdt_guess);
+      oracle::SweptMeasurement(exact, pc, victim->row, victim->rdt_guess,
+                               oracle::SweepPath::kCommandLevel);
   const std::int64_t bulk_rdt =
-      bulk.MeasureOnce(victim->row, victim->rdt_guess);
+      oracle::SweptMeasurement(bulk, pc, victim->row, victim->rdt_guess);
   EXPECT_EQ(exact_rdt, bulk_rdt);
 }
 
@@ -166,33 +164,24 @@ TEST(RdtProfilerTest, GuessIsCloseToSeriesMean) {
 
 TEST(RdtProfilerTest, InvalidConfigsThrow) {
   ProfilerRig rig;
-  ProfilerConfig bad;
-  bad.sweep_lo_frac = 0.0;
-  EXPECT_THROW(RdtProfiler(*rig.device, bad), FatalError);
-  ProfilerConfig inverted;
-  inverted.sweep_lo_frac = 2.0;
-  inverted.sweep_hi_frac = 1.0;
-  EXPECT_THROW(RdtProfiler(*rig.device, inverted), FatalError);
   ProfilerConfig bad_bank;
   bad_bank.bank = 99;
   EXPECT_THROW(RdtProfiler(*rig.device, bad_bank), FatalError);
 
-  // Analytic mode requires a trap engine.
+  // Profiling requires a trap engine.
   dram::DeviceConfig plain_config;
   plain_config.org.num_banks = 1;
   plain_config.org.rows_per_bank = 64;
   plain_config.org.row_bytes = 128;
   dram::Device plain(plain_config);
-  ProfilerConfig analytic;
-  analytic.mode = SweepMode::kAnalytic;
-  EXPECT_THROW(RdtProfiler(plain, analytic), FatalError);
+  EXPECT_THROW(RdtProfiler(plain, ProfilerConfig{}), FatalError);
 }
 
-TEST(RdtProfilerTest, MeasureOnceRejectsZeroGuess) {
+TEST(RdtProfilerTest, MeasureSeriesRejectsZeroGuess) {
   ProfilerRig rig;
   ProfilerConfig pc;
   RdtProfiler profiler(*rig.device, pc);
-  EXPECT_THROW(profiler.MeasureOnce(5, 0), FatalError);
+  EXPECT_THROW(profiler.MeasureSeries(5, 0, 1), FatalError);
 }
 
 }  // namespace
@@ -212,8 +201,8 @@ TEST(RdtProfilerTest, NoFlipRecordedWhenGridTooLow) {
   ASSERT_TRUE(victim.has_value());
 
   const Tick t0 = rig.device->Now();
-  const std::int64_t rdt = profiler.MeasureOnce(victim->row, 4);
-  EXPECT_EQ(rdt, kNoFlip);
+  const auto series = profiler.MeasureSeries(victim->row, 4, 1);
+  EXPECT_EQ(series, std::vector<std::int64_t>{kNoFlip});
   EXPECT_GT(rig.device->Now(), t0);
 }
 

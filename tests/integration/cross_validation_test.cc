@@ -1,14 +1,17 @@
 /**
  * @file
  * Cross-validation between independent implementations: the Appendix A
- * analytic TestTimeModel versus the command-level Device path, and the
+ * analytic TestTimeModel versus the command-level Device path, the
  * Monte Carlo resampler versus the closed-form min-RDT statistics on
- * real campaign data.
+ * real campaign data, and the analytic profiler's sweep duration
+ * versus the step-by-step swept oracle.
  */
 #include <gtest/gtest.h>
 
+#include "bender/host.h"
 #include "core/min_rdt.h"
 #include "core/rdt_profiler.h"
+#include "core/swept_rdt_oracle.h"
 #include "core/test_time_model.h"
 #include "stats/min_sample_oracle.h"
 #include "vrd/chip_catalog.h"
@@ -77,7 +80,8 @@ TEST(CrossValidationTest, MonteCarloMatchesClosedFormOnRealSeries) {
 
 TEST(CrossValidationTest, AnalyticSweepDurationMatchesBulkSweep) {
   // The analytic profiler sleeps for the duration the bulk sweep would
-  // take; measure both on identical twins and compare.
+  // take; measure both on identical twins (the bulk sweep through the
+  // swept oracle) and compare.
   auto analytic_device = vrd::BuildDevice("S2", 77);
   auto bulk_device = vrd::BuildDevice("S2", 77);
 
@@ -86,17 +90,14 @@ TEST(CrossValidationTest, AnalyticSweepDurationMatchesBulkSweep) {
   const auto victim = seeder.FindVictim(1, 4000);
   ASSERT_TRUE(victim.has_value());
 
-  core::ProfilerConfig analytic_pc;
-  analytic_pc.mode = core::SweepMode::kAnalytic;
-  core::RdtProfiler analytic(*analytic_device, analytic_pc);
-  core::ProfilerConfig bulk_pc;
-  bulk_pc.mode = core::SweepMode::kBulk;
-  core::RdtProfiler bulk(*bulk_device, bulk_pc);
+  const core::ProfilerConfig pc;
+  core::RdtProfiler analytic(*analytic_device, pc);
+  bender::TestHost bulk(*bulk_device);
 
   const Tick a0 = analytic_device->Now();
   const Tick b0 = bulk_device->Now();
   analytic.MeasureSeries(victim->row, victim->rdt_guess, 20);
-  bulk.MeasureSeries(victim->row, victim->rdt_guess, 20);
+  oracle::SweptSeries(bulk, pc, victim->row, victim->rdt_guess, 20);
   const double a_elapsed =
       units::ToSeconds(analytic_device->Now() - a0);
   const double b_elapsed = units::ToSeconds(bulk_device->Now() - b0);
