@@ -10,10 +10,13 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/table.h"
+#include "common/thread_pool.h"
 #include "core/campaign.h"
 #include "core/rdt_profiler.h"
 #include "core/series_analysis.h"
@@ -101,6 +104,31 @@ struct SingleRowSeries {
 bool CollectSingleRowSeries(const std::string& device_name,
                             std::size_t measurements,
                             std::uint64_t seed, SingleRowSeries* out);
+
+/**
+ * CollectSingleRowSeries fanned out over `devices` on the shard
+ * executor, one device per shard. Each shard reduces its series to
+ * `summarize(series)` on its worker, so no raw series outlives its
+ * shard. Slot i holds device i's summary, or nullopt when no victim row
+ * qualifies; merging the slots in order gives the serial loop's bytes
+ * at any `threads`.
+ */
+template <typename Fn>
+auto SummarizeSingleRowSeries(const std::vector<std::string>& devices,
+                              std::size_t measurements, std::uint64_t seed,
+                              std::size_t threads, Fn&& summarize)
+    -> std::vector<std::optional<
+        std::invoke_result_t<Fn&, const SingleRowSeries&>>> {
+  using Summary = std::invoke_result_t<Fn&, const SingleRowSeries&>;
+  return MapShards(
+      devices.size(), threads, [&](std::size_t i) -> std::optional<Summary> {
+        SingleRowSeries data;
+        if (!CollectSingleRowSeries(devices[i], measurements, seed, &data)) {
+          return std::nullopt;
+        }
+        return summarize(data);
+      });
+}
 
 /// Append one box-and-whiskers row (min / Q1 / median / Q3 / max /
 /// mean) to a table.

@@ -48,10 +48,13 @@ ExperimentRegistrar::ExperimentRegistrar(ExperimentSpec (*factory)()) {
   ExperimentRegistry::Instance().Register(factory());
 }
 
+FlagSpec ThreadsFlagSpec() {
+  return {"threads", "0", "worker threads (0 = hardware concurrency)"};
+}
+
 std::vector<FlagSpec> CampaignFlagSpecs() {
   return {
-      {"threads", "0",
-       "campaign worker threads (0 = hardware concurrency)"},
+      ThreadsFlagSpec(),
       {"checkpoint", "", "persist completed shards to this file"},
       {"resume", "false", "restore completed shards from --checkpoint"},
       {"inject", "", "fault-injection plan (fi::FaultPlan grammar)"},

@@ -100,6 +100,11 @@ struct ExperimentRegistrar {
     (factory)                                        \
   }
 
+/// The shared --threads flag (default 0 = hardware concurrency). Every
+/// experiment that fans out on the shard executor declares it; the
+/// reports are byte-identical at any value.
+FlagSpec ThreadsFlagSpec();
+
 /// The execution flags shared by every campaign experiment
 /// (--threads, --checkpoint, --resume, --inject, --max_attempts).
 /// Appended to a spec's own FlagSpecs; values are applied to the

@@ -24,6 +24,7 @@ void AnalyzeFig01(const core::CampaignResult&, Report* report) {
       static_cast<std::size_t>(flags.GetUint("measurements"));
   const std::uint64_t seed = flags.GetUint("seed");
   const std::string scan = flags.GetString("scan");
+  const auto threads = static_cast<std::size_t>(flags.GetUint("threads"));
 
   PrintBanner(out, "Figure 1: RDT of one row over " +
                        std::to_string(measurements) +
@@ -94,17 +95,25 @@ void AnalyzeFig01(const core::CampaignResult&, Report* report) {
     PrintBanner(out, "Worst-case first-minimum index across devices");
     TextTable table(
         {"device", "row", "first min at", "min RDT", "max/min"});
-    std::size_t worst = 0;
     const std::size_t scan_measurements =
         std::min<std::size_t>(measurements, 100000);
-    for (const std::string& name : ResolveDevices(scan)) {
-      SingleRowSeries scan_data;
-      if (!CollectSingleRowSeries(name, scan_measurements, seed + 17,
-                                  &scan_data)) {
+    struct ScanRow {
+      dram::RowAddr row;
+      core::SeriesAnalysis analysis;
+    };
+    const std::vector<std::string> scan_devices = ResolveDevices(scan);
+    const auto scanned = SummarizeSingleRowSeries(
+        scan_devices, scan_measurements, seed + 17, threads,
+        [](const SingleRowSeries& data) {
+          return ScanRow{data.row, core::AnalyzeSeries(data.series)};
+        });
+    std::size_t worst = 0;
+    for (std::size_t i = 0; i < scan_devices.size(); ++i) {
+      if (!scanned[i]) {
         continue;
       }
-      const auto a = core::AnalyzeSeries(scan_data.series);
-      table.AddRow({name, Cell(scan_data.row),
+      const core::SeriesAnalysis& a = scanned[i]->analysis;
+      table.AddRow({scan_devices[i], Cell(scanned[i]->row),
                     Cell(static_cast<std::uint64_t>(a.first_min_index)),
                     Cell(a.min_rdt), Cell(a.max_over_min, 2)});
       worst = std::max(worst, a.first_min_index);
@@ -126,6 +135,7 @@ ExperimentSpec Fig01Spec() {
       {"seed", "2025", "base RNG seed"},
       {"scan", "all",
        "device set for the worst-case first-minimum scan (none skips)"},
+      ThreadsFlagSpec(),
   };
   spec.smoke_args = {"--measurements=2000", "--scan=none"};
   spec.analyze = AnalyzeFig01;

@@ -17,6 +17,7 @@ void AnalyzeFig03(const core::CampaignResult&, Report* report) {
       static_cast<std::size_t>(flags.GetUint("measurements"));
   const std::uint64_t seed = flags.GetUint("seed");
   const auto devices = ResolveDevices(flags.GetString("devices"));
+  const auto threads = static_cast<std::size_t>(flags.GetUint("threads"));
 
   PrintBanner(out,
               "Figure 3: RDT distribution of a single victim row per "
@@ -27,13 +28,20 @@ void AnalyzeFig03(const core::CampaignResult&, Report* report) {
       {"device", "min", "Q1", "median", "Q3", "max", "mean"});
   double worst_ratio = 1.0;
   std::string worst_device;
-  for (const std::string& name : devices) {
-    SingleRowSeries data;
-    if (!CollectSingleRowSeries(name, measurements, seed, &data)) {
+  const auto analyses = SummarizeSingleRowSeries(
+      devices, measurements, seed, threads,
+      [](const SingleRowSeries& data) {
+        return core::AnalyzeSeries(data.series);
+      });
+  // The merge runs on the calling thread, so the skip notes reach
+  // stderr in device order at any --threads.
+  for (std::size_t i = 0; i < devices.size(); ++i) {
+    const std::string& name = devices[i];
+    if (!analyses[i]) {
       std::cerr << "skipping " << name << ": no victim row\n";
       continue;
     }
-    const core::SeriesAnalysis analysis = core::AnalyzeSeries(data.series);
+    const core::SeriesAnalysis& analysis = *analyses[i];
     AddBoxRow(table, name, analysis.box);
     if (analysis.max_over_min > worst_ratio) {
       worst_ratio = analysis.max_over_min;
@@ -59,6 +67,7 @@ ExperimentSpec Fig03Spec() {
       {"devices", "all", "device set: all, ddr4, hbm2, or comma list"},
       {"measurements", "100000", "measurements per victim row"},
       {"seed", "2025", "base RNG seed"},
+      ThreadsFlagSpec(),
   };
   spec.smoke_args = {"--measurements=2000", "--devices=M1,S2"};
   spec.analyze = AnalyzeFig03;

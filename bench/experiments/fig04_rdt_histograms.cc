@@ -10,6 +10,7 @@
  */
 #include <algorithm>
 #include <iostream>
+#include <optional>
 
 #include "common/experiment.h"
 #include "stats/histogram.h"
@@ -25,6 +26,7 @@ void AnalyzeFig04(const core::CampaignResult&, Report* report) {
   const std::uint64_t seed = flags.GetUint("seed");
   const auto devices = ResolveDevices(flags.GetString("devices"));
   const std::string bars_device = flags.GetString("bars");
+  const auto threads = static_cast<std::size_t>(flags.GetUint("threads"));
 
   PrintBanner(out,
               "Figure 4: RDT histograms (bins = unique values) and "
@@ -36,12 +38,33 @@ void AnalyzeFig04(const core::CampaignResult&, Report* report) {
   std::vector<double> unimodal_ps;
   std::size_t m1_unique = 0;
   std::size_t chip1_modes = 0;
-  for (const std::string& name : devices) {
-    SingleRowSeries data;
-    if (!CollectSingleRowSeries(name, measurements, seed, &data)) {
+  // Per-device summary built on the worker: the analysis, plus the
+  // unique-value histogram of the --bars device.
+  struct DeviceSummary {
+    core::SeriesAnalysis analysis;
+    std::optional<stats::Histogram> bars;
+  };
+  const auto summaries = SummarizeSingleRowSeries(
+      devices, measurements, seed, threads,
+      [&](const SingleRowSeries& data) {
+        DeviceSummary summary{core::AnalyzeSeries(data.series), {}};
+        if (data.device == bars_device) {
+          std::vector<double> values;
+          for (const std::int64_t v : data.series) {
+            if (v >= 0) {
+              values.push_back(static_cast<double>(v));
+            }
+          }
+          summary.bars = stats::BuildUniqueValueHistogram(values);
+        }
+        return summary;
+      });
+  for (std::size_t i = 0; i < devices.size(); ++i) {
+    if (!summaries[i]) {
       continue;
     }
-    const core::SeriesAnalysis a = core::AnalyzeSeries(data.series);
+    const std::string& name = devices[i];
+    const core::SeriesAnalysis& a = summaries[i]->analysis;
     table.AddRow({name, Cell(a.unique_values),
                   Cell(a.histogram_modes), Cell(a.normal_fit.p_value, 4),
                   a.normal_fit.NormalAt(0.05) ? "yes" : "no",
@@ -57,16 +80,9 @@ void AnalyzeFig04(const core::CampaignResult&, Report* report) {
       chip1_modes = a.histogram_modes;
     }
 
-    if (name == bars_device) {
+    if (summaries[i]->bars) {
       PrintBanner(out, "Histogram of " + name);
-      std::vector<double> values;
-      for (const std::int64_t v : data.series) {
-        if (v >= 0) {
-          values.push_back(static_cast<double>(v));
-        }
-      }
-      const stats::Histogram hist =
-          stats::BuildUniqueValueHistogram(values);
+      const stats::Histogram& hist = *summaries[i]->bars;
       const auto peak = hist.bins[hist.ModeBin()].count;
       for (const stats::HistogramBin& bin : hist.bins) {
         const auto width = static_cast<std::size_t>(
@@ -113,6 +129,7 @@ ExperimentSpec Fig04Spec() {
       {"seed", "2025", "base RNG seed"},
       {"bars", "M1",
        "device whose full ASCII histogram is printed (none skips)"},
+      ThreadsFlagSpec(),
   };
   spec.smoke_args = {"--measurements=4000", "--devices=M1,Chip1",
                      "--bars=none"};

@@ -21,24 +21,28 @@ void AnalyzeFig05(const core::CampaignResult&, Report* report) {
       static_cast<std::size_t>(flags.GetUint("measurements"));
   const std::uint64_t seed = flags.GetUint("seed");
   const auto devices = ResolveDevices(flags.GetString("devices"));
+  const auto threads = static_cast<std::size_t>(flags.GetUint("threads"));
 
   PrintBanner(out,
               "Figure 5: run lengths of equal consecutive RDT "
               "measurements, aggregated across rows");
 
+  const auto per_device = SummarizeSingleRowSeries(
+      devices, measurements, seed, threads,
+      [](const SingleRowSeries& data) {
+        std::vector<std::int64_t> valid;
+        for (const std::int64_t v : data.series) {
+          if (v >= 0) {
+            valid.push_back(v);
+          }
+        }
+        return stats::ComputeRunLengths(valid);
+      });
   stats::RunLengthHistogram aggregate;
-  for (const std::string& name : devices) {
-    SingleRowSeries data;
-    if (!CollectSingleRowSeries(name, measurements, seed, &data)) {
-      continue;
+  for (const auto& run_lengths : per_device) {
+    if (run_lengths) {
+      stats::Merge(aggregate, *run_lengths);
     }
-    std::vector<std::int64_t> valid;
-    for (const std::int64_t v : data.series) {
-      if (v >= 0) {
-        valid.push_back(v);
-      }
-    }
-    stats::Merge(aggregate, stats::ComputeRunLengths(valid));
   }
 
   TextTable table({"consecutive equal measurements", "# of runs"});
@@ -64,6 +68,7 @@ ExperimentSpec Fig05Spec() {
       {"devices", "all", "device set: all, ddr4, hbm2, or comma list"},
       {"measurements", "100000", "measurements per victim row"},
       {"seed", "2025", "base RNG seed"},
+      ThreadsFlagSpec(),
   };
   spec.smoke_args = {"--measurements=2000", "--devices=M1,S2"};
   spec.analyze = AnalyzeFig05;

@@ -10,6 +10,8 @@
 #include <map>
 
 #include "common/experiment.h"
+#include "common/thread_pool.h"
+#include "core/guardband.h"
 #include "memsim/system.h"
 
 namespace vrddram::bench {
@@ -34,18 +36,21 @@ void AnalyzeFig14(const core::CampaignResult&, Report* report) {
   const Scheduler scheduler = flags.GetBool("frfcfs")
                                   ? Scheduler::kFrFcfs
                                   : Scheduler::kInOrder;
+  const auto threads = static_cast<std::size_t>(flags.GetUint("threads"));
 
   PrintBanner(out,
               "Figure 14: normalized performance of read-disturbance "
               "mitigations vs. configured RDT and guardband");
 
+  // Safety margins are integer percents below the base RDT, applied
+  // with the guardband study's GuardbandHammerCount.
   struct Config {
     std::uint64_t base_rdt;
-    double margin;
+    std::uint32_t margin_pct;
   };
-  const Config configs[] = {{1024, 0.0},  {1024, 0.10}, {1024, 0.25},
-                            {1024, 0.50}, {128, 0.0},   {128, 0.10},
-                            {128, 0.25},  {128, 0.50}};
+  const Config configs[] = {{1024, 0},  {1024, 10}, {1024, 25},
+                            {1024, 50}, {128, 0},   {128, 10},
+                            {128, 25},  {128, 50}};
   const MitigationKind kinds[] = {
       MitigationKind::kGraphene, MitigationKind::kPrac,
       MitigationKind::kPara, MitigationKind::kMint};
@@ -54,39 +59,51 @@ void AnalyzeFig14(const core::CampaignResult&, Report* report) {
   if (mixes.size() > num_mixes) {
     mixes.resize(num_mixes);
   }
-
-  // Baseline per mix.
-  std::vector<SystemResult> baselines;
-  for (std::size_t m = 0; m < mixes.size(); ++m) {
+  const std::size_t num_kinds = std::size(kinds);
+  auto config_for = [&](std::size_t m) {
     SystemConfig sc;
     sc.requests_per_core = requests;
     sc.seed = seed + m;
     sc.scheduler = scheduler;
-    baselines.push_back(SimulateMix(mixes[m], sc));
-  }
+    return sc;
+  };
+
+  // Every simulation is a pure function of (mix, SystemConfig), so each
+  // one is a shard: first the baseline per mix, then every (config,
+  // kind, mix) run. A mitigated slot keeps only its normalized
+  // performance; a SystemResult holds every request latency.
+  const std::vector<SystemResult> baselines =
+      MapShards(mixes.size(), threads, [&](std::size_t m) {
+        return SimulateMix(mixes[m], config_for(m));
+      });
+  const std::vector<double> normalized = MapShards(
+      std::size(configs) * num_kinds * mixes.size(), threads,
+      [&](std::size_t i) {
+        const std::size_t m = i % mixes.size();
+        const std::size_t k = i / mixes.size() % num_kinds;
+        const Config& config = configs[i / mixes.size() / num_kinds];
+        SystemConfig sc = config_for(m);
+        sc.mitigation = kinds[k];
+        sc.rdt = core::GuardbandHammerCount(config.base_rdt,
+                                            config.margin_pct);
+        return NormalizedPerformance(SimulateMix(mixes[m], sc),
+                                     baselines[m]);
+      });
 
   TextTable table({"RDT (margin)", "configured", "Graphene", "PRAC",
                    "PARA", "MINT"});
   std::map<std::pair<int, int>, double> cell;  // (config idx, kind idx)
   for (std::size_t c = 0; c < std::size(configs); ++c) {
-    const auto configured = static_cast<std::uint64_t>(
-        static_cast<double>(configs[c].base_rdt) *
-        (1.0 - configs[c].margin));
     std::vector<std::string> row = {
-        Cell(configs[c].base_rdt) + " (" +
-            Cell(configs[c].margin * 100.0, 0) + "%)",
-        Cell(configured)};
-    for (std::size_t k = 0; k < std::size(kinds); ++k) {
+        Cell(configs[c].base_rdt) + " (" + Cell(configs[c].margin_pct) +
+            "%)",
+        Cell(core::GuardbandHammerCount(configs[c].base_rdt,
+                                        configs[c].margin_pct))};
+    for (std::size_t k = 0; k < num_kinds; ++k) {
+      // Summed in mix order, so the mean is the same at any --threads.
       double sum = 0.0;
       for (std::size_t m = 0; m < mixes.size(); ++m) {
-        SystemConfig sc;
-        sc.requests_per_core = requests;
-        sc.seed = seed + m;
-        sc.scheduler = scheduler;
-        sc.mitigation = kinds[k];
-        sc.rdt = configured;
-        const SystemResult result = SimulateMix(mixes[m], sc);
-        sum += NormalizedPerformance(result, baselines[m]);
+        sum += normalized[(c * num_kinds + k) * mixes.size() + m];
       }
       const double mean = sum / static_cast<double>(mixes.size());
       cell[{static_cast<int>(c), static_cast<int>(k)}] = mean;
@@ -96,13 +113,11 @@ void AnalyzeFig14(const core::CampaignResult&, Report* report) {
   }
   table.Print(out);
 
-  // Tail-latency view of the worst configuration.
+  // Tail-latency view of the worst configuration. The mix0 baseline is
+  // baselines[0]: same mix, seed and config.
   {
-    SystemConfig sc;
-    sc.requests_per_core = requests;
-    sc.seed = seed;
-    sc.scheduler = scheduler;
-    const SystemResult base = SimulateMix(mixes[0], sc);
+    const SystemResult& base = baselines[0];
+    SystemConfig sc = config_for(0);
     sc.mitigation = MitigationKind::kMint;
     sc.rdt = 64;
     const SystemResult worst = SimulateMix(mixes[0], sc);
@@ -152,6 +167,7 @@ ExperimentSpec Fig14Spec() {
       {"mixes", "15", "workload mixes to simulate"},
       {"seed", "2025", "base RNG seed"},
       {"frfcfs", "false", "use the FR-FCFS scheduler"},
+      ThreadsFlagSpec(),
   };
   spec.smoke_args = {"--requests=2000", "--mixes=2"};
   spec.analyze = AnalyzeFig14;

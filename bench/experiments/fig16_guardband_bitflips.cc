@@ -27,6 +27,7 @@ void AnalyzeFig16(const core::CampaignResult&, Report* report) {
   config.base_seed = flags.GetUint("seed");
   config.scan_rows_per_region =
       static_cast<std::size_t>(flags.GetUint("scan"));
+  config.threads = static_cast<std::size_t>(flags.GetUint("threads"));
 
   PrintBanner(out,
               "Figure 16: unique bitflips per row when hammering below "
@@ -104,6 +105,7 @@ ExperimentSpec Fig16Spec() {
       {"trials", "10000", "hammer trials per (row, margin)"},
       {"seed", "2025", "base RNG seed"},
       {"scan", "96", "rows scanned per region when selecting victims"},
+      ThreadsFlagSpec(),
   };
   spec.smoke_args = {"--devices=M1,S2", "--rows=3", "--trials=300"};
   spec.analyze = AnalyzeFig16;

@@ -173,4 +173,19 @@ void ThreadPool::WorkerLoop(std::size_t index) {
   }
 }
 
+std::size_t RunShards(std::size_t n, std::size_t threads,
+                      const std::function<void(std::size_t)>& shard) {
+  const std::size_t workers = std::min(
+      threads == 0 ? ThreadPool::DefaultWorkerCount() : threads, n);
+  if (workers > 1) {
+    ThreadPool pool(workers);
+    pool.ParallelFor(n, shard);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      shard(i);
+    }
+  }
+  return workers;
+}
+
 }  // namespace vrddram

@@ -1,7 +1,9 @@
 /**
  * @file
- * Work-stealing thread pool for the embarrassingly-parallel hot loop
- * of the suite: campaign shards.
+ * Work-stealing thread pool and the one shard executor on top of it
+ * (RunShards / MapShards), which every parallel site of the suite
+ * dispatches through: campaign shards, the guardband study's devices,
+ * fig14's memsim runs and the single-row series experiments.
  *
  * Design constraints, in order:
  *  1. Determinism: the pool never owns randomness or ordering. Callers
@@ -30,6 +32,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace vrddram {
@@ -98,6 +101,32 @@ class ThreadPool {
   /// rethrown exception is deterministic under concurrent failures.
   std::size_t error_index_ = 0;
 };
+
+/**
+ * The shard executor: run shard(i) for every i in [0, n) on
+ * min(threads, n) workers, where `threads` = 0 selects
+ * ThreadPool::DefaultWorkerCount(). One worker runs the shards inline
+ * on the calling thread in index order; more go through a fresh
+ * ThreadPool's ParallelFor. Every shard must derive all of its state
+ * from its index and write only its own preallocated slot, so a caller
+ * that merges the slots in index order gets the same bytes at any
+ * worker count. Rethrows the exception of the smallest index that
+ * threw. Returns the worker count used (0 when n = 0).
+ */
+std::size_t RunShards(std::size_t n, std::size_t threads,
+                      const std::function<void(std::size_t)>& shard);
+
+/// RunShards collecting shard(i)'s return value into slot i.
+template <typename Fn>
+auto MapShards(std::size_t n, std::size_t threads, Fn&& shard)
+    -> std::vector<std::invoke_result_t<Fn&, std::size_t>> {
+  using Slot = std::invoke_result_t<Fn&, std::size_t>;
+  static_assert(!std::is_same_v<Slot, bool>,
+                "vector<bool> packs slots into shared bytes");
+  std::vector<Slot> slots(n);
+  RunShards(n, threads, [&](std::size_t i) { slots[i] = shard(i); });
+  return slots;
+}
 
 }  // namespace vrddram
 

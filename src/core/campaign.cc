@@ -398,18 +398,8 @@ CampaignResult RunCampaign(const CampaignConfig& config,
     *progress << line.str();
   };
 
-  const std::size_t threads =
-      config.threads == 0 ? ThreadPool::DefaultWorkerCount()
-                          : config.threads;
-  const std::size_t workers = std::min(threads, shards.size());
-  if (workers > 1) {
-    ThreadPool pool(workers);
-    pool.ParallelFor(shards.size(), run_one);
-  } else {
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-      run_one(i);
-    }
-  }
+  const std::size_t workers =
+      RunShards(shards.size(), config.threads, run_one);
 
   CampaignResult result;
   std::size_t total_series = 0;

@@ -77,10 +77,11 @@ struct CampaignConfig {
   /**
    * Worker threads for the campaign executor: the campaign is sharded
    * at (device, temperature) granularity and shards run concurrently
-   * on a work-stealing pool. 0 selects hardware_concurrency, 1 runs
-   * the shards inline on the calling thread. Results are bit-identical
-   * for every setting: each shard derives all state deterministically
-   * from (device name, base_seed) and the merge order is canonical.
+   * on the shard executor (RunShards). 0 selects hardware_concurrency,
+   * 1 runs the shards inline on the calling thread. Results are
+   * bit-identical for every setting: each shard derives all state
+   * deterministically from (device name, base_seed) and the merge order
+   * is canonical.
    */
   std::size_t threads = 0;
 

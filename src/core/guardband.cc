@@ -4,6 +4,7 @@
 #include <ostream>
 
 #include "common/error.h"
+#include "common/thread_pool.h"
 #include "core/campaign.h"
 
 namespace vrddram::core {
@@ -32,6 +33,140 @@ std::size_t MaxFlipsPerGroup(std::span<const std::uint32_t> sorted_bits,
   return worst;
 }
 
+/// One shard's slot: the device's selected row count and its outcomes
+/// in (pattern, row) order.
+struct DeviceStudy {
+  std::size_t rows = 0;
+  std::vector<RowGuardbandOutcome> outcomes;
+};
+
+/// One shard of the study. The device is BuildDevice(name, base_seed)
+/// with its own clock, so the result depends on nothing but the name.
+DeviceStudy StudyDevice(const GuardbandConfig& config,
+                        const std::string& name) {
+  DeviceStudy study;
+
+  // Shard-local scratch reused by every (pattern, row, margin)
+  // combination: the measurement loops are allocation-free once the
+  // buffers reach their high-water capacity.
+  vrd::MeasureContext mctx;
+  std::vector<std::int64_t> baseline;
+  std::vector<vrd::TrapFaultEngine::CellFlipPoint> points;
+  std::vector<std::uint32_t> flipped_bits;
+  std::vector<std::uint32_t> chip_scratch;
+
+  std::unique_ptr<dram::Device> device =
+      vrd::BuildDevice(name, config.base_seed);
+  auto* engine = dynamic_cast<vrd::TrapFaultEngine*>(&device->model());
+  VRD_ASSERT(engine != nullptr);
+  device->SetTemperature(config.temperature);
+
+  const std::size_t per_region =
+      std::max<std::size_t>(1, config.rows_per_device / 3);
+  const std::vector<dram::RowAddr> rows = SelectVulnerableRows(
+      *device, *engine, /*bank=*/0, per_region,
+      config.scan_rows_per_region, dram::DataPattern::kCheckered0,
+      device->timing().tRAS);
+  study.rows = rows.size();
+
+  for (const dram::DataPattern pattern : config.patterns) {
+    ProfilerConfig pc;
+    pc.bank = 0;
+    pc.pattern = pattern;
+    RdtProfiler profiler(*device, pc);
+
+    for (const dram::RowAddr row : rows) {
+      // Step 1: a handful of RDT measurements; keep the minimum (the
+      // paper uses 5 to keep testing time reasonable).
+      const std::optional<std::uint64_t> guess = profiler.GuessRdt(row);
+      if (!guess) {
+        continue;
+      }
+      profiler.MeasureSeries(row, *guess, config.baseline_measurements,
+                             baseline);
+      const std::int64_t min_rdt = MinObservedRdt(baseline);
+      if (min_rdt <= 0) {
+        continue;
+      }
+
+      RowGuardbandOutcome outcome;
+      outcome.device = name;
+      outcome.row = row;
+      outcome.pattern = pattern;
+      outcome.min_rdt = static_cast<std::uint64_t>(min_rdt);
+
+      const dram::PhysicalRow phys = device->mapper().ToPhysical(row);
+      const std::uint32_t chips = device->org().chips_per_rank;
+      const Tick t_on = device->timing().tRAS;
+      const Tick trial_time =
+          static_cast<Tick>(2 * outcome.min_rdt) *
+          (t_on + device->timing().tRP);
+
+      // Step 2: hammer repeatedly at guard-banded hammer counts and
+      // union the flipping cells. All trials of all margins query the
+      // same (row, pattern, temperature), so one rebuilt-in-place
+      // MeasureContext and the hoisted scratch buffers serve the
+      // whole sweep without allocating.
+      engine->MakeMeasureContext(
+          /*bank=*/0, phys, dram::VictimByte(pattern),
+          dram::AggressorByte(pattern), t_on, config.temperature,
+          device->encoding(), device->Now(), mctx);
+      for (const std::uint32_t margin : config.margins) {
+        MarginOutcome per;
+        per.margin = margin;
+        per.hammer_count = GuardbandHammerCount(outcome.min_rdt, margin);
+        flipped_bits.clear();
+        for (std::size_t trial = 0; trial < config.trials; ++trial) {
+          bool any = false;
+          engine->PerCellFlipHammerCounts(mctx, device->Now(), points);
+          for (const auto& point : points) {
+            if (point.hammer_count >= 0.0 &&
+                point.hammer_count <=
+                    static_cast<double>(per.hammer_count)) {
+              flipped_bits.push_back(point.bit_index);
+              any = true;
+            }
+          }
+          if (any) {
+            ++per.trials_with_flips;
+          }
+          device->Sleep(trial_time);
+        }
+
+        // Deduplicate across trials: sort+unique in the hoisted
+        // buffer stands in for the ordered set the study previously
+        // populated per margin (same unique bits, same order).
+        std::sort(flipped_bits.begin(), flipped_bits.end());
+        flipped_bits.erase(
+            std::unique(flipped_bits.begin(), flipped_bits.end()),
+            flipped_bits.end());
+        per.unique_bitflips = flipped_bits.size();
+
+        // Codeword maxima via run-length scans over the sorted bits
+        // (a SECDED codeword covers 8 bytes = 64 bits, a chipkill
+        // codeword 16 bytes = 128); chips touched via the sorted
+        // chip-index scratch. All pure functions of the bit set,
+        // identical to the previous histogram-map aggregation.
+        per.max_per_secded_codeword = MaxFlipsPerGroup(flipped_bits, 64);
+        per.max_per_chipkill_codeword =
+            MaxFlipsPerGroup(flipped_bits, 128);
+        chip_scratch.clear();
+        for (const std::uint32_t bit : flipped_bits) {
+          chip_scratch.push_back((bit / 8) % chips);
+        }
+        std::sort(chip_scratch.begin(), chip_scratch.end());
+        chip_scratch.erase(
+            std::unique(chip_scratch.begin(), chip_scratch.end()),
+            chip_scratch.end());
+        per.chips_touched = chip_scratch.size();
+        outcome.per_margin.push_back(per);
+      }
+      study.outcomes.push_back(std::move(outcome));
+    }
+  }
+  return study;
+}
+
 }  // namespace
 
 std::uint64_t GuardbandHammerCount(std::uint64_t min_rdt,
@@ -44,129 +179,22 @@ std::vector<RowGuardbandOutcome> RunGuardbandStudy(
     const GuardbandConfig& config, std::ostream* progress) {
   VRD_FATAL_IF(config.devices.empty(), "study needs devices");
   VRD_FATAL_IF(config.trials == 0, "study needs trials");
+  // One shard per device. The merge runs on the calling thread and
+  // walks the slots in device order, so the outcomes and the progress
+  // lines are the serial study's at any worker count.
+  std::vector<DeviceStudy> per_device =
+      MapShards(config.devices.size(), config.threads,
+                [&](std::size_t i) {
+                  return StudyDevice(config, config.devices[i]);
+                });
   std::vector<RowGuardbandOutcome> outcomes;
-
-  // Scratch reused by every (device, pattern, row, margin)
-  // combination: the measurement loops are allocation-free once the
-  // buffers reach their high-water capacity.
-  vrd::MeasureContext mctx;
-  std::vector<std::int64_t> baseline;
-  std::vector<vrd::TrapFaultEngine::CellFlipPoint> points;
-  std::vector<std::uint32_t> flipped_bits;
-  std::vector<std::uint32_t> chip_scratch;
-
-  for (const std::string& name : config.devices) {
-    std::unique_ptr<dram::Device> device =
-        vrd::BuildDevice(name, config.base_seed);
-    auto* engine = dynamic_cast<vrd::TrapFaultEngine*>(&device->model());
-    VRD_ASSERT(engine != nullptr);
-    device->SetTemperature(config.temperature);
-
-    const std::size_t per_region =
-        std::max<std::size_t>(1, config.rows_per_device / 3);
-    const std::vector<dram::RowAddr> rows = SelectVulnerableRows(
-        *device, *engine, /*bank=*/0, per_region,
-        config.scan_rows_per_region, dram::DataPattern::kCheckered0,
-        device->timing().tRAS);
+  for (std::size_t i = 0; i < per_device.size(); ++i) {
     if (progress != nullptr) {
-      *progress << "guardband: " << name << ", " << rows.size()
-                << " rows\n";
+      *progress << "guardband: " << config.devices[i] << ", "
+                << per_device[i].rows << " rows\n";
     }
-
-    for (const dram::DataPattern pattern : config.patterns) {
-      ProfilerConfig pc;
-      pc.bank = 0;
-      pc.pattern = pattern;
-      RdtProfiler profiler(*device, pc);
-
-      for (const dram::RowAddr row : rows) {
-        // Step 1: a handful of RDT measurements; keep the minimum (the
-        // paper uses 5 to keep testing time reasonable).
-        const std::optional<std::uint64_t> guess = profiler.GuessRdt(row);
-        if (!guess) {
-          continue;
-        }
-        profiler.MeasureSeries(row, *guess, config.baseline_measurements,
-                               baseline);
-        const std::int64_t min_rdt = MinObservedRdt(baseline);
-        if (min_rdt <= 0) {
-          continue;
-        }
-
-        RowGuardbandOutcome outcome;
-        outcome.device = name;
-        outcome.row = row;
-        outcome.pattern = pattern;
-        outcome.min_rdt = static_cast<std::uint64_t>(min_rdt);
-
-        const dram::PhysicalRow phys = device->mapper().ToPhysical(row);
-        const std::uint32_t chips = device->org().chips_per_rank;
-        const Tick t_on = device->timing().tRAS;
-        const Tick trial_time =
-            static_cast<Tick>(2 * outcome.min_rdt) *
-            (t_on + device->timing().tRP);
-
-        // Step 2: hammer repeatedly at guard-banded hammer counts and
-        // union the flipping cells. All trials of all margins query the
-        // same (row, pattern, temperature), so one rebuilt-in-place
-        // MeasureContext and the hoisted scratch buffers serve the
-        // whole sweep without allocating.
-        engine->MakeMeasureContext(
-            /*bank=*/0, phys, dram::VictimByte(pattern),
-            dram::AggressorByte(pattern), t_on, config.temperature,
-            device->encoding(), device->Now(), mctx);
-        for (const std::uint32_t margin : config.margins) {
-          MarginOutcome per;
-          per.margin = margin;
-          per.hammer_count = GuardbandHammerCount(outcome.min_rdt, margin);
-          flipped_bits.clear();
-          for (std::size_t trial = 0; trial < config.trials; ++trial) {
-            bool any = false;
-            engine->PerCellFlipHammerCounts(mctx, device->Now(), points);
-            for (const auto& point : points) {
-              if (point.hammer_count >= 0.0 &&
-                  point.hammer_count <=
-                      static_cast<double>(per.hammer_count)) {
-                flipped_bits.push_back(point.bit_index);
-                any = true;
-              }
-            }
-            if (any) {
-              ++per.trials_with_flips;
-            }
-            device->Sleep(trial_time);
-          }
-
-          // Deduplicate across trials: sort+unique in the hoisted
-          // buffer stands in for the ordered set the study previously
-          // populated per margin (same unique bits, same order).
-          std::sort(flipped_bits.begin(), flipped_bits.end());
-          flipped_bits.erase(
-              std::unique(flipped_bits.begin(), flipped_bits.end()),
-              flipped_bits.end());
-          per.unique_bitflips = flipped_bits.size();
-
-          // Codeword maxima via run-length scans over the sorted bits
-          // (a SECDED codeword covers 8 bytes = 64 bits, a chipkill
-          // codeword 16 bytes = 128); chips touched via the sorted
-          // chip-index scratch. All pure functions of the bit set,
-          // identical to the previous histogram-map aggregation.
-          per.max_per_secded_codeword = MaxFlipsPerGroup(flipped_bits, 64);
-          per.max_per_chipkill_codeword =
-              MaxFlipsPerGroup(flipped_bits, 128);
-          chip_scratch.clear();
-          for (const std::uint32_t bit : flipped_bits) {
-            chip_scratch.push_back((bit / 8) % chips);
-          }
-          std::sort(chip_scratch.begin(), chip_scratch.end());
-          chip_scratch.erase(
-              std::unique(chip_scratch.begin(), chip_scratch.end()),
-              chip_scratch.end());
-          per.chips_touched = chip_scratch.size();
-          outcome.per_margin.push_back(per);
-        }
-        outcomes.push_back(std::move(outcome));
-      }
+    for (RowGuardbandOutcome& outcome : per_device[i].outcomes) {
+      outcomes.push_back(std::move(outcome));
     }
   }
   return outcomes;

@@ -31,6 +31,10 @@ struct GuardbandConfig {
   Celsius temperature = 50.0;
   std::size_t scan_rows_per_region = 128;
   std::uint64_t base_seed = 2025;
+  /// Workers for the per-device shards (RunShards): 0 selects
+  /// hardware_concurrency, 1 runs the devices inline. The outcomes are
+  /// bit-identical for every setting.
+  std::size_t threads = 0;
 };
 
 struct MarginOutcome {
@@ -56,6 +60,9 @@ struct RowGuardbandOutcome {
 std::uint64_t GuardbandHammerCount(std::uint64_t min_rdt,
                                    std::uint32_t margin_pct);
 
+/// Outcomes in (device, pattern, row) order; each device is one shard
+/// on the shard executor. `progress` gets one line per device, written
+/// from the merge in device order.
 std::vector<RowGuardbandOutcome> RunGuardbandStudy(
     const GuardbandConfig& config, std::ostream* progress = nullptr);
 

@@ -17,9 +17,22 @@ double NormalCdf(double z) {
 
 namespace {
 
+// ln Gamma(a). std::lgamma also writes the global `signgam`, a data
+// race once AnalyzeSeries runs on several shard-executor workers;
+// glibc's lgamma_r is the same computation with the sign returned
+// through a local instead.
+double LogGamma(double a) {
+#if defined(__GLIBC__)
+  int sign = 0;
+  return ::lgamma_r(a, &sign);
+#else
+  return std::lgamma(a);
+#endif
+}
+
 // Series expansion of P(a, x), valid and fast for x < a + 1.
 double GammaPSeries(double a, double x) {
-  const double gln = std::lgamma(a);
+  const double gln = LogGamma(a);
   double ap = a;
   double sum = 1.0 / a;
   double del = sum;
@@ -37,7 +50,7 @@ double GammaPSeries(double a, double x) {
 // Continued-fraction expansion of Q(a, x), valid for x >= a + 1
 // (modified Lentz method).
 double GammaQContinuedFraction(double a, double x) {
-  const double gln = std::lgamma(a);
+  const double gln = LogGamma(a);
   const double tiny = std::numeric_limits<double>::min() / 1e-30;
   double b = x + 1.0 - a;
   double c = 1.0 / tiny;

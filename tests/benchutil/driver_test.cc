@@ -134,6 +134,36 @@ TEST(DriverTest, WarmCacheRunsAreByteIdenticalAtAnyThreads) {
   std::filesystem::remove_all(cache_dir);
 }
 
+TEST(DriverTest, FanOutExperimentsByteIdenticalAtAnyThreads) {
+  // The experiments that fan out on the shard executor outside a
+  // campaign: fig01's scan (its smoke args skip it, so it is named
+  // here), fig03/04/05's per-device series, fig14's memsim runs and
+  // fig16's guardband devices. stderr carries fig03's skip notes.
+  const std::vector<std::vector<std::string>> runs = {
+      {"fig01_rdt_series", "--scan=M1,S2"},
+      {"fig03_rdt_distribution"},
+      {"fig04_rdt_histograms"},
+      {"fig05_run_lengths"},
+      {"fig14_mitigation_overhead"},
+      {"fig16_guardband_bitflips"},
+  };
+  for (const std::vector<std::string>& extra : runs) {
+    auto drive = [&](const std::string& threads) {
+      std::vector<std::string> args = {"run", "--smoke", "--no-cache",
+                                       "--threads=" + threads};
+      args.insert(args.end(), extra.begin(), extra.end());
+      return Drive(args);
+    };
+    const DriverRun serial = drive("1");
+    const DriverRun parallel = drive("8");
+    ASSERT_EQ(serial.exit_code, 0) << serial.err;
+    ASSERT_EQ(parallel.exit_code, 0) << parallel.err;
+    EXPECT_NE(serial.out.find("CHECK "), std::string::npos) << extra[0];
+    EXPECT_EQ(serial.out, parallel.out) << extra[0];
+    EXPECT_EQ(serial.err, parallel.err) << extra[0];
+  }
+}
+
 TEST(DriverTest, OutDirWritesOneReportPerExperiment) {
   const std::string out_dir =
       (std::filesystem::path(::testing::TempDir()) /

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 #include <string>
@@ -111,6 +112,87 @@ TEST(ThreadPoolTest, DefaultWorkerCountIsPositive) {
   EXPECT_GE(ThreadPool::DefaultWorkerCount(), 1u);
   ThreadPool pool;  // workers = 0 -> DefaultWorkerCount()
   EXPECT_EQ(pool.worker_count(), ThreadPool::DefaultWorkerCount());
+}
+
+// --- The shard executor (RunShards / MapShards) ----------------------
+
+TEST(ShardExecutorTest, ResultsMergeInIndexOrder) {
+  const auto square = [](std::size_t i) { return i * i; };
+  const std::vector<std::size_t> serial = MapShards(257, 1, square);
+  ASSERT_EQ(serial.size(), 257u);
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    ASSERT_EQ(serial[i], i * i);
+  }
+  for (const std::size_t threads : {2u, 3u, 8u}) {
+    EXPECT_EQ(MapShards(257, threads, square), serial)
+        << threads << " workers";
+  }
+}
+
+TEST(ShardExecutorTest, ZeroShardsRunNothing) {
+  std::atomic<int> calls{0};
+  for (const std::size_t threads : {0u, 1u, 4u}) {
+    EXPECT_EQ(RunShards(0, threads, [&](std::size_t) { calls.fetch_add(1); }),
+              0u);
+  }
+  EXPECT_EQ(calls.load(), 0);
+  EXPECT_TRUE(MapShards(0, 4, [](std::size_t i) { return i; }).empty());
+}
+
+TEST(ShardExecutorTest, WorkersClampToShardCount) {
+  std::vector<std::atomic<int>> hits(3);
+  EXPECT_EQ(RunShards(3, 16, [&](std::size_t i) { hits[i].fetch_add(1); }),
+            3u);
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "shard " << i;
+  }
+  EXPECT_EQ(RunShards(1, 8, [](std::size_t) {}), 1u);
+}
+
+TEST(ShardExecutorTest, ZeroThreadsSelectsHardwareConcurrency) {
+  constexpr std::size_t kN = 1000;
+  std::vector<std::atomic<int>> hits(kN);
+  EXPECT_EQ(RunShards(kN, 0, [&](std::size_t i) { hits[i].fetch_add(1); }),
+            std::min(kN, ThreadPool::DefaultWorkerCount()));
+  for (std::size_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "shard " << i;
+  }
+}
+
+TEST(ShardExecutorTest, SmallestThrowingIndexIsRethrown) {
+  // Serial path: shards run in index order, so shard 2 throws first and
+  // the later shards never run.
+  std::vector<int> ran(6, 0);
+  try {
+    RunShards(6, 1, [&](std::size_t i) {
+      ran[i] = 1;
+      if (i == 2 || i == 4) {
+        throw std::runtime_error("shard " + std::to_string(i));
+      }
+    });
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "shard 2");
+  }
+  EXPECT_EQ(ran, (std::vector<int>{1, 1, 1, 0, 0, 0}));
+
+  // Parallel path: all four shards rendezvous before any throws, so
+  // every one of them throws; shard 0's exception must win whatever
+  // the completion race.
+  for (int round = 0; round < 20; ++round) {
+    std::atomic<int> arrived{0};
+    try {
+      RunShards(4, 4, [&](std::size_t i) {
+        arrived.fetch_add(1);
+        while (arrived.load() < 4) {
+        }
+        throw std::runtime_error("shard " + std::to_string(i));
+      });
+      FAIL() << "expected an exception";
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "shard 0") << "round " << round;
+    }
+  }
 }
 
 }  // namespace

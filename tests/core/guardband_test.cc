@@ -79,6 +79,47 @@ TEST(GuardbandTest, HistogramAndBerHelpers) {
   EXPECT_THROW(WorstBitErrorRate(outcomes, 10, 0), FatalError);
 }
 
+TEST(GuardbandTest, ParallelOutcomesBitIdenticalToSerial) {
+  // One shard per device: the outcomes concatenated in device order
+  // must not depend on the worker count.
+  GuardbandConfig config = TinyConfig();
+  config.devices = {"M1", "S2"};
+  config.trials = 200;
+  auto run = [&](std::size_t threads) {
+    config.threads = threads;
+    return RunGuardbandStudy(config);
+  };
+  const std::vector<RowGuardbandOutcome> serial = run(1);
+  ASSERT_FALSE(serial.empty());
+  EXPECT_EQ(serial.front().device, "M1");
+  EXPECT_EQ(serial.back().device, "S2");
+  for (const std::size_t threads : {2u, 8u}) {
+    const std::vector<RowGuardbandOutcome> parallel = run(threads);
+    ASSERT_EQ(parallel.size(), serial.size()) << threads << " workers";
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      const RowGuardbandOutcome& a = serial[i];
+      const RowGuardbandOutcome& b = parallel[i];
+      EXPECT_EQ(a.device, b.device);
+      EXPECT_EQ(a.row, b.row);
+      EXPECT_EQ(a.pattern, b.pattern);
+      EXPECT_EQ(a.min_rdt, b.min_rdt);
+      ASSERT_EQ(a.per_margin.size(), b.per_margin.size());
+      for (std::size_t m = 0; m < a.per_margin.size(); ++m) {
+        const MarginOutcome& x = a.per_margin[m];
+        const MarginOutcome& y = b.per_margin[m];
+        EXPECT_EQ(x.margin, y.margin);
+        EXPECT_EQ(x.hammer_count, y.hammer_count);
+        EXPECT_EQ(x.unique_bitflips, y.unique_bitflips);
+        EXPECT_EQ(x.chips_touched, y.chips_touched);
+        EXPECT_EQ(x.max_per_secded_codeword, y.max_per_secded_codeword);
+        EXPECT_EQ(x.max_per_chipkill_codeword,
+                  y.max_per_chipkill_codeword);
+        EXPECT_EQ(x.trials_with_flips, y.trials_with_flips);
+      }
+    }
+  }
+}
+
 TEST(GuardbandTest, InvalidConfigsThrow) {
   GuardbandConfig bad;
   EXPECT_THROW(RunGuardbandStudy(bad), FatalError);
