@@ -8,7 +8,6 @@
  */
 #include <iostream>
 
-#include "bender/attack_patterns.h"
 #include "common/error.h"
 #include "common/experiment.h"
 

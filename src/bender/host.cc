@@ -1,91 +1,8 @@
 #include "bender/host.h"
 
-#include <algorithm>
-#include <bit>
-#include <map>
-
 #include "common/error.h"
-#include "common/faultinject.h"
 
 namespace vrddram::bender {
-
-ExecutionResult ProgramRunner::Run(const TestProgram& program) {
-  if (fi::ShouldFire("bender.host.run")) {
-    throw TransientError("bender host: command execution failed (injected)");
-  }
-  program.Validate(platform_);
-  ExecutionResult result;
-  const Tick start = device_->Now();
-
-  const auto& insts = program.instructions();
-
-  // Resolve loop bounds once.
-  std::vector<std::size_t> match(insts.size(), 0);
-  {
-    std::vector<std::size_t> stack;
-    for (std::size_t i = 0; i < insts.size(); ++i) {
-      if (insts[i].op == Opcode::kLoop) {
-        stack.push_back(i);
-      } else if (insts[i].op == Opcode::kEndLoop) {
-        VRD_ASSERT(!stack.empty());
-        match[stack.back()] = i;
-        match[i] = stack.back();
-        stack.pop_back();
-      }
-    }
-  }
-
-  // Iterative execution with a loop-counter stack.
-  struct Frame {
-    std::size_t loop_pc;
-    std::uint32_t remaining;
-  };
-  std::vector<Frame> frames;
-  std::size_t pc = 0;
-  while (pc < insts.size()) {
-    const Instruction& inst = insts[pc];
-    switch (inst.op) {
-      case Opcode::kAct:
-        device_->Activate(inst.bank, inst.row);
-        break;
-      case Opcode::kPre:
-        device_->Precharge(inst.bank);
-        break;
-      case Opcode::kWriteRow:
-        device_->WriteRow(inst.bank, inst.row, inst.fill);
-        break;
-      case Opcode::kReadRow: {
-        ReadRecord record;
-        record.bank = inst.bank;
-        record.row = inst.row;
-        record.data = device_->ReadRow(inst.bank, inst.row);
-        result.reads.push_back(std::move(record));
-        break;
-      }
-      case Opcode::kSleep:
-        device_->Sleep(inst.duration);
-        break;
-      case Opcode::kLoop:
-        frames.push_back(Frame{pc, inst.count});
-        break;
-      case Opcode::kEndLoop: {
-        VRD_ASSERT(!frames.empty());
-        Frame& frame = frames.back();
-        VRD_ASSERT(frame.loop_pc == match[pc]);
-        if (--frame.remaining == 0) {
-          frames.pop_back();
-        } else {
-          pc = frame.loop_pc;
-        }
-        break;
-      }
-    }
-    ++pc;
-  }
-
-  result.elapsed = device_->Now() - start;
-  return result;
-}
 
 void TestHost::InitializeNeighborhood(dram::BankId bank,
                                       dram::RowAddr victim_logical,
@@ -113,12 +30,6 @@ void TestHost::InitializeNeighborhood(dram::BankId bank,
   }
 }
 
-void TestHost::HammerDoubleSided(dram::BankId bank,
-                                 dram::RowAddr victim_logical,
-                                 std::uint64_t hammer_count, Tick t_on) {
-  device_->HammerDoubleSided(bank, victim_logical, hammer_count, t_on);
-}
-
 std::vector<dram::BitFlip> TestHost::ReadAndCompareVictim(
     dram::BankId bank, dram::RowAddr victim_logical,
     dram::DataPattern pattern) {
@@ -127,132 +38,6 @@ std::vector<dram::BitFlip> TestHost::ReadAndCompareVictim(
   device_->Precharge(bank);
 
   return dram::DiffBits(read_scratch_, dram::VictimByte(pattern));
-}
-
-std::vector<dram::BitFlip> TestHost::TestOnce(dram::BankId bank,
-                                              dram::RowAddr victim_logical,
-                                              dram::DataPattern pattern,
-                                              std::uint64_t hammer_count,
-                                              Tick t_on) {
-  InitializeNeighborhood(bank, victim_logical, pattern);
-  HammerDoubleSided(bank, victim_logical, hammer_count, t_on);
-  return ReadAndCompareVictim(bank, victim_logical, pattern);
-}
-
-std::vector<dram::BitFlip> TestHost::TestOnceExact(
-    dram::BankId bank, dram::RowAddr victim_logical,
-    dram::DataPattern pattern, std::uint64_t hammer_count, Tick t_on) {
-  const dram::PhysicalRow victim =
-      device_->mapper().ToPhysical(victim_logical);
-  VRD_FATAL_IF(victim.value == 0 ||
-                   victim.value >= device_->org().LargestRowAddress(),
-               "edge victim has no double-sided aggressors");
-  const dram::RowAddr aggr_lo =
-      device_->mapper().ToLogical(dram::PhysicalRow{victim.value - 1});
-  const dram::RowAddr aggr_hi =
-      device_->mapper().ToLogical(dram::PhysicalRow{victim.value + 1});
-
-  // Initialize the neighbourhood with explicit commands.
-  const auto max_row =
-      static_cast<std::int64_t>(device_->org().LargestRowAddress());
-  TestProgram program;
-  for (std::int64_t d = -8; d <= 8; ++d) {
-    const std::int64_t target = static_cast<std::int64_t>(victim.value) + d;
-    if (target < 0 || target > max_row) {
-      continue;
-    }
-    const std::uint8_t fill = (d == 0) ? dram::VictimByte(pattern)
-                              : (d == -1 || d == 1)
-                                  ? dram::AggressorByte(pattern)
-                                  : dram::SurroundByte(pattern);
-    const dram::RowAddr logical = device_->mapper().ToLogical(
-        dram::PhysicalRow{static_cast<dram::RowAddr>(target)});
-    program.Act(bank, logical)
-        .WriteRow(bank, logical, fill)
-        .Pre(bank);
-  }
-
-  // Hammer: alternate the two aggressors, holding each open for t_on.
-  // PRE is auto-delayed to tRAS after ACT, so an explicit Sleep is
-  // only needed for RowPress-style t_on beyond tRAS.
-  VRD_FATAL_IF(t_on < device_->timing().tRAS,
-               "tAggOn below the minimum tRAS");
-  const Tick hold = (t_on > device_->timing().tRAS) ? t_on : 0;
-  program.Loop(static_cast<std::uint32_t>(hammer_count));
-  program.Act(bank, aggr_lo);
-  if (hold > 0) {
-    program.Sleep(hold);
-  }
-  program.Pre(bank);
-  program.Act(bank, aggr_hi);
-  if (hold > 0) {
-    program.Sleep(hold);
-  }
-  program.Pre(bank);
-  program.EndLoop();
-
-  // Read back the victim.
-  program.Act(bank, victim_logical)
-      .ReadRow(bank, victim_logical)
-      .Pre(bank);
-
-  ProgramRunner runner(*device_);
-  const ExecutionResult result = runner.Run(program);
-  VRD_ASSERT(!result.reads.empty());
-  const std::vector<std::uint8_t>& data = result.reads.back().data;
-
-  return dram::DiffBits(data, dram::VictimByte(pattern));
-}
-
-std::vector<dram::RowAddr> TestHost::FindPhysicalNeighbors(
-    dram::BankId bank, dram::RowAddr victim_logical,
-    std::uint64_t hammer_count, dram::RowAddr window) {
-  const auto max_row =
-      static_cast<std::int64_t>(device_->org().LargestRowAddress());
-  const auto base = static_cast<std::int64_t>(victim_logical);
-
-  // Candidate logical rows around the hammered row. The manufacturer
-  // scrambles within small groups, so physical neighbours live in a
-  // small logical window.
-  std::vector<dram::RowAddr> candidates;
-  for (std::int64_t d = -static_cast<std::int64_t>(window);
-       d <= static_cast<std::int64_t>(window); ++d) {
-    const std::int64_t target = base + d;
-    if (target >= 0 && target <= max_row && d != 0) {
-      candidates.push_back(static_cast<dram::RowAddr>(target));
-    }
-  }
-
-  // Victims hold 0x55, the hammered row 0xAA: opposite data maximizes
-  // coupling, the standard reverse-engineering setup.
-  for (const dram::RowAddr row : candidates) {
-    device_->BulkInitializeRow(bank, row, 0x55);
-  }
-  device_->BulkInitializeRow(bank, victim_logical, 0xAA);
-  device_->HammerSingleSided(bank, victim_logical, hammer_count,
-                             device_->timing().tRAS);
-
-  std::map<dram::RowAddr, std::size_t> flip_counts;
-  for (const dram::RowAddr row : candidates) {
-    device_->Activate(bank, row);
-    const std::vector<std::uint8_t> data = device_->ReadRow(bank, row);
-    device_->Precharge(bank);
-    const std::size_t flips = dram::CountDiffBits(data, 0x55);
-    if (flips > 0) {
-      flip_counts[row] = flips;
-    }
-  }
-
-  std::vector<dram::RowAddr> neighbours;
-  neighbours.reserve(flip_counts.size());
-  for (const auto& [row, count] : flip_counts) {
-    neighbours.push_back(row);
-  }
-  std::sort(neighbours.begin(), neighbours.end(),
-            [&](dram::RowAddr a, dram::RowAddr b) {
-              return flip_counts[a] > flip_counts[b];
-            });
-  return neighbours;
 }
 
 std::optional<dram::CellEncoding> TestHost::DiscoverRowEncoding(

@@ -1,10 +1,9 @@
 /**
  * @file
  * Host-side testing API in the style of DRAM Bender / SoftMC: a
- * ProgramRunner that executes TestPrograms on a device, and a TestHost
- * with the paper's methodology building blocks - neighbourhood
- * initialization per Table 2, double-sided hammering, read-and-compare,
- * row-mapping reverse engineering, and true-/anti-cell discovery.
+ * TestHost with the paper's methodology building blocks that the
+ * experiments drive directly - neighbourhood initialization per
+ * Table 2, read-and-compare, and true-/anti-cell discovery.
  */
 #ifndef VRDDRAM_BENDER_HOST_H
 #define VRDDRAM_BENDER_HOST_H
@@ -12,28 +11,14 @@
 #include <optional>
 #include <vector>
 
-#include "bender/test_program.h"
 #include "dram/device.h"
 
 namespace vrddram::bender {
 
-/// Executes a validated TestProgram against a device.
-class ProgramRunner {
- public:
-  explicit ProgramRunner(dram::Device& device,
-                         Platform platform = MakeAlveoU200())
-      : device_(&device), platform_(std::move(platform)) {}
-
-  ExecutionResult Run(const TestProgram& program);
-
- private:
-  dram::Device* device_;
-  Platform platform_;
-};
-
 /**
- * High-level testing operations composed from device commands; these
- * are the primitives Alg. 1 and the §5/§6 sweeps are written against.
+ * High-level testing operations composed from device commands: the
+ * setup and readout around a hammer test, and retention-based
+ * true-/anti-cell discovery.
  */
 class TestHost {
  public:
@@ -51,48 +36,10 @@ class TestHost {
                               dram::RowAddr victim_logical,
                               dram::DataPattern pattern);
 
-  /// Double-sided hammer with `hammer_count` activations per aggressor.
-  void HammerDoubleSided(dram::BankId bank, dram::RowAddr victim_logical,
-                         std::uint64_t hammer_count, Tick t_on);
-
   /// Read the victim row and diff it against its expected pattern byte.
   std::vector<dram::BitFlip> ReadAndCompareVictim(
       dram::BankId bank, dram::RowAddr victim_logical,
       dram::DataPattern pattern);
-
-  /**
-   * One read-disturbance test iteration (Alg. 1 lines 19-21):
-   * initialize, hammer with `hammer_count`, read and compare. Returns
-   * the observed bitflips (empty = no flip at this hammer count).
-   */
-  std::vector<dram::BitFlip> TestOnce(dram::BankId bank,
-                                      dram::RowAddr victim_logical,
-                                      dram::DataPattern pattern,
-                                      std::uint64_t hammer_count,
-                                      Tick t_on);
-
-  /**
-   * Command-exact variant of TestOnce executed through a TestProgram
-   * (every ACT/PRE issued individually). Used to validate that the
-   * bulk fast path is behaviourally identical; impractically slow for
-   * full campaigns, exactly like issuing individual commands from the
-   * host would be.
-   */
-  std::vector<dram::BitFlip> TestOnceExact(dram::BankId bank,
-                                           dram::RowAddr victim_logical,
-                                           dram::DataPattern pattern,
-                                           std::uint64_t hammer_count,
-                                           Tick t_on);
-
-  /**
-   * Row-mapping reverse engineering ([166], §3.1): hammer
-   * `victim_logical` single-sided and report which logical rows in a
-   * +-`window` window around it flip - those are its physical
-   * neighbours. Returns flipped logical rows sorted by flip count.
-   */
-  std::vector<dram::RowAddr> FindPhysicalNeighbors(
-      dram::BankId bank, dram::RowAddr victim_logical,
-      std::uint64_t hammer_count, dram::RowAddr window = 8);
 
   /**
    * True-/anti-cell discovery ([1, 214, 215], §5.6): write all-zeros,
@@ -105,8 +52,8 @@ class TestHost {
 
  private:
   dram::Device* device_;
-  /// Reused by ReadAndCompareVictim: the swept test loop reads the
-  /// same victim row every iteration, so one buffer serves them all.
+  /// Reused by ReadAndCompareVictim: a test loop reads the same
+  /// victim row every iteration, so one buffer serves them all.
   std::vector<std::uint8_t> read_scratch_;
 };
 

@@ -29,19 +29,13 @@
  *  - Instrumented code asks `fi::ShouldFire("layer.site")` at the
  *    point where the real rig fails. With no active scope (the
  *    default everywhere outside resilience tests) the query is a
- *    thread-local null check and nothing ever fires.
- *
- * Wired sites (see docs/API.md for the catalog):
- *   bender.host.run       ProgramRunner::Run throws TransientError
- *   bender.thermal.sensor PID thermocouple dropout (TransientError)
- *   bender.thermal.settle settle timeout (TransientError)
- *   dram.device.readout   stuck-at-1 bit in ReadRow data
- *   core.profiler.noflip  measurement spuriously returns kNoFlip
- *   core.campaign.shard   shard fails wholesale (TransientError)
+ *    thread-local null check and nothing ever fires. kWiredSites
+ *    lists every site the code evaluates (see docs/API.md).
  */
 #ifndef VRDDRAM_COMMON_FAULTINJECT_H
 #define VRDDRAM_COMMON_FAULTINJECT_H
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -51,6 +45,16 @@
 #include "common/rng.h"
 
 namespace vrddram::fi {
+
+/// Every site instrumented code evaluates. A plan naming any other
+/// site would never fire, so campaigns reject it.
+inline constexpr std::array<std::string_view, 5> kWiredSites = {
+    "bender.thermal.sensor",  // PID thermocouple dropout (TransientError)
+    "bender.thermal.settle",  // settle timeout (TransientError)
+    "dram.device.readout",    // stuck-at-1 bit in ReadRow data
+    "core.profiler.noflip",   // measurement spuriously returns kNoFlip
+    "core.campaign.shard",    // shard fails wholesale (TransientError)
+};
 
 /// Configuration of one named fault site within a plan.
 struct SiteSpec {

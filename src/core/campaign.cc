@@ -218,6 +218,17 @@ CampaignResult RunCampaign(const CampaignConfig& config,
   // (seed, site, shard label, attempt), never on thread count.
   const fi::FaultPlan plan =
       fi::FaultPlan::Parse(config.inject, config.base_seed);
+  for (const fi::SiteSpec& spec : plan.sites()) {
+    if (std::ranges::find(fi::kWiredSites, spec.site) ==
+        fi::kWiredSites.end()) {
+      std::string wired;
+      for (const std::string_view site : fi::kWiredSites) {
+        wired += (wired.empty() ? "" : ", ") + std::string(site);
+      }
+      VRD_FATAL_IF(true, "fault spec: unknown site '" + spec.site +
+                             "' (wired sites: " + wired + ")");
+    }
+  }
   const std::uint64_t config_hash = HashCampaignConfig(config);
 
   struct Shard {

@@ -32,8 +32,6 @@ Device::Device(DeviceConfig config,
   for (std::uint32_t b = 0; b < config_.org.num_banks; ++b) {
     banks_.emplace_back(&config_.timing);
   }
-  trr_tracker_.resize(config_.org.num_banks);
-  refresh_cursor_.assign(config_.org.num_banks, 0);
 }
 
 void Device::Sleep(Tick duration) {
@@ -173,59 +171,6 @@ std::uint64_t Device::PracCountOf(BankId bank, PhysicalRow row) const {
   return it == prac_counters_.end() ? 0 : it->second;
 }
 
-void Device::TrrObserveAct(BankId bank, PhysicalRow row) {
-  if (!config_.has_trr) {
-    return;
-  }
-  auto& tracker = trr_tracker_[bank];
-  for (TrrEntry& entry : tracker) {
-    if (entry.row == row) {
-      ++entry.count;
-      return;
-    }
-  }
-  constexpr std::size_t kTrrSlots = 4;
-  if (tracker.size() < kTrrSlots) {
-    tracker.push_back(TrrEntry{row, 1});
-    return;
-  }
-  // Misra-Gries style decrement-all when the table is full.
-  for (TrrEntry& entry : tracker) {
-    if (entry.count > 0) {
-      --entry.count;
-    }
-  }
-  std::erase_if(tracker, [](const TrrEntry& e) { return e.count == 0; });
-}
-
-void Device::TrrOnRefresh() {
-  if (!config_.has_trr) {
-    return;
-  }
-  for (BankId bank = 0; bank < config_.org.num_banks; ++bank) {
-    auto& tracker = trr_tracker_[bank];
-    if (tracker.empty()) {
-      continue;
-    }
-    const auto top = std::max_element(
-        tracker.begin(), tracker.end(),
-        [](const TrrEntry& a, const TrrEntry& b) {
-          return a.count < b.count;
-        });
-    const RowAddr base = top->row.value;
-    for (std::int64_t d = -2; d <= 2; ++d) {
-      const std::int64_t neighbour = static_cast<std::int64_t>(base) + d;
-      if (d == 0 || neighbour < 0 ||
-          neighbour > config_.org.LargestRowAddress()) {
-        continue;
-      }
-      MaterializeAndRestore(
-          bank, PhysicalRow{static_cast<RowAddr>(neighbour)});
-    }
-    tracker.clear();
-  }
-}
-
 void Device::Activate(BankId bank, RowAddr logical_row) {
   VRD_FATAL_IF(!config_.org.ValidBank(bank), "bank out of range");
   VRD_FATAL_IF(!config_.org.ValidRow(logical_row), "row out of range");
@@ -241,7 +186,6 @@ void Device::Activate(BankId bank, RowAddr logical_row) {
   // Opening a row senses and restores it: pending disturbance and
   // retention corruption materializes into the array now.
   MaterializeAndRestore(bank, phys);
-  TrrObserveAct(bank, phys);
   PracObserveAct(bank, phys, 1);
 }
 
@@ -333,38 +277,6 @@ void Device::ReadRow(BankId bank, RowAddr logical_row,
   }
 }
 
-void Device::Refresh() {
-  for (BankId bank = 0; bank < config_.org.num_banks; ++bank) {
-    VRD_FATAL_IF(banks_[bank].state() != BankState::kIdle,
-                 "REF requires all banks precharged");
-  }
-  ++counts_.ref;
-
-  // Rows refreshed per REF so the whole bank is covered each tREFW.
-  const auto refs_per_window = static_cast<std::uint64_t>(
-      config_.timing.tREFW / config_.timing.tREFI);
-  const std::uint64_t stripe =
-      std::max<std::uint64_t>(1, config_.org.rows_per_bank /
-                                     std::max<std::uint64_t>(
-                                         1, refs_per_window));
-  for (BankId bank = 0; bank < config_.org.num_banks; ++bank) {
-    RowAddr cursor = refresh_cursor_[bank];
-    for (std::uint64_t i = 0; i < stripe; ++i) {
-      const PhysicalRow row{cursor};
-      if (rows_.contains(Key(bank, row))) {
-        MaterializeAndRestore(bank, row);
-      } else {
-        model_->OnRestore(bank, row, now_);
-      }
-      cursor = (cursor + 1) % config_.org.rows_per_bank;
-    }
-    refresh_cursor_[bank] = cursor;
-  }
-
-  TrrOnRefresh();
-  now_ += config_.timing.tRFC;
-}
-
 void Device::HammerDoubleSided(BankId bank, RowAddr victim_logical,
                                std::uint64_t count, Tick t_on) {
   VRD_FATAL_IF(!config_.org.ValidBank(bank), "bank out of range");
@@ -391,7 +303,6 @@ void Device::HammerDoubleSided(BankId bank, RowAddr victim_logical,
   for (const PhysicalRow& aggressor : aggressors) {
     model_->OnActivations(bank, aggressor, count, t_on, end, temperature_,
                           StoreOf(bank, aggressor).data);
-    TrrObserveAct(bank, aggressor);
     PracObserveAct(bank, aggressor, count);
     // Each aggressor is restored every cycle; its own accumulated dose
     // never exceeds a couple of distant activations, so clear it.
@@ -413,6 +324,8 @@ void Device::HammerSingleSided(BankId bank, RowAddr aggressor_logical,
                "bulk hammer requires the bank precharged");
   VRD_FATAL_IF(t_on < config_.timing.tRAS,
                "tAggOn below the minimum tRAS");
+  VRD_FATAL_IF(t_on > config_.timing.MaxRowOpenTime(),
+               "tAggOn above 9 x tREFI (standard limit)");
   const PhysicalRow aggressor = mapper_.ToPhysical(aggressor_logical);
   if (count == 0) {
     return;
@@ -424,7 +337,6 @@ void Device::HammerSingleSided(BankId bank, RowAddr aggressor_logical,
 
   model_->OnActivations(bank, aggressor, count, t_on, end, temperature_,
                         StoreOf(bank, aggressor).data);
-  TrrObserveAct(bank, aggressor);
   PracObserveAct(bank, aggressor, count);
   model_->OnRestore(bank, aggressor, end);
   StoreOf(bank, aggressor).last_restore = end;
@@ -454,7 +366,6 @@ void Device::BulkInitializeRow(BankId bank, RowAddr logical_row,
   // Opening the row materializes pending corruption, then the write
   // train overwrites the data.
   MaterializeAndRestore(bank, phys);
-  TrrObserveAct(bank, phys);
   PracObserveAct(bank, phys, 1);
 
   const std::uint64_t bursts = config_.org.row_bytes / kBurstBytes;

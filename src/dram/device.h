@@ -3,9 +3,10 @@
  * The DRAM device under test: command-level model of one DDR4 module
  * rank (chips in lockstep) or one HBM2 channel. It owns the data
  * arrays, the timing-checked bank FSMs, the logical-to-physical row
- * remapping, retention behaviour, an optional on-die TRR engine, and
- * delegates read-disturbance physics to a pluggable
- * ReadDisturbanceModel (the VRD trap engine in src/vrd).
+ * remapping and retention behaviour, and delegates read-disturbance
+ * physics to a pluggable ReadDisturbanceModel (the VRD trap engine in
+ * src/vrd). There is no REF command: the paper's rig (§3.1) disables
+ * periodic refresh, and with it on-die TRR.
  *
  * Commands are auto-scheduled at the earliest JEDEC-legal instant, the
  * way DRAM Bender programs are tightly scheduled on the FPGA; Sleep()
@@ -45,8 +46,6 @@ struct DeviceConfig {
   RetentionParams retention = RetentionParams::MakeDefault();
   /// Device-unique seed: every "chip" is a distinct individual.
   std::uint64_t seed = 1;
-  /// DDR4/DDR5 modules ship an on-die TRR engine coupled to REF.
-  bool has_trr = true;
   /// HBM2 on-die SEC ECC; enabled at power-up, disabled via MR bit.
   bool has_on_die_ecc = false;
   /// DDR5 PRAC: per-row activation counters with ALERT_n back-off
@@ -60,7 +59,6 @@ struct CommandCounts {
   std::uint64_t pre = 0;
   std::uint64_t rd = 0;
   std::uint64_t wr = 0;
-  std::uint64_t ref = 0;
 };
 
 class Device {
@@ -124,9 +122,6 @@ class Device {
   /// buffer's capacity is reused instead of reallocated per read.
   void ReadRow(BankId bank, RowAddr logical_row,
                std::vector<std::uint8_t>& out);
-  /// One rank-level REF command; refreshes the next stripe of rows in
-  /// every bank and runs the TRR engine if present.
-  void Refresh();
 
   // -- bulk testing fast path ----------------------------------------------
   /**
@@ -184,10 +179,6 @@ class Device {
   /// data, then restore the row's charge (ACT/REF semantics).
   void MaterializeAndRestore(BankId bank, PhysicalRow row);
 
-  /// Per-bank TRR bookkeeping: sampled aggressor tracking.
-  void TrrObserveAct(BankId bank, PhysicalRow row);
-  void TrrOnRefresh();
-
   DeviceConfig config_;
   RowMapper mapper_;
   CellEncodingLayout encoding_;
@@ -216,14 +207,6 @@ class Device {
   std::uint64_t prac_threshold_ = 0;
   bool alert_pending_ = false;
   std::unordered_map<std::uint64_t, std::uint64_t> prac_counters_;
-
-  /// TRR: per bank, (row, activation count) pairs since the last REF.
-  struct TrrEntry {
-    PhysicalRow row{0};
-    std::uint64_t count = 0;
-  };
-  std::vector<std::vector<TrrEntry>> trr_tracker_;
-  std::vector<RowAddr> refresh_cursor_;  ///< next physical row stripe
 
   Rng powerup_rng_;
 };

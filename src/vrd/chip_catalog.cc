@@ -158,13 +158,11 @@ TestedChip MakeTestedChip(std::string_view name, std::uint64_t base_seed) {
   if (row.standard == dram::Standard::kHbm2) {
     chip.device.org = dram::MakeHbm2Org();
     chip.device.timing = dram::MakeHbm2();
-    chip.device.has_trr = false;
     chip.device.has_on_die_ecc = true;  // disabled via MR for testing
   } else {
     chip.device.org =
         dram::MakeDdr4Org(row.density_gbit, row.dq_bits, row.chips);
     chip.device.timing = dram::MakeDdr4_3200();
-    chip.device.has_trr = true;
     chip.device.has_on_die_ecc = false;
   }
   // Layout fractions vary per device; M0 is calibrated to the paper's
@@ -216,7 +214,6 @@ TestedChip MakeFutureDdr5Chip(std::uint64_t base_seed) {
   chip.device.org = dram::MakeDdr5Org();
   chip.device.timing = dram::MakeDdr5_8800();
   chip.device.row_mapping = dram::RowMappingScheme::kPairSwap16;
-  chip.device.has_trr = false;   // PRAC replaces sampling TRR
   chip.device.has_prac = true;
   chip.device.anti_cell_fraction = 0.5;
 

@@ -2,9 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "common/error.h"
+#include "core/test_once_oracle.h"
 #include "vrd/chip_catalog.h"
 #include "vrd/trap_engine.h"
 
@@ -29,7 +28,6 @@ struct Rig {
     config.org.rows_per_bank = 128;
     config.org.row_bytes = 256;
     config.seed = 4242;
-    config.has_trr = false;
     config.row_mapping = dram::RowMappingScheme::kXorMidBits;
     device = std::make_unique<dram::Device>(
         config, std::make_unique<vrd::TrapFaultEngine>(
@@ -87,11 +85,13 @@ TEST(HostTest, TestOnceFlipsAtHighCountNotLow) {
 
   const auto low = static_cast<std::uint64_t>(rdt * 0.9);
   const auto high = static_cast<std::uint64_t>(rdt * 1.1);
-  EXPECT_TRUE(host.TestOnce(0, victim, dram::DataPattern::kCheckered0,
-                            low, rig.device->timing().tRAS)
+  EXPECT_TRUE(oracle::TestOnce(host, 0, victim,
+                               dram::DataPattern::kCheckered0, low,
+                               rig.device->timing().tRAS)
                   .empty());
-  EXPECT_FALSE(host.TestOnce(0, victim, dram::DataPattern::kCheckered0,
-                             high, rig.device->timing().tRAS)
+  EXPECT_FALSE(oracle::TestOnce(host, 0, victim,
+                                dram::DataPattern::kCheckered0, high,
+                                rig.device->timing().tRAS)
                    .empty());
 }
 
@@ -128,56 +128,16 @@ TEST(HostTest, ExactAndBulkPathsAgree) {
 
   for (const double factor : {0.95, 1.05}) {
     const auto hc = static_cast<std::uint64_t>(rdt * factor);
-    const auto exact_flips = exact_host.TestOnceExact(
-        0, victim, dram::DataPattern::kCheckered0, hc,
+    const auto exact_flips = oracle::TestOnceExact(
+        exact_host, 0, victim, dram::DataPattern::kCheckered0, hc,
         exact_rig.device->timing().tRAS);
-    const auto bulk_flips = bulk_host.TestOnce(
-        0, victim, dram::DataPattern::kCheckered0, hc,
+    const auto bulk_flips = oracle::TestOnce(
+        bulk_host, 0, victim, dram::DataPattern::kCheckered0, hc,
         bulk_rig.device->timing().tRAS);
     EXPECT_EQ(exact_flips, bulk_flips) << "at factor " << factor;
   }
   // The two paths must account identical elapsed time.
   EXPECT_EQ(exact_rig.device->Now(), bulk_rig.device->Now());
-}
-
-TEST(HostTest, FindPhysicalNeighborsRecoversMapping) {
-  Rig rig;
-  TestHost host(*rig.device);
-  // Pick a victim whose both physical neighbours have weak cells, so
-  // the reverse-engineering hammering flips both.
-  auto* engine =
-      dynamic_cast<vrd::TrapFaultEngine*>(&rig.device->model());
-  dram::RowAddr probe = 0;
-  for (dram::RowAddr row = 2; row < 120; ++row) {
-    const dram::PhysicalRow phys = rig.device->mapper().ToPhysical(row);
-    if (phys.value < 2 || phys.value > 125) {
-      continue;
-    }
-    const bool lo_weak =
-        !engine
-             ->RowStateOf(0, dram::PhysicalRow{phys.value - 1})
-             .cells.empty();
-    const bool hi_weak =
-        !engine
-             ->RowStateOf(0, dram::PhysicalRow{phys.value + 1})
-             .cells.empty();
-    if (lo_weak && hi_weak) {
-      probe = row;
-      break;
-    }
-  }
-  ASSERT_GT(probe, 0u);
-
-  const auto neighbours = host.FindPhysicalNeighbors(0, probe, 200000);
-  const dram::PhysicalRow phys = rig.device->mapper().ToPhysical(probe);
-  const dram::RowAddr expected_lo =
-      rig.device->mapper().ToLogical(dram::PhysicalRow{phys.value - 1});
-  const dram::RowAddr expected_hi =
-      rig.device->mapper().ToLogical(dram::PhysicalRow{phys.value + 1});
-  EXPECT_TRUE(std::find(neighbours.begin(), neighbours.end(),
-                        expected_lo) != neighbours.end());
-  EXPECT_TRUE(std::find(neighbours.begin(), neighbours.end(),
-                        expected_hi) != neighbours.end());
 }
 
 TEST(HostTest, DiscoverRowEncodingMatchesLayout) {
@@ -186,7 +146,6 @@ TEST(HostTest, DiscoverRowEncodingMatchesLayout) {
   config.org.rows_per_bank = 64;
   config.org.row_bytes = 256;
   config.seed = 31;
-  config.has_trr = false;
   config.anti_cell_fraction = 0.5;
   config.retention.weak_cells_per_row = 4.0;  // dense weak cells
   dram::Device device(config);

@@ -373,6 +373,19 @@ TEST(CampaignResilienceTest, ResumeRequiresCheckpointPath) {
   CampaignConfig no_attempts = TinyConfig();
   no_attempts.max_attempts = 0;
   EXPECT_THROW(RunCampaign(no_attempts), FatalError);
+  // A site nothing evaluates would run the campaign clean; reject it,
+  // naming the site and the wired ones.
+  CampaignConfig unwired = TinyConfig();
+  unwired.inject = "core.campaign.shard:match=M1;bender.host.run:p=1";
+  const std::string message =
+      FatalMessage([&] { RunCampaign(unwired); });
+  EXPECT_NE(message.find("unknown site 'bender.host.run'"),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("core.campaign.shard"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("bender.thermal.sensor"), std::string::npos)
+      << message;
 }
 
 }  // namespace

@@ -30,7 +30,6 @@ struct ProfilerRig {
     config.org.rows_per_bank = 256;
     config.org.row_bytes = 256;
     config.seed = 909;
-    config.has_trr = false;
     device = std::make_unique<dram::Device>(
         config, std::make_unique<vrd::TrapFaultEngine>(
                     profile, config.seed, config.org));

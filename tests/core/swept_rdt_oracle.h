@@ -3,12 +3,12 @@
  * Test-only reference oracle for core::RdtProfiler: Alg. 1's test_loop
  * executed step by step on the device. Every hammer count of the sweep
  * grid runs one full initialize + hammer + read-and-compare iteration
- * through bender::TestHost — TestOnce (the device's bulk hammer path)
- * or TestOnceExact (every ACT/PRE issued individually) — and the first
- * count that flips is the measurement. The profiler computes the same
- * outcome from one fault-engine query per measurement and advances
- * device time by this sweep's duration in closed form; tests check it
- * against this oracle.
+ * through core/test_once_oracle.h — TestOnce (the device's bulk
+ * hammer path) or TestOnceExact (every ACT/PRE issued individually) —
+ * and the first count that flips is the measurement. The profiler
+ * computes the same outcome from one fault-engine query per
+ * measurement and advances device time by this sweep's duration in
+ * closed form; tests check it against this oracle.
  */
 #ifndef VRDDRAM_TESTS_CORE_SWEPT_RDT_ORACLE_H
 #define VRDDRAM_TESTS_CORE_SWEPT_RDT_ORACLE_H
@@ -19,12 +19,13 @@
 
 #include "bender/host.h"
 #include "core/rdt_profiler.h"
+#include "core/test_once_oracle.h"
 
 namespace vrddram::oracle {
 
 enum class SweepPath : std::uint8_t {
-  kBulk,          ///< bender::TestHost::TestOnce per grid step
-  kCommandLevel,  ///< bender::TestHost::TestOnceExact per grid step
+  kBulk,          ///< oracle::TestOnce per grid step
+  kCommandLevel,  ///< oracle::TestOnceExact per grid step
 };
 
 /**
@@ -46,10 +47,10 @@ inline std::int64_t SweptMeasurement(bender::TestHost& host,
   for (std::uint64_t hc = lo; hc < hi; hc += step) {
     const std::vector<dram::BitFlip> flips =
         (path == SweepPath::kCommandLevel)
-            ? host.TestOnceExact(config.bank, victim, config.pattern, hc,
-                                 t_on)
-            : host.TestOnce(config.bank, victim, config.pattern, hc,
-                            t_on);
+            ? TestOnceExact(host, config.bank, victim, config.pattern, hc,
+                            t_on)
+            : TestOnce(host, config.bank, victim, config.pattern, hc,
+                       t_on);
     if (!flips.empty()) {
       return static_cast<std::int64_t>(hc);
     }

@@ -58,7 +58,6 @@ DeviceConfig SmallConfig() {
   config.timing = MakeDdr4_3200();
   config.row_mapping = RowMappingScheme::kDirect;
   config.seed = 99;
-  config.has_trr = false;
   return config;
 }
 
@@ -205,6 +204,13 @@ TEST_F(DeviceTest, HammerRejectsIllegalTOn) {
       device_->HammerDoubleSided(0, 8, 10,
                                  device_->timing().MaxRowOpenTime() + 1),
       FatalError);
+  EXPECT_THROW(
+      device_->HammerSingleSided(0, 8, 10, device_->timing().tRAS - 1),
+      FatalError);
+  EXPECT_THROW(
+      device_->HammerSingleSided(0, 8, 10,
+                                 device_->timing().MaxRowOpenTime() + 1),
+      FatalError);
 }
 
 TEST_F(DeviceTest, BulkInitMatchesCommandPath) {
@@ -224,26 +230,6 @@ TEST_F(DeviceTest, BulkInitMatchesCommandPath) {
   EXPECT_EQ(device_->counts().pre, exact->counts().pre);
   EXPECT_EQ(device_->PeekRowPhysical(0, PhysicalRow{3}),
             exact->PeekRowPhysical(0, PhysicalRow{3}));
-}
-
-TEST_F(DeviceTest, RefreshRequiresIdleBanks) {
-  device_->Activate(0, 1);
-  EXPECT_THROW(device_->Refresh(), FatalError);
-}
-
-TEST_F(DeviceTest, RefreshRestoresTrackedRows) {
-  device_->Activate(0, 0);
-  device_->WriteRow(0, 0, 0xFF);
-  device_->Precharge(0);
-  const std::size_t restores_before = model_->restores.size();
-  // One full refresh-window worth of REF commands covers every row.
-  const auto refs = static_cast<std::uint64_t>(
-      device_->timing().tREFW / device_->timing().tREFI);
-  for (std::uint64_t i = 0; i < refs; ++i) {
-    device_->Refresh();
-  }
-  EXPECT_GT(model_->restores.size(), restores_before);
-  EXPECT_EQ(device_->counts().ref, refs);
 }
 
 TEST_F(DeviceTest, OnDieEccRequiresHardware) {
@@ -274,28 +260,6 @@ TEST(DeviceEccTest, OnDieEccHidesSingleBitFlips) {
   data = device.ReadRow(0, 5);
   EXPECT_EQ(data[0], 0x01);
   device.Precharge(0);
-}
-
-TEST(DeviceTrrTest, TrrProtectsUnderRefresh) {
-  DeviceConfig config = SmallConfig();
-  config.has_trr = true;
-  auto model = std::make_unique<FakeModel>();
-  FakeModel* fake = model.get();
-  Device device(config, std::move(model));
-
-  // Hammer row 8's neighbours repeatedly, then REF: TRR must refresh
-  // the tracked aggressor's neighbourhood - in particular the victim
-  // row 8 itself, which plain refresh striping (row 0 first) would not
-  // touch yet.
-  device.HammerDoubleSided(0, 8, 100, device.timing().tRAS);
-  device.Refresh();
-  bool victim_restored = false;
-  for (const auto& record : fake->restores) {
-    if (record.bank == 0 && record.row.value == 8) {
-      victim_restored = true;
-    }
-  }
-  EXPECT_TRUE(victim_restored);
 }
 
 TEST(DeviceRetentionTest, LongUnrefreshedPauseCorruptsData) {

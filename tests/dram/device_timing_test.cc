@@ -15,7 +15,6 @@ DeviceConfig MultiBankConfig() {
   config.org.row_bytes = 128;
   config.timing = MakeDdr4_3200();
   config.seed = 21;
-  config.has_trr = false;
   return config;
 }
 

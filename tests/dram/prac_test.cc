@@ -15,7 +15,6 @@ DeviceConfig PracConfig() {
   config.org.rows_per_bank = 128;
   config.org.row_bytes = 256;
   config.seed = 55;
-  config.has_trr = false;
   config.has_prac = true;
   return config;
 }

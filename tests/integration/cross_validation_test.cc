@@ -27,7 +27,6 @@ TEST(CrossValidationTest, TimeModelMatchesDeviceCommandPath) {
   config.org = dram::MakeDdr4Org(8, 8, 8);
   config.timing = dram::MakeDdr4_3200();
   config.seed = 5;
-  config.has_trr = false;
   dram::Device device(config);
 
   const std::uint64_t hammers = 5000;

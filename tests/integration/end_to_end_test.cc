@@ -15,6 +15,7 @@
 #include "core/min_rdt.h"
 #include "core/rdt_profiler.h"
 #include "core/series_analysis.h"
+#include "core/test_once_oracle.h"
 #include "vrd/chip_catalog.h"
 
 namespace vrddram {
@@ -116,7 +117,7 @@ TEST(EndToEndTest, RowPressNeedsFewerActivations) {
 }
 
 TEST(EndToEndTest, CommandLevelFlowMatchesDeviceState) {
-  // Run one full measurement through explicit DRAM Bender commands and
+  // Run one full measurement through individually issued commands and
   // confirm the device ends precharged with consistent counts.
   auto device = vrd::BuildDevice("S2");
   bender::TestHost host(*device);
@@ -138,110 +139,13 @@ TEST(EndToEndTest, CommandLevelFlowMatchesDeviceState) {
     }
   }
   const auto before = device->counts();
-  host.TestOnceExact(0, victim->row, dram::DataPattern::kCheckered0,
-                     500, device->timing().tRAS);
+  oracle::TestOnceExact(host, 0, victim->row,
+                        dram::DataPattern::kCheckered0, 500,
+                        device->timing().tRAS);
   const auto after = device->counts();
   EXPECT_EQ(after.act - before.act, init_rows + 2 * 500u + 1u);
   EXPECT_EQ(after.pre - before.pre, init_rows + 2 * 500u + 1u);
   EXPECT_EQ(device->StateOf(0), dram::BankState::kIdle);
-}
-
-}  // namespace
-}  // namespace vrddram
-
-// Appended: on-die defense interactions with attack patterns.
-#include "bender/attack_patterns.h"
-
-namespace vrddram {
-namespace {
-
-TEST(EndToEndTest, TrrStopsDoubleSidedUnderRefresh) {
-  // With periodic REF, the on-die TRR engine keeps refreshing the
-  // hottest aggressor's neighbourhood: a double-sided attack paced by
-  // refresh never accumulates enough disturbance. Disabling refresh
-  // (the paper's §3.1 methodology) re-enables the bitflips.
-  vrd::FaultProfile profile;
-  profile.median_rdt = 3000.0;
-  profile.weak_cells_mean = 8.0;
-  profile.t_ras = dram::MakeDdr4_3200().tRAS;
-  profile.measurement_noise_sigma = 0.0;
-  profile.fast_trap_mean = 0.0;
-  profile.rare_trap_prob = 0.0;
-  profile.heavy_trap_prob = 0.0;
-
-  auto run = [&](bool refresh_between_chunks) {
-    dram::DeviceConfig config;
-    config.org.num_banks = 1;
-    config.org.rows_per_bank = 128;
-    config.org.row_bytes = 256;
-    config.seed = 4242;
-    config.has_trr = true;
-    auto engine = std::make_unique<vrd::TrapFaultEngine>(
-        profile, config.seed, config.org);
-    auto* raw = engine.get();
-    dram::Device device(config, std::move(engine));
-
-    dram::RowAddr victim = 0;
-    double rdt = -1.0;
-    for (dram::RowAddr row = 2; row < 126; ++row) {
-      rdt = raw->MinFlipHammerCount(
-          0, dram::PhysicalRow{row}, 0x55, 0xAA, device.timing().tRAS,
-          50.0, device.encoding(), 0);
-      if (rdt > 0.0 && rdt < 20000.0) {
-        victim = row;
-        break;
-      }
-    }
-    EXPECT_GT(victim, 0u);
-
-    device.BulkInitializeRow(0, victim, 0x55);
-    device.BulkInitializeRow(0, victim - 1, 0xAA);
-    device.BulkInitializeRow(0, victim + 1, 0xAA);
-
-    // Hammer to 3x the RDT in quarters; optionally REF between chunks
-    // (a realistic controller issues thousands of REFs in this span).
-    const auto chunk = static_cast<std::uint64_t>(rdt * 0.75);
-    for (int i = 0; i < 4; ++i) {
-      device.HammerDoubleSided(0, victim, chunk,
-                               device.timing().tRAS);
-      if (refresh_between_chunks) {
-        device.Refresh();
-      }
-    }
-    device.Activate(0, victim);
-    const auto data = device.ReadRow(0, victim);
-    device.Precharge(0);
-    int flips = 0;
-    for (const std::uint8_t byte : data) {
-      flips += std::popcount(static_cast<unsigned>(byte ^ 0x55));
-    }
-    return flips;
-  };
-
-  EXPECT_EQ(run(/*refresh_between_chunks=*/true), 0)
-      << "TRR must protect the double-sided victim";
-  EXPECT_GT(run(/*refresh_between_chunks=*/false), 0)
-      << "disabling refresh disables TRR (the paper's methodology)";
-}
-
-TEST(EndToEndTest, AttackPatternsDriveTheFullStack) {
-  auto device = vrd::BuildDevice("S2");
-  core::ProfilerConfig pc;
-  core::RdtProfiler profiler(*device, pc);
-  // Start away from the bank edge: many-sided reaches +-5 rows.
-  const auto victim = profiler.FindVictim(8, 4000);
-  ASSERT_TRUE(victim.has_value());
-
-  const bender::AttackPlan plan = bender::PlanAttack(
-      *device, bender::AttackKind::kManySided, victim->row,
-      /*hammers_per_aggressor=*/victim->rdt_guess * 2, /*sides=*/6);
-  EXPECT_EQ(plan.aggressors.size(), 6u);
-  bender::ExecuteAttack(*device, 0, plan, device->timing().tRAS);
-  // The victim row materializes its damage on the next activation.
-  device->Activate(0, victim->row);
-  device->ReadRow(0, victim->row);
-  device->Precharge(0);
-  EXPECT_GT(device->counts().act, plan.hammers_per_aggressor * 6);
 }
 
 }  // namespace

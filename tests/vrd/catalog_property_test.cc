@@ -19,12 +19,10 @@ TEST_P(CatalogDeviceTest, InstantiatesWithSaneGeometry) {
   EXPECT_GE(chip.device.org.num_banks, 8u);
   EXPECT_GT(chip.fault.median_rdt, 1000.0);
   EXPECT_GT(chip.fault.k_press, 0.0);
-  // The standard determines the defensive hardware.
-  if (chip.spec.standard == dram::Standard::kHbm2) {
-    EXPECT_TRUE(chip.device.has_on_die_ecc);
-  } else {
-    EXPECT_TRUE(chip.device.has_trr);
-  }
+  // The standard determines the defensive hardware: only HBM2 chips
+  // carry on-die ECC.
+  EXPECT_EQ(chip.device.has_on_die_ecc,
+            chip.spec.standard == dram::Standard::kHbm2);
 }
 
 TEST_P(CatalogDeviceTest, FindsAVictimAndExhibitsVrd) {

@@ -42,7 +42,6 @@ TEST(ChipCatalogTest, Table1Attributes) {
   const TestedChip hbm = MakeTestedChip("Chip2");
   EXPECT_EQ(hbm.spec.standard, dram::Standard::kHbm2);
   EXPECT_TRUE(hbm.device.has_on_die_ecc);
-  EXPECT_FALSE(hbm.device.has_trr);
 }
 
 TEST(ChipCatalogTest, TechnologyOrdinalOrdersDensityThenRevision) {
@@ -122,7 +121,6 @@ TEST(FutureDdr5Test, PracCapableDdr5Geometry) {
   const TestedChip chip = MakeFutureDdr5Chip();
   EXPECT_EQ(chip.spec.standard, dram::Standard::kDdr5);
   EXPECT_TRUE(chip.device.has_prac);
-  EXPECT_FALSE(chip.device.has_trr);
   EXPECT_EQ(chip.device.org.num_banks, 32u);
   EXPECT_EQ(chip.device.org.rows_per_bank, 65536u);
 }
