@@ -5,8 +5,10 @@
 #include <cmath>
 #include <cstdlib>
 #include <sstream>
+#include <tuple>
 
 #include "common/error.h"
+#include "common/thread_pool.h"
 
 namespace vrddram::bench {
 
@@ -214,13 +216,58 @@ bool CollectSingleRowSeries(const std::string& device_name,
   if (!victim) {
     return false;
   }
-  out->device = device_name;
   out->row = victim->row;
   out->rdt_guess = victim->rdt_guess;
   out->series =
       profiler.MeasureSeries(victim->row, victim->rdt_guess, measurements);
   return true;
 }
+
+namespace {
+
+using SingleRowKey = std::tuple<std::string, std::size_t, std::uint64_t>;
+
+/// AnalyzeSingleRowSeries's memo, keyed on (device, measurements, seed).
+std::map<SingleRowKey, std::optional<SingleRowAnalysis>>& SingleRowMemo() {
+  static std::map<SingleRowKey, std::optional<SingleRowAnalysis>> memo;
+  return memo;
+}
+
+}  // namespace
+
+std::vector<std::optional<SingleRowAnalysis>> AnalyzeSingleRowSeries(
+    const std::vector<std::string>& devices, std::size_t measurements,
+    std::uint64_t seed, std::size_t threads) {
+  auto& memo = SingleRowMemo();
+  std::vector<std::string> missing;
+  for (const std::string& device : devices) {
+    if (!memo.contains({device, measurements, seed}) &&
+        std::find(missing.begin(), missing.end(), device) == missing.end()) {
+      missing.push_back(device);
+    }
+  }
+  auto measured = MapShards(
+      missing.size(), threads,
+      [&](std::size_t i) -> std::optional<SingleRowAnalysis> {
+        SingleRowSeries data;
+        if (!CollectSingleRowSeries(missing[i], measurements, seed, &data)) {
+          return std::nullopt;
+        }
+        return SingleRowAnalysis{data.row, core::AnalyzeSeries(data.series)};
+      });
+  for (std::size_t i = 0; i < missing.size(); ++i) {
+    memo.emplace(SingleRowKey{missing[i], measurements, seed},
+                 std::move(measured[i]));
+  }
+  std::vector<std::optional<SingleRowAnalysis>> analyses;
+  analyses.reserve(devices.size());
+  for (const std::string& device : devices) {
+    analyses.push_back(memo.at({device, measurements, seed}));
+  }
+  return analyses;
+}
+
+void ClearSingleRowAnalyses() { SingleRowMemo().clear(); }
 
 void AddBoxRow(TextTable& table, const std::string& label,
                const stats::BoxStats& box, int precision) {

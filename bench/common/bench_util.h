@@ -12,11 +12,9 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "common/table.h"
-#include "common/thread_pool.h"
 #include "core/campaign.h"
 #include "core/rdt_profiler.h"
 #include "core/series_analysis.h"
@@ -93,7 +91,6 @@ std::string ManufacturerGroupName(const core::SeriesRecord& record);
 /// One 100k-style single-row series: find a victim on the device per
 /// Alg. 1 and measure it `measurements` times.
 struct SingleRowSeries {
-  std::string device;
   dram::RowAddr row = 0;
   std::uint64_t rdt_guess = 0;
   std::vector<std::int64_t> series;
@@ -105,30 +102,32 @@ bool CollectSingleRowSeries(const std::string& device_name,
                             std::size_t measurements,
                             std::uint64_t seed, SingleRowSeries* out);
 
+/// One device's entry of AnalyzeSingleRowSeries: the victim row Alg. 1
+/// found and the core::AnalyzeSeries result of its series.
+struct SingleRowAnalysis {
+  dram::RowAddr row = 0;
+  core::SeriesAnalysis analysis;
+};
+
 /**
- * CollectSingleRowSeries fanned out over `devices` on the shard
- * executor, one device per shard. Each shard reduces its series to
- * `summarize(series)` on its worker, so no raw series outlives its
- * shard. Slot i holds device i's summary, or nullopt when no victim row
- * qualifies; merging the slots in order gives the serial loop's bytes
- * at any `threads`.
+ * CollectSingleRowSeries + core::AnalyzeSeries for every device, one
+ * device per shard on the shard executor, so no raw series outlives its
+ * shard. Slot i holds device i's analysis, or nullopt when no victim row
+ * qualifies; merging the slots in order gives the serial loop's bytes at
+ * any `threads`.
+ *
+ * Results are memoized per process, keyed on (device, measurements,
+ * seed): a call measures only the devices not analysed yet, so fig03,
+ * fig04 and fig05 share one analysis per device. The memo is read and
+ * written only on the calling thread, before and after the fan-out.
  */
-template <typename Fn>
-auto SummarizeSingleRowSeries(const std::vector<std::string>& devices,
-                              std::size_t measurements, std::uint64_t seed,
-                              std::size_t threads, Fn&& summarize)
-    -> std::vector<std::optional<
-        std::invoke_result_t<Fn&, const SingleRowSeries&>>> {
-  using Summary = std::invoke_result_t<Fn&, const SingleRowSeries&>;
-  return MapShards(
-      devices.size(), threads, [&](std::size_t i) -> std::optional<Summary> {
-        SingleRowSeries data;
-        if (!CollectSingleRowSeries(devices[i], measurements, seed, &data)) {
-          return std::nullopt;
-        }
-        return summarize(data);
-      });
-}
+std::vector<std::optional<SingleRowAnalysis>> AnalyzeSingleRowSeries(
+    const std::vector<std::string>& devices, std::size_t measurements,
+    std::uint64_t seed, std::size_t threads);
+
+/// Empty AnalyzeSingleRowSeries's memo; the driver calls this when a
+/// `run` starts, so every run measures cold.
+void ClearSingleRowAnalyses();
 
 /// Append one box-and-whiskers row (min / Q1 / median / Q3 / max /
 /// mean) to a table.

@@ -141,6 +141,9 @@ RunOptions ParseRunArgs(const std::vector<std::string>& args) {
 int RunCommand(const std::vector<std::string>& args, std::ostream& out,
                std::ostream& err) {
   const RunOptions options = ParseRunArgs(args);
+  // Each run measures cold: single-row analyses are shared only between
+  // the experiments of this run.
+  ClearSingleRowAnalyses();
 
   std::vector<const ExperimentSpec*> selected;
   if (options.all) {

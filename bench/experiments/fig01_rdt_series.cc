@@ -97,16 +97,9 @@ void AnalyzeFig01(const core::CampaignResult&, Report* report) {
         {"device", "row", "first min at", "min RDT", "max/min"});
     const std::size_t scan_measurements =
         std::min<std::size_t>(measurements, 100000);
-    struct ScanRow {
-      dram::RowAddr row;
-      core::SeriesAnalysis analysis;
-    };
     const std::vector<std::string> scan_devices = ResolveDevices(scan);
-    const auto scanned = SummarizeSingleRowSeries(
-        scan_devices, scan_measurements, seed + 17, threads,
-        [](const SingleRowSeries& data) {
-          return ScanRow{data.row, core::AnalyzeSeries(data.series)};
-        });
+    const auto scanned = AnalyzeSingleRowSeries(
+        scan_devices, scan_measurements, seed + 17, threads);
     std::size_t worst = 0;
     for (std::size_t i = 0; i < scan_devices.size(); ++i) {
       if (!scanned[i]) {

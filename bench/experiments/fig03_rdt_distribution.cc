@@ -28,11 +28,8 @@ void AnalyzeFig03(const core::CampaignResult&, Report* report) {
       {"device", "min", "Q1", "median", "Q3", "max", "mean"});
   double worst_ratio = 1.0;
   std::string worst_device;
-  const auto analyses = SummarizeSingleRowSeries(
-      devices, measurements, seed, threads,
-      [](const SingleRowSeries& data) {
-        return core::AnalyzeSeries(data.series);
-      });
+  const auto analyses =
+      AnalyzeSingleRowSeries(devices, measurements, seed, threads);
   // The merge runs on the calling thread, so the skip notes reach
   // stderr in device order at any --threads.
   for (std::size_t i = 0; i < devices.size(); ++i) {
@@ -41,7 +38,7 @@ void AnalyzeFig03(const core::CampaignResult&, Report* report) {
       std::cerr << "skipping " << name << ": no victim row\n";
       continue;
     }
-    const core::SeriesAnalysis& analysis = *analyses[i];
+    const core::SeriesAnalysis& analysis = analyses[i]->analysis;
     AddBoxRow(table, name, analysis.box);
     if (analysis.max_over_min > worst_ratio) {
       worst_ratio = analysis.max_over_min;

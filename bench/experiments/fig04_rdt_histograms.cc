@@ -10,7 +10,6 @@
  */
 #include <algorithm>
 #include <iostream>
-#include <optional>
 
 #include "common/experiment.h"
 #include "stats/histogram.h"
@@ -38,33 +37,14 @@ void AnalyzeFig04(const core::CampaignResult&, Report* report) {
   std::vector<double> unimodal_ps;
   std::size_t m1_unique = 0;
   std::size_t chip1_modes = 0;
-  // Per-device summary built on the worker: the analysis, plus the
-  // unique-value histogram of the --bars device.
-  struct DeviceSummary {
-    core::SeriesAnalysis analysis;
-    std::optional<stats::Histogram> bars;
-  };
-  const auto summaries = SummarizeSingleRowSeries(
-      devices, measurements, seed, threads,
-      [&](const SingleRowSeries& data) {
-        DeviceSummary summary{core::AnalyzeSeries(data.series), {}};
-        if (data.device == bars_device) {
-          std::vector<double> values;
-          for (const std::int64_t v : data.series) {
-            if (v >= 0) {
-              values.push_back(static_cast<double>(v));
-            }
-          }
-          summary.bars = stats::BuildUniqueValueHistogram(values);
-        }
-        return summary;
-      });
+  const auto analyses =
+      AnalyzeSingleRowSeries(devices, measurements, seed, threads);
   for (std::size_t i = 0; i < devices.size(); ++i) {
-    if (!summaries[i]) {
+    if (!analyses[i]) {
       continue;
     }
     const std::string& name = devices[i];
-    const core::SeriesAnalysis& a = summaries[i]->analysis;
+    const core::SeriesAnalysis& a = analyses[i]->analysis;
     table.AddRow({name, Cell(a.unique_values),
                   Cell(a.histogram_modes), Cell(a.normal_fit.p_value, 4),
                   a.normal_fit.NormalAt(0.05) ? "yes" : "no",
@@ -80,9 +60,9 @@ void AnalyzeFig04(const core::CampaignResult&, Report* report) {
       chip1_modes = a.histogram_modes;
     }
 
-    if (summaries[i]->bars) {
+    if (name == bars_device) {
       PrintBanner(out, "Histogram of " + name);
-      const stats::Histogram& hist = *summaries[i]->bars;
+      const stats::Histogram& hist = a.histogram;
       const auto peak = hist.bins[hist.ModeBin()].count;
       for (const stats::HistogramBin& bin : hist.bins) {
         const auto width = static_cast<std::size_t>(

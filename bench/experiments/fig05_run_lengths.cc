@@ -27,21 +27,12 @@ void AnalyzeFig05(const core::CampaignResult&, Report* report) {
               "Figure 5: run lengths of equal consecutive RDT "
               "measurements, aggregated across rows");
 
-  const auto per_device = SummarizeSingleRowSeries(
-      devices, measurements, seed, threads,
-      [](const SingleRowSeries& data) {
-        std::vector<std::int64_t> valid;
-        for (const std::int64_t v : data.series) {
-          if (v >= 0) {
-            valid.push_back(v);
-          }
-        }
-        return stats::ComputeRunLengths(valid);
-      });
+  const auto analyses =
+      AnalyzeSingleRowSeries(devices, measurements, seed, threads);
   stats::RunLengthHistogram aggregate;
-  for (const auto& run_lengths : per_device) {
-    if (run_lengths) {
-      stats::Merge(aggregate, *run_lengths);
+  for (const auto& entry : analyses) {
+    if (entry) {
+      stats::Merge(aggregate, entry->analysis.run_lengths);
     }
   }
 

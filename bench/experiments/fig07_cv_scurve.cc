@@ -11,7 +11,9 @@
 #include <iostream>
 #include <map>
 
+#include "common/error.h"
 #include "common/experiment.h"
+#include "common/thread_pool.h"
 #include "core/csv_export.h"
 
 namespace vrddram::bench {
@@ -65,6 +67,8 @@ void AnalyzeFig07(const core::CampaignResult& result, Report* report) {
   const std::string csv_path = flags.GetString("csv");
   if (!csv_path.empty()) {
     std::ofstream csv(csv_path);
+    VRD_FATAL_IF(!csv, "cannot open --csv path '" + csv_path +
+                           "' for writing");
     core::WriteSummaryCsv(csv, result);
     out << "wrote per-series summary CSV to " << csv_path << "\n";
   }
@@ -77,10 +81,23 @@ void AnalyzeFig07(const core::CampaignResult& result, Report* report) {
     bool varies_under_all = true;
     bool varies_under_any = false;
   };
+  // One shard per record; each slot keeps only what the fold reads, so
+  // no full SeriesAnalysis outlives its shard.
+  struct SeriesSummary {
+    double cv = 0.0;
+    double max_over_min = 0.0;
+    std::size_t unique_values = 0;
+  };
+  const auto summaries = MapShards(
+      result.records.size(), config.threads, [&](std::size_t i) {
+        const core::SeriesAnalysis a =
+            core::AnalyzeSeries(result.records[i].series, /*acf_max_lag=*/1);
+        return SeriesSummary{a.cv, a.max_over_min, a.unique_values};
+      });
   std::map<std::pair<std::string, dram::RowAddr>, RowAgg> rows;
-  for (const core::SeriesRecord& record : result.records) {
-    const core::SeriesAnalysis a =
-        core::AnalyzeSeries(record.series, /*acf_max_lag=*/1);
+  for (std::size_t i = 0; i < result.records.size(); ++i) {
+    const core::SeriesRecord& record = result.records[i];
+    const SeriesSummary& a = summaries[i];
     RowAgg& agg = rows[{record.device, record.row}];
     agg.max_cv = std::max(agg.max_cv, a.cv);
     agg.max_ratio = std::max(agg.max_ratio, a.max_over_min);

@@ -4,14 +4,6 @@
 
 namespace vrddram {
 
-namespace {
-
-constexpr std::uint64_t Rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
-
 std::uint64_t HashLabel(std::uint64_t base_seed, std::string_view label) {
   // FNV-1a over the label bytes, then mixed with the base seed through
   // SplitMix64 so that nearby labels map to unrelated streams.
@@ -37,23 +29,6 @@ void Rng::Reseed(std::uint64_t seed) {
     state_[0] = 0x9e3779b97f4a7c15ull;
   }
   has_cached_gaussian_ = false;
-}
-
-std::uint64_t Rng::Next() {
-  const std::uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::NextDouble() {
-  // 53 high bits -> uniform in [0, 1).
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }
 
 std::uint64_t Rng::NextBelow(std::uint64_t bound) {
@@ -103,10 +78,6 @@ double Rng::NextExponential(double lambda) {
   VRD_ASSERT_MSG(lambda > 0.0, "NextExponential requires lambda > 0");
   // 1 - NextDouble() is in (0, 1], so the log is finite.
   return -std::log(1.0 - NextDouble()) / lambda;
-}
-
-Rng Rng::Fork(std::string_view label) {
-  return Rng(HashLabel(Next(), label));
 }
 
 }  // namespace vrddram

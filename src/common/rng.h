@@ -64,10 +64,22 @@ class Rng {
   /// Next raw 64-bit output.
   std::uint64_t operator()() { return Next(); }
 
-  std::uint64_t Next();
+  std::uint64_t Next() {
+    const std::uint64_t result = Rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = Rotl(state_[3], 45);
+    return result;
+  }
 
-  /// Uniform double in [0, 1).
-  double NextDouble();
+  /// Uniform double in [0, 1): the 53 high bits of Next().
+  double NextDouble() {
+    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform integer in [0, bound) using Lemire's method; bound > 0.
   std::uint64_t NextBelow(std::uint64_t bound);
@@ -94,12 +106,11 @@ class Rng {
   /// Exponential with the given rate (lambda > 0).
   double NextExponential(double lambda);
 
-  /// Fork a child stream; deterministic given this stream's state and
-  /// the label, without perturbing this stream's sequence more than
-  /// one draw.
-  Rng Fork(std::string_view label);
-
  private:
+  static constexpr std::uint64_t Rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t state_[4];
   double cached_gaussian_ = 0.0;
   bool has_cached_gaussian_ = false;

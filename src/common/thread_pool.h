@@ -3,7 +3,8 @@
  * Work-stealing thread pool and the one shard executor on top of it
  * (RunShards / MapShards), which every parallel site of the suite
  * dispatches through: campaign shards, the guardband study's devices,
- * fig14's memsim runs and the single-row series experiments.
+ * fig14's memsim runs, the single-row series experiments and fig07's
+ * per-series analyses.
  *
  * Design constraints, in order:
  *  1. Determinism: the pool never owns randomness or ordering. Callers

@@ -68,8 +68,8 @@ SeriesAnalysis AnalyzeSeries(std::span<const std::int64_t> series,
         stats::FractionSignificantLags(out.acf, valid.size());
   }
 
-  const stats::Histogram hist = stats::BuildUniqueValueHistogram(values);
-  out.histogram_modes = stats::CountModes(hist);
+  out.histogram = stats::BuildUniqueValueHistogram(values);
+  out.histogram_modes = stats::CountModes(out.histogram);
   return out;
 }
 

@@ -42,6 +42,7 @@ struct SeriesAnalysis {
   stats::GoodnessOfFit normal_fit;     ///< §4.1 chi-square test
   std::vector<double> acf;             ///< Fig. 6
   double acf_significant_fraction = 0.0;
+  stats::Histogram histogram;          ///< unique-value bins (Fig. 4)
   std::size_t histogram_modes = 0;     ///< bimodality probe (Finding 2)
 };
 

@@ -162,6 +162,34 @@ TEST(SingleRowTest, CollectsDeterministicSeries) {
   EXPECT_EQ(a.series.size(), 50u);
 }
 
+TEST(SingleRowTest, MemoizedAnalysisMatchesCollectThenAnalyze) {
+  ClearSingleRowAnalyses();
+  // S2 twice: a repeated device is measured once and reported twice.
+  const std::vector<std::string> devices = {"S2", "M1", "S2"};
+  const auto cold = AnalyzeSingleRowSeries(devices, 200, 1, 2);
+  // M1 comes from the memo; H1 is measured fresh.
+  const auto warm = AnalyzeSingleRowSeries({"M1", "H1"}, 200, 1, 2);
+  ASSERT_EQ(cold.size(), 3u);
+  ASSERT_EQ(warm.size(), 2u);
+  const std::vector<std::pair<std::string, const SingleRowAnalysis*>>
+      entries = {{"S2", &*cold[0]}, {"M1", &*cold[1]}, {"S2", &*cold[2]},
+                 {"M1", &*warm[0]}, {"H1", &*warm[1]}};
+  for (const auto& [device, entry] : entries) {
+    SingleRowSeries data;
+    ASSERT_TRUE(CollectSingleRowSeries(device, 200, 1, &data)) << device;
+    const core::SeriesAnalysis direct = core::AnalyzeSeries(data.series);
+    EXPECT_EQ(entry->row, data.row) << device;
+    EXPECT_EQ(entry->analysis.box.median, direct.box.median) << device;
+    EXPECT_EQ(entry->analysis.cv, direct.cv) << device;
+    EXPECT_EQ(entry->analysis.run_lengths.counts, direct.run_lengths.counts)
+        << device;
+    EXPECT_EQ(entry->analysis.histogram.bins.size(),
+              direct.histogram.bins.size())
+        << device;
+  }
+  ClearSingleRowAnalyses();
+}
+
 TEST(BoxTest, WrapsComputeBoxStats) {
   const stats::BoxStats box = Box({1.0, 2.0, 3.0, 4.0});
   EXPECT_DOUBLE_EQ(box.median, 2.5);

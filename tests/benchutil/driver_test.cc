@@ -137,13 +137,14 @@ TEST(DriverTest, WarmCacheRunsAreByteIdenticalAtAnyThreads) {
 TEST(DriverTest, FanOutExperimentsByteIdenticalAtAnyThreads) {
   // The experiments that fan out on the shard executor outside a
   // campaign: fig01's scan (its smoke args skip it, so it is named
-  // here), fig03/04/05's per-device series, fig14's memsim runs and
-  // fig16's guardband devices. stderr carries fig03's skip notes.
+  // here), fig03/04/05's per-device series, fig07's per-record
+  // analyses, fig14's memsim runs and fig16's guardband devices.
   const std::vector<std::vector<std::string>> runs = {
       {"fig01_rdt_series", "--scan=M1,S2"},
       {"fig03_rdt_distribution"},
       {"fig04_rdt_histograms"},
       {"fig05_run_lengths"},
+      {"fig07_cv_scurve"},
       {"fig14_mitigation_overhead"},
       {"fig16_guardband_bitflips"},
   };
@@ -162,6 +163,50 @@ TEST(DriverTest, FanOutExperimentsByteIdenticalAtAnyThreads) {
     EXPECT_EQ(serial.out, parallel.out) << extra[0];
     EXPECT_EQ(serial.err, parallel.err) << extra[0];
   }
+}
+
+TEST(DriverTest, SingleRowAnalysesSharedAcrossExperimentsMatchRunsAlone) {
+  // One run: fig04 and fig05 read the analyses fig03 memoized. Three
+  // runs: each experiment measures its devices cold.
+  const std::vector<std::string> experiments = {
+      "fig03_rdt_distribution", "fig04_rdt_histograms",
+      "fig05_run_lengths"};
+  const std::vector<std::string> flags = {
+      "--no-cache", "--devices=M1,S2,Chip1", "--measurements=2000",
+      "--threads=2"};
+  std::vector<std::string> together = {"run"};
+  together.insert(together.end(), experiments.begin(), experiments.end());
+  together.insert(together.end(), flags.begin(), flags.end());
+  const DriverRun shared = Drive(together);
+  ASSERT_EQ(shared.exit_code, 0) << shared.err;
+
+  DriverRun alone;
+  for (const std::string& experiment : experiments) {
+    std::vector<std::string> args = {"run", experiment};
+    args.insert(args.end(), flags.begin(), flags.end());
+    const DriverRun run = Drive(args);
+    ASSERT_EQ(run.exit_code, 0) << experiment << ": " << run.err;
+    alone.out += run.out;
+    alone.err += run.err;
+  }
+  EXPECT_NE(shared.out.find("CHECK fig05."), std::string::npos);
+  EXPECT_NE(shared.out.find("Histogram of M1"), std::string::npos);
+  EXPECT_EQ(shared.out, alone.out);
+  EXPECT_EQ(shared.err, alone.err);
+}
+
+TEST(DriverTest, Fig07CsvToAnUnwritablePathNamesThePath) {
+  const std::string csv =
+      (std::filesystem::path(::testing::TempDir()) /
+       "vrddram_no_such_dir" / "summary.csv")
+          .string();
+  std::filesystem::remove_all(std::filesystem::path(csv).parent_path());
+  const DriverRun run =
+      Drive({"run", "fig07_cv_scurve", "--smoke", "--no-cache",
+             "--csv=" + csv});
+  EXPECT_EQ(run.exit_code, 2);
+  EXPECT_NE(run.err.find("'" + csv + "'"), std::string::npos) << run.err;
+  EXPECT_EQ(run.err.find("short write"), std::string::npos) << run.err;
 }
 
 TEST(DriverTest, OutDirWritesOneReportPerExperiment) {

@@ -73,6 +73,32 @@ TEST(SeriesAnalysisTest, AlternatingSeriesChangesEveryMeasurement) {
   EXPECT_GT(a.acf_significant_fraction, 0.5);
 }
 
+TEST(SeriesAnalysisTest, HistogramIsTheUniqueValueHistogramOfValidValues) {
+  // Two clusters plus sentinels: the kept histogram must be the one the
+  // modes were counted on, built from the valid values only.
+  std::vector<std::int64_t> series;
+  std::vector<double> valid;
+  for (int i = 0; i < 60; ++i) {
+    const std::int64_t v = (i % 3 == 0) ? 900 + i % 4 : 1200 + i % 5;
+    series.push_back(i % 7 == 0 ? kNoFlip : v);
+    if (series.back() >= 0) {
+      valid.push_back(static_cast<double>(v));
+    }
+  }
+  const SeriesAnalysis a = AnalyzeSeries(series);
+  const stats::Histogram expected = stats::BuildUniqueValueHistogram(valid);
+  ASSERT_EQ(a.histogram.bins.size(), expected.bins.size());
+  EXPECT_EQ(a.histogram.bins.size(), a.unique_values);
+  for (std::size_t b = 0; b < expected.bins.size(); ++b) {
+    EXPECT_EQ(a.histogram.bins[b].lo, expected.bins[b].lo) << b;
+    EXPECT_EQ(a.histogram.bins[b].hi, expected.bins[b].hi) << b;
+    EXPECT_EQ(a.histogram.bins[b].count, expected.bins[b].count) << b;
+  }
+  EXPECT_EQ(a.histogram.total, expected.total);
+  EXPECT_EQ(a.histogram.total, a.valid);
+  EXPECT_EQ(a.histogram_modes, stats::CountModes(a.histogram));
+}
+
 TEST(SeriesAnalysisTest, TooFewValidMeasurementsThrow) {
   const std::vector<std::int64_t> series = {kNoFlip, kNoFlip, 100};
   EXPECT_THROW(AnalyzeSeries(series), FatalError);

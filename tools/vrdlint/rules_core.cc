@@ -315,7 +315,7 @@ void CheckRngConstruction(const std::string& path, const FileView& view,
       const std::size_t after = SkipSpace(flat, end);
       if (after + 1 < flat.size() && flat[after] == ':' &&
           flat[after + 1] == ':') {
-        continue;  // qualified definition: Rng Rng::Fork(...)
+        continue;  // qualified definition: Rng Stream::Make(...)
       }
       if (after < flat.size() && (flat[after] == '(' || flat[after] == '{')) {
         const char open_char = flat[after];

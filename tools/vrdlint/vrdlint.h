@@ -128,7 +128,7 @@ struct Config {
   /// Functions whose call makes an Rng constructor argument a valid
   /// seed expression.
   std::vector<std::string> seed_calls = {"MixSeed", "HashLabel",
-                                         "SplitMix64", "Fork"};
+                                         "SplitMix64"};
   /// Functions that turn an unordered container into a deterministic
   /// sequence, making range-for over the call result legal.
   std::vector<std::string> ordering_calls = {"SortedByKey", "SortedKeys"};
