@@ -101,7 +101,7 @@ ExperimentSpec Fig16Spec() {
       "Figure 16: unique bitflips when hammering below min RDT";
   spec.flags = {
       {"devices", "ddr4", "device set: all, ddr4, hbm2, or comma list"},
-      {"rows", "9", "victim rows per device"},
+      {"rows", "9", "victim rows per device, a multiple of 3"},
       {"trials", "10000", "hammer trials per (row, margin)"},
       {"seed", "2025", "base RNG seed"},
       {"scan", "96", "rows scanned per region when selecting victims"},

@@ -18,7 +18,7 @@ std::uint64_t HashLabel(std::uint64_t base_seed, std::string_view label) {
   return out;
 }
 
-void Rng::Reseed(std::uint64_t seed) {
+Rng::Rng(std::uint64_t seed) {
   std::uint64_t s = seed;
   for (auto& word : state_) {
     word = SplitMix64(s);
@@ -28,7 +28,6 @@ void Rng::Reseed(std::uint64_t seed) {
   if ((state_[0] | state_[1] | state_[2] | state_[3]) == 0) {
     state_[0] = 0x9e3779b97f4a7c15ull;
   }
-  has_cached_gaussian_ = false;
 }
 
 std::uint64_t Rng::NextBelow(std::uint64_t bound) {
@@ -46,38 +45,6 @@ std::uint64_t Rng::NextBelow(std::uint64_t bound) {
     }
   }
   return static_cast<std::uint64_t>(m >> 64);
-}
-
-std::int64_t Rng::NextInRange(std::int64_t lo, std::int64_t hi) {
-  VRD_ASSERT_MSG(lo <= hi, "NextInRange requires lo <= hi");
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(NextBelow(span));
-}
-
-double Rng::NextGaussian() {
-  if (has_cached_gaussian_) {
-    has_cached_gaussian_ = false;
-    return cached_gaussian_;
-  }
-  // Marsaglia polar method: no trig, numerically robust.
-  double u = 0.0;
-  double v = 0.0;
-  double s = 0.0;
-  do {
-    u = 2.0 * NextDouble() - 1.0;
-    v = 2.0 * NextDouble() - 1.0;
-    s = u * u + v * v;
-  } while (s >= 1.0 || s == 0.0);
-  const double factor = std::sqrt(-2.0 * std::log(s) / s);
-  cached_gaussian_ = v * factor;
-  has_cached_gaussian_ = true;
-  return u * factor;
-}
-
-double Rng::NextExponential(double lambda) {
-  VRD_ASSERT_MSG(lambda > 0.0, "NextExponential requires lambda > 0");
-  // 1 - NextDouble() is in (0, 1], so the log is finite.
-  return -std::log(1.0 - NextDouble()) / lambda;
 }
 
 }  // namespace vrddram

@@ -53,10 +53,8 @@ class Rng {
  public:
   using result_type = std::uint64_t;
 
-  explicit Rng(std::uint64_t seed = 0x5eed5eed5eed5eedull) { Reseed(seed); }
-
-  /// Reset the stream from a 64-bit seed (expanded via SplitMix64).
-  void Reseed(std::uint64_t seed);
+  /// The stream of a 64-bit seed (expanded via SplitMix64).
+  explicit Rng(std::uint64_t seed = 0x5eed5eed5eed5eedull);
 
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~0ull; }
@@ -84,14 +82,24 @@ class Rng {
   /// Uniform integer in [0, bound) using Lemire's method; bound > 0.
   std::uint64_t NextBelow(std::uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t NextInRange(std::int64_t lo, std::int64_t hi);
-
   /// Bernoulli trial with probability p of returning true.
   bool NextBernoulli(double p) { return NextDouble() < p; }
 
-  /// Standard normal via Box-Muller with caching.
-  double NextGaussian();
+  /// Standard normal by the Marsaglia polar method: each accepted
+  /// pair yields two normals, the second cached for the next call.
+  /// Composed of the four primitives below, which a caller that
+  /// batches many normals drives directly (draw the pairs first,
+  /// transform them after) to the same values in the same order.
+  double NextGaussian() {
+    double cached = 0.0;
+    if (TakeCachedGaussian(cached)) {
+      return cached;
+    }
+    const PolarPair pair = NextPolarPair();
+    const double factor = PolarFactor(pair.s);
+    CacheGaussian(pair.v * factor);
+    return pair.u * factor;
+  }
 
   /// Normal with the given mean and standard deviation.
   double NextGaussian(double mean, double stddev) {
@@ -103,8 +111,50 @@ class Rng {
     return std::exp(NextGaussian(mu, sigma));
   }
 
-  /// Exponential with the given rate (lambda > 0).
-  double NextExponential(double lambda);
+  // -- polar-method primitives ---------------------------------------------
+  /// An accepted polar draw: (u, v) uniform on the unit disc minus its
+  /// centre, s = u*u + v*v in (0, 1).
+  struct PolarPair {
+    double u = 0.0;
+    double v = 0.0;
+    double s = 0.0;
+  };
+
+  /// Moves the cached normal into `out` and returns true, or returns
+  /// false (and leaves `out` alone) when none is cached.
+  bool TakeCachedGaussian(double& out) {
+    if (!has_cached_gaussian_) {
+      return false;
+    }
+    has_cached_gaussian_ = false;
+    out = cached_gaussian_;
+    return true;
+  }
+
+  /// The rejection loop: draws points of the square [-1, 1)^2 until one
+  /// falls inside the unit disc and off its centre. Its consumption
+  /// depends only on the raw stream.
+  PolarPair NextPolarPair() {
+    PolarPair p;
+    do {
+      p.u = 2.0 * NextDouble() - 1.0;
+      p.v = 2.0 * NextDouble() - 1.0;
+      p.s = p.u * p.u + p.v * p.v;
+    } while (p.s >= 1.0 || p.s == 0.0);
+    return p;
+  }
+
+  /// sqrt(-2 ln s / s): u*factor and v*factor are independent standard
+  /// normals. Pure, so it can run long after the pair was drawn.
+  static double PolarFactor(double s) {
+    return std::sqrt(-2.0 * std::log(s) / s);
+  }
+
+  /// Holds `value` for the next TakeCachedGaussian (or NextGaussian).
+  void CacheGaussian(double value) {
+    cached_gaussian_ = value;
+    has_cached_gaussian_ = true;
+  }
 
  private:
   static constexpr std::uint64_t Rotl(std::uint64_t x, int k) {

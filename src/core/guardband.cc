@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <ostream>
+#include <string>
 
 #include "common/error.h"
 #include "common/thread_pool.h"
@@ -61,8 +62,7 @@ DeviceStudy StudyDevice(const GuardbandConfig& config,
   VRD_ASSERT(engine != nullptr);
   device->SetTemperature(config.temperature);
 
-  const std::size_t per_region =
-      std::max<std::size_t>(1, config.rows_per_device / 3);
+  const std::size_t per_region = config.rows_per_device / 3;
   const std::vector<dram::RowAddr> rows = SelectVulnerableRows(
       *device, *engine, /*bank=*/0, per_region,
       config.scan_rows_per_region, dram::DataPattern::kCheckered0,
@@ -179,6 +179,12 @@ std::vector<RowGuardbandOutcome> RunGuardbandStudy(
     const GuardbandConfig& config, std::ostream* progress) {
   VRD_FATAL_IF(config.devices.empty(), "study needs devices");
   VRD_FATAL_IF(config.trials == 0, "study needs trials");
+  // Rows are selected per region, a third each; any other count would
+  // silently run a different number of rows.
+  VRD_FATAL_IF(
+      config.rows_per_device == 0 || config.rows_per_device % 3 != 0,
+      "guardband study rows per device must be a positive multiple of 3, "
+      "got " + std::to_string(config.rows_per_device));
   // One shard per device. The merge runs on the calling thread and
   // walks the slots in device order, so the outcomes and the progress
   // lines are the serial study's at any worker count.

@@ -21,7 +21,9 @@ namespace vrddram::core {
 
 struct GuardbandConfig {
   std::vector<std::string> devices;     ///< paper: the §5 DDR4 modules
-  std::size_t rows_per_device = 6;      ///< paper: 50
+  /// Victim rows per device, a third from each region of the bank, so
+  /// a positive multiple of 3 (paper: 50).
+  std::size_t rows_per_device = 6;
   std::size_t baseline_measurements = 5;
   std::size_t trials = 10000;
   /// Safety margins in integer percent below the measured min RDT.

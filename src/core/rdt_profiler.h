@@ -100,16 +100,17 @@ class RdtProfiler {
    * across its measurements: the sweep grid, the timing-derived
    * constants of the analytic duration model, and the engine-side
    * MeasureContext (pinned row state, per-cell invariant multipliers,
-   * decay memo). Computed once per series instead of once
-   * per measurement, which keeps the 100k-measurement inner loop free
-   * of mapper lookups, hash-map probes, and invariant recomputation.
+   * occupancy-probability memo). Computed once per series instead of
+   * once per measurement, which keeps the 100k-measurement inner loop
+   * free of mapper lookups, hash-map probes, and invariant
+   * recomputation.
    */
   struct SeriesContext {
     Grid grid;
     Tick fixed_per_step = 0;  ///< FixedIterationTime()
     Tick per_hammer = 0;      ///< 2 * (EffectiveTOn() + tRP)
-    /// Engine-side series cache. Mutated by every measurement
-    /// (trap-decay memo), hence the non-const threading below.
+    /// Engine-side series cache. Mutated by every measurement (memo
+    /// and kernel scratch), hence the non-const threading below.
     vrd::MeasureContext measure;
   };
   /// Rebuild `ctx` in place (engine-side context reused with retained

@@ -52,6 +52,7 @@ TrapFaultEngine::RowState TrapFaultEngine::BuildRowState(
   Rng rng(MixSeed(device_seed_, bank, row.value, 0xfab5));
   RowState state;
   state.last_restore = now;
+  state.last_sample = now;
   state.dynamics_rng =
       Rng(MixSeed(device_seed_, bank, row.value, 0xd114));
 
@@ -107,7 +108,6 @@ TrapFaultEngine::RowState TrapFaultEngine::BuildRowState(
           log_uniform(profile_.fast_rate_lo_hz, profile_.fast_rate_hi_hz);
       trap.weight = profile_.fast_weight_med * rng.NextLognormal(0.0, 0.25);
       trap.occupied = rng.NextBernoulli(trap.occupancy);
-      trap.last_sample = now;
       state.traps.push_back(trap);
     }
     if (rng.NextBernoulli(profile_.rare_trap_prob)) {
@@ -121,7 +121,6 @@ TrapFaultEngine::RowState TrapFaultEngine::BuildRowState(
           log_uniform(profile_.rare_rate_lo_hz, profile_.rare_rate_hi_hz);
       trap.weight = profile_.rare_weight_med * rng.NextLognormal(0.0, 0.4);
       trap.occupied = rng.NextBernoulli(trap.occupancy);
-      trap.last_sample = now;
       state.traps.push_back(trap);
     }
     if (rng.NextBernoulli(profile_.heavy_trap_prob)) {
@@ -131,7 +130,6 @@ TrapFaultEngine::RowState TrapFaultEngine::BuildRowState(
       trap.rate_hz = log_uniform(10.0, 100.0);
       trap.weight = profile_.heavy_weight_med * rng.NextLognormal(0.0, 0.4);
       trap.occupied = rng.NextBernoulli(trap.occupancy);
-      trap.last_sample = now;
       state.traps.push_back(trap);
     }
     if (rng.NextBernoulli(profile_.bimodal_trap_prob)) {
@@ -144,7 +142,6 @@ TrapFaultEngine::RowState TrapFaultEngine::BuildRowState(
       const double weight_jitter = 0.4 * rng.NextDouble();
       trap.weight = profile_.bimodal_weight * (0.8 + weight_jitter);
       trap.occupied = rng.NextBernoulli(trap.occupancy);
-      trap.last_sample = now;
       state.traps.push_back(trap);
     }
     cell.trap_count =
@@ -251,16 +248,15 @@ double TrapFaultEngine::SampleTrapBoost(RowState& state, WeakCell& cell,
   const double q10_scale =
       std::pow(profile_.trap_rate_q10, (temperature - 50.0) / 10.0);
   double boost = 0.0;
+  const double dt =
+      units::ToSeconds(std::max<Tick>(0, now - state.last_sample));
   for (Trap& trap : state.CellTraps(cell)) {
-    const double dt =
-        units::ToSeconds(std::max<Tick>(0, now - trap.last_sample));
     const double rate = trap.rate_hz * q10_scale;
     const double decay = std::exp(-rate * dt);
     const double prev = trap.occupied ? 1.0 : 0.0;
     const double relax = (prev - trap.occupancy) * decay;
     const double p_occupied = trap.occupancy + relax;
     trap.occupied = state.dynamics_rng.NextBernoulli(p_occupied);
-    trap.last_sample = now;
     if (trap.occupied) {
       boost += trap.weight;
     }
@@ -298,11 +294,10 @@ TrapFaultEngine::PerCellFlipHammerCounts(
     dram::BankId bank, dram::PhysicalRow victim, std::uint8_t victim_byte,
     std::uint8_t aggressor_byte, Tick t_on, Celsius temperature,
     const dram::CellEncodingLayout& encoding, Tick now) {
-  MeasureContext ctx = MakeMeasureContext(bank, victim, victim_byte,
-                                          aggressor_byte, t_on, temperature,
-                                          encoding, now);
+  MakeMeasureContext(bank, victim, victim_byte, aggressor_byte, t_on,
+                     temperature, encoding, now, one_shot_);
   std::vector<CellFlipPoint> points;
-  PerCellFlipHammerCounts(ctx, now, points);
+  PerCellFlipHammerCounts(one_shot_, now, points);
   return points;
 }
 
@@ -310,10 +305,9 @@ double TrapFaultEngine::MinFlipHammerCount(
     dram::BankId bank, dram::PhysicalRow victim, std::uint8_t victim_byte,
     std::uint8_t aggressor_byte, Tick t_on, Celsius temperature,
     const dram::CellEncodingLayout& encoding, Tick now) {
-  MeasureContext ctx = MakeMeasureContext(bank, victim, victim_byte,
-                                          aggressor_byte, t_on, temperature,
-                                          encoding, now);
-  return MinFlipHammerCount(ctx, now);
+  MakeMeasureContext(bank, victim, victim_byte, aggressor_byte, t_on,
+                     temperature, encoding, now, one_shot_);
+  return MinFlipHammerCount(one_shot_, now);
 }
 
 void TrapFaultEngine::Evaluate(const dram::VictimContext& ctx,
@@ -329,7 +323,7 @@ void TrapFaultEngine::Evaluate(const dram::VictimContext& ctx,
   for (WeakCell& cell : state.cells) {
     // Advance every trap of the cell to `now` (random telegraph noise:
     // the state at now is a Bernoulli draw conditioned on the previous
-    // state and the elapsed time).
+    // state and the elapsed time). The row tick moves after the loop.
     const double trap_boost =
         SampleTrapBoost(state, cell, ctx.now, ctx.temperature);
 
@@ -366,21 +360,22 @@ void TrapFaultEngine::Evaluate(const dram::VictimContext& ctx,
       out.push_back(dram::BitFlip{byte, bit});
     }
   }
+  state.last_sample = ctx.now;
 }
 
-const double* MeasureContext::DecayFor(Tick dt) {
-  for (DecayEntry& entry : memo_) {
+const std::array<double, 2>* MeasureContext::OccupancyFor(Tick dt) {
+  for (OccupancyEntry& entry : memo_) {
     if (entry.dt == dt) {
-      return entry.decay.data();
+      return entry.p_occupied.data();
     }
   }
-  // Miss: compute exp(-rate*dt) for every trap of the row. The
-  // analytic sweep revisits a bounded set
-  // of durations, so the memo saturates after a handful of entries;
-  // round-robin eviction bounds memory without affecting values.
+  // Miss: compute both probabilities for every trap of the row. The
+  // analytic sweep revisits a bounded set of durations, so the memo
+  // saturates after a handful of entries; round-robin eviction bounds
+  // memory without affecting values.
   constexpr std::size_t kMemoCapacity = 16;
-  DecayEntry* slot = nullptr;
-  for (DecayEntry& entry : memo_) {
+  OccupancyEntry* slot = nullptr;
+  for (OccupancyEntry& entry : memo_) {
     if (entry.dt < 0) {  // invalidated by a context rebuild
       slot = &entry;
       break;
@@ -397,15 +392,25 @@ const double* MeasureContext::DecayFor(Tick dt) {
     }
   }
   slot->dt = dt;
+  const std::vector<TrapFaultEngine::Trap>& traps = state_->traps;
   // First fill of a memo slot; the sweep's bounded duration set makes
   // this settle after a handful of entries.
   // vrdlint: allow(kernel-allocation)
-  slot->decay.resize(rate_scaled_.size());
+  slot->p_occupied.resize(traps.size());
   const double seconds = units::ToSeconds(dt);
-  for (std::size_t i = 0; i < rate_scaled_.size(); ++i) {
-    slot->decay[i] = std::exp(-rate_scaled_[i] * seconds);
+  for (std::size_t i = 0; i < traps.size(); ++i) {
+    // The two-state relaxation p = occ + (prev - occ) * decay for
+    // prev = 0 and prev = 1; the operation order is pinned by the
+    // kernel's golden digests.
+    const double rate = traps[i].rate_hz * q10_scale_;
+    const double decay = std::exp(-rate * seconds);
+    const double occ = traps[i].occupancy;
+    const double relax_from_empty = (0.0 - occ) * decay;
+    const double relax_from_occupied = (1.0 - occ) * decay;
+    slot->p_occupied[i] = {occ + relax_from_empty,
+                           occ + relax_from_occupied};
   }
-  return slot->decay.data();
+  return slot->p_occupied.data();
 }
 
 MeasureContext TrapFaultEngine::MakeMeasureContext(
@@ -426,15 +431,14 @@ void TrapFaultEngine::MakeMeasureContext(
   ctx.state_ = &MutableRowState(bank, victim, now);
   const RowState& state = *ctx.state_;
   const double press = profile_.PressFactor(t_on);
-  const double q10_scale =
+  ctx.q10_scale_ =
       std::pow(profile_.trap_rate_q10, (temperature - 50.0) / 10.0);
 
   // Reuse: drop contents but keep every vector's capacity, and mark
   // the memo lanes stale in place (their inner buffers are retained),
   // so rebuilding a hoisted context allocates nothing in steady state.
   ctx.cells_.clear();
-  ctx.rate_scaled_.clear();
-  for (MeasureContext::DecayEntry& entry : ctx.memo_) {
+  for (MeasureContext::OccupancyEntry& entry : ctx.memo_) {
     entry.dt = -1;
   }
   ctx.memo_next_evict_ = 0;
@@ -455,10 +459,12 @@ void TrapFaultEngine::MakeMeasureContext(
     ctx.cells_.push_back(pre);
   }
 
-  ctx.rate_scaled_.reserve(state.traps.size());
-  for (const Trap& trap : state.traps) {
-    ctx.rate_scaled_.push_back(trap.rate_hz * q10_scale);
-  }
+  // Kernel scratch: one boost per cell, and at most one fresh polar
+  // pair per two cells plus one.
+  const std::size_t max_pairs = state.cells.size() / 2 + 1;
+  ctx.boost_.reserve(state.cells.size());
+  ctx.pairs_.reserve(max_pairs);
+  ctx.polar_factors_.reserve(max_pairs);
 }
 
 template <typename Sink>
@@ -466,44 +472,82 @@ void TrapFaultEngine::ForEachFlipPoint(MeasureContext& ctx, Tick now,
                                        Sink&& sink) {
   RowState& state = *ctx.state_;
   Trap* const traps = state.traps.data();
-  Rng& rng = state.dynamics_rng;
   // Every sampling path advances all traps of a row together, so the
-  // row shares one sampling instant and one decay factor per trap; a
-  // stale trap (impossible today) falls back to a direct exp.
-  const Tick base = state.traps.empty() ? now : traps[0].last_sample;
-  const double* const decay =
-      ctx.DecayFor(std::max<Tick>(0, now - base));
+  // row has one sampling instant and each trap one probability pair.
+  const std::array<double, 2>* const p_occupied =
+      ctx.OccupancyFor(std::max<Tick>(0, now - state.last_sample));
+  state.last_sample = now;
+  // A local copy keeps the stream in registers; the trap-state stores
+  // below would otherwise force it through memory on every draw.
+  Rng rng = state.dynamics_rng;
 
+  // Phase 1, draw: per cell, its trap Bernoullis, then its Gaussian in
+  // NextGaussian's order — the normal the stream had cached on entry,
+  // else the held-back second half of this call's last polar pair,
+  // else a fresh pair. Only the raw stream decides the consumption, so
+  // the logs can wait.
+  ctx.boost_.clear();
+  ctx.pairs_.clear();
+  double cached = 0.0;
+  const bool from_cache =
+      !ctx.cells_.empty() && rng.TakeCachedGaussian(cached);
+  bool half_held = from_cache;
   for (const MeasureContext::CellPre& cell : ctx.cells_) {
     double boost = 0.0;
     const std::uint32_t end = cell.trap_begin + cell.trap_count;
     for (std::uint32_t i = cell.trap_begin; i < end; ++i) {
       Trap& trap = traps[i];
-      double d = decay[i];
-      if (trap.last_sample != base) [[unlikely]] {
-        const double dt =
-            units::ToSeconds(std::max<Tick>(0, now - trap.last_sample));
-        d = std::exp(-ctx.rate_scaled_[i] * dt);
-      }
-      const double prev = static_cast<double>(trap.occupied);
-      const double relax = (prev - trap.occupancy) * d;
-      const double p_occupied = trap.occupancy + relax;
-      const bool occupied = rng.NextBernoulli(p_occupied);
+      const bool occupied =
+          rng.NextBernoulli(p_occupied[i][trap.occupied]);
       trap.occupied = occupied;
-      trap.last_sample = now;
       // weight*1.0 and +0.0 are exact, so this equals
       // `if (occupied) boost += weight` bit for bit without its
       // data-dependent branch.
       const double hit = trap.weight * static_cast<double>(occupied);
       boost += hit;
     }
-    const double per_hammer = cell.per_hammer_fixed * (1.0 + boost);
-    const double noise = std::max(
-        0.05, 1.0 + rng.NextGaussian(0.0, cell.noise_sigma));
+    ctx.boost_.push_back(boost);
+    if (half_held) {
+      half_held = false;
+    } else {
+      ctx.pairs_.push_back(rng.NextPolarPair());
+      half_held = true;
+    }
+  }
+
+  // Phase 2, transform: the pairs' log/sqrt chains are independent of
+  // one another, so the CPU overlaps them.
+  ctx.polar_factors_.clear();
+  for (const Rng::PolarPair& pair : ctx.pairs_) {
+    ctx.polar_factors_.push_back(Rng::PolarFactor(pair.s));
+  }
+  std::size_t k = 0;
+  auto emit = [&](double gaussian) {
+    const MeasureContext::CellPre& cell = ctx.cells_[k];
+    const double per_hammer = cell.per_hammer_fixed * (1.0 + ctx.boost_[k]);
+    // 1 + N(0, sigma), as 1.0 + (0.0 + sigma * g): adding 0.0 only
+    // turns -0.0 into +0.0, which 1.0 + x cannot tell apart.
+    const double jitter = cell.noise_sigma * gaussian;
+    const double noise = std::max(0.05, 1.0 + jitter);
     sink(cell.bit_index, (per_hammer > 0.0)
                              ? cell.threshold * noise / per_hammer
                              : -1.0);
+    ++k;
+  };
+  if (from_cache) {
+    emit(cached);
   }
+  for (std::size_t p = 0; p < ctx.pairs_.size(); ++p) {
+    const double factor = ctx.polar_factors_[p];
+    emit(ctx.pairs_[p].u * factor);
+    const double second = ctx.pairs_[p].v * factor;
+    if (k < ctx.cells_.size()) {
+      emit(second);
+    } else {
+      rng.CacheGaussian(second);  // for the stream's next Gaussian
+    }
+  }
+  state.dynamics_rng = rng;
 }
 
 double TrapFaultEngine::MinFlipHammerCount(MeasureContext& ctx, Tick now) {

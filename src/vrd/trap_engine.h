@@ -21,6 +21,7 @@
 #ifndef VRDDRAM_VRD_TRAP_ENGINE_H
 #define VRDDRAM_VRD_TRAP_ENGINE_H
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <unordered_map>
@@ -61,8 +62,6 @@ class PoissonSampler {
 /// exp(-lambda) limit every call — hot paths hold a PoissonSampler).
 std::size_t SamplePoisson(Rng& rng, double lambda);
 
-class MeasureContext;
-
 class TrapFaultEngine final : public dram::ReadDisturbanceModel {
  public:
   TrapFaultEngine(FaultProfile profile, std::uint64_t device_seed,
@@ -79,18 +78,17 @@ class TrapFaultEngine final : public dram::ReadDisturbanceModel {
                 std::vector<dram::BitFlip>& out) override;
 
   // -- introspection (tests, analyses) --------------------------------------
-  /// One charge trap attached to a weak cell.
+  /// One charge trap attached to a weak cell (32 bytes). The kernel
+  /// reads `weight` and `occupied` per sample; `occupancy` and
+  /// `rate_hz` only feed context builds and memo misses. The sampling
+  /// instant is the row's (RowState::last_sample).
   struct Trap {
-    // Field order is deliberate: the four fields the measurement
-    // kernel touches every sample sit in the first 32 bytes, so a
-    // sequential trap walk pulls one hot half-line per trap; rate_hz
-    // is only read at context build and in decay-memo misses.
     double occupancy = 0.0;   ///< stationary occupied probability
     double weight = 0.0;      ///< coupling boost while occupied
     bool occupied = false;
-    Tick last_sample = 0;
     double rate_hz = 0.0;     ///< total transition rate at 50 degC
   };
+  static_assert(sizeof(Trap) == 32, "one trap per half cache line");
 
   /// One disturbance-prone cell of a row.
   struct WeakCell {
@@ -115,6 +113,10 @@ class TrapFaultEngine final : public dram::ReadDisturbanceModel {
     std::vector<Trap> traps;
     Rng dynamics_rng{0};
     Tick last_restore = 0;
+    /// When the row's traps were last sampled. Every path (Evaluate
+    /// and the kernel) advances all of them together, so the row keeps
+    /// one tick for all its traps.
+    Tick last_sample = 0;
 
     std::span<Trap> CellTraps(const WeakCell& cell) {
       return {traps.data() + cell.trap_begin, cell.trap_count};
@@ -122,6 +124,71 @@ class TrapFaultEngine final : public dram::ReadDisturbanceModel {
     std::span<const Trap> CellTraps(const WeakCell& cell) const {
       return {traps.data() + cell.trap_begin, cell.trap_count};
     }
+  };
+
+  /**
+   * Series-scoped cache and scratch for the hot measurement kernel
+   * (DESIGN.md §9).
+   *
+   * Everything about one (victim row, pattern, t_on, temperature,
+   * encoding) series that is invariant across its measurements:
+   *  - the pinned RowState pointer (stable: states_ never erases),
+   *  - per-cell fixed per-hammer multipliers — pattern jitters,
+   *    same-bit/discharged selection, and the temperature exponential,
+   *  - the Q10 trap-rate factor of its temperature, and
+   *  - an exact memo of each trap's next-sample occupancy probability,
+   *    from empty and from occupied, keyed on the tick delta between
+   *    measurements (the analytic sweep revisits a handful of distinct
+   *    durations, so almost every measurement reuses a cached pair).
+   *
+   * It also owns the kernel's per-cell and per-pair scratch, reserved
+   * at build, so a measurement allocates nothing.
+   *
+   * Construction draws nothing from the dynamics RNG, and the memo
+   * caches only values the same expressions would return for identical
+   * arguments, so a rebuilt or fresh context continues any series bit
+   * for bit.
+   */
+  class MeasureContext {
+   public:
+    MeasureContext() = default;
+
+    /// Number of weak cells of the pinned row (introspection).
+    std::size_t cell_count() const { return cells_.size(); }
+
+   private:
+    friend class TrapFaultEngine;
+
+    struct CellPre {
+      std::uint32_t bit_index = 0;
+      std::uint32_t trap_begin = 0;
+      std::uint32_t trap_count = 0;
+      /// press * jitters * same-bit/discharged factors * temp exp: the
+      /// full per-hammer dose except the trap-boost term.
+      double per_hammer_fixed = 0.0;
+      double threshold = 0.0;
+      double noise_sigma = 0.0;
+    };
+
+    struct OccupancyEntry {
+      Tick dt = -1;
+      /// Per row trap index: [0] from empty, [1] from occupied.
+      std::vector<std::array<double, 2>> p_occupied;
+    };
+
+    /// Each trap's probability of being occupied `dt` after a sample,
+    /// given its state then, memoized on dt.
+    const std::array<double, 2>* OccupancyFor(Tick dt);
+
+    RowState* state_ = nullptr;
+    std::vector<CellPre> cells_;
+    double q10_scale_ = 1.0;  ///< trap-rate factor at the temperature
+    std::vector<OccupancyEntry> memo_;
+    std::size_t memo_next_evict_ = 0;
+    // Kernel scratch, refilled by every measurement.
+    std::vector<double> boost_;             ///< per cell
+    std::vector<Rng::PolarPair> pairs_;     ///< per fresh polar pair
+    std::vector<double> polar_factors_;     ///< per fresh polar pair
   };
 
   /// Weak-cell state of a row (creates it deterministically if new).
@@ -139,8 +206,9 @@ class TrapFaultEngine final : public dram::ReadDisturbanceModel {
    * counts through the command path with trap states frozen for the
    * duration of one measurement (tests check the correspondence).
    *
-   * One-shot convenience: builds a MeasureContext and runs the context
-   * kernel once. Series of measurements hold a context instead.
+   * One-shot convenience: rebuilds the engine's own MeasureContext in
+   * place and runs the context kernel once. Series of measurements
+   * hold a context instead.
    */
   double MinFlipHammerCount(dram::BankId bank, dram::PhysicalRow victim,
                             std::uint8_t victim_byte,
@@ -207,13 +275,12 @@ class TrapFaultEngine final : public dram::ReadDisturbanceModel {
   const FaultProfile& profile() const { return profile_; }
 
  private:
-  friend class MeasureContext;
-
   RowState& MutableRowState(dram::BankId bank, dram::PhysicalRow row,
                             Tick now);
 
   /// The measurement kernel: advance every trap of the pinned row to
-  /// `now` and emit (bit_index, flip hammer count) per cell.
+  /// `now` and emit (bit_index, flip hammer count) per cell, in cell
+  /// order. Draws everything first, then transforms.
   template <typename Sink>
   void ForEachFlipPoint(MeasureContext& ctx, Tick now, Sink&& sink);
 
@@ -226,8 +293,9 @@ class TrapFaultEngine final : public dram::ReadDisturbanceModel {
                             Celsius temperature,
                             const dram::CellEncodingLayout& encoding) const;
 
-  /// Advance all traps of `cell` to `now` and return the summed weight
-  /// of the occupied ones (the command path's Evaluate).
+  /// Advance all traps of `cell` from the row's last sample to `now`
+  /// and return the summed weight of the occupied ones (the command
+  /// path's Evaluate, which then moves the row tick).
   double SampleTrapBoost(RowState& state, WeakCell& cell, Tick now,
                          Celsius temperature);
   RowState BuildRowState(dram::BankId bank, dram::PhysicalRow row,
@@ -251,60 +319,12 @@ class TrapFaultEngine final : public dram::ReadDisturbanceModel {
   PoissonSampler weak_cell_sampler_;
   PoissonSampler fast_trap_sampler_;
   std::unordered_map<std::uint64_t, RowState> states_;
+  /// Rebuilt in place by each one-shot query, so those allocate only
+  /// their result once warm.
+  MeasureContext one_shot_;
 };
 
-/**
- * Series-scoped cache for the hot measurement kernel (DESIGN.md §9).
- *
- * Everything about one (victim row, pattern, t_on, temperature,
- * encoding) series that is invariant across its measurements:
- *  - the pinned RowState pointer (stable: states_ never erases),
- *  - per-cell fixed per-hammer multipliers — pattern jitters,
- *    same-bit/discharged selection, and the temperature exponential,
- *  - per-trap Q10-scaled transition rates, and
- *  - an exact memo of exp(-rate*dt) keyed on the tick delta between
- *    measurements (the analytic sweep revisits a handful of distinct
- *    durations, so almost every measurement reuses a cached decay).
- *
- * Construction draws nothing from the dynamics RNG, and the memo
- * caches only values std::exp would return for identical arguments, so
- * a rebuilt or fresh context continues any series bit for bit.
- */
-class MeasureContext {
- public:
-  MeasureContext() = default;
-
-  /// Number of weak cells of the pinned row (introspection).
-  std::size_t cell_count() const { return cells_.size(); }
-
- private:
-  friend class TrapFaultEngine;
-
-  struct CellPre {
-    std::uint32_t bit_index = 0;
-    std::uint32_t trap_begin = 0;
-    std::uint32_t trap_count = 0;
-    /// press * jitters * same-bit/discharged factors * temp exp: the
-    /// full per-hammer dose except the trap-boost term.
-    double per_hammer_fixed = 0.0;
-    double threshold = 0.0;
-    double noise_sigma = 0.0;
-  };
-
-  struct DecayEntry {
-    Tick dt = -1;
-    std::vector<double> decay;  ///< per row trap index
-  };
-
-  /// exp(-rate_scaled * ToSeconds(dt)) per trap, memoized on dt.
-  const double* DecayFor(Tick dt);
-
-  TrapFaultEngine::RowState* state_ = nullptr;
-  std::vector<CellPre> cells_;
-  std::vector<double> rate_scaled_;  ///< rate_hz * q10_scale, per trap
-  std::vector<DecayEntry> memo_;
-  std::size_t memo_next_evict_ = 0;
-};
+using MeasureContext = TrapFaultEngine::MeasureContext;
 
 }  // namespace vrddram::vrd
 

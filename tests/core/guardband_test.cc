@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.h"
 
 namespace vrddram::core {
@@ -126,6 +128,20 @@ TEST(GuardbandTest, InvalidConfigsThrow) {
   GuardbandConfig no_trials = TinyConfig();
   no_trials.trials = 0;
   EXPECT_THROW(RunGuardbandStudy(no_trials), FatalError);
+  // Rows are split evenly over three regions: 0 and 10 used to run 3
+  // and 9 rows without a word.
+  for (const std::size_t rows : {0, 1, 10}) {
+    GuardbandConfig uneven = TinyConfig();
+    uneven.rows_per_device = rows;
+    try {
+      RunGuardbandStudy(uneven);
+      ADD_FAILURE() << "rows_per_device=" << rows << " accepted";
+    } catch (const FatalError& e) {
+      EXPECT_NE(std::string(e.what()).find("got " + std::to_string(rows)),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -283,6 +283,93 @@ TEST(MeasureContextTest, KernelOutputsMatchGoldenDigests) {
   }
 }
 
+/**
+ * The command path (Evaluate after real activations) and the analytic
+ * kernel advance the same traps of one row on one clock: each samples
+ * every trap at its own `now`, and the next sample of either path
+ * relaxes from that instant. Interleaving the two on one row and
+ * hashing the flips and flip points pins that shared sample tick; the
+ * golden-digest test above never mixes the paths.
+ */
+TEST(MeasureContextTest, CommandPathAndKernelShareOneSampleTick) {
+  const TestedChip chip = MakeTestedChip("M1");
+  TrapFaultEngine engine(chip.fault, chip.device.seed, chip.device.org);
+  const dram::CellEncodingLayout encoding(chip.device.seed,
+                                          chip.device.anti_cell_fraction);
+  const Tick t_on = chip.device.timing.tRAS;
+  const Celsius temp = 65.0;
+
+  // First row with at least two weak cells, away from the array edge.
+  dram::PhysicalRow row{0};
+  for (dram::RowAddr r = 2; r < 4000; ++r) {
+    if (engine.RowStateOf(0, dram::PhysicalRow{r}).cells.size() >= 2) {
+      row = dram::PhysicalRow{r};
+      break;
+    }
+  }
+  ASSERT_NE(row.value, 0u);
+  const dram::PhysicalRow above{row.value + 1};
+  const dram::PhysicalRow below{row.value - 1};
+
+  MeasureContext ctx =
+      engine.MakeMeasureContext(0, row, 0x55, 0xAA, t_on, temp, encoding, 0);
+  const std::vector<std::uint8_t> victim_data(chip.device.org.row_bytes,
+                                              0x55);
+  const std::vector<std::uint8_t> aggressor_data(chip.device.org.row_bytes,
+                                                 0xAA);
+  const Tick deltas[] = {20 * units::kMillisecond, 7 * units::kMillisecond,
+                         20 * units::kMillisecond, 1 * units::kSecond,
+                         333 * units::kMicrosecond};
+
+  OutputDigest digest;
+  std::vector<TrapFaultEngine::CellFlipPoint> points;
+  std::vector<dram::BitFlip> flips;
+  double min_hc = -1.0;
+  int evaluations_with_flips = 0;
+  int evaluations_without = 0;
+  Tick now = 0;
+  for (int i = 0; i < 150; ++i) {
+    now += deltas[i % 5];
+    if (i % 3 == 0 && min_hc > 0.0) {
+      // Hammer just above the last analytic minimum, so the command
+      // path's outcome depends on the trap states it samples.
+      const auto count = static_cast<std::uint64_t>(min_hc * 1.02);
+      engine.OnRestore(0, row, now);
+      engine.OnActivations(0, above, count, t_on, now, temp, aggressor_data);
+      engine.OnActivations(0, below, count, t_on, now, temp, aggressor_data);
+      dram::VictimContext victim;
+      victim.bank = 0;
+      victim.row = row;
+      victim.data = victim_data;
+      victim.encoding = &encoding;
+      victim.temperature = temp;
+      victim.now = now;
+      engine.Evaluate(victim, flips);
+      ++(flips.empty() ? evaluations_without : evaluations_with_flips);
+      digest.Add(std::uint64_t{flips.size()});
+      for (const dram::BitFlip& flip : flips) {
+        digest.Add(flip.BitIndex());
+      }
+    } else if (i % 3 == 1) {
+      engine.PerCellFlipHammerCounts(ctx, now, points);
+      for (const TrapFaultEngine::CellFlipPoint& point : points) {
+        digest.Add(std::uint64_t{point.bit_index});
+        digest.Add(point.hammer_count);
+      }
+    } else {
+      min_hc = engine.MinFlipHammerCount(0, row, 0x55, 0xAA, t_on, temp,
+                                         encoding, now);
+      digest.Add(min_hc);
+    }
+  }
+  // Both outcomes of the command path occur, so the digest covers
+  // trap states that decided a flip.
+  EXPECT_GT(evaluations_with_flips, 0);
+  EXPECT_GT(evaluations_without, 0);
+  EXPECT_EQ(digest.value(), 0x1e5897ef06b0d1f1ULL)
+      << "measured 0x" << std::hex << digest.value() << "ULL";
+}
+
 /// Rebuilding a hoisted MeasureContext must not grow memory once warm
 /// (the allocation-free steady state the campaign shards rely on).
 TEST(MeasureContextTest, ReuseOverloadMatchesFreshContext) {
