@@ -293,7 +293,11 @@ void PrintCheck(std::ostream& os, const std::string& name,
 }
 
 stats::BoxStats Box(const std::vector<double>& xs) {
-  return stats::ComputeBoxStats(xs);
+  std::vector<double> sorted = xs;
+  std::sort(sorted.begin(), sorted.end());
+  return stats::ComputeBoxStats(
+      sorted.size(), [&sorted](std::size_t i) { return sorted[i]; },
+      stats::Mean(xs));
 }
 
 }  // namespace vrddram::bench

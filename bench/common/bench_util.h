@@ -144,7 +144,8 @@ void PrintCheck(std::ostream& os, const std::string& name,
                 const std::string& paper, double measured,
                 int precision = 3);
 
-/// Box stats over a vector<double>; convenience alias used by benches.
+/// Box stats over a vector<double>: sorts a copy once, mean in the
+/// vector's own order.
 stats::BoxStats Box(const std::vector<double>& xs);
 
 }  // namespace vrddram::bench

@@ -12,6 +12,7 @@
  *  - no heavy traps               (worst-case CV tail disappears)
  *  - deterministic (nothing)      (VRD disappears entirely)
  */
+#include <algorithm>
 #include <functional>
 #include <iostream>
 #include <optional>
@@ -102,12 +103,13 @@ void AnalyzeAblationFaultModel(const core::CampaignResult&,
     }
     const auto series = profiler.MeasureSeries(
         victim->row, victim->rdt_guess, measurements);
-    const core::SeriesAnalysis a =
-        core::AnalyzeSeries(series, 40, /*min_valid=*/1);
-    if (a.valid < 8) {
+    const auto flips = std::ranges::count_if(
+        series, [](std::int64_t v) { return v >= 0; });
+    if (static_cast<std::size_t>(flips) < core::kMinAnalyzedFlips) {
       table.AddRow({variant.name, "-", "-", "-", "-", "-", "-"});
       continue;
     }
+    const core::SeriesAnalysis a = core::AnalyzeSeries(series);
     table.AddRow({variant.name, Cell(a.unique_values), Cell(a.cv, 4),
                   Cell(a.max_over_min, 3),
                   Cell(static_cast<std::uint64_t>(a.first_min_index)),

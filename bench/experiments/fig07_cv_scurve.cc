@@ -153,7 +153,7 @@ ExperimentSpec Fig07Spec() {
       "Figure 7: S-curve of RDT coefficient of variation across rows";
   spec.flags = WithCampaignFlags({
       {"devices", "all", "device set: all, ddr4, hbm2, or comma list"},
-      {"rows", "9", "victim rows per device"},
+      {"rows", "9", "victim rows per device, a multiple of 3"},
       {"measurements", "1000", "measurements per series"},
       {"seed", "2025", "base RNG seed"},
       {"scan", "96", "rows scanned per region when selecting victims"},

@@ -122,7 +122,7 @@ ExperimentSpec Fig08Spec() {
       "Figure 8: probability of finding the minimum RDT";
   spec.flags = WithCampaignFlags({
       {"devices", "all", "device set: all, ddr4, hbm2, or comma list"},
-      {"rows", "9", "victim rows per device"},
+      {"rows", "9", "victim rows per device, a multiple of 3"},
       {"measurements", "1000", "measurements per series"},
       {"seed", "2025", "base RNG seed"},
       {"scan", "96", "rows scanned per region when selecting victims"},

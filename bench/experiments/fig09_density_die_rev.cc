@@ -102,7 +102,7 @@ ExperimentSpec Fig09Spec() {
   spec.description =
       "Figure 9: expected normalized min RDT by density and die rev";
   spec.flags = WithCampaignFlags({
-      {"rows", "9", "victim rows per device"},
+      {"rows", "9", "victim rows per device, a multiple of 3"},
       {"measurements", "1000", "measurements per series"},
       {"seed", "2025", "base RNG seed"},
       {"scan", "96", "rows scanned per region when selecting victims"},

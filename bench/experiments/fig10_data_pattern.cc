@@ -100,7 +100,7 @@ ExperimentSpec Fig10Spec() {
       "Figure 10: expected normalized min RDT per data pattern";
   spec.flags = WithCampaignFlags({
       {"devices", "all", "device set: all, ddr4, hbm2, or comma list"},
-      {"rows", "6", "victim rows per device"},
+      {"rows", "6", "victim rows per device, a multiple of 3"},
       {"measurements", "1000", "measurements per series"},
       {"seed", "2025", "base RNG seed"},
       {"scan", "96", "rows scanned per region when selecting victims"},

@@ -90,7 +90,7 @@ ExperimentSpec Fig12Spec() {
   spec.flags = WithCampaignFlags({
       {"devices", "M0,M1,S0,S2,H1,H3",
        "device set: all, ddr4, hbm2, or comma list"},
-      {"rows", "6", "victim rows per device"},
+      {"rows", "6", "victim rows per device, a multiple of 3"},
       {"measurements", "1000", "measurements per series"},
       {"seed", "2025", "base RNG seed"},
       {"scan", "96", "rows scanned per region when selecting victims"},

@@ -97,7 +97,7 @@ ExperimentSpec Fig15Spec() {
       "Figure 15: probability of finding the min RDT within a margin";
   spec.flags = WithCampaignFlags({
       {"devices", "all", "device set: all, ddr4, hbm2, or comma list"},
-      {"rows", "6", "victim rows per device"},
+      {"rows", "6", "victim rows per device, a multiple of 3"},
       {"measurements", "1000", "measurements per series"},
       {"seed", "2025", "base RNG seed"},
       {"scan", "96", "rows scanned per region when selecting victims"},

@@ -1,9 +1,9 @@
 /**
  * @file
  * Throughput microbenchmarks (google-benchmark): how fast the
- * simulation substrate itself runs - analytic RDT measurements, raw
- * fault-engine queries, campaign and thread-pool scaling, Poisson
- * draws, and memory-system events.
+ * simulation substrate itself runs - analytic RDT measurements, series
+ * analysis, raw fault-engine queries, campaign and thread-pool scaling,
+ * Poisson draws, and memory-system events.
  */
 #include <benchmark/benchmark.h>
 
@@ -16,6 +16,7 @@
 #include "common/thread_pool.h"
 #include "core/campaign.h"
 #include "core/rdt_profiler.h"
+#include "core/series_analysis.h"
 #include "memsim/system.h"
 #include "vrd/chip_catalog.h"
 #include "vrd/trap_engine.h"
@@ -57,6 +58,20 @@ void BM_MeasurementAnalytic(benchmark::State& state) {
                           static_cast<std::int64_t>(kSeriesLength));
 }
 BENCHMARK(BM_MeasurementAnalytic);
+
+// fig07's per-series analysis: one deterministic 1000-measurement
+// series of the fixture row, analysed with fig07's lag-1 ACF; items are
+// series.
+void BM_AnalyzeSeries(benchmark::State& state) {
+  ProfilerFixture fx;
+  const std::vector<std::int64_t> series =
+      fx.profiler->MeasureSeries(fx.victim, fx.guess, 1000);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::AnalyzeSeries(series, /*acf_max_lag=*/1));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_AnalyzeSeries);
 
 void BM_EngineQuery(benchmark::State& state) {
   auto device = vrd::BuildDevice("M1");
@@ -149,9 +164,9 @@ BENCHMARK(BM_MemsimRequests);
 /**
  * Custom main: unless the caller picks an output file, write the JSON
  * results to BENCH_perf.json in the working directory. That makes
- * `bench_perf_throughput` self-recording — local runs and the CI perf
- * job both produce a machine-readable snapshot to diff against the
- * committed BENCH_pr<N>.json baseline (see docs/API.md).
+ * `bench_perf_throughput` self-recording: every run leaves a
+ * machine-readable snapshot that tools/bench_compare.py can diff
+ * against a run of another build (see docs/API.md).
  */
 int main(int argc, char** argv) {
   bool has_out = false;

@@ -147,8 +147,7 @@ std::vector<SeriesRecord> RunShard(const CampaignConfig& config,
   // Row selection runs on the freshly built device, before the shard
   // temperature is applied, so every shard of the same device selects
   // the identical row set.
-  const std::size_t per_region =
-      std::max<std::size_t>(1, config.rows_per_device / 3);
+  const std::size_t per_region = config.rows_per_device / 3;
   const std::vector<dram::RowAddr> rows = SelectVulnerableRows(
       *device, *engine, /*bank=*/0, per_region,
       config.scan_rows_per_region, dram::DataPattern::kCheckered0,
@@ -204,14 +203,24 @@ std::vector<SeriesRecord> RunShard(const CampaignConfig& config,
 
 }  // namespace
 
-CampaignResult RunCampaign(const CampaignConfig& config,
-                           std::ostream* progress) {
+void ValidateCampaignConfig(const CampaignConfig& config) {
   VRD_FATAL_IF(config.devices.empty(), "campaign needs devices");
+  // Rows are selected per region, a third each; any other count would
+  // silently run a different number of rows.
+  VRD_FATAL_IF(
+      config.rows_per_device == 0 || config.rows_per_device % 3 != 0,
+      "campaign rows per device must be a positive multiple of 3, got " +
+          std::to_string(config.rows_per_device));
   VRD_FATAL_IF(config.measurements == 0, "campaign needs measurements");
   VRD_FATAL_IF(config.max_attempts == 0,
                "campaign needs at least one attempt per shard");
   VRD_FATAL_IF(config.resume && config.checkpoint_path.empty(),
                "campaign resume requires a checkpoint path");
+}
+
+CampaignResult RunCampaign(const CampaignConfig& config,
+                           std::ostream* progress) {
+  ValidateCampaignConfig(config);
 
   // Parsed once, shared read-only by every worker; each shard attempt
   // opens its own FaultScope so fire schedules depend only on

@@ -62,7 +62,7 @@ std::string FormatShardStatus(const ShardStatus& status);
 
 struct CampaignConfig {
   std::vector<std::string> devices;       ///< catalog names
-  std::size_t rows_per_device = 15;       ///< paper: 150
+  std::size_t rows_per_device = 15;       ///< paper: 150; a multiple of 3
   std::size_t measurements = 1000;
   std::vector<dram::DataPattern> patterns = {
       dram::DataPattern::kCheckered0};
@@ -147,6 +147,12 @@ std::vector<dram::RowAddr> SelectVulnerableRows(
     dram::Device& device, vrd::TrapFaultEngine& engine, dram::BankId bank,
     std::size_t per_region, std::size_t scan_per_region,
     dram::DataPattern pattern, Tick t_on);
+
+/// Throw a FatalError naming the field when `config` cannot run: no
+/// devices or measurements, a row count that is not a positive multiple
+/// of 3 (rows are selected a third per bank region), no attempts, or a
+/// resume without a checkpoint path.
+void ValidateCampaignConfig(const CampaignConfig& config);
 
 /**
  * Run a full campaign. Work is sharded per (device, temperature) and

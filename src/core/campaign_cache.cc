@@ -136,6 +136,8 @@ CampaignResult RunCampaignCached(const CampaignConfig& config,
   if (cache == nullptr) {
     return RunCampaign(config, progress);
   }
+  // A stored entry never makes an invalid config valid.
+  ValidateCampaignConfig(config);
   const std::string key = HashHex(HashCampaignConfig(config));
   if (std::optional<CampaignResult> result = cache->Lookup(config)) {
     if (telemetry != nullptr) {

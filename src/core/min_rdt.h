@@ -48,8 +48,8 @@ struct RowMinRdtResult {
 
 /**
  * Exact statistics for one series (kNoFlip sentinels removed) at every
- * configured N and margin, from one sort of the series. Throws when no
- * measurement flipped or an RDT value is not positive.
+ * configured N and margin, from one core::SortedFlips of the series.
+ * Throws when no measurement flipped or an RDT value is not positive.
  */
 RowMinRdtResult AnalyzeRowSeries(std::span<const std::int64_t> series,
                                  const MinRdtSettings& settings);

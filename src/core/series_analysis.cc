@@ -1,14 +1,15 @@
 #include "core/series_analysis.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/error.h"
+#include "core/sorted_flips.h"
 
 namespace vrddram::core {
 
 SeriesAnalysis AnalyzeSeries(std::span<const std::int64_t> series,
-                             std::size_t acf_max_lag,
-                             std::size_t min_valid) {
+                             std::size_t acf_max_lag) {
   SeriesAnalysis out;
   out.measurements = series.size();
 
@@ -20,13 +21,19 @@ SeriesAnalysis AnalyzeSeries(std::span<const std::int64_t> series,
     }
   }
   out.valid = valid.size();
-  VRD_FATAL_IF(out.valid < min_valid,
-               "series has too few flipping measurements to analyze");
+  VRD_FATAL_IF(out.valid < kMinAnalyzedFlips,
+               "series has " + std::to_string(out.valid) +
+                   " flipping measurements; analysis needs at least " +
+                   std::to_string(kMinAnalyzedFlips));
 
-  out.min_rdt = *std::min_element(valid.begin(), valid.end());
-  out.max_rdt = *std::max_element(valid.begin(), valid.end());
+  // Order-free statistics: one sort, read as runs of equal values.
+  const SortedFlips flips = BuildSortedFlips(valid);
+  out.min_rdt = flips.run_values.front();
+  out.max_rdt = flips.run_values.back();
   out.max_over_min = static_cast<double>(out.max_rdt) /
                      static_cast<double>(out.min_rdt);
+  out.min_multiplicity = flips.run_counts.front();
+  out.unique_values = flips.run_values.size();
 
   // First appearance of the minimum, indexed over the *full* series
   // (a no-flip measurement still costs test time).
@@ -36,25 +43,31 @@ SeriesAnalysis AnalyzeSeries(std::span<const std::int64_t> series,
       break;
     }
   }
-  out.min_multiplicity = static_cast<std::size_t>(
-      std::count(valid.begin(), valid.end(), out.min_rdt));
 
-  out.unique_values = stats::CountUnique(valid);
-
+  // Sums run in measurement order, the order every report was computed
+  // in; the box and the chi-square take this mean and stddev rather
+  // than re-summing the sorted values, which could round differently.
   const std::vector<double> values = stats::ToDoubles(valid);
   out.mean = stats::Mean(values);
   out.stddev = stats::SampleStddev(values);
   out.cv = (out.mean != 0.0) ? out.stddev / out.mean : 0.0;
-  out.box = stats::ComputeBoxStats(values);
+  out.box = stats::ComputeBoxStats(
+      flips.size,
+      [&flips](std::size_t i) {
+        return static_cast<double>(flips.AtRank(i));
+      },
+      out.mean);
 
   out.run_lengths = stats::ComputeRunLengths(valid);
   out.immediate_change_fraction =
       out.run_lengths.ImmediateChangeFraction();
 
+  const std::vector<double> run_values = stats::ToDoubles(flips.run_values);
   if (out.stddev > 0.0) {
     // §4.1 convention: bin by the unique-value histogram (the RDT data
     // is quantized to the sweep grid).
-    out.normal_fit = stats::ChiSquareNormalTestBinned(values);
+    out.normal_fit = stats::ChiSquareNormalTestBinned(
+        run_values, flips.run_counts, out.mean, out.stddev);
   } else {
     out.normal_fit.p_value = 1.0;
     out.normal_fit.fitted_mean = out.mean;
@@ -68,7 +81,8 @@ SeriesAnalysis AnalyzeSeries(std::span<const std::int64_t> series,
         stats::FractionSignificantLags(out.acf, valid.size());
   }
 
-  out.histogram = stats::BuildUniqueValueHistogram(values);
+  out.histogram =
+      stats::BuildUniqueValueHistogram(run_values, flips.run_counts);
   out.histogram_modes = stats::CountModes(out.histogram);
   return out;
 }

@@ -46,14 +46,23 @@ struct SeriesAnalysis {
   std::size_t histogram_modes = 0;     ///< bimodality probe (Finding 2)
 };
 
+/// Flipping measurements a series needs before AnalyzeSeries (and its
+/// §4.1 chi-square test) accepts it.
+inline constexpr std::size_t kMinAnalyzedFlips = 8;
+
 /**
  * Analyze a measurement series. kNoFlip sentinels (negative values)
  * are excluded from value statistics but noted in `measurements`.
- * The series must contain at least `min_valid` flipping measurements.
+ * Throws a FatalError naming the count when fewer than
+ * kMinAnalyzedFlips measurements flipped.
+ *
+ * The flipping measurements are sorted once (core::SortedFlips); the
+ * minimum, unique-value count, box, chi-square categories and histogram
+ * read that table. The mean, stddev, ACF, run lengths and first-minimum
+ * index read the series in measurement order.
  */
 SeriesAnalysis AnalyzeSeries(std::span<const std::int64_t> series,
-                             std::size_t acf_max_lag = 40,
-                             std::size_t min_valid = 8);
+                             std::size_t acf_max_lag = 40);
 
 }  // namespace vrddram::core
 

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <vector>
 
 #include "common/error.h"
-#include "stats/descriptive.h"
-#include "stats/histogram.h"
 
 namespace vrddram::stats {
 
@@ -109,65 +108,25 @@ double ChiSquarePValue(double statistic, std::size_t dof) {
   return RegularizedGammaQ(static_cast<double>(dof) / 2.0, statistic / 2.0);
 }
 
-namespace {
-
-// Pool observed/expected pairs until each expected count reaches
-// min_expected, then compute the Pearson statistic and p-value.
-GoodnessOfFit FinishTest(const std::vector<double>& observed,
-                         const std::vector<double>& expected,
-                         double min_expected, double fitted_mean,
-                         double fitted_stddev) {
-  std::vector<double> obs_pooled;
-  std::vector<double> exp_pooled;
-  double obs_acc = 0.0;
-  double exp_acc = 0.0;
-  for (std::size_t b = 0; b < observed.size(); ++b) {
-    obs_acc += observed[b];
-    exp_acc += expected[b];
-    if (exp_acc >= min_expected) {
-      obs_pooled.push_back(obs_acc);
-      exp_pooled.push_back(exp_acc);
-      obs_acc = 0.0;
-      exp_acc = 0.0;
-    }
-  }
-  if (exp_acc > 0.0 || obs_acc > 0.0) {
-    if (exp_pooled.empty()) {
-      obs_pooled.push_back(obs_acc);
-      exp_pooled.push_back(std::max(exp_acc, 1e-9));
-    } else {
-      obs_pooled.back() += obs_acc;
-      exp_pooled.back() += exp_acc;
-    }
-  }
-
-  GoodnessOfFit out;
-  out.fitted_mean = fitted_mean;
-  out.fitted_stddev = fitted_stddev;
-  double stat = 0.0;
-  for (std::size_t b = 0; b < obs_pooled.size(); ++b) {
-    const double d = obs_pooled[b] - exp_pooled[b];
-    stat += d * d / exp_pooled[b];
-  }
-  out.statistic = stat;
-  out.bins_used = obs_pooled.size();
-  const std::size_t reduction = 3;  // mean + stddev estimated, -1
-  out.dof = (out.bins_used > reduction) ? out.bins_used - reduction : 1;
-  out.p_value = ChiSquarePValue(out.statistic, out.dof);
-  return out;
-}
-
-}  // namespace
-
-GoodnessOfFit ChiSquareNormalTestBinned(std::span<const double> xs,
+GoodnessOfFit ChiSquareNormalTestBinned(std::span<const double> values,
+                                        std::span<const std::size_t> counts,
+                                        double mean, double stddev,
                                         double min_expected) {
-  VRD_FATAL_IF(xs.size() < 8, "chi-square test needs at least 8 samples");
-  const double mean = Mean(xs);
-  const double stddev = SampleStddev(xs);
-  const auto n = static_cast<double>(xs.size());
+  VRD_FATAL_IF(values.size() != counts.size(),
+               "chi-square test needs one count per value");
+  VRD_FATAL_IF(std::adjacent_find(values.begin(), values.end(),
+                                  std::greater_equal<>()) != values.end(),
+               "chi-square test needs distinct values in ascending order");
+  std::size_t samples = 0;
+  for (const std::size_t c : counts) {
+    samples += c;
+  }
+  VRD_FATAL_IF(samples < 8, "chi-square test needs at least 8 samples");
+  const auto n = static_cast<double>(samples);
+  GoodnessOfFit out;
+  out.fitted_mean = mean;
+  out.fitted_stddev = stddev;
   if (stddev == 0.0) {
-    GoodnessOfFit out;
-    out.fitted_mean = mean;
     out.p_value = 1.0;
     out.dof = 1;
     out.bins_used = 1;
@@ -177,21 +136,8 @@ GoodnessOfFit ChiSquareNormalTestBinned(std::span<const double> xs,
   // Categories are the observed unique values. The measurement process
   // quantizes a latent value up to the next grid point, so a sample is
   // recorded as v_i exactly when the latent value lies in
-  // (v_{i-1}, v_i]; edge categories absorb the open tails.
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<double> values;
-  std::vector<double> counts;
-  for (const double x : sorted) {
-    if (values.empty() || x != values.back()) {
-      values.push_back(x);
-      counts.push_back(1.0);
-    } else {
-      counts.back() += 1.0;
-    }
-  }
-
-  // Quantization step: the smallest gap between unique values.
+  // (v_{i-1}, v_i]; edge categories absorb the open tails. The
+  // quantization step is the smallest gap between unique values.
   double step = 0.0;
   for (std::size_t i = 1; i < values.size(); ++i) {
     const double gap = values[i] - values[i - 1];
@@ -209,7 +155,12 @@ GoodnessOfFit ChiSquareNormalTestBinned(std::span<const double> xs,
                0.25 * stddev * stddev);
   const double latent_stddev = std::sqrt(latent_var);
 
-  std::vector<double> expected(values.size(), 0.0);
+  // Pool observed/expected pairs until each expected count reaches
+  // min_expected; a short tail joins the last pooled category.
+  std::vector<double> obs_pooled;
+  std::vector<double> exp_pooled;
+  double obs_acc = 0.0;
+  double exp_acc = 0.0;
   for (std::size_t i = 0; i < values.size(); ++i) {
     const double hi_cdf =
         (i + 1 == values.size())
@@ -219,47 +170,36 @@ GoodnessOfFit ChiSquareNormalTestBinned(std::span<const double> xs,
         (i == 0) ? 0.0
                  : NormalCdf((values[i - 1] - latent_mean) /
                              latent_stddev);
-    expected[i] = n * std::max(0.0, hi_cdf - lo_cdf);
-  }
-  return FinishTest(counts, expected, min_expected, mean, stddev);
-}
-
-GoodnessOfFit ChiSquareNormalTest(std::span<const double> xs,
-                                  std::size_t num_bins,
-                                  double min_expected) {
-  VRD_FATAL_IF(xs.size() < 8, "chi-square test needs at least 8 samples");
-  VRD_FATAL_IF(num_bins < 4, "chi-square test needs at least 4 bins");
-
-  GoodnessOfFit out;
-  out.fitted_mean = Mean(xs);
-  out.fitted_stddev = SampleStddev(xs);
-  const auto n = static_cast<double>(xs.size());
-
-  if (out.fitted_stddev == 0.0) {
-    // A degenerate (constant) series trivially "fits" the point mass.
-    out.statistic = 0.0;
-    out.dof = 1;
-    out.p_value = 1.0;
-    out.bins_used = 1;
-    return out;
-  }
-
-  // Equal-probability bins of the fitted normal: each bin expects
-  // n/num_bins samples, so pooling is rarely needed for large n.
-  std::vector<double> observed(num_bins, 0.0);
-  const double inv_prob = 1.0 / static_cast<double>(num_bins);
-  for (double x : xs) {
-    const double z = (x - out.fitted_mean) / out.fitted_stddev;
-    const double u = NormalCdf(z);
-    auto b = static_cast<std::size_t>(u / inv_prob);
-    if (b >= num_bins) {
-      b = num_bins - 1;
+    obs_acc += static_cast<double>(counts[i]);
+    exp_acc += n * std::max(0.0, hi_cdf - lo_cdf);
+    if (exp_acc >= min_expected) {
+      obs_pooled.push_back(obs_acc);
+      exp_pooled.push_back(exp_acc);
+      obs_acc = 0.0;
+      exp_acc = 0.0;
     }
-    observed[b] += 1.0;
   }
-  const std::vector<double> expected(num_bins, n * inv_prob);
-  return FinishTest(observed, expected, min_expected, out.fitted_mean,
-                    out.fitted_stddev);
+  if (exp_acc > 0.0 || obs_acc > 0.0) {
+    if (exp_pooled.empty()) {
+      obs_pooled.push_back(obs_acc);
+      exp_pooled.push_back(std::max(exp_acc, 1e-9));
+    } else {
+      obs_pooled.back() += obs_acc;
+      exp_pooled.back() += exp_acc;
+    }
+  }
+
+  double stat = 0.0;
+  for (std::size_t b = 0; b < obs_pooled.size(); ++b) {
+    const double d = obs_pooled[b] - exp_pooled[b];
+    stat += d * d / exp_pooled[b];
+  }
+  out.statistic = stat;
+  out.bins_used = obs_pooled.size();
+  const std::size_t reduction = 3;  // mean + stddev estimated, -1
+  out.dof = (out.bins_used > reduction) ? out.bins_used - reduction : 1;
+  out.p_value = ChiSquarePValue(out.statistic, out.dof);
+  return out;
 }
 
 }  // namespace vrddram::stats

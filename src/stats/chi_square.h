@@ -40,26 +40,24 @@ struct GoodnessOfFit {
 };
 
 /**
- * Chi-square GOF test of `xs` against N(mean(xs), stddev(xs)).
+ * The paper's §4.1 goodness-of-fit test for inherently quantized RDT
+ * data, against a normal fitted to the sample's `mean` and `stddev`.
  *
- * Data is binned into `num_bins` equal-probability bins of the fitted
- * normal; adjacent bins are pooled until every expected count is at
- * least `min_expected` (the usual validity rule). Degrees of freedom
- * are bins - 1 - 2 (two estimated parameters).
+ * The sample arrives as runs: `values` are its distinct values in
+ * ascending order and `counts[i]` how often values[i] occurs. Each
+ * distinct value is a category of the Fig. 4 unique-value convention;
+ * expected counts come from the fitted normal's CDF over the category
+ * edges, with Sheppard's corrections for the grid step. Adjacent
+ * categories are pooled until every expected count is at least
+ * `min_expected`; degrees of freedom are categories - 1 - 2 (two
+ * estimated parameters). `mean` and `stddev` are the caller's, summed
+ * over the sample in its own order. Equal-probability binning would
+ * reject any discrete distribution regardless of its shape, which is
+ * why the categories are the observed values.
  */
-GoodnessOfFit ChiSquareNormalTest(std::span<const double> xs,
-                                  std::size_t num_bins = 20,
-                                  double min_expected = 5.0);
-
-/**
- * Variant matching the paper's §4.1 procedure for the inherently
- * quantized RDT data: bins are the equal-width unique-value bins of
- * the Fig. 4 histogram convention, and expected counts come from the
- * fitted normal's CDF over the bin edges. Use this for discrete /
- * grid-quantized measurements, where equal-probability binning would
- * reject any discrete distribution regardless of its shape.
- */
-GoodnessOfFit ChiSquareNormalTestBinned(std::span<const double> xs,
+GoodnessOfFit ChiSquareNormalTestBinned(std::span<const double> values,
+                                        std::span<const std::size_t> counts,
+                                        double mean, double stddev,
                                         double min_expected = 5.0);
 
 }  // namespace vrddram::stats

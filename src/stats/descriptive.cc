@@ -34,22 +34,6 @@ double SampleStddev(std::span<const double> xs) {
   return std::sqrt(SampleVariance(xs));
 }
 
-double CoefficientOfVariation(std::span<const double> xs) {
-  const double mu = Mean(xs);
-  VRD_FATAL_IF(mu == 0.0, "CoefficientOfVariation with zero mean");
-  return SampleStddev(xs) / mu;
-}
-
-double Min(std::span<const double> xs) {
-  VRD_FATAL_IF(xs.empty(), "Min of empty series");
-  return *std::min_element(xs.begin(), xs.end());
-}
-
-double Max(std::span<const double> xs) {
-  VRD_FATAL_IF(xs.empty(), "Max of empty series");
-  return *std::max_element(xs.begin(), xs.end());
-}
-
 double Percentile(std::span<const double> xs, double p) {
   VRD_FATAL_IF(xs.empty(), "Percentile of empty series");
   VRD_FATAL_IF(p < 0.0 || p > 100.0, "percentile must be in [0, 100]");
@@ -67,44 +51,7 @@ double Percentile(std::span<const double> xs, double p) {
 
 double Median(std::span<const double> xs) { return Percentile(xs, 50.0); }
 
-BoxStats ComputeBoxStats(std::span<const double> xs) {
-  VRD_FATAL_IF(xs.empty(), "BoxStats of empty series");
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-
-  // Median of a sorted sub-range [lo, hi).
-  auto median_of = [&](std::size_t lo, std::size_t hi) {
-    const std::size_t n = hi - lo;
-    const std::size_t mid = lo + n / 2;
-    if (n % 2 == 1) {
-      return sorted[mid];
-    }
-    return 0.5 * (sorted[mid - 1] + sorted[mid]);
-  };
-
-  BoxStats out;
-  const std::size_t n = sorted.size();
-  out.min = sorted.front();
-  out.max = sorted.back();
-  out.median = median_of(0, n);
-  // Paper footnote 6: Q1/Q3 are the medians of the first/second halves
-  // of the ordered data (Tukey's hinges, excluding the middle element
-  // for odd n).
-  if (n == 1) {
-    out.q1 = out.q3 = sorted.front();
-  } else {
-    out.q1 = median_of(0, n / 2);
-    out.q3 = median_of(n - n / 2, n);
-  }
-  out.mean = Mean(xs);
-  return out;
-}
-
 std::vector<double> ToDoubles(std::span<const std::int64_t> xs) {
-  return {xs.begin(), xs.end()};
-}
-
-std::vector<double> ToDoubles(std::span<const std::uint32_t> xs) {
   return {xs.begin(), xs.end()};
 }
 

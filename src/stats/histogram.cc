@@ -1,19 +1,11 @@
 #include "stats/histogram.h"
 
 #include <algorithm>
-#include <cmath>
+#include <functional>
 
 #include "common/error.h"
 
 namespace vrddram::stats {
-
-double Histogram::Fraction(std::size_t b) const {
-  VRD_ASSERT(b < bins.size());
-  if (total == 0) {
-    return 0.0;
-  }
-  return static_cast<double>(bins[b].count) / static_cast<double>(total);
-}
 
 std::size_t Histogram::ModeBin() const {
   VRD_ASSERT(!bins.empty());
@@ -26,25 +18,17 @@ std::size_t Histogram::ModeBin() const {
   return best;
 }
 
-std::size_t CountUnique(std::span<const double> xs) {
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  return sorted.size();
-}
-
-std::size_t CountUnique(std::span<const std::int64_t> xs) {
-  std::vector<std::int64_t> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  return sorted.size();
-}
-
-Histogram BuildHistogram(std::span<const double> xs, std::size_t num_bins) {
-  VRD_FATAL_IF(xs.empty(), "histogram of empty series");
-  VRD_FATAL_IF(num_bins == 0, "histogram needs at least one bin");
-  const double lo = *std::min_element(xs.begin(), xs.end());
-  const double hi = *std::max_element(xs.begin(), xs.end());
+Histogram BuildUniqueValueHistogram(std::span<const double> values,
+                                    std::span<const std::size_t> counts) {
+  VRD_FATAL_IF(values.empty(), "histogram of empty series");
+  VRD_FATAL_IF(values.size() != counts.size(),
+               "histogram needs one count per value");
+  VRD_FATAL_IF(std::adjacent_find(values.begin(), values.end(),
+                                  std::greater_equal<>()) != values.end(),
+               "histogram needs distinct values in ascending order");
+  const std::size_t num_bins = values.size();
+  const double lo = values.front();
+  const double hi = values.back();
 
   Histogram hist;
   hist.bins.resize(num_bins);
@@ -57,20 +41,16 @@ Histogram BuildHistogram(std::span<const double> xs, std::size_t num_bins) {
   }
   hist.bins.back().hi = std::max(hist.bins.back().hi, hi);
 
-  for (double x : xs) {
-    auto b = static_cast<std::size_t>((x - lo) / width);
+  // Every occurrence of a value lands in the same bin.
+  for (std::size_t i = 0; i < num_bins; ++i) {
+    auto b = static_cast<std::size_t>((values[i] - lo) / width);
     if (b >= num_bins) {
-      b = num_bins - 1;  // x == hi lands in the closed last bin
+      b = num_bins - 1;  // the maximum lands in the closed last bin
     }
-    ++hist.bins[b].count;
-    ++hist.total;
+    hist.bins[b].count += counts[i];
+    hist.total += counts[i];
   }
   return hist;
-}
-
-Histogram BuildUniqueValueHistogram(std::span<const double> xs) {
-  const std::size_t uniq = CountUnique(xs);
-  return BuildHistogram(xs, std::max<std::size_t>(uniq, 1));
 }
 
 std::size_t CountModes(const Histogram& hist, double min_prominence) {

@@ -24,22 +24,17 @@ struct Histogram {
   std::vector<HistogramBin> bins;
   std::uint64_t total = 0;
 
-  /// Fraction of samples in bin b.
-  double Fraction(std::size_t b) const;
   /// Index of the most populated bin.
   std::size_t ModeBin() const;
 };
 
-/// Count distinct values in the series (Fig. 4: "unique measured RDT
-/// values").
-std::size_t CountUnique(std::span<const double> xs);
-std::size_t CountUnique(std::span<const std::int64_t> xs);
-
-/// Equal-width histogram with an explicit bin count.
-Histogram BuildHistogram(std::span<const double> xs, std::size_t num_bins);
-
-/// Fig. 4 convention: num_bins = number of unique values.
-Histogram BuildUniqueValueHistogram(std::span<const double> xs);
+/**
+ * Fig. 4 convention: one equal-width bin over [min, max] per distinct
+ * value. The sample arrives as runs: `values` are its distinct values
+ * in ascending order and `counts[i]` how often values[i] occurs.
+ */
+Histogram BuildUniqueValueHistogram(std::span<const double> values,
+                                    std::span<const std::size_t> counts);
 
 /**
  * Modality probe used to flag the bimodal HBM chip (Finding 2): counts

@@ -93,7 +93,7 @@ TEST(DriverTest, WarmCacheRunsAreByteIdenticalAtAnyThreads) {
   std::filesystem::remove_all(cache_dir);
   const std::vector<std::string> base = {
       "run",           "fig10_data_pattern",
-      "--smoke",       "--rows=2",
+      "--smoke",       "--rows=3",
       "--measurements=60",
       "--cache_dir=" + cache_dir};
 

@@ -25,7 +25,7 @@ namespace {
 CampaignConfig TinyConfig() {
   CampaignConfig config;
   config.devices = {"M1", "S2"};
-  config.rows_per_device = 2;
+  config.rows_per_device = 3;
   config.measurements = 10;
   config.temperatures = {50.0, 80.0};
   config.scan_rows_per_region = 32;
@@ -138,6 +138,24 @@ TEST(CampaignCacheTest, DifferentConfigsUseDifferentEntries) {
             CampaignCache("d").EntryPath(other));
   ASSERT_TRUE(cache.Store(config, RunCampaign(config)));
   EXPECT_FALSE(cache.Lookup(other).has_value());
+}
+
+TEST(CampaignCacheTest, UnevenRowCountIsRejectedEvenWithAStoredEntry) {
+  CampaignCache cache;
+  const CampaignConfig config = TinyConfig();
+  CampaignConfig uneven = config;
+  uneven.rows_per_device = 2;
+  // An entry stored under the bad config (as an older build could
+  // have) must not turn it into a hit.
+  ASSERT_TRUE(cache.Store(uneven, RunCampaign(config)));
+  try {
+    RunCampaignCached(uneven, &cache);
+    ADD_FAILURE() << "rows_per_device=2 accepted";
+  } catch (const FatalError& e) {
+    EXPECT_NE(std::string(e.what()).find("got 2"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(cache.stats().hits, 0u);
 }
 
 TEST(CampaignCacheTest, RefusesToStoreQuarantinedCampaigns) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -201,6 +202,22 @@ TEST(CampaignTest, InvalidConfigsThrow) {
   no_measurements.devices = {"M1"};
   no_measurements.measurements = 0;
   EXPECT_THROW(RunCampaign(no_measurements), FatalError);
+  // Rows are split evenly over three regions: 0, 2 and 10 used to run
+  // 3, 3 and 9 rows without a word.
+  for (const std::size_t rows : {0, 1, 2, 10}) {
+    CampaignConfig uneven;
+    uneven.devices = {"M1"};
+    uneven.rows_per_device = rows;
+    uneven.measurements = 10;
+    try {
+      RunCampaign(uneven);
+      ADD_FAILURE() << "rows_per_device=" << rows << " accepted";
+    } catch (const FatalError& e) {
+      EXPECT_NE(std::string(e.what()).find("got " + std::to_string(rows)),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "stats/descriptive.h"
 
 namespace vrddram::stats {
 namespace {
@@ -43,46 +45,32 @@ TEST(ChiSquareTest, PValueKnownQuantiles) {
   EXPECT_DOUBLE_EQ(ChiSquarePValue(0.0, 5), 1.0);
 }
 
-TEST(ChiSquareTest, NormalSamplesPass) {
-  Rng rng(21);
-  std::vector<double> xs;
-  for (int i = 0; i < 5000; ++i) {
-    xs.push_back(rng.NextGaussian(100.0, 15.0));
+// The sample as the test takes it: distinct values ascending, counts,
+// and the mean and stddev summed in the sample's own order.
+GoodnessOfFit Binned(const std::vector<double>& xs) {
+  std::vector<double> sorted = xs;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<double> values;
+  std::vector<std::size_t> counts;
+  for (const double x : sorted) {
+    if (values.empty() || x != values.back()) {
+      values.push_back(x);
+      counts.push_back(0);
+    }
+    ++counts.back();
   }
-  const GoodnessOfFit fit = ChiSquareNormalTest(xs);
-  EXPECT_TRUE(fit.NormalAt(0.01)) << "p=" << fit.p_value;
-  EXPECT_NEAR(fit.fitted_mean, 100.0, 1.0);
-  EXPECT_NEAR(fit.fitted_stddev, 15.0, 0.5);
-}
-
-TEST(ChiSquareTest, UniformSamplesFail) {
-  Rng rng(22);
-  std::vector<double> xs;
-  for (int i = 0; i < 5000; ++i) {
-    xs.push_back(rng.NextDouble());
-  }
-  const GoodnessOfFit fit = ChiSquareNormalTest(xs);
-  EXPECT_FALSE(fit.NormalAt(0.05));
-}
-
-TEST(ChiSquareTest, BimodalSamplesFail) {
-  Rng rng(23);
-  std::vector<double> xs;
-  for (int i = 0; i < 5000; ++i) {
-    xs.push_back(rng.NextGaussian(i % 2 == 0 ? 0.0 : 10.0, 1.0));
-  }
-  const GoodnessOfFit fit = ChiSquareNormalTest(xs);
-  EXPECT_FALSE(fit.NormalAt(0.05));
+  return ChiSquareNormalTestBinned(values, counts, Mean(xs),
+                                   SampleStddev(xs));
 }
 
 TEST(ChiSquareTest, ConstantSeriesTriviallyPasses) {
-  const std::vector<double> xs(100, 5.0);
-  const GoodnessOfFit fit = ChiSquareNormalTest(xs);
+  const GoodnessOfFit fit = Binned(std::vector<double>(100, 5.0));
   EXPECT_DOUBLE_EQ(fit.p_value, 1.0);
+  EXPECT_DOUBLE_EQ(fit.fitted_mean, 5.0);
 }
 
-// The binned variant must accept grid-quantized normal data (the RDT
-// measurement situation) that the equal-probability variant rejects.
+// The binned test must accept grid-quantized normal data (the RDT
+// measurement situation).
 TEST(ChiSquareTest, QuantizedNormalPassesBinnedVariant) {
   Rng rng(24);
   std::vector<double> xs;
@@ -91,7 +79,7 @@ TEST(ChiSquareTest, QuantizedNormalPassesBinnedVariant) {
     const double latent = rng.NextGaussian(10000.0, 150.0);
     xs.push_back(std::ceil(latent / step) * step);
   }
-  const GoodnessOfFit binned = ChiSquareNormalTestBinned(xs);
+  const GoodnessOfFit binned = Binned(xs);
   EXPECT_TRUE(binned.NormalAt(0.01)) << "p=" << binned.p_value;
 }
 
@@ -103,14 +91,24 @@ TEST(ChiSquareTest, QuantizedUniformFailsBinnedVariant) {
     const double latent = 10000.0 + 600.0 * rng.NextDouble();
     xs.push_back(std::ceil(latent / step) * step);
   }
-  const GoodnessOfFit binned = ChiSquareNormalTestBinned(xs);
+  const GoodnessOfFit binned = Binned(xs);
   EXPECT_FALSE(binned.NormalAt(0.05));
 }
 
 TEST(ChiSquareTest, TooFewSamplesThrow) {
   const std::vector<double> xs = {1.0, 2.0};
-  EXPECT_THROW(ChiSquareNormalTest(xs), FatalError);
-  EXPECT_THROW(ChiSquareNormalTestBinned(xs), FatalError);
+  EXPECT_THROW(Binned(xs), FatalError);
+}
+
+TEST(ChiSquareTest, MalformedRunsThrow) {
+  const std::vector<double> values = {1.0, 2.0};
+  const std::vector<std::size_t> one_count = {10};
+  EXPECT_THROW(ChiSquareNormalTestBinned(values, one_count, 1.5, 0.5),
+               FatalError);
+  const std::vector<double> descending = {2.0, 1.0};
+  const std::vector<std::size_t> counts = {5, 5};
+  EXPECT_THROW(ChiSquareNormalTestBinned(descending, counts, 1.5, 0.5),
+               FatalError);
 }
 
 }  // namespace

@@ -9,16 +9,10 @@
 namespace vrddram::stats {
 namespace {
 
-TEST(HistogramTest, CountUnique) {
-  const std::vector<double> xs = {1.0, 2.0, 2.0, 3.0, 3.0, 3.0};
-  EXPECT_EQ(CountUnique(xs), 3u);
-  const std::vector<std::int64_t> ys = {5, 5, 5};
-  EXPECT_EQ(CountUnique(ys), 1u);
-}
-
 TEST(HistogramTest, BuildPlacesValuesInBins) {
-  const std::vector<double> xs = {0.0, 1.0, 2.0, 3.0};
-  const Histogram hist = BuildHistogram(xs, 4);
+  const std::vector<double> values = {0.0, 1.0, 2.0, 3.0};
+  const std::vector<std::size_t> counts = {1, 1, 1, 1};
+  const Histogram hist = BuildUniqueValueHistogram(values, counts);
   ASSERT_EQ(hist.bins.size(), 4u);
   EXPECT_EQ(hist.total, 4u);
   for (const HistogramBin& bin : hist.bins) {
@@ -27,60 +21,79 @@ TEST(HistogramTest, BuildPlacesValuesInBins) {
 }
 
 TEST(HistogramTest, MaxValueLandsInLastBin) {
-  const std::vector<double> xs = {0.0, 10.0};
-  const Histogram hist = BuildHistogram(xs, 5);
+  const std::vector<double> values = {0.0, 10.0};
+  const std::vector<std::size_t> counts = {1, 1};
+  const Histogram hist = BuildUniqueValueHistogram(values, counts);
   EXPECT_EQ(hist.bins.back().count, 1u);
   EXPECT_EQ(hist.bins.front().count, 1u);
 }
 
 TEST(HistogramTest, ConstantSeries) {
-  const std::vector<double> xs = {5.0, 5.0, 5.0};
-  const Histogram hist = BuildUniqueValueHistogram(xs);
+  const std::vector<double> values = {5.0};
+  const std::vector<std::size_t> counts = {3};
+  const Histogram hist = BuildUniqueValueHistogram(values, counts);
   ASSERT_EQ(hist.bins.size(), 1u);
   EXPECT_EQ(hist.bins[0].count, 3u);
 }
 
 TEST(HistogramTest, UniqueValueHistogramBinCount) {
-  const std::vector<double> xs = {1.0, 2.0, 2.0, 4.0};
-  const Histogram hist = BuildUniqueValueHistogram(xs);
+  const std::vector<double> values = {1.0, 2.0, 4.0};
+  const std::vector<std::size_t> counts = {1, 2, 1};
+  const Histogram hist = BuildUniqueValueHistogram(values, counts);
   EXPECT_EQ(hist.bins.size(), 3u);  // Fig. 4: bins = unique values
 }
 
-TEST(HistogramTest, FractionAndMode) {
-  const std::vector<double> xs = {1.0, 1.0, 1.0, 2.0};
-  const Histogram hist = BuildUniqueValueHistogram(xs);
-  EXPECT_EQ(hist.ModeBin(), 0u);
-  EXPECT_DOUBLE_EQ(hist.Fraction(0), 0.75);
+// A value's whole count lands in the bin its (x - lo) / width picks.
+TEST(HistogramTest, EveryOccurrenceOfAValueLandsInItsBin) {
+  const std::vector<double> values = {0.0, 1.0, 3.0};
+  const std::vector<std::size_t> counts = {2, 5, 1};
+  const Histogram hist = BuildUniqueValueHistogram(values, counts);
+  ASSERT_EQ(hist.bins.size(), 3u);
+  EXPECT_EQ(hist.bins[0].count, 2u);
+  EXPECT_EQ(hist.bins[1].count, 5u);
+  EXPECT_EQ(hist.bins[2].count, 1u);
+  EXPECT_EQ(hist.total, 8u);
 }
 
-TEST(HistogramTest, EmptyThrows) {
-  const std::vector<double> xs;
-  EXPECT_THROW(BuildHistogram(xs, 4), FatalError);
+TEST(HistogramTest, Mode) {
+  const std::vector<double> values = {1.0, 2.0};
+  const std::vector<std::size_t> counts = {3, 1};
+  const Histogram hist = BuildUniqueValueHistogram(values, counts);
+  EXPECT_EQ(hist.ModeBin(), 0u);
+}
+
+TEST(HistogramTest, MalformedRunsThrow) {
+  const std::vector<double> none;
+  EXPECT_THROW(BuildUniqueValueHistogram(none, {}), FatalError);
+  const std::vector<double> values = {1.0, 2.0};
+  const std::vector<std::size_t> one_count = {1};
+  EXPECT_THROW(BuildUniqueValueHistogram(values, one_count), FatalError);
+  const std::vector<double> descending = {2.0, 1.0};
+  const std::vector<std::size_t> counts = {1, 1};
+  EXPECT_THROW(BuildUniqueValueHistogram(descending, counts), FatalError);
+  const std::vector<double> repeated = {1.0, 1.0};
+  EXPECT_THROW(BuildUniqueValueHistogram(repeated, counts), FatalError);
+}
+
+// CountModes reads bin counts only.
+Histogram HistogramOf(const std::vector<std::uint64_t>& counts) {
+  Histogram hist;
+  for (const std::uint64_t c : counts) {
+    hist.bins.push_back({0.0, 0.0, c});
+    hist.total += c;
+  }
+  return hist;
 }
 
 TEST(HistogramTest, UnimodalCountsOneMode) {
   // Bell-shaped counts.
-  std::vector<double> xs;
-  const int counts[] = {1, 3, 8, 15, 22, 15, 8, 3, 1};
-  for (int b = 0; b < 9; ++b) {
-    for (int i = 0; i < counts[b]; ++i) {
-      xs.push_back(static_cast<double>(b));
-    }
-  }
-  const Histogram hist = BuildUniqueValueHistogram(xs);
-  EXPECT_EQ(CountModes(hist), 1u);
+  EXPECT_EQ(CountModes(HistogramOf({1, 3, 8, 15, 22, 15, 8, 3, 1})), 1u);
 }
 
 TEST(HistogramTest, BimodalCountsTwoModes) {
-  std::vector<double> xs;
-  const int counts[] = {2, 18, 30, 18, 2, 0, 0, 2, 14, 24, 14, 2};
-  for (int b = 0; b < 12; ++b) {
-    for (int i = 0; i < counts[b]; ++i) {
-      xs.push_back(static_cast<double>(b));
-    }
-  }
-  const Histogram hist = BuildHistogram(xs, 12);
-  EXPECT_EQ(CountModes(hist), 2u);
+  EXPECT_EQ(CountModes(HistogramOf(
+                {2, 18, 30, 18, 2, 0, 0, 2, 14, 24, 14, 2})),
+            2u);
 }
 
 }  // namespace

@@ -1,22 +1,21 @@
 #!/usr/bin/env python3
-"""Compare a google-benchmark JSON run against a committed baseline.
+"""Compare google-benchmark JSON runs of a base build and a candidate.
 
-CI perf gate (DESIGN.md section 9): the perf job runs
-bench_perf_throughput (which self-records BENCH_perf.json) and this
-script diffs it against the committed BENCH_pr<N>.json snapshot. A
-benchmark that got more than --tolerance slower than the baseline
-fails the gate.
+CI perf gate (DESIGN.md section 9): the perf job builds
+bench_perf_throughput for the change and for its base, runs the two
+binaries in interleaved rounds on the same machine, and this script
+compares them. A benchmark that got more than --tolerance slower than
+the base fails the gate.
 
-Both inputs may be either a raw google-benchmark JSON file or a
-committed BENCH_pr<N>.json wrapper (with "before"/"after" sections);
-for wrappers the "after" section is the baseline. Only benchmarks
-present in both files are compared, and each side is reduced to the
-minimum real_time across its repetitions -- on shared CI boxes the
-minimum is the least-interference estimate, so the gate measures the
-code, not the neighbours.
+Each side may be given several raw google-benchmark JSON files (one per
+round). Only benchmarks present on both sides are compared, and each
+side is reduced to the minimum real_time across all of its files and
+repetitions -- on shared CI boxes the minimum is the least-interference
+estimate, so the gate measures the code, not the neighbours.
 
 Usage:
-  bench_compare.py BASELINE.json CANDIDATE.json [--tolerance 0.15]
+  bench_compare.py --base BASE.json... --candidate CAND.json...
+                   [--tolerance 0.15]
 """
 
 import argparse
@@ -24,27 +23,28 @@ import json
 import sys
 
 
-def load_runs(path):
-    """Map benchmark name -> minimum real_time (ns) across repetitions."""
-    with open(path) as f:
-        doc = json.load(f)
-    if "after" in doc and "benchmarks" not in doc:
-        doc = doc["after"]
+def load_runs(paths):
+    """Map benchmark name -> minimum real_time (ns) over all files."""
     runs = {}
-    for bench in doc.get("benchmarks", []):
-        # Skip _mean/_median/_stddev aggregate rows; keep iteration runs.
-        if bench.get("run_type", "iteration") != "iteration":
-            continue
-        name = bench.get("run_name", bench["name"])
-        time = float(bench["real_time"])
-        runs[name] = min(runs.get(name, float("inf")), time)
+    for path in paths:
+        with open(path) as f:
+            doc = json.load(f)
+        for bench in doc.get("benchmarks", []):
+            # Skip _mean/_median/_stddev aggregate rows; keep iterations.
+            if bench.get("run_type", "iteration") != "iteration":
+                continue
+            name = bench.get("run_name", bench["name"])
+            time = float(bench["real_time"])
+            runs[name] = min(runs.get(name, float("inf")), time)
     return runs
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("baseline", help="committed baseline JSON")
-    parser.add_argument("candidate", help="fresh BENCH_perf.json run")
+    parser.add_argument("--base", nargs="+", required=True,
+                        help="JSON runs of the base build")
+    parser.add_argument("--candidate", nargs="+", required=True,
+                        help="JSON runs of the candidate build")
     parser.add_argument(
         "--tolerance",
         type=float,
@@ -53,12 +53,12 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
-    baseline = load_runs(args.baseline)
+    baseline = load_runs(args.base)
     candidate = load_runs(args.candidate)
     shared = sorted(set(baseline) & set(candidate))
     if not shared:
-        print("bench_compare: no shared benchmarks between "
-              f"{args.baseline} and {args.candidate}", file=sys.stderr)
+        print("bench_compare: no shared benchmarks between base and "
+              "candidate", file=sys.stderr)
         return 2
 
     width = max(len(name) for name in shared)
@@ -78,15 +78,15 @@ def main(argv=None):
 
     extra = sorted(set(candidate) - set(baseline))
     if extra:
-        print(f"bench_compare: not in baseline, skipped: "
+        print(f"bench_compare: not in base, not gated: "
               f"{', '.join(extra)}")
-    # A baseline benchmark with no candidate counterpart usually means
-    # a benchmark was renamed or silently dropped — a gap the
-    # regression gate cannot see through, so it gets its own exit code
-    # (3) distinct from a measured regression (1).
+    # A base benchmark with no candidate counterpart usually means a
+    # benchmark was renamed or silently dropped -- a gap the regression
+    # gate cannot see through, so it gets its own exit code (3)
+    # distinct from a measured regression (1).
     missing = sorted(set(baseline) - set(candidate))
     if missing:
-        print(f"bench_compare: {len(missing)} baseline benchmark(s) "
+        print(f"bench_compare: {len(missing)} base benchmark(s) "
               f"missing from candidate: {', '.join(missing)}",
               file=sys.stderr)
     if regressions:
@@ -97,7 +97,7 @@ def main(argv=None):
     if missing:
         return 3
     print(f"bench_compare: {len(shared)} benchmark(s) within "
-          f"{args.tolerance:.0%} of baseline")
+          f"{args.tolerance:.0%} of base")
     return 0
 
 
