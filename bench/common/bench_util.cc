@@ -120,6 +120,11 @@ bool Flags::GetBool(const std::string& key) const {
   return ParseBool(key, GetString(key));
 }
 
+bool Flags::Declares(const std::string& key) const {
+  return std::any_of(schema_.begin(), schema_.end(),
+                     [&](const FlagSpec& spec) { return spec.name == key; });
+}
+
 std::string Flags::Describe() const { return Describe(schema_); }
 
 std::string Flags::Describe(const std::vector<FlagSpec>& schema) {

@@ -61,6 +61,9 @@ class Flags {
   std::string GetString(const std::string& key) const;
   bool GetBool(const std::string& key) const;
 
+  /// Whether the schema declares `key`.
+  bool Declares(const std::string& key) const;
+
   /// Human-readable flag schema, one "--name=default  help" line per
   /// spec. Empty string for an empty schema.
   std::string Describe() const;

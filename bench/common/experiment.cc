@@ -52,31 +52,49 @@ FlagSpec ThreadsFlagSpec() {
   return {"threads", "0", "worker threads (0 = hardware concurrency)"};
 }
 
-std::vector<FlagSpec> CampaignFlagSpecs() {
-  return {
-      ThreadsFlagSpec(),
-      {"checkpoint", "", "persist completed shards to this file"},
-      {"resume", "false", "restore completed shards from --checkpoint"},
-      {"inject", "", "fault-injection plan (fi::FaultPlan grammar)"},
-      {"max_attempts", "3", "attempts per shard before quarantine"},
-  };
-}
-
-std::vector<FlagSpec> WithCampaignFlags(std::vector<FlagSpec> specs) {
-  for (FlagSpec& spec : CampaignFlagSpecs()) {
-    specs.push_back(std::move(spec));
+std::vector<FlagSpec> RowStudyFlagSpecs(const std::string& devices,
+                                        const std::string& rows,
+                                        FlagSpec count) {
+  std::vector<FlagSpec> specs;
+  if (!devices.empty()) {
+    specs.push_back({"devices", devices,
+                     "device set: all, ddr4, hbm2, or comma list"});
   }
+  specs.push_back({"rows", rows, "victim rows per device, a multiple of 3"});
+  specs.push_back(std::move(count));
+  specs.push_back({"seed", "2025", "base RNG seed"});
+  specs.push_back(
+      {"scan", "96", "rows scanned per region when selecting victims"});
   return specs;
 }
 
-void ApplyCampaignExecutionFlags(const Flags& flags,
-                                 core::CampaignConfig* config) {
-  config->threads = static_cast<std::size_t>(flags.GetUint("threads"));
-  config->checkpoint_path = flags.GetString("checkpoint");
-  config->resume = flags.GetBool("resume");
-  config->inject = flags.GetString("inject");
-  config->max_attempts =
+std::vector<FlagSpec> CampaignFlagSpecs(const std::string& devices,
+                                        const std::string& rows,
+                                        const std::vector<FlagSpec>& extra) {
+  std::vector<FlagSpec> specs = RowStudyFlagSpecs(
+      devices, rows, {"measurements", "1000", "measurements per series"});
+  specs.insert(specs.end(), extra.begin(), extra.end());
+  specs.insert(
+      specs.end(),
+      {ThreadsFlagSpec(),
+       {"checkpoint", "", "persist completed shards to this file"},
+       {"resume", "false", "restore completed shards from --checkpoint"},
+       {"inject", "", "fault-injection plan (fi::FaultPlan grammar)"},
+       {"max_attempts", "3", "attempts per shard before quarantine"}});
+  return specs;
+}
+
+core::CampaignConfig CampaignConfigFromFlags(const Flags& flags) {
+  core::CampaignConfig config;
+  ApplyRowStudyFlags(flags, &config);
+  config.measurements =
+      static_cast<std::size_t>(flags.GetUint("measurements"));
+  config.checkpoint_path = flags.GetString("checkpoint");
+  config.resume = flags.GetBool("resume");
+  config.inject = flags.GetString("inject");
+  config.max_attempts =
       static_cast<std::size_t>(flags.GetUint("max_attempts"));
+  return config;
 }
 
 }  // namespace vrddram::bench

@@ -47,8 +47,8 @@ struct ExperimentSpec {
   /// One-line summary shown by `vrdrepro list`.
   std::string description;
 
-  /// Every knob the experiment accepts. Campaign experiments append
-  /// CampaignFlagSpecs() for the shared execution flags.
+  /// Every knob the experiment accepts. Campaign experiments build
+  /// theirs with CampaignFlagSpecs().
   std::vector<FlagSpec> flags;
 
   /// Tiny-parameter invocation used by `vrdrepro run --smoke` and the
@@ -105,26 +105,56 @@ struct ExperimentRegistrar {
 /// reports are byte-identical at any value.
 FlagSpec ThreadsFlagSpec();
 
-/// The execution flags shared by every campaign experiment
-/// (--threads, --checkpoint, --resume, --inject, --max_attempts).
-/// Appended to a spec's own FlagSpecs; values are applied to the
-/// built config by ApplyCampaignExecutionFlags.
-std::vector<FlagSpec> CampaignFlagSpecs();
-
-/// Convenience: `specs` followed by CampaignFlagSpecs().
-std::vector<FlagSpec> WithCampaignFlags(std::vector<FlagSpec> specs);
+/**
+ * The flags that pick a row study's rows, in schema order: --devices
+ * with default `devices` (left out when `devices` is empty, for a study
+ * that fixes its own device set), --rows with default `rows`, the
+ * study's per-row `count` flag, --seed and --scan.
+ */
+std::vector<FlagSpec> RowStudyFlagSpecs(const std::string& devices,
+                                        const std::string& rows,
+                                        FlagSpec count);
 
 /**
- * Apply the shared execution flags to a built config: --threads (0
- * selects hardware_concurrency, 1 forces the serial path; results are
+ * Read the row-study flags into a config with the fields `devices`,
+ * `rows_per_device`, `base_seed`, `scan_rows_per_region` and `threads`
+ * (core::CampaignConfig and core::GuardbandConfig): --devices when the
+ * schema declares it, --rows, --seed, --scan and --threads.
+ */
+template <typename Config>
+void ApplyRowStudyFlags(const Flags& flags, Config* config) {
+  if (flags.Declares("devices")) {
+    config->devices = ResolveDevices(flags.GetString("devices"));
+  }
+  config->rows_per_device = static_cast<std::size_t>(flags.GetUint("rows"));
+  config->base_seed = flags.GetUint("seed");
+  config->scan_rows_per_region =
+      static_cast<std::size_t>(flags.GetUint("scan"));
+  config->threads = static_cast<std::size_t>(flags.GetUint("threads"));
+}
+
+/**
+ * A campaign experiment's schema: RowStudyFlagSpecs with
+ * --measurements as the count, then the experiment's own `extra`
+ * flags, then the execution flags every campaign shares (--threads,
+ * --checkpoint, --resume, --inject, --max_attempts).
+ */
+std::vector<FlagSpec> CampaignFlagSpecs(
+    const std::string& devices, const std::string& rows,
+    const std::vector<FlagSpec>& extra = {});
+
+/**
+ * The campaign the shared flags select: ApplyRowStudyFlags plus
+ * --measurements and the execution flags: --threads (0 selects
+ * hardware_concurrency, 1 forces the serial path; results are
  * bit-identical for every value), --checkpoint=FILE (persist completed
  * shards), --resume (restore shards from the checkpoint instead of
- * re-running them), --inject=SPEC (fault-injection plan,
- * fi::FaultPlan grammar) and --max_attempts=N (attempts per shard
- * before quarantine).
+ * re-running them), --inject=SPEC (fault-injection plan, fi::FaultPlan
+ * grammar) and --max_attempts=N (attempts per shard before
+ * quarantine). The experiment then sets its own patterns, t_ons,
+ * temperatures and use_thermal_rig.
  */
-void ApplyCampaignExecutionFlags(const Flags& flags,
-                                 core::CampaignConfig* config);
+core::CampaignConfig CampaignConfigFromFlags(const Flags& flags);
 
 }  // namespace vrddram::bench
 

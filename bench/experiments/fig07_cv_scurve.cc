@@ -10,6 +10,8 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "common/experiment.h"
@@ -19,32 +21,27 @@
 namespace vrddram::bench {
 namespace {
 
-core::CampaignConfig BuildFig07Campaign(const Flags& flags) {
-  core::CampaignConfig config;
-  config.devices = ResolveDevices(flags.GetString("devices"));
-  config.rows_per_device =
-      static_cast<std::size_t>(flags.GetUint("rows"));
-  config.measurements =
-      static_cast<std::size_t>(flags.GetUint("measurements"));
-  config.base_seed = flags.GetUint("seed");
-  config.scan_rows_per_region =
-      static_cast<std::size_t>(flags.GetUint("scan"));
-  ApplyCampaignExecutionFlags(flags, &config);
+/// The first n entries of `choices`, n read from --`key`. An n outside
+/// 1-`N` is a FatalError naming the flag and its value: clamping it
+/// would run a different campaign than asked for, and 0 an empty one.
+template <typename T, std::size_t N>
+std::vector<T> FirstChoices(const Flags& flags, const std::string& key,
+                            const T (&choices)[N]) {
+  const std::uint64_t n = flags.GetUint(key);
+  VRD_FATAL_IF(n < 1 || n > N, "flag --" + key + "=" + std::to_string(n) +
+                                   ": expected 1-" + std::to_string(N));
+  return std::vector<T>(choices, choices + n);
+}
 
-  const auto n_patterns = flags.GetUint("patterns");
-  const auto n_tons = flags.GetUint("tons");
-  const auto n_temps = flags.GetUint("temps");
-  config.patterns.assign(dram::kAllDataPatterns,
-                         dram::kAllDataPatterns +
-                             std::min<std::uint64_t>(n_patterns, 4));
-  const core::TOnChoice all_tons[] = {core::TOnChoice::kMinTras,
-                                      core::TOnChoice::kTrefi,
-                                      core::TOnChoice::kNineTrefi};
-  config.t_ons.assign(all_tons,
-                      all_tons + std::min<std::uint64_t>(n_tons, 3));
-  const Celsius all_temps[] = {50.0, 65.0, 80.0};
-  config.temperatures.assign(
-      all_temps, all_temps + std::min<std::uint64_t>(n_temps, 3));
+core::CampaignConfig BuildFig07Campaign(const Flags& flags) {
+  static constexpr core::TOnChoice kAllTOns[] = {
+      core::TOnChoice::kMinTras, core::TOnChoice::kTrefi,
+      core::TOnChoice::kNineTrefi};
+  static constexpr Celsius kAllTemperatures[] = {50.0, 65.0, 80.0};
+  core::CampaignConfig config = CampaignConfigFromFlags(flags);
+  config.patterns = FirstChoices(flags, "patterns", dram::kAllDataPatterns);
+  config.t_ons = FirstChoices(flags, "tons", kAllTOns);
+  config.temperatures = FirstChoices(flags, "temps", kAllTemperatures);
   return config;
 }
 
@@ -151,17 +148,12 @@ ExperimentSpec Fig07Spec() {
   spec.name = "fig07_cv_scurve";
   spec.description =
       "Figure 7: S-curve of RDT coefficient of variation across rows";
-  spec.flags = WithCampaignFlags({
-      {"devices", "all", "device set: all, ddr4, hbm2, or comma list"},
-      {"rows", "9", "victim rows per device, a multiple of 3"},
-      {"measurements", "1000", "measurements per series"},
-      {"seed", "2025", "base RNG seed"},
-      {"scan", "96", "rows scanned per region when selecting victims"},
-      {"patterns", "4", "number of data patterns (1-4)"},
-      {"tons", "3", "number of tAggOn levels (1-3)"},
-      {"temps", "3", "number of temperature levels (1-3)"},
-      {"csv", "", "write the per-series summary CSV to this path"},
-  });
+  spec.flags = CampaignFlagSpecs(
+      "all", "9",
+      {{"patterns", "4", "number of data patterns (1-4)"},
+       {"tons", "3", "number of tAggOn levels (1-3)"},
+       {"temps", "3", "number of temperature levels (1-3)"},
+       {"csv", "", "write the per-series summary CSV to this path"}});
   spec.smoke_args = {"--devices=M1,S2", "--rows=3", "--measurements=120",
                      "--patterns=2", "--tons=2", "--temps=2"};
   spec.build_campaign = BuildFig07Campaign;

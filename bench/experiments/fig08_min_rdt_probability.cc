@@ -17,20 +17,6 @@
 namespace vrddram::bench {
 namespace {
 
-core::CampaignConfig BuildFig08Campaign(const Flags& flags) {
-  core::CampaignConfig config;
-  config.devices = ResolveDevices(flags.GetString("devices"));
-  config.rows_per_device =
-      static_cast<std::size_t>(flags.GetUint("rows"));
-  config.measurements =
-      static_cast<std::size_t>(flags.GetUint("measurements"));
-  config.base_seed = flags.GetUint("seed");
-  config.scan_rows_per_region =
-      static_cast<std::size_t>(flags.GetUint("scan"));
-  ApplyCampaignExecutionFlags(flags, &config);
-  return config;
-}
-
 void AnalyzeFig08(const core::CampaignResult& result, Report* report) {
   std::ostream& out = report->out;
   const core::MinRdtSettings settings;
@@ -120,15 +106,9 @@ ExperimentSpec Fig08Spec() {
   spec.name = "fig08_min_rdt_probability";
   spec.description =
       "Figure 8: probability of finding the minimum RDT";
-  spec.flags = WithCampaignFlags({
-      {"devices", "all", "device set: all, ddr4, hbm2, or comma list"},
-      {"rows", "9", "victim rows per device, a multiple of 3"},
-      {"measurements", "1000", "measurements per series"},
-      {"seed", "2025", "base RNG seed"},
-      {"scan", "96", "rows scanned per region when selecting victims"},
-  });
+  spec.flags = CampaignFlagSpecs("all", "9");
   spec.smoke_args = {"--devices=M1,S2", "--rows=3", "--measurements=150"};
-  spec.build_campaign = BuildFig08Campaign;
+  spec.build_campaign = CampaignConfigFromFlags;
   spec.analyze = AnalyzeFig08;
   return spec;
 }

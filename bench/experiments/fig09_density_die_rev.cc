@@ -16,16 +16,8 @@ namespace vrddram::bench {
 namespace {
 
 core::CampaignConfig BuildFig09Campaign(const Flags& flags) {
-  core::CampaignConfig config;
+  core::CampaignConfig config = CampaignConfigFromFlags(flags);
   config.devices = vrd::Ddr4ModuleNames();
-  config.rows_per_device =
-      static_cast<std::size_t>(flags.GetUint("rows"));
-  config.measurements =
-      static_cast<std::size_t>(flags.GetUint("measurements"));
-  config.base_seed = flags.GetUint("seed");
-  config.scan_rows_per_region =
-      static_cast<std::size_t>(flags.GetUint("scan"));
-  ApplyCampaignExecutionFlags(flags, &config);
   return config;
 }
 
@@ -101,12 +93,7 @@ ExperimentSpec Fig09Spec() {
   spec.name = "fig09_density_die_rev";
   spec.description =
       "Figure 9: expected normalized min RDT by density and die rev";
-  spec.flags = WithCampaignFlags({
-      {"rows", "9", "victim rows per device, a multiple of 3"},
-      {"measurements", "1000", "measurements per series"},
-      {"seed", "2025", "base RNG seed"},
-      {"scan", "96", "rows scanned per region when selecting victims"},
-  });
+  spec.flags = CampaignFlagSpecs("", "9");
   spec.smoke_args = {"--rows=3", "--measurements=120"};
   spec.build_campaign = BuildFig09Campaign;
   spec.analyze = AnalyzeFig09;

@@ -16,16 +16,7 @@ namespace vrddram::bench {
 namespace {
 
 core::CampaignConfig BuildFig11Campaign(const Flags& flags) {
-  core::CampaignConfig config;
-  config.devices = ResolveDevices(flags.GetString("devices"));
-  config.rows_per_device =
-      static_cast<std::size_t>(flags.GetUint("rows"));
-  config.measurements =
-      static_cast<std::size_t>(flags.GetUint("measurements"));
-  config.base_seed = flags.GetUint("seed");
-  config.scan_rows_per_region =
-      static_cast<std::size_t>(flags.GetUint("scan"));
-  ApplyCampaignExecutionFlags(flags, &config);
+  core::CampaignConfig config = CampaignConfigFromFlags(flags);
   config.t_ons = {core::TOnChoice::kMinTras, core::TOnChoice::kTrefi,
                   core::TOnChoice::kNineTrefi};
   return config;
@@ -99,13 +90,7 @@ ExperimentSpec Fig11Spec() {
   spec.name = "fig11_taggon";
   spec.description =
       "Figure 11: expected normalized min RDT per tAggOn level";
-  spec.flags = WithCampaignFlags({
-      {"devices", "all", "device set: all, ddr4, hbm2, or comma list"},
-      {"rows", "6", "victim rows per device, a multiple of 3"},
-      {"measurements", "1000", "measurements per series"},
-      {"seed", "2025", "base RNG seed"},
-      {"scan", "96", "rows scanned per region when selecting victims"},
-  });
+  spec.flags = CampaignFlagSpecs("all", "6");
   spec.smoke_args = {"--devices=M1,S2", "--rows=3", "--measurements=120"};
   spec.build_campaign = BuildFig11Campaign;
   spec.analyze = AnalyzeFig11;

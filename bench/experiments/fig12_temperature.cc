@@ -16,16 +16,7 @@ namespace vrddram::bench {
 namespace {
 
 core::CampaignConfig BuildFig12Campaign(const Flags& flags) {
-  core::CampaignConfig config;
-  config.devices = ResolveDevices(flags.GetString("devices"));
-  config.rows_per_device =
-      static_cast<std::size_t>(flags.GetUint("rows"));
-  config.measurements =
-      static_cast<std::size_t>(flags.GetUint("measurements"));
-  config.base_seed = flags.GetUint("seed");
-  config.scan_rows_per_region =
-      static_cast<std::size_t>(flags.GetUint("scan"));
-  ApplyCampaignExecutionFlags(flags, &config);
+  core::CampaignConfig config = CampaignConfigFromFlags(flags);
   config.patterns = {dram::DataPattern::kRowstripe1};
   config.t_ons = {core::TOnChoice::kMinTras};
   config.temperatures = {50.0, 65.0, 80.0};
@@ -87,15 +78,9 @@ ExperimentSpec Fig12Spec() {
   spec.name = "fig12_temperature";
   spec.description =
       "Figure 12: expected normalized min RDT vs. temperature";
-  spec.flags = WithCampaignFlags({
-      {"devices", "M0,M1,S0,S2,H1,H3",
-       "device set: all, ddr4, hbm2, or comma list"},
-      {"rows", "6", "victim rows per device, a multiple of 3"},
-      {"measurements", "1000", "measurements per series"},
-      {"seed", "2025", "base RNG seed"},
-      {"scan", "96", "rows scanned per region when selecting victims"},
-      {"rig", "true", "run the simulated heater-pad + PID thermal rig"},
-  });
+  spec.flags = CampaignFlagSpecs(
+      "M0,M1,S0,S2,H1,H3", "6",
+      {{"rig", "true", "run the simulated heater-pad + PID thermal rig"}});
   spec.smoke_args = {"--devices=M1,S2", "--rows=3", "--measurements=120"};
   spec.build_campaign = BuildFig12Campaign;
   spec.analyze = AnalyzeFig12;

@@ -16,16 +16,7 @@ namespace vrddram::bench {
 namespace {
 
 core::CampaignConfig BuildFig15Campaign(const Flags& flags) {
-  core::CampaignConfig config;
-  config.devices = ResolveDevices(flags.GetString("devices"));
-  config.rows_per_device =
-      static_cast<std::size_t>(flags.GetUint("rows"));
-  config.measurements =
-      static_cast<std::size_t>(flags.GetUint("measurements"));
-  config.base_seed = flags.GetUint("seed");
-  config.scan_rows_per_region =
-      static_cast<std::size_t>(flags.GetUint("scan"));
-  ApplyCampaignExecutionFlags(flags, &config);
+  core::CampaignConfig config = CampaignConfigFromFlags(flags);
   // Two representative parameter combinations keep the run short; add
   // more with --patterns (the trend is unchanged).
   config.patterns = {dram::DataPattern::kCheckered0,
@@ -95,13 +86,7 @@ ExperimentSpec Fig15Spec() {
   spec.name = "fig15_guardband_probability";
   spec.description =
       "Figure 15: probability of finding the min RDT within a margin";
-  spec.flags = WithCampaignFlags({
-      {"devices", "all", "device set: all, ddr4, hbm2, or comma list"},
-      {"rows", "6", "victim rows per device, a multiple of 3"},
-      {"measurements", "1000", "measurements per series"},
-      {"seed", "2025", "base RNG seed"},
-      {"scan", "96", "rows scanned per region when selecting victims"},
-  });
+  spec.flags = CampaignFlagSpecs("all", "6");
   spec.smoke_args = {"--devices=M1,S2", "--rows=3", "--measurements=150"};
   spec.build_campaign = BuildFig15Campaign;
   spec.analyze = AnalyzeFig15;

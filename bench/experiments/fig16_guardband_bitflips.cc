@@ -20,14 +20,8 @@ void AnalyzeFig16(const core::CampaignResult&, Report* report) {
   const Flags& flags = report->flags;
   std::ostream& out = report->out;
   core::GuardbandConfig config;
-  config.devices = ResolveDevices(flags.GetString("devices"));
-  config.rows_per_device =
-      static_cast<std::size_t>(flags.GetUint("rows"));
+  ApplyRowStudyFlags(flags, &config);
   config.trials = static_cast<std::size_t>(flags.GetUint("trials"));
-  config.base_seed = flags.GetUint("seed");
-  config.scan_rows_per_region =
-      static_cast<std::size_t>(flags.GetUint("scan"));
-  config.threads = static_cast<std::size_t>(flags.GetUint("threads"));
 
   PrintBanner(out,
               "Figure 16: unique bitflips per row when hammering below "
@@ -37,7 +31,7 @@ void AnalyzeFig16(const core::CampaignResult&, Report* report) {
   out << "tested " << outcomes.size()
       << " (row, pattern) combinations\n";
 
-  for (const std::uint32_t margin : config.margins) {
+  for (const std::uint32_t margin : core::kGuardbandMargins) {
     PrintBanner(out, "Margin " + Cell(margin) +
                          "%: histogram of unique bitflips per "
                          "row across " +
@@ -99,14 +93,9 @@ ExperimentSpec Fig16Spec() {
   spec.name = "fig16_guardband_bitflips";
   spec.description =
       "Figure 16: unique bitflips when hammering below min RDT";
-  spec.flags = {
-      {"devices", "ddr4", "device set: all, ddr4, hbm2, or comma list"},
-      {"rows", "9", "victim rows per device, a multiple of 3"},
-      {"trials", "10000", "hammer trials per (row, margin)"},
-      {"seed", "2025", "base RNG seed"},
-      {"scan", "96", "rows scanned per region when selecting victims"},
-      ThreadsFlagSpec(),
-  };
+  spec.flags = RowStudyFlagSpecs(
+      "ddr4", "9", {"trials", "10000", "hammer trials per (row, margin)"});
+  spec.flags.push_back(ThreadsFlagSpec());
   spec.smoke_args = {"--devices=M1,S2", "--rows=3", "--trials=300"};
   spec.analyze = AnalyzeFig16;
   return spec;

@@ -37,8 +37,10 @@ int main() {
   std::cout << "running campaign: " << config.devices.size()
             << " modules, " << config.rows_per_device << " rows each, "
             << config.measurements << " measurements per series...\n";
+  // Per-shard telemetry (wall times, in completion order) goes to
+  // stderr, so stdout is the same on every run.
   const core::CampaignResult result =
-      core::RunCampaign(config, &std::cout);
+      core::RunCampaign(config, &std::cerr);
 
   // Aggregate per module.
   struct ModuleSummary {

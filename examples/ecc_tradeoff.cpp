@@ -31,7 +31,7 @@ int main() {
 
   TextTable flips({"margin", "rows with flips", "worst unique flips",
                    "worst BER"});
-  for (const std::uint32_t margin : config.margins) {
+  for (const std::uint32_t margin : core::kGuardbandMargins) {
     const auto hist = core::BitflipHistogramAtMargin(outcomes, margin);
     std::size_t rows_with_flips = 0;
     for (const auto& [count, rows] : hist) {

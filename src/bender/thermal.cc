@@ -9,24 +9,35 @@
 namespace vrddram::bender {
 
 namespace {
-constexpr Tick kStep = 20 * units::kMillisecond;
-}
 
-TemperatureController::TemperatureController(dram::Device& device,
-                                             ThermalPlantParams plant,
-                                             PidGains gains,
-                                             std::uint64_t seed)
-    : device_(&device),
-      plant_params_(plant),
-      gains_(gains),
-      rng_(seed),
-      plant_temp_(plant.ambient) {
+constexpr Tick kStep = 20 * units::kMillisecond;
+/// SettleTo's in-band hold and its give-up time.
+constexpr Tick kSettleHold = 2 * units::kSecond;
+constexpr Tick kSettleTimeout = 600 * units::kSecond;
+/// Sensor-noise stream seed.
+constexpr std::uint64_t kSeed = 0xf7200;
+
+// The plant: a first-order thermal mass with loss to ambient.
+constexpr Celsius kAmbient = 25.0;
+constexpr double kThermalMassJPerC = 40.0;  ///< heat capacity, DIMM + pads
+constexpr double kLossWPerC = 0.8;          ///< conduction/convection loss
+constexpr double kHeaterMaxW = 60.0;        ///< heater pad power limit
+constexpr double kSensorNoiseC = 0.05;      ///< thermocouple noise, 1 sigma
+
+// PID gains.
+constexpr double kKp = 8.0;
+constexpr double kKi = 0.8;
+constexpr double kKd = 4.0;
+
+}  // namespace
+
+TemperatureController::TemperatureController(dram::Device& device)
+    : device_(&device), rng_(kSeed), plant_temp_(kAmbient) {
   device_->SetTemperature(plant_temp_);
 }
 
 void TemperatureController::SetTarget(Celsius target) {
-  VRD_FATAL_IF(target < plant_params_.ambient,
-               "heater pads cannot cool below ambient");
+  VRD_FATAL_IF(target < kAmbient, "heater pads cannot cool below ambient");
   VRD_FATAL_IF(target > 120.0, "target beyond the rig's safe range");
   target_ = target;
   integral_ = 0.0;
@@ -42,14 +53,12 @@ void TemperatureController::Step(Tick dt) {
     throw TransientError("thermal rig: PID sensor dropout (injected)");
   }
   const double dt_s = units::ToSeconds(dt);
-  const double sensed =
-      plant_temp_ + rng_.NextGaussian(0.0, plant_params_.sensor_noise_c);
+  const double sensed = plant_temp_ + rng_.NextGaussian(0.0, kSensorNoiseC);
   const double error = target_ - sensed;
 
   integral_ += error * dt_s;
   // Anti-windup: bound the integral to what the heater can act on.
-  const double integral_cap =
-      plant_params_.heater_max_w / std::max(gains_.ki, 1e-9);
+  const double integral_cap = kHeaterMaxW / kKi;
   integral_ = std::clamp(integral_, -integral_cap, integral_cap);
 
   const double derivative =
@@ -57,14 +66,11 @@ void TemperatureController::Step(Tick dt) {
   last_error_ = error;
   has_last_error_ = true;
 
-  double power = gains_.kp * error + gains_.ki * integral_ +
-                 gains_.kd * derivative;
-  power = std::clamp(power, 0.0, plant_params_.heater_max_w);
+  double power = kKp * error + kKi * integral_ + kKd * derivative;
+  power = std::clamp(power, 0.0, kHeaterMaxW);
 
-  const double loss =
-      plant_params_.loss_w_per_c * (plant_temp_ - plant_params_.ambient);
-  plant_temp_ +=
-      (power - loss) * dt_s / plant_params_.thermal_mass_j_per_c;
+  const double loss = kLossWPerC * (plant_temp_ - kAmbient);
+  plant_temp_ += (power - loss) * dt_s / kThermalMassJPerC;
 
   device_->Sleep(dt);
   device_->SetTemperature(plant_temp_);
@@ -79,20 +85,19 @@ void TemperatureController::Run(Tick duration) {
   }
 }
 
-Tick TemperatureController::SettleTo(Celsius target, Tick hold,
-                                     Tick timeout) {
+Tick TemperatureController::SettleTo(Celsius target) {
   if (fi::ShouldFire("bender.thermal.settle")) {
     throw TransientError("thermal rig: settle timeout (injected)");
   }
   SetTarget(target);
   Tick elapsed = 0;
   Tick in_band = 0;
-  while (elapsed < timeout) {
+  while (elapsed < kSettleTimeout) {
     Step(kStep);
     elapsed += kStep;
     if (Settled()) {
       in_band += kStep;
-      if (in_band >= hold) {
+      if (in_band >= kSettleHold) {
         return elapsed;
       }
     } else {

@@ -15,31 +15,15 @@
 
 namespace vrddram::bender {
 
-struct ThermalPlantParams {
-  Celsius ambient = 25.0;
-  double thermal_mass_j_per_c = 40.0;   ///< heat capacity of DIMM + pads
-  double loss_w_per_c = 0.8;            ///< conduction/convection loss
-  double heater_max_w = 60.0;           ///< heater pad power limit
-  double sensor_noise_c = 0.05;         ///< thermocouple noise (1 sigma)
-};
-
-struct PidGains {
-  double kp = 8.0;
-  double ki = 0.8;
-  double kd = 4.0;
-};
-
 /**
  * Heater + PID loop bound to a device: stepping the controller
  * advances device time (the device idles while the rig settles) and
- * continually updates the device's temperature.
+ * continually updates the device's temperature. The rig starts at its
+ * 25 degC ambient.
  */
 class TemperatureController {
  public:
-  TemperatureController(dram::Device& device,
-                        ThermalPlantParams plant = {},
-                        PidGains gains = {},
-                        std::uint64_t seed = 0xf7200);
+  explicit TemperatureController(dram::Device& device);
 
   void SetTarget(Celsius target);
   Celsius target() const { return target_; }
@@ -53,18 +37,15 @@ class TemperatureController {
 
   /**
    * Run until the temperature has stayed within +-0.5 degC of the
-   * target for `hold` continuous time; throws FatalError if not
-   * settled within `timeout`. Returns the time it took.
+   * target for 2 s of continuous time; throws TransientError if not
+   * settled within 600 s. Returns the time it took.
    */
-  Tick SettleTo(Celsius target, Tick hold = 2 * units::kSecond,
-                Tick timeout = 600 * units::kSecond);
+  Tick SettleTo(Celsius target);
 
  private:
   void Step(Tick dt);
 
   dram::Device* device_;
-  ThermalPlantParams plant_params_;
-  PidGains gains_;
   Rng rng_;
 
   Celsius target_ = 50.0;

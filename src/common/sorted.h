@@ -7,10 +7,10 @@
  * which is exactly the kind of incidental state the determinism
  * contract (DESIGN.md §6) forbids in results. Whenever aggregation or
  * output needs to walk an unordered container, extract it through
- * SortedByKey()/SortedKeys() first: the result is a key-sorted vector,
- * a pure function of the container's *contents*. The `vrdlint`
- * `unordered-iteration` rule recognizes these helpers and accepts
- * range-for over them where it would flag the raw container.
+ * SortedByKey() first: the result is a key-sorted vector, a pure
+ * function of the container's *contents*. The `vrdlint`
+ * `unordered-iteration` rule recognizes this helper and accepts
+ * range-for over it where it would flag the raw container.
  */
 #ifndef VRDDRAM_COMMON_SORTED_H
 #define VRDDRAM_COMMON_SORTED_H
@@ -33,22 +33,6 @@ SortedByKey(const Map& map) {
   }
   std::sort(out.begin(), out.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  return out;
-}
-
-/// Sorted snapshot of a set-like container's elements (or a map's keys).
-template <typename Set>
-std::vector<typename Set::key_type> SortedKeys(const Set& container) {
-  std::vector<typename Set::key_type> out;
-  out.reserve(container.size());
-  for (auto it = container.begin(); it != container.end(); ++it) {
-    if constexpr (requires { it->first; }) {
-      out.push_back(it->first);
-    } else {
-      out.push_back(*it);
-    }
-  }
-  std::sort(out.begin(), out.end());
   return out;
 }
 

@@ -51,38 +51,6 @@ void TextTable::Print(std::ostream& os) const {
   }
 }
 
-namespace {
-
-std::string CsvEscape(const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) {
-    return cell;
-  }
-  std::string out = "\"";
-  for (char ch : cell) {
-    if (ch == '"') {
-      out += '"';
-    }
-    out += ch;
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
-
-void TextTable::PrintCsv(std::ostream& os) const {
-  auto print_row = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      os << (c == 0 ? "" : ",") << CsvEscape(row[c]);
-    }
-    os << '\n';
-  };
-  print_row(header_);
-  for (const auto& row : rows_) {
-    print_row(row);
-  }
-}
-
 std::string Cell(double value, int precision) {
   std::ostringstream os;
   os << std::fixed << std::setprecision(precision) << value;

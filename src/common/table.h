@@ -1,12 +1,12 @@
 /**
  * @file
- * Minimal table/CSV emitters used by the bench harnesses to print the
+ * Minimal table emitter used by the bench harnesses to print the
  * rows and series that the paper's tables and figures report.
  */
 #ifndef VRDDRAM_COMMON_TABLE_H
 #define VRDDRAM_COMMON_TABLE_H
 
-#include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -26,11 +26,6 @@ class TextTable {
 
   /// Render with aligned columns to the given stream.
   void Print(std::ostream& os) const;
-
-  /// Render as CSV (RFC-4180 quoting for cells containing separators).
-  void PrintCsv(std::ostream& os) const;
-
-  std::size_t NumRows() const { return rows_.size(); }
 
  private:
   std::vector<std::string> header_;

@@ -30,12 +30,7 @@ class Stopwatch {
       : start_(std::chrono::steady_clock::now()) {  // vrdlint: allow(wall-clock)
   }
 
-  /// Restart the stopwatch from now.
-  void Reset() {
-    start_ = std::chrono::steady_clock::now();  // vrdlint: allow(wall-clock)
-  }
-
-  /// Elapsed wall time since construction or the last Reset().
+  /// Elapsed wall time since construction.
   double Seconds() const {
     const auto now =
         std::chrono::steady_clock::now();  // vrdlint: allow(wall-clock)

@@ -44,11 +44,6 @@ constexpr double ToUs(Tick t) {
   return static_cast<double>(t) / static_cast<double>(kMicrosecond);
 }
 
-/// Convert ticks to floating-point milliseconds.
-constexpr double ToMs(Tick t) {
-  return static_cast<double>(t) / static_cast<double>(kMillisecond);
-}
-
 /// Convert ticks to floating-point seconds.
 constexpr double ToSeconds(Tick t) {
   return static_cast<double>(t) / static_cast<double>(kSecond);

@@ -123,6 +123,11 @@ std::vector<dram::RowAddr> SelectVulnerableRows(
 
 namespace {
 
+/// Simulated backoff before retry k is this base shifted left by k;
+/// recorded in `ShardStatus::backoff_ticks`, never applied to a device
+/// clock.
+constexpr Tick kRetryBackoffBase = units::kSecond;
+
 /**
  * One unit of campaign work: everything a single (device, temperature)
  * combination measures. The shard builds its own device from
@@ -212,6 +217,9 @@ void ValidateCampaignConfig(const CampaignConfig& config) {
       "campaign rows per device must be a positive multiple of 3, got " +
           std::to_string(config.rows_per_device));
   VRD_FATAL_IF(config.measurements == 0, "campaign needs measurements");
+  VRD_FATAL_IF(config.patterns.empty(), "campaign needs data patterns");
+  VRD_FATAL_IF(config.t_ons.empty(), "campaign needs tAggOn choices");
+  VRD_FATAL_IF(config.temperatures.empty(), "campaign needs temperatures");
   VRD_FATAL_IF(config.max_attempts == 0,
                "campaign needs at least one attempt per shard");
   VRD_FATAL_IF(config.resume && config.checkpoint_path.empty(),
@@ -349,7 +357,7 @@ CampaignResult RunCampaign(const CampaignConfig& config,
           // Bookkeeping only: the next attempt rebuilds its device
           // from scratch, and advancing any clock here would make a
           // retried shard diverge from a never-failed one.
-          status.backoff_ticks += config.retry_backoff_base << attempt;
+          status.backoff_ticks += kRetryBackoffBase << attempt;
           continue;
         }
         if (!config.quarantine) {

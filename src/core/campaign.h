@@ -91,9 +91,6 @@ struct CampaignConfig {
   /// shard's device from scratch, so a retry that succeeds produces
   /// records bit-identical to a never-failed shard.
   std::size_t max_attempts = 3;
-  /// Simulated backoff before retry k (doubles per retry); recorded in
-  /// `ShardStatus::backoff_ticks`, never applied to a device clock.
-  Tick retry_backoff_base = units::kSecond;
   /// When true (default) a shard that exhausts its attempts — or fails
   /// fatally — is quarantined and the campaign degrades gracefully to
   /// the surviving shards. When false the error propagates out of
@@ -150,8 +147,9 @@ std::vector<dram::RowAddr> SelectVulnerableRows(
 
 /// Throw a FatalError naming the field when `config` cannot run: no
 /// devices or measurements, a row count that is not a positive multiple
-/// of 3 (rows are selected a third per bank region), no attempts, or a
-/// resume without a checkpoint path.
+/// of 3 (rows are selected a third per bank region), no patterns,
+/// tAggOn choices or temperatures, no attempts, or a resume without a
+/// checkpoint path.
 void ValidateCampaignConfig(const CampaignConfig& config);
 
 /**

@@ -35,21 +35,6 @@ void CheckStream(std::ostream& os, const char* what) {
 
 }  // namespace
 
-void WriteSeriesCsv(std::ostream& os, const CampaignResult& result) {
-  os << "device,row,pattern,t_on,temperature,measurement_index,rdt,"
-        "shard_status\n";
-  for (const SeriesRecord& record : result.records) {
-    const std::string status = StatusFor(result, record);
-    for (std::size_t i = 0; i < record.series.size(); ++i) {
-      os << record.device << ',' << record.row << ','
-         << dram::ToString(record.pattern) << ','
-         << ToString(record.t_on) << ',' << record.temperature << ','
-         << i << ',' << record.series[i] << ',' << status << '\n';
-    }
-  }
-  CheckStream(os, "series export");
-}
-
 void WriteSummaryCsv(std::ostream& os, const CampaignResult& result) {
   os << "device,mfr,density_gbit,die_rev,row,pattern,t_on,temperature,"
         "rdt_guess,measurements,valid,min,max,mean,cv,unique_values,"

@@ -2,8 +2,7 @@
  * @file
  * CSV export of campaign results so measurements can be post-processed
  * outside the suite (the paper's own figures were produced from such
- * dumps). Two shapes: the raw per-measurement long format, and a
- * one-row-per-series analysis summary.
+ * dumps): a one-row-per-series analysis summary.
  */
 #ifndef VRDDRAM_CORE_CSV_EXPORT_H
 #define VRDDRAM_CORE_CSV_EXPORT_H
@@ -15,22 +14,15 @@
 namespace vrddram::core {
 
 /**
- * Long format, one line per measurement:
- * device,row,pattern,t_on,temperature,measurement_index,rdt,shard_status
- * (rdt is -1 for measurements that observed no flip; shard_status is
- * the record's shard outcome — "ok", "retried-<n>" or "quarantined" —
- * and "ok" for results without shard statuses).
- *
- * Both writers verify the stream after writing and raise FatalError on
- * failure, so a short write cannot pass as a complete export.
- */
-void WriteSeriesCsv(std::ostream& os, const CampaignResult& result);
-
-/**
  * Summary format, one line per series:
  * device,mfr,density_gbit,die_rev,row,pattern,t_on,temperature,
  * rdt_guess,measurements,valid,min,max,mean,cv,unique_values,
  * first_min_index,immediate_change_fraction,shard_status
+ * (shard_status is the record's shard outcome — "ok", "retried-<n>" or
+ * "quarantined" — and "ok" for results without shard statuses).
+ *
+ * The writer verifies the stream after writing and raises FatalError
+ * on failure, so a short write cannot pass as a complete export.
  */
 void WriteSummaryCsv(std::ostream& os, const CampaignResult& result);
 

@@ -12,6 +12,12 @@ namespace vrddram::core {
 
 namespace {
 
+/// Baseline RDT measurements per row; the row's min over them anchors
+/// every margin.
+constexpr std::size_t kBaselineMeasurements = 5;
+/// Study temperature.
+constexpr Celsius kTemperature = 50.0;
+
 /// Largest per-group flip count over sorted unique bit indices, where
 /// a bit's group is bit / bits_per_group (codeword locality). Sorted
 /// input makes groups contiguous, so one linear run-length scan
@@ -60,7 +66,7 @@ DeviceStudy StudyDevice(const GuardbandConfig& config,
       vrd::BuildDevice(name, config.base_seed);
   auto* engine = dynamic_cast<vrd::TrapFaultEngine*>(&device->model());
   VRD_ASSERT(engine != nullptr);
-  device->SetTemperature(config.temperature);
+  device->SetTemperature(kTemperature);
 
   const std::size_t per_region = config.rows_per_device / 3;
   const std::vector<dram::RowAddr> rows = SelectVulnerableRows(
@@ -76,14 +82,12 @@ DeviceStudy StudyDevice(const GuardbandConfig& config,
     RdtProfiler profiler(*device, pc);
 
     for (const dram::RowAddr row : rows) {
-      // Step 1: a handful of RDT measurements; keep the minimum (the
-      // paper uses 5 to keep testing time reasonable).
+      // Step 1: a handful of RDT measurements; keep the minimum.
       const std::optional<std::uint64_t> guess = profiler.GuessRdt(row);
       if (!guess) {
         continue;
       }
-      profiler.MeasureSeries(row, *guess, config.baseline_measurements,
-                             baseline);
+      profiler.MeasureSeries(row, *guess, kBaselineMeasurements, baseline);
       const std::int64_t min_rdt = MinObservedRdt(baseline);
       if (min_rdt <= 0) {
         continue;
@@ -109,9 +113,9 @@ DeviceStudy StudyDevice(const GuardbandConfig& config,
       // whole sweep without allocating.
       engine->MakeMeasureContext(
           /*bank=*/0, phys, dram::VictimByte(pattern),
-          dram::AggressorByte(pattern), t_on, config.temperature,
+          dram::AggressorByte(pattern), t_on, kTemperature,
           device->encoding(), device->Now(), mctx);
-      for (const std::uint32_t margin : config.margins) {
+      for (const std::uint32_t margin : kGuardbandMargins) {
         MarginOutcome per;
         per.margin = margin;
         per.hammer_count = GuardbandHammerCount(outcome.min_rdt, margin);

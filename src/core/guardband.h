@@ -9,6 +9,8 @@
 #ifndef VRDDRAM_CORE_GUARDBAND_H
 #define VRDDRAM_CORE_GUARDBAND_H
 
+#include <array>
+#include <cstdint>
 #include <iosfwd>
 #include <map>
 #include <string>
@@ -19,18 +21,22 @@
 
 namespace vrddram::core {
 
+/// Safety margins in integer percent below the measured min RDT, in
+/// the order the study reports them (MarginOutcome::margin).
+inline constexpr std::array<std::uint32_t, 5> kGuardbandMargins = {
+    50, 40, 30, 20, 10};
+
+/// The study runs at 50 degC and takes each row's min RDT over 5
+/// baseline measurements (the paper's count, which keeps testing time
+/// reasonable).
 struct GuardbandConfig {
   std::vector<std::string> devices;     ///< paper: the §5 DDR4 modules
   /// Victim rows per device, a third from each region of the bank, so
   /// a positive multiple of 3 (paper: 50).
   std::size_t rows_per_device = 6;
-  std::size_t baseline_measurements = 5;
   std::size_t trials = 10000;
-  /// Safety margins in integer percent below the measured min RDT.
-  std::vector<std::uint32_t> margins = {50, 40, 30, 20, 10};
   std::vector<dram::DataPattern> patterns = {
       dram::DataPattern::kCheckered0, dram::DataPattern::kCheckered1};
-  Celsius temperature = 50.0;
   std::size_t scan_rows_per_region = 128;
   std::uint64_t base_seed = 2025;
   /// Workers for the per-device shards (RunShards): 0 selects

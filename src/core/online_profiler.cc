@@ -2,26 +2,27 @@
 
 #include <algorithm>
 
-#include "common/error.h"
-
 namespace vrddram::core {
 
+namespace {
+
+/// Measurements taken per maintenance window.
+constexpr std::size_t kMeasurementsPerWindow = 4;
+/// Guardband bounds; the adaptive guardband stays within them.
+constexpr double kMinGuardband = 0.10;
+constexpr double kMaxGuardband = 0.50;
+/// Each newly discovered minimum widens the guardband by this much.
+constexpr double kWidenOnDiscovery = 0.10;
+/// Each quiet window narrows it by this much (never below the minimum).
+constexpr double kNarrowOnQuiet = 0.01;
+
+}  // namespace
+
 OnlineRdtProfiler::OnlineRdtProfiler(dram::Device& device,
-                                     dram::RowAddr victim,
-                                     OnlineProfilerConfig config,
-                                     ProfilerConfig profiler_config)
-    : device_(&device),
-      victim_(victim),
-      config_(config),
-      profiler_(device, profiler_config),
-      guardband_(config.min_guardband) {
-  VRD_FATAL_IF(config.measurements_per_window == 0,
-               "windows need measurements");
-  VRD_FATAL_IF(config.min_guardband < 0.0 ||
-                   config.max_guardband >= 1.0 ||
-                   config.min_guardband > config.max_guardband,
-               "invalid guardband bounds");
-}
+                                     dram::RowAddr victim)
+    : victim_(victim),
+      profiler_(device, ProfilerConfig{}),
+      guardband_(kMinGuardband) {}
 
 bool OnlineRdtProfiler::RunMaintenanceWindow() {
   ++windows_run_;
@@ -33,7 +34,7 @@ bool OnlineRdtProfiler::RunMaintenanceWindow() {
   }
 
   const std::int64_t window_min = MinObservedRdt(profiler_.MeasureSeries(
-      victim_, *rdt_guess_, config_.measurements_per_window));
+      victim_, *rdt_guess_, kMeasurementsPerWindow));
   const bool discovered =
       window_min >= 0 &&
       (!observed_min_ ||
@@ -41,11 +42,9 @@ bool OnlineRdtProfiler::RunMaintenanceWindow() {
   if (discovered) {
     observed_min_ = static_cast<std::uint64_t>(window_min);
     ++discoveries_;
-    guardband_ = std::min(config_.max_guardband,
-                          guardband_ + config_.widen_on_discovery);
+    guardband_ = std::min(kMaxGuardband, guardband_ + kWidenOnDiscovery);
   } else {
-    guardband_ = std::max(config_.min_guardband,
-                          guardband_ - config_.narrow_on_quiet);
+    guardband_ = std::max(kMinGuardband, guardband_ - kNarrowOnQuiet);
   }
   return discovered;
 }

@@ -10,7 +10,7 @@
  * adaptive guardband) drops, and a cooperating mitigation reconfigures
  * itself. The adaptive guardband widens when minima keep being
  * discovered (the row is VRD-active) and narrows as the estimate
- * stabilizes, bounded below by `min_guardband`.
+ * stabilizes, within [10%, 50%].
  *
  * Thread safety: none; a profiler belongs to one thread. Callers run
  * maintenance windows and read the recommendation on that thread. A
@@ -26,23 +26,10 @@
 
 namespace vrddram::core {
 
-struct OnlineProfilerConfig {
-  /// Measurements taken per maintenance window.
-  std::size_t measurements_per_window = 4;
-  /// Guardband bounds; the adaptive guardband stays within them.
-  double min_guardband = 0.10;
-  double max_guardband = 0.50;
-  /// Each newly discovered minimum widens the guardband by this much.
-  double widen_on_discovery = 0.10;
-  /// Each quiet window narrows it by this much (never below min).
-  double narrow_on_quiet = 0.01;
-};
-
+/// Profiles bank 0 with the Checkered0 pattern at the minimum tRAS.
 class OnlineRdtProfiler {
  public:
-  OnlineRdtProfiler(dram::Device& device, dram::RowAddr victim,
-                    OnlineProfilerConfig config = {},
-                    ProfilerConfig profiler_config = {});
+  OnlineRdtProfiler(dram::Device& device, dram::RowAddr victim);
 
   /**
    * Run one maintenance window: take a few measurements, fold them
@@ -68,9 +55,7 @@ class OnlineRdtProfiler {
   std::size_t discoveries() const { return discoveries_; }
 
  private:
-  dram::Device* device_;
   dram::RowAddr victim_;
-  OnlineProfilerConfig config_;
   RdtProfiler profiler_;
   std::optional<std::uint64_t> rdt_guess_;
   std::optional<std::uint64_t> observed_min_;

@@ -31,12 +31,6 @@ struct SecurityResult {
   std::optional<std::uint64_t> first_breach;
 
   bool Secure() const { return breached_episodes == 0; }
-  double BreachRate() const {
-    return episodes == 0
-               ? 0.0
-               : static_cast<double>(breached_episodes) /
-                     static_cast<double>(episodes);
-  }
 };
 
 /**

@@ -6,17 +6,17 @@
 
 namespace vrddram::core {
 
-TestTimeModel::TestTimeModel(dram::TimingParams timing,
-                             dram::CurrentParams currents,
-                             std::uint32_t bursts_per_row,
-                             std::uint32_t chips_per_rank)
-    : timing_(timing),
-      currents_(currents),
-      bursts_per_row_(bursts_per_row),
-      chips_per_rank_(chips_per_rank) {
-  VRD_FATAL_IF(bursts_per_row == 0, "rows need at least one burst");
-  VRD_FATAL_IF(chips_per_rank == 0, "ranks need at least one chip");
-}
+namespace {
+
+/// Write or read bursts per row.
+constexpr std::uint32_t kBurstsPerRow = 128;
+/// Chips operated in lockstep; every command's energy is drawn by all
+/// of them (a module-level estimate).
+constexpr std::uint32_t kChipsPerRank = 8;
+/// DDR5 currents from the Micron 16Gb addendum (scaled to one chip).
+constexpr dram::CurrentParams kCurrents{};
+
+}  // namespace
 
 Tick TestTimeModel::InitOneRowTime(std::uint32_t banks) const {
   // Table 4 (one bank): ACT (tRCD), 127 WRITEs at tCCD_L_WR, final
@@ -24,13 +24,13 @@ Tick TestTimeModel::InitOneRowTime(std::uint32_t banks) const {
   // Table 5 (N banks): N ACTs at tRRD_S, then N*128 WRITEs at tCCD_S.
   if (banks == 1) {
     return timing_.tRCD +
-           static_cast<Tick>(bursts_per_row_ - 1) * timing_.tCCD_L_WR +
+           static_cast<Tick>(kBurstsPerRow - 1) * timing_.tCCD_L_WR +
            timing_.tWR + timing_.tRP;
   }
   const Tick acts = static_cast<Tick>(banks) * timing_.tRRD_S;
   const Tick writes =
       static_cast<Tick>(static_cast<std::uint64_t>(banks) *
-                        bursts_per_row_ - 1) * timing_.tCCD_S;
+                        kBurstsPerRow - 1) * timing_.tCCD_S;
   return acts + writes + timing_.tWR + timing_.tRP;
 }
 
@@ -49,13 +49,13 @@ Tick TestTimeModel::HammerPhaseTime(std::uint64_t hammers, Tick t_on,
 Tick TestTimeModel::ReadbackTime(std::uint32_t banks) const {
   if (banks == 1) {
     return timing_.tRCD +
-           static_cast<Tick>(bursts_per_row_ - 1) * timing_.tCCD_L +
+           static_cast<Tick>(kBurstsPerRow - 1) * timing_.tCCD_L +
            timing_.tRTP + timing_.tRP;
   }
   const Tick acts = static_cast<Tick>(banks) * timing_.tRRD_S;
   const Tick reads =
       static_cast<Tick>(static_cast<std::uint64_t>(banks) *
-                        bursts_per_row_ - 1) * timing_.tCCD_S;
+                        kBurstsPerRow - 1) * timing_.tCCD_S;
   return acts + reads + timing_.tRTP + timing_.tRP;
 }
 
@@ -76,7 +76,7 @@ TestCost TestTimeModel::MeasurementCost(std::uint64_t hammers, Tick t_on,
   double energy = 0.0;
   // 3 initialization ACT/PRE pairs per bank.
   energy += 3.0 * n *
-            currents_.ActPreEnergy(timing_.tRC, timing_.tRC);
+            kCurrents.ActPreEnergy(timing_.tRC, timing_.tRC);
   // Many-bank hammering cannot draw the full per-bank ACT current
   // simultaneously: the four-activate window (tFAW) and the chip's
   // power budget cap the concurrency at ~4 banks' worth.
@@ -84,19 +84,19 @@ TestCost TestTimeModel::MeasurementCost(std::uint64_t hammers, Tick t_on,
       std::min(n, 4.0) / n;
   energy += 2.0 * static_cast<double>(hammers) * n *
             concurrency_derate *
-            currents_.ActPreEnergy(std::max(t_on, timing_.tRAS),
+            kCurrents.ActPreEnergy(std::max(t_on, timing_.tRAS),
                                    timing_.tRC);
-  energy += 1.0 * n * currents_.ActPreEnergy(timing_.tRC, timing_.tRC);
+  energy += 1.0 * n * kCurrents.ActPreEnergy(timing_.tRC, timing_.tRC);
   // Burst energy: full row written 3x and read once per bank.
   const Tick wr_burst = timing_.tBL;
-  energy += 3.0 * n * static_cast<double>(bursts_per_row_) *
-            currents_.BurstEnergy(wr_burst, /*is_write=*/true);
-  energy += 1.0 * n * static_cast<double>(bursts_per_row_) *
-            currents_.BurstEnergy(wr_burst, /*is_write=*/false);
+  energy += 3.0 * n * static_cast<double>(kBurstsPerRow) *
+            kCurrents.BurstEnergy(wr_burst, /*is_write=*/true);
+  energy += 1.0 * n * static_cast<double>(kBurstsPerRow) *
+            kCurrents.BurstEnergy(wr_burst, /*is_write=*/false);
   // Background for the whole measurement (device otherwise idle).
-  energy += currents_.BackgroundEnergy(total_ticks, /*bank_active=*/true);
+  energy += kCurrents.BackgroundEnergy(total_ticks, /*bank_active=*/true);
   // Every chip of the rank executes every command in lockstep.
-  cost.energy = energy * static_cast<double>(chips_per_rank_);
+  cost.energy = energy * static_cast<double>(kChipsPerRank);
   return cost;
 }
 
@@ -120,8 +120,8 @@ TextTable TestTimeModel::CommandTable(std::uint64_t hammers,
   const bool multi = banks > 1;
   const std::string acts = multi ? Cell(std::uint64_t{banks}) : "1";
   const std::string writes =
-      multi ? Cell(static_cast<std::uint64_t>(banks) * bursts_per_row_)
-            : Cell(static_cast<std::uint64_t>(bursts_per_row_ - 1));
+      multi ? Cell(static_cast<std::uint64_t>(banks) * kBurstsPerRow)
+            : Cell(static_cast<std::uint64_t>(kBurstsPerRow - 1));
   const std::string act_timing = multi ? "tRRD_S" : "tRCD";
   const std::string wr_timing = multi ? "tCCD_S" : "tCCD_L_WR";
 

@@ -22,15 +22,10 @@ struct TestCost {
 
 class TestTimeModel {
  public:
-  /**
-   * @param chips_per_rank chips operated in lockstep; every command's
-   *        energy is drawn by all of them (a module-level estimate).
-   */
-  explicit TestTimeModel(
-      dram::TimingParams timing = dram::MakeDdr5_8800(),
-      dram::CurrentParams currents = dram::MakeDdr5Currents(),
-      std::uint32_t bursts_per_row = 128,
-      std::uint32_t chips_per_rank = 8);
+  /// Rows are 128 bursts wide; energy is drawn by the 8 chips of a
+  /// rank in lockstep (a module-level estimate) at DDR5 currents.
+  explicit TestTimeModel(dram::TimingParams timing = dram::MakeDdr5_8800())
+      : timing_(timing) {}
 
   const dram::TimingParams& timing() const { return timing_; }
 
@@ -64,9 +59,6 @@ class TestTimeModel {
   Tick ReadbackTime(std::uint32_t banks) const;
 
   dram::TimingParams timing_;
-  dram::CurrentParams currents_;
-  std::uint32_t bursts_per_row_;
-  std::uint32_t chips_per_rank_;
 };
 
 }  // namespace vrddram::core

@@ -48,11 +48,6 @@ class CellEncodingLayout {
     return stored_bit != anti;
   }
 
-  /// Value a fully-discharged cell reads back as.
-  bool DischargedValue(PhysicalRow row) const {
-    return RowEncoding(row) == CellEncoding::kAntiCell;
-  }
-
   double anti_fraction() const { return anti_fraction_; }
 
  private:

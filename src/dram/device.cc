@@ -405,12 +405,4 @@ std::vector<std::uint8_t> Device::PeekRowPhysical(BankId bank,
   return StoreOf(bank, row).data;
 }
 
-Tick Device::SinceRestore(BankId bank, PhysicalRow row) const {
-  const auto it = rows_.find(Key(bank, row));
-  if (it == rows_.end()) {
-    return 0;
-  }
-  return now_ - it->second.last_restore;
-}
-
 }  // namespace vrddram::dram

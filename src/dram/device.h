@@ -89,7 +89,6 @@ class Device {
   /// HBM2 MR bit that enables/disables on-die ECC (JESD235D); no-op on
   /// devices without on-die ECC.
   void SetOnDieEccEnabled(bool enabled);
-  bool OnDieEccEnabled() const { return ecc_enabled_; }
 
   // -- PRAC (per-row activation counting, JESD79-5C) ------------------------
   /// Program the back-off threshold; 0 disables alerting. Requires
@@ -155,8 +154,6 @@ class Device {
   /// Raw stored bytes of a row (physical address), bypassing commands
   /// and timing; for tests and debugging only.
   std::vector<std::uint8_t> PeekRowPhysical(BankId bank, PhysicalRow row);
-  /// Time since the given row's charge was last restored.
-  Tick SinceRestore(BankId bank, PhysicalRow row) const;
 
  private:
   struct RowStore {

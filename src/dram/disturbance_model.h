@@ -72,13 +72,6 @@ class ReadDisturbanceModel {
    */
   virtual void Evaluate(const VictimContext& ctx,
                         std::vector<BitFlip>& out) = 0;
-
-  /// Convenience wrapper for tests and one-off callers.
-  std::vector<BitFlip> EvaluateToVector(const VictimContext& ctx) {
-    std::vector<BitFlip> out;
-    Evaluate(ctx, out);
-    return out;
-  }
 };
 
 /// Engine that never flips anything (default for plain devices).

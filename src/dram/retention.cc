@@ -6,6 +6,16 @@
 
 namespace vrddram::dram {
 
+namespace {
+
+/// Lognormal sigma of weak-cell retention.
+constexpr double kLogSigma = 0.9;
+/// Retention halves per this many degC above the reference.
+constexpr double kHalvingCelsius = 10.0;
+constexpr Celsius kReferenceCelsius = 50.0;
+
+}  // namespace
+
 RetentionParams RetentionParams::MakeDefault() {
   RetentionParams p;
   // Weak cells retain for seconds at 50 degC; the JEDEC guarantee (64
@@ -51,7 +61,7 @@ RetentionModel::WeakCellsOf(BankId bank, PhysicalRow row) const {
     WeakCell cell;
     cell.bit_index = static_cast<std::uint32_t>(rng.NextBelow(row_bits));
     cell.retention_at_ref = static_cast<Tick>(rng.NextLognormal(
-        params_.log_median_retention, params_.log_sigma));
+        params_.log_median_retention, kLogSigma));
     cells.push_back(cell);
   }
   return cells;
@@ -65,8 +75,8 @@ std::vector<BitFlip> RetentionModel::DecayedBits(
   if (since_restore <= 0) {
     return flips;
   }
-  const double temp_scale = std::exp2(
-      (temperature - params_.reference_celsius) / params_.halving_celsius);
+  const double temp_scale =
+      std::exp2((temperature - kReferenceCelsius) / kHalvingCelsius);
   for (const WeakCell& cell : WeakCellsOf(bank, row)) {
     const auto effective = static_cast<Tick>(
         static_cast<double>(cell.retention_at_ref) / temp_scale);

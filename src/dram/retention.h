@@ -34,11 +34,6 @@ struct RetentionParams {
   double weak_cells_per_row = 0.25;
   /// ln of the median retention time (ticks) of a weak cell at 50 degC.
   double log_median_retention = 0.0;  // set in MakeDefault()
-  /// Lognormal sigma of weak-cell retention.
-  double log_sigma = 0.9;
-  /// Temperature doubling constant: retention halves per this many degC.
-  double halving_celsius = 10.0;
-  Celsius reference_celsius = 50.0;
 
   static RetentionParams MakeDefault();
 };
@@ -54,7 +49,7 @@ class RetentionModel {
 
   struct WeakCell {
     std::uint32_t bit_index = 0;  ///< bit within the row
-    Tick retention_at_ref = 0;    ///< retention time at reference temp
+    Tick retention_at_ref = 0;    ///< retention time at 50 degC
   };
 
   /// The (possibly empty) weak-cell set of a row.

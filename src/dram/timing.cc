@@ -114,6 +114,4 @@ double CurrentParams::BackgroundEnergy(Tick span, bool bank_active) const {
   return idd * 1e-3 * vdd * units::ToSeconds(span);
 }
 
-CurrentParams MakeDdr5Currents() { return CurrentParams{}; }
-
 }  // namespace vrddram::dram

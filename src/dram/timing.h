@@ -84,9 +84,6 @@ struct CurrentParams {
   double BackgroundEnergy(Tick span, bool bank_active) const;
 };
 
-/// DDR5 currents from the Micron 16Gb addendum (scaled to one chip).
-CurrentParams MakeDdr5Currents();
-
 }  // namespace vrddram::dram
 
 #endif  // VRDDRAM_DRAM_TIMING_H

@@ -50,10 +50,6 @@ struct Penalty {
   /// Preventive row activations (neighbor refreshes) consuming the
   /// rank's tRRD/tFAW activation budget.
   std::uint32_t extra_activations = 0;
-
-  bool IsZero() const {
-    return bank_busy == 0 && rank_busy == 0 && extra_activations == 0;
-  }
 };
 
 class Mitigation {

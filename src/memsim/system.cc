@@ -7,11 +7,21 @@
 
 namespace vrddram::memsim {
 
+namespace {
+
+/// The channel: one DDR5-8800 rank of 32 banks of 2^17 rows.
+const dram::TimingParams kTiming = dram::MakeDdr5_8800();
+constexpr std::uint32_t kNumBanks = 32;
+constexpr std::uint32_t kRowsPerBank = 1u << 17;
+/// Outstanding misses per core.
+constexpr std::uint32_t kMlp = 8;
+
+}  // namespace
+
 SystemResult SimulateMix(const WorkloadMix& mix,
                          const SystemConfig& config) {
   VRD_FATAL_IF(mix.cores.empty(), "mix has no cores");
-  VRD_FATAL_IF(config.mlp == 0, "cores need at least one outstanding miss");
-  const dram::TimingParams& t = config.timing;
+  const dram::TimingParams& t = kTiming;
 
   // Per-core generators and pacing state.
   const std::size_t num_cores = mix.cores.size();
@@ -25,18 +35,18 @@ SystemResult SimulateMix(const WorkloadMix& mix,
   generators.reserve(num_cores);
   for (std::size_t c = 0; c < num_cores; ++c) {
     generators.emplace_back(static_cast<std::uint32_t>(c), mix.cores[c],
-                            config.num_banks, config.rows_per_bank,
+                            kNumBanks, kRowsPerBank,
                             MixSeed(config.seed, c, 0x3e4));
     think[c] = generators.back().ThinkTime();
-    completion_window[c].assign(config.mlp, 0);
+    completion_window[c].assign(kMlp, 0);
   }
 
   // Bank, bus, and rank-level activation-budget state. Activations
   // across the rank are spaced by at least max(tRRD_S, tFAW/4);
   // preventive refreshes consume the same budget and RFM/back-off
   // blackouts stall it entirely.
-  std::vector<Tick> bank_free(config.num_banks, 0);
-  std::vector<std::int64_t> open_row(config.num_banks, -1);
+  std::vector<Tick> bank_free(kNumBanks, 0);
+  std::vector<std::int64_t> open_row(kNumBanks, -1);
   Tick bus_free = 0;
   Tick rank_act_free = 0;
   const Tick act_spacing = std::max(t.tRRD_S, t.tFAW / 4);
@@ -171,16 +181,14 @@ SystemResult SimulateMix(const WorkloadMix& mix,
     // Core pacing: the (k+1)th request waits for think time and for
     // the (k+1-MLP)th completion.
     const std::uint64_t k = issued[core];
-    completion_window[core][k % config.mlp] = completion;
+    completion_window[core][k % kMlp] = completion;
     last_issue[core] = issue_time;
     ++issued[core];
     Tick pace = issue_time + think[core];
-    if (issued[core] >= config.mlp) {
+    if (issued[core] >= kMlp) {
       // The (k+1-MLP)th completion gates the next issue.
       pace = std::max(
-          pace,
-          completion_window[core][(issued[core] - config.mlp) %
-                                  config.mlp]);
+          pace, completion_window[core][(issued[core] - kMlp) % kMlp]);
     }
     next_issue[core] = pace;
     core_finish[core] = std::max(core_finish[core], completion);

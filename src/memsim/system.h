@@ -28,13 +28,11 @@ enum class Scheduler : std::uint8_t {
   kFrFcfs,
 };
 
+/// One workload mix on one DDR5-8800 channel (32 banks of 2^17 rows,
+/// 8 outstanding misses per core).
 struct SystemConfig {
-  dram::TimingParams timing = dram::MakeDdr5_8800();
   Scheduler scheduler = Scheduler::kInOrder;
-  std::uint32_t num_banks = 32;
-  std::uint32_t rows_per_bank = 1u << 17;
   std::size_t requests_per_core = 20000;
-  std::uint32_t mlp = 8;  ///< outstanding misses per core
   MitigationKind mitigation = MitigationKind::kNone;
   std::uint64_t rdt = 1024;  ///< configured read disturbance threshold
   std::uint64_t seed = 1;

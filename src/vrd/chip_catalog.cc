@@ -16,16 +16,6 @@ std::string ToString(Manufacturer mfr) {
   throw PanicError("unknown manufacturer");
 }
 
-int TestedChipSpec::TechnologyOrdinal() const {
-  // Density dominates; die revision breaks ties (footnote 12: later
-  // letters indicate more advanced technology nodes).
-  const int density_rank = (density_gbit >= 16) ? 2
-                           : (density_gbit >= 8) ? 1
-                                                 : 0;
-  const int rev_rank = (die_rev == '?') ? 0 : (die_rev - 'A');
-  return density_rank * 32 + rev_rank;
-}
-
 namespace {
 
 /// Raw calibration row for one catalog entry.

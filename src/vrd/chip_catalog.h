@@ -40,10 +40,6 @@ struct TestedChipSpec {
   std::uint32_t dq_bits = 8;
   std::uint32_t chips_per_rank = 8;
   std::string date_code;   ///< "ww-yy" or "N/A"
-
-  /// Ordinal used by the density/die-revision analysis (Fig. 9):
-  /// larger means denser or later revision.
-  int TechnologyOrdinal() const;
 };
 
 /// Everything needed to instantiate one device under test.

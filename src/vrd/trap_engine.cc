@@ -9,7 +9,7 @@
 
 namespace vrddram::vrd {
 
-PoissonSampler::PoissonSampler(double lambda) : lambda_(lambda) {
+PoissonSampler::PoissonSampler(double lambda) {
   VRD_FATAL_IF(lambda < 0.0, "Poisson rate must be non-negative");
   // Beyond ~50 the exp(-lambda) limit underflows towards 0 and the
   // product loop degenerates into thousands of iterations per sample.
@@ -22,8 +22,8 @@ PoissonSampler::PoissonSampler(double lambda) : lambda_(lambda) {
 
 std::size_t PoissonSampler::operator()(Rng& rng) const {
   // Knuth's product-of-uniforms method; fine for the small lambdas the
-  // fault model uses (< ~10). The loop is byte-for-byte the historical
-  // SamplePoisson loop, so draw sequences are unchanged.
+  // fault model uses (< ~10). Draw sequences are pinned by
+  // PoissonSamplerTest.DrawSequencesArePinned.
   std::size_t k = 0;
   double p = 1.0;
   do {
@@ -31,10 +31,6 @@ std::size_t PoissonSampler::operator()(Rng& rng) const {
     p *= rng.NextDouble();
   } while (p > limit_);
   return k - 1;
-}
-
-std::size_t SamplePoisson(Rng& rng, double lambda) {
-  return PoissonSampler(lambda)(rng);
 }
 
 TrapFaultEngine::TrapFaultEngine(FaultProfile profile,

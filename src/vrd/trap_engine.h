@@ -38,9 +38,7 @@ namespace vrddram::vrd {
 /**
  * Poisson sampler for a fixed rate (Knuth's product-of-uniforms
  * method): construction pays the std::exp(-lambda) once, each draw is
- * then pure RNG work. Draw sequences are identical to the historical
- * free-function path for the same (rng state, lambda) — the loop is
- * untouched, only the limit computation is hoisted.
+ * then pure RNG work.
  *
  * Rates above 50 are rejected at construction: exp(-lambda) underflows
  * and the loop degenerates (see weak_cells_mean / fast_trap_mean).
@@ -51,16 +49,9 @@ class PoissonSampler {
 
   std::size_t operator()(Rng& rng) const;
 
-  double lambda() const { return lambda_; }
-
  private:
-  double lambda_ = 0.0;
   double limit_ = 1.0;  ///< exp(-lambda), cached
 };
-
-/// Sample a Poisson variate (one-shot convenience; recomputes the
-/// exp(-lambda) limit every call — hot paths hold a PoissonSampler).
-std::size_t SamplePoisson(Rng& rng, double lambda);
 
 class TrapFaultEngine final : public dram::ReadDisturbanceModel {
  public:

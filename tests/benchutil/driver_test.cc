@@ -209,6 +209,20 @@ TEST(DriverTest, Fig07CsvToAnUnwritablePathNamesThePath) {
   EXPECT_EQ(run.err.find("short write"), std::string::npos) << run.err;
 }
 
+TEST(DriverTest, Fig07ParameterCountsOutOfRangeNameTheFlag) {
+  // Unchecked, 0 would run a zero-combination campaign and die on an
+  // empty percentile, and 4 tAggOn levels would clamp silently to 3.
+  for (const std::string flag : {"--patterns=0", "--tons=4", "--temps=0"}) {
+    const DriverRun run =
+        Drive({"run", "fig07_cv_scurve", "--smoke", "--no-cache", flag});
+    EXPECT_EQ(run.exit_code, 2) << flag;
+    EXPECT_NE(run.err.find("flag " + flag + ": expected 1-"),
+              std::string::npos)
+        << run.err;
+    EXPECT_TRUE(run.out.empty()) << flag;
+  }
+}
+
 TEST(DriverTest, OutDirWritesOneReportPerExperiment) {
   const std::string out_dir =
       (std::filesystem::path(::testing::TempDir()) /

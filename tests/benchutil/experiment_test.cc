@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
+
 #include "common/error.h"
+#include "core/campaign_checkpoint.h"
 
 namespace vrddram::bench {
 namespace {
@@ -86,6 +91,52 @@ TEST(ExperimentRegistryTest, RejectsDuplicateAndMalformedSpecs) {
   ExperimentSpec no_analyze;
   no_analyze.name = "zz_no_analyze";
   EXPECT_THROW(registry.Register(no_analyze), FatalError);
+}
+
+/**
+ * Every campaign experiment's config, built from its schema defaults
+ * and from its smoke arguments, hashes to the value recorded before
+ * the flag-to-config code was shared. The hash is the campaign cache
+ * key, so a drift here would silently re-measure (or mis-share) every
+ * cached campaign.
+ */
+TEST(ExperimentRegistryTest, CampaignConfigHashesArePinned) {
+  const struct {
+    const char* name;
+    std::uint64_t defaults;
+    std::uint64_t smoke;
+  } kPinned[] = {
+      {"fig07_cv_scurve", 0x98209bf9d9988b0eull, 0xd8ef5a01949a69a1ull},
+      {"fig08_min_rdt_probability", 0xb0cf61233ad5b34cull,
+       0xae13e081f1985bd8ull},
+      {"fig09_density_die_rev", 0x18c4a4d7e180caffull,
+       0xfca62473c6a0848cull},
+      {"fig10_data_pattern", 0xbadac4e1705cabb2ull, 0xd213275ede1d2ff6ull},
+      {"fig11_taggon", 0x99a16c292e192555ull, 0xb6cd30ef2bae3a06ull},
+      {"fig12_temperature", 0xb6abae22d2603c3aull, 0x8dba3fcc52f7c93cull},
+      {"fig15_guardband_probability", 0x99098c5b934b628dull,
+       0xbbb5e8bf605268a3ull},
+      {"table07_module_summary", 0xdd8767b550a76f7cull,
+       0x1c03f08a983dbdc9ull},
+  };
+  std::size_t campaigns = 0;
+  for (const ExperimentSpec* spec : ExperimentRegistry::Instance().All()) {
+    if (!spec->build_campaign) {
+      continue;
+    }
+    ++campaigns;
+    const std::uint64_t defaults = core::HashCampaignConfig(
+        spec->build_campaign(Flags({}, spec->flags)));
+    const std::uint64_t smoke = core::HashCampaignConfig(
+        spec->build_campaign(Flags(spec->smoke_args, spec->flags)));
+    const auto* pinned =
+        std::find_if(std::begin(kPinned), std::end(kPinned),
+                     [&](const auto& p) { return spec->name == p.name; });
+    ASSERT_NE(pinned, std::end(kPinned)) << spec->name;
+    EXPECT_EQ(defaults, pinned->defaults) << spec->name;
+    EXPECT_EQ(smoke, pinned->smoke) << spec->name;
+  }
+  EXPECT_EQ(campaigns, std::size(kPinned));
 }
 
 TEST(GroupNameTest, Hbm2ChipsShareOneGroup) {

@@ -31,31 +31,11 @@ TEST(TableTest, PrintsAlignedColumns) {
   EXPECT_NE(out.find("----"), std::string::npos);
 }
 
-TEST(TableTest, CsvEscapesSpecialCharacters) {
-  TextTable table({"a"});
-  table.AddRow({"plain"});
-  table.AddRow({"with,comma"});
-  table.AddRow({"with\"quote"});
-  std::ostringstream os;
-  table.PrintCsv(os);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("\"with,comma\""), std::string::npos);
-  EXPECT_NE(out.find("\"with\"\"quote\""), std::string::npos);
-}
-
 TEST(TableTest, CellFormatting) {
   EXPECT_EQ(Cell(3.14159, 2), "3.14");
   EXPECT_EQ(Cell(std::int64_t{-5}), "-5");
   EXPECT_EQ(Cell(std::uint64_t{7}), "7");
   EXPECT_EQ(Cell(42), "42");
-}
-
-TEST(TableTest, NumRows) {
-  TextTable table({"a"});
-  EXPECT_EQ(table.NumRows(), 0u);
-  table.AddRow({"1"});
-  table.AddRow({"2"});
-  EXPECT_EQ(table.NumRows(), 2u);
 }
 
 }  // namespace

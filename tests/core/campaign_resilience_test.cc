@@ -326,7 +326,8 @@ TEST(CampaignResilienceTest, RetriedShardIsBitIdenticalToCleanRun) {
   EXPECT_EQ(retried.temperature, 50.0);
   EXPECT_EQ(retried.state, ShardState::kRetried);
   EXPECT_EQ(retried.attempts, 2u);
-  EXPECT_EQ(retried.backoff_ticks, base.retry_backoff_base);
+  // One retry backs off by the base of one simulated second.
+  EXPECT_EQ(retried.backoff_ticks, units::kSecond);
   EXPECT_FALSE(retried.error.empty());
   EXPECT_EQ(FormatShardStatus(retried), "retried-1");
   for (std::size_t i = 1; i < result.shards.size(); ++i) {

@@ -218,6 +218,20 @@ TEST(CampaignTest, InvalidConfigsThrow) {
           << e.what();
     }
   }
+  // An empty parameter list would build devices and select rows for a
+  // campaign of zero combinations.
+  CampaignConfig valid;
+  valid.devices = {"M1"};
+  valid.measurements = 10;
+  CampaignConfig no_patterns = valid;
+  no_patterns.patterns.clear();
+  EXPECT_THROW(RunCampaign(no_patterns), FatalError);
+  CampaignConfig no_tons = valid;
+  no_tons.t_ons.clear();
+  EXPECT_THROW(RunCampaign(no_tons), FatalError);
+  CampaignConfig no_temperatures = valid;
+  no_temperatures.temperatures.clear();
+  EXPECT_THROW(RunCampaign(no_temperatures), FatalError);
 }
 
 }  // namespace

@@ -38,19 +38,6 @@ CampaignResult TinyResult() {
   return result;
 }
 
-TEST(CsvExportTest, SeriesLongFormat) {
-  std::ostringstream os;
-  WriteSeriesCsv(os, TinyResult());
-  const std::string csv = os.str();
-  // Header + 10 measurements.
-  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 11);
-  EXPECT_NE(csv.find("device,row,pattern"), std::string::npos);
-  EXPECT_NE(csv.find("M1,42,Checkered0,min-tRAS,50,0,5000"),
-            std::string::npos);
-  // The no-flip sentinel survives as -1.
-  EXPECT_NE(csv.find(",2,-1"), std::string::npos);
-}
-
 TEST(CsvExportTest, SummaryFormat) {
   std::ostringstream os;
   WriteSummaryCsv(os, TinyResult());
@@ -71,39 +58,29 @@ TEST(CsvExportTest, ShardStatusColumnReflectsRetries) {
   status.attempts = 2;
   result.shards.push_back(status);
 
-  std::ostringstream series_os;
-  WriteSeriesCsv(series_os, result);
-  const std::string series_csv = series_os.str();
-  EXPECT_NE(series_csv.find("shard_status"), std::string::npos);
-  EXPECT_NE(series_csv.find(",retried-1"), std::string::npos);
-
   std::ostringstream summary_os;
   WriteSummaryCsv(summary_os, result);
-  EXPECT_NE(summary_os.str().find(",retried-1"), std::string::npos);
+  const std::string summary_csv = summary_os.str();
+  EXPECT_NE(summary_csv.find("shard_status"), std::string::npos);
+  EXPECT_NE(summary_csv.find(",retried-1"), std::string::npos);
 
   // Without a matching shard entry the column defaults to ok.
   result.shards.clear();
   std::ostringstream plain_os;
-  WriteSeriesCsv(plain_os, result);
+  WriteSummaryCsv(plain_os, result);
   EXPECT_NE(plain_os.str().find(",ok"), std::string::npos);
 }
 
 TEST(CsvExportTest, StreamFailureIsFatalNotSilent) {
   FailingStreambuf broken;
-  std::ostream series_os(&broken);
-  EXPECT_THROW(WriteSeriesCsv(series_os, TinyResult()), FatalError);
   std::ostream summary_os(&broken);
   EXPECT_THROW(WriteSummaryCsv(summary_os, TinyResult()), FatalError);
 }
 
 TEST(CsvExportTest, EmptyCampaignOnlyHeaders) {
   std::ostringstream os;
-  WriteSeriesCsv(os, CampaignResult{});
-  const std::string series_csv = os.str();
-  EXPECT_EQ(std::count(series_csv.begin(), series_csv.end(), '\n'), 1);
-  std::ostringstream os2;
-  WriteSummaryCsv(os2, CampaignResult{});
-  const std::string summary_csv = os2.str();
+  WriteSummaryCsv(os, CampaignResult{});
+  const std::string summary_csv = os.str();
   EXPECT_EQ(std::count(summary_csv.begin(), summary_csv.end(), '\n'),
             1);
 }

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/error.h"
 #include "core/campaign.h"
 #include "vrd/chip_catalog.h"
 
@@ -68,29 +67,13 @@ TEST(OnlineProfilerTest, ThresholdBelowObservedMinByGuardband) {
 
 TEST(OnlineProfilerTest, GuardbandStaysWithinBounds) {
   OnlineRig rig;
-  OnlineProfilerConfig config;
-  config.min_guardband = 0.15;
-  config.max_guardband = 0.40;
-  OnlineRdtProfiler online(*rig.device, rig.victim, config);
+  OnlineRdtProfiler online(*rig.device, rig.victim);
+  // The adaptive guardband is bounded to [10%, 50%].
   for (int window = 0; window < 100; ++window) {
     online.RunMaintenanceWindow();
-    EXPECT_GE(online.guardband(), config.min_guardband - 1e-12);
-    EXPECT_LE(online.guardband(), config.max_guardband + 1e-12);
+    EXPECT_GE(online.guardband(), 0.10 - 1e-12);
+    EXPECT_LE(online.guardband(), 0.50 + 1e-12);
   }
-}
-
-TEST(OnlineProfilerTest, InvalidConfigsThrow) {
-  OnlineRig rig;
-  OnlineProfilerConfig no_measurements;
-  no_measurements.measurements_per_window = 0;
-  EXPECT_THROW(OnlineRdtProfiler(*rig.device, rig.victim,
-                                 no_measurements),
-               FatalError);
-  OnlineProfilerConfig inverted;
-  inverted.min_guardband = 0.5;
-  inverted.max_guardband = 0.1;
-  EXPECT_THROW(OnlineRdtProfiler(*rig.device, rig.victim, inverted),
-               FatalError);
 }
 
 }  // namespace

@@ -40,7 +40,7 @@ TEST(SecurityEvalTest, HugeThresholdBreachesImmediately) {
   EXPECT_FALSE(result.Secure());
   ASSERT_TRUE(result.first_breach.has_value());
   EXPECT_EQ(*result.first_breach, 0u);
-  EXPECT_DOUBLE_EQ(result.BreachRate(), 1.0);
+  EXPECT_EQ(result.breached_episodes, result.episodes);
 }
 
 TEST(SecurityEvalTest, LargerMarginsBreachNoMoreOften) {
@@ -55,9 +55,10 @@ TEST(SecurityEvalTest, LargerMarginsBreachNoMoreOften) {
             results[1].configured_threshold);
   EXPECT_GT(results[1].configured_threshold,
             results[2].configured_threshold);
-  // ...and breach rates are non-increasing.
-  EXPECT_GE(results[0].BreachRate() + 1e-12, results[1].BreachRate());
-  EXPECT_GE(results[1].BreachRate() + 1e-12, results[2].BreachRate());
+  // ...and, over equally many episodes, breaches are non-increasing.
+  EXPECT_EQ(results[0].episodes, results[2].episodes);
+  EXPECT_GE(results[0].breached_episodes, results[1].breached_episodes);
+  EXPECT_GE(results[1].breached_episodes, results[2].breached_episodes);
 }
 
 TEST(SecurityEvalTest, InvalidArgumentsThrow) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <sstream>
+#include <string>
+
 #include "common/error.h"
 
 namespace vrddram::core {
@@ -102,10 +107,13 @@ TEST(TestTimeModelTest, CommandTableStructure) {
   const TestTimeModel model;
   // Table 4 (single bank): 3 init groups of 4 rows + 4 hammer rows +
   // 3 readback rows = 19 rows.
-  const TextTable single = model.CommandTable(1000, 1);
-  EXPECT_EQ(single.NumRows(), 19u);
-  const TextTable multi = model.CommandTable(1000, 16);
-  EXPECT_EQ(multi.NumRows(), 19u);
+  // Printed, a header line and a rule line precede them.
+  for (const std::uint32_t banks : {1u, 16u}) {
+    std::ostringstream os;
+    model.CommandTable(1000, banks).Print(os);
+    const std::string out = os.str();
+    EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 21) << banks;
+  }
 }
 
 TEST(TestTimeModelTest, InvalidArgumentsThrow) {

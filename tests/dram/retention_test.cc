@@ -154,8 +154,6 @@ TEST(CellEncodingTest, ChargeSemantics) {
   EXPECT_FALSE(layout.IsCharged(true_row, false));
   EXPECT_TRUE(layout.IsCharged(anti_row, false));
   EXPECT_FALSE(layout.IsCharged(anti_row, true));
-  EXPECT_FALSE(layout.DischargedValue(true_row));
-  EXPECT_TRUE(layout.DischargedValue(anti_row));
 }
 
 }  // namespace

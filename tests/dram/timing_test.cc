@@ -44,7 +44,7 @@ TEST(TimingTest, StandardsDiffer) {
 }
 
 TEST(TimingTest, ActPreEnergyPositiveAndMonotoneInOpenTime) {
-  const CurrentParams c = MakeDdr5Currents();
+  const CurrentParams c;
   const TimingParams t = MakeDdr5_8800();
   const double short_open = c.ActPreEnergy(t.tRC, t.tRC);
   const double long_open = c.ActPreEnergy(FromUs(7.8), t.tRC);
@@ -53,13 +53,13 @@ TEST(TimingTest, ActPreEnergyPositiveAndMonotoneInOpenTime) {
 }
 
 TEST(TimingTest, BurstEnergy) {
-  const CurrentParams c = MakeDdr5Currents();
+  const CurrentParams c;
   EXPECT_GT(c.BurstEnergy(FromNs(2.0), /*is_write=*/false), 0.0);
   EXPECT_GT(c.BurstEnergy(FromNs(2.0), /*is_write=*/true), 0.0);
 }
 
 TEST(TimingTest, BackgroundEnergyScalesWithTime) {
-  const CurrentParams c = MakeDdr5Currents();
+  const CurrentParams c;
   const double one = c.BackgroundEnergy(units::kSecond, false);
   const double two = c.BackgroundEnergy(2 * units::kSecond, false);
   EXPECT_NEAR(two, 2.0 * one, 1e-12);

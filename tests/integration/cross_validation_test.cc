@@ -41,9 +41,7 @@ TEST(CrossValidationTest, TimeModelMatchesDeviceCommandPath) {
   device.Precharge(0);
   const double device_seconds = units::ToSeconds(device.Now() - start);
 
-  const core::TestTimeModel model(dram::MakeDdr4_3200(),
-                                  dram::MakeDdr5Currents(),
-                                  /*bursts_per_row=*/128);
+  const core::TestTimeModel model(dram::MakeDdr4_3200());
   const double model_seconds =
       model.MeasurementCost(hammers, t_on).seconds;
 

@@ -11,6 +11,11 @@ namespace {
 
 const dram::TimingParams kTiming = dram::MakeDdr5_8800();
 
+/// The activation triggered no preventive action.
+bool IsFree(const Penalty& p) {
+  return p.bank_busy == 0 && p.rank_busy == 0 && p.extra_activations == 0;
+}
+
 TEST(MitigationTest, FactoryBuildsEveryKind) {
   for (const MitigationKind kind :
        {MitigationKind::kNone, MitigationKind::kGraphene,
@@ -25,7 +30,7 @@ TEST(MitigationTest, FactoryBuildsEveryKind) {
 TEST(MitigationTest, NoMitigationIsFree) {
   NoMitigation none;
   for (int i = 0; i < 1000; ++i) {
-    EXPECT_TRUE(none.OnActivate(0, 5, i).IsZero());
+    EXPECT_TRUE(IsFree(none.OnActivate(0, 5, i)));
   }
   EXPECT_EQ(none.preventive_actions(), 0u);
 }
@@ -99,7 +104,7 @@ TEST(MitigationTest, ParaRefreshRateMatchesProbability) {
   const int n = 200000;
   int refreshes = 0;
   for (int i = 0; i < n; ++i) {
-    if (!para.OnActivate(0, 1, 0).IsZero()) {
+    if (!IsFree(para.OnActivate(0, 1, 0))) {
       ++refreshes;
     }
   }

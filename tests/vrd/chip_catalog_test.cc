@@ -44,14 +44,6 @@ TEST(ChipCatalogTest, Table1Attributes) {
   EXPECT_TRUE(hbm.device.has_on_die_ecc);
 }
 
-TEST(ChipCatalogTest, TechnologyOrdinalOrdersDensityThenRevision) {
-  const TestedChip m0 = MakeTestedChip("M0");  // 16Gb-E
-  const TestedChip m1 = MakeTestedChip("M1");  // 16Gb-F
-  const TestedChip m3 = MakeTestedChip("M3");  // 8Gb-R
-  EXPECT_GT(m1.spec.TechnologyOrdinal(), m0.spec.TechnologyOrdinal());
-  EXPECT_GT(m0.spec.TechnologyOrdinal(), m3.spec.TechnologyOrdinal());
-}
-
 TEST(ChipCatalogTest, SameNameSameSeedIsDeterministic) {
   const TestedChip a = MakeTestedChip("S3", 2025);
   const TestedChip b = MakeTestedChip("S3", 2025);

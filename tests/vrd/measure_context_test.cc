@@ -1,6 +1,6 @@
 // The measurement kernel (DESIGN.md §9): its outputs are pinned by
 // golden digests across the catalog, trap relaxation must follow the
-// Q10 temperature law, and SamplePoisson must reject rates its Knuth
+// Q10 temperature law, and PoissonSampler must reject rates its Knuth
 // loop cannot handle.
 #include <gtest/gtest.h>
 
@@ -29,27 +29,25 @@ dram::Organization SmallOrg() {
   return org;
 }
 
-TEST(SamplePoissonTest, RejectsDegenerateRates) {
+TEST(PoissonSamplerTest, RejectsDegenerateRates) {
   Rng rng(1);
   // exp(-lambda) underflows the Knuth loop's acceptance product well
   // before DBL_MIN; the engine caps supported rates at 50.
-  EXPECT_THROW(SamplePoisson(rng, 50.1), FatalError);
-  EXPECT_THROW(SamplePoisson(rng, 1e6), FatalError);
   EXPECT_THROW(PoissonSampler(50.1), FatalError);
+  EXPECT_THROW(PoissonSampler(1e6), FatalError);
   EXPECT_THROW(PoissonSampler(-0.5), FatalError);
-  EXPECT_NO_THROW(SamplePoisson(rng, 50.0));
-  EXPECT_NO_THROW(SamplePoisson(rng, 0.0));
+  EXPECT_NO_THROW(PoissonSampler(50.0)(rng));
+  EXPECT_NO_THROW(PoissonSampler(0.0)(rng));
 }
 
 /**
  * Draw sequences are pinned: row manufacturing (weak-cell and trap
- * counts) consumes these exact draws, so any change to the sampler —
- * including the PoissonSampler limit hoisting — that shifted a single
- * value would silently rebuild every simulated chip. Golden values
- * span the profile regimes: sparse (0.1), typical (10), and just
- * under the Knuth cap (49.9).
+ * counts) consumes these exact draws, so any change to the sampler
+ * that shifted a single value would silently rebuild every simulated
+ * chip. Golden values span the profile regimes: sparse (0.1), typical
+ * (10), and just under the Knuth cap (49.9).
  */
-TEST(SamplePoissonTest, DrawSequencesArePinned) {
+TEST(PoissonSamplerTest, DrawSequencesArePinned) {
   const struct {
     double lambda;
     std::size_t want[12];
@@ -61,27 +59,10 @@ TEST(SamplePoissonTest, DrawSequencesArePinned) {
   for (const auto& c : cases) {
     SCOPED_TRACE(c.lambda);
     Rng rng(MixSeed(0x90, 0x15));
+    const PoissonSampler sampler(c.lambda);
     for (std::size_t i = 0; i < 12; ++i) {
-      EXPECT_EQ(SamplePoisson(rng, c.lambda), c.want[i]) << "draw " << i;
+      EXPECT_EQ(sampler(rng), c.want[i]) << "draw " << i;
     }
-  }
-}
-
-/// The hoisted-limit sampler is draw-for-draw identical to the
-/// free function, including its RNG consumption (the streams stay
-/// aligned afterwards).
-TEST(SamplePoissonTest, SamplerMatchesFreeFunctionSequence) {
-  for (const double lambda : {0.1, 1.6, 10.0, 49.9}) {
-    SCOPED_TRACE(lambda);
-    Rng a(MixSeed(0x90, 0x16));
-    Rng b(MixSeed(0x90, 0x16));
-    const PoissonSampler sampler(lambda);
-    EXPECT_EQ(sampler.lambda(), lambda);
-    for (int i = 0; i < 200; ++i) {
-      EXPECT_EQ(SamplePoisson(a, lambda), sampler(b));
-    }
-    // Identical consumption: the next raw draws agree too.
-    EXPECT_EQ(a.NextDouble(), b.NextDouble());
   }
 }
 

@@ -32,6 +32,13 @@ dram::Organization SmallOrg() {
   return org;
 }
 
+std::vector<dram::BitFlip> FlipsOf(dram::ReadDisturbanceModel& model,
+                                   const dram::VictimContext& ctx) {
+  std::vector<dram::BitFlip> out;
+  model.Evaluate(ctx, out);
+  return out;
+}
+
 class TrapEngineTest : public ::testing::Test {
  protected:
   TrapEngineTest()
@@ -86,7 +93,7 @@ TEST_F(TrapEngineTest, NoFlipsWithoutDose) {
   ctx.data = data;
   ctx.encoding = &encoding_;
   ctx.now = 0;
-  EXPECT_TRUE(engine_.EvaluateToVector(ctx).empty());
+  EXPECT_TRUE(FlipsOf(engine_, ctx).empty());
 }
 
 TEST_F(TrapEngineTest, EnoughHammersFlipAndRestoreClears) {
@@ -106,11 +113,11 @@ TEST_F(TrapEngineTest, EnoughHammersFlipAndRestoreClears) {
   ctx.data = victim_data;
   ctx.encoding = &encoding_;
   ctx.now = 1000;
-  EXPECT_FALSE(engine_.EvaluateToVector(ctx).empty());
+  EXPECT_FALSE(FlipsOf(engine_, ctx).empty());
 
   engine_.OnRestore(0, row, 2000);
   ctx.now = 2000;
-  EXPECT_TRUE(engine_.EvaluateToVector(ctx).empty());
+  EXPECT_TRUE(FlipsOf(engine_, ctx).empty());
 }
 
 TEST_F(TrapEngineTest, AnalyticThresholdMatchesDoseEvaluation) {
@@ -136,7 +143,7 @@ TEST_F(TrapEngineTest, AnalyticThresholdMatchesDoseEvaluation) {
     ctx.data = victim_data;
     ctx.encoding = &encoding_;
     ctx.now = 0;
-    return !fresh.EvaluateToVector(ctx).empty();
+    return !FlipsOf(fresh, ctx).empty();
   };
 
   EXPECT_FALSE(hammer_and_check(static_cast<std::uint64_t>(hc * 0.98)));
@@ -189,7 +196,7 @@ TEST_F(TrapEngineTest, DistanceTwoCouplingIsMuchWeaker) {
   ctx.data = victim_data;
   ctx.encoding = &encoding_;
   ctx.now = 0;
-  EXPECT_TRUE(fresh.EvaluateToVector(ctx).empty());
+  EXPECT_TRUE(FlipsOf(fresh, ctx).empty());
 }
 
 TEST_F(TrapEngineTest, DeterministicProfileYieldsConstantSamples) {
@@ -259,16 +266,18 @@ TEST(TrapEngineVrdTest, MeasurementNoiseCreatesVariation) {
             *std::min_element(samples.begin(), samples.end()));
 }
 
-TEST(TrapEngineAuxTest, SamplePoissonMatchesMean) {
+TEST(TrapEngineAuxTest, PoissonSamplerMatchesMean) {
   Rng rng(9);
+  const PoissonSampler three(3.0);
   double sum = 0.0;
   const int n = 50000;
   for (int i = 0; i < n; ++i) {
-    sum += static_cast<double>(SamplePoisson(rng, 3.0));
+    sum += static_cast<double>(three(rng));
   }
   EXPECT_NEAR(sum / n, 3.0, 0.05);
+  const PoissonSampler zero(0.0);
   for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(SamplePoisson(rng, 0.0), 0u);
+    EXPECT_EQ(zero(rng), 0u);
   }
 }
 

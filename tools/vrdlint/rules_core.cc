@@ -235,8 +235,8 @@ void CheckUnorderedIteration(const std::string& path, const FileView& view,
     diagnostics->push_back(Diagnostic{
         path, line, "unordered-iteration",
         "range-for over " + offender +
-            ": hash order leaks into results; iterate a SortedByKey()/"
-            "SortedKeys() snapshot or annotate with "
+            ": hash order leaks into results; iterate a SortedByKey() "
+            "snapshot or annotate with "
             "// vrdlint: allow(unordered-iteration)"});
   }
 }

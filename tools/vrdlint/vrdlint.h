@@ -10,8 +10,8 @@
  *                          rand/srand, time(), std::chrono::*_clock::now)
  *                          outside annotated telemetry
  *  - unordered-iteration   range-for over std::unordered_{map,set}
- *                          unless laundered through SortedByKey()/
- *                          SortedKeys() or annotated
+ *                          unless laundered through SortedByKey()
+ *                          or annotated
  *  - rng-discipline        Rng must be constructed (and rng-named
  *                          members initialized) from a seed expression
  *  - catch-all-swallow     `catch (...)` / `catch (std::exception&)`
@@ -131,7 +131,7 @@ struct Config {
                                          "SplitMix64"};
   /// Functions that turn an unordered container into a deterministic
   /// sequence, making range-for over the call result legal.
-  std::vector<std::string> ordering_calls = {"SortedByKey", "SortedKeys"};
+  std::vector<std::string> ordering_calls = {"SortedByKey"};
   /// Path substrings naming measurement-kernel files: only these are
   /// subject to the kernel-allocation rule. Empty by default (the rule
   /// is opt-in per file).
