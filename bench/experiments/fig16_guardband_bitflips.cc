@@ -1,8 +1,9 @@
 /**
  * @file
- * Figure 16 / §6.4: repeatedly hammer each tested row at hammer counts
- * reduced by safety margins below its (few-measurement) minimum RDT,
- * and count the unique cells that still flip. The paper observes up to
+ * Figure 16 / §6.4: repeatedly hammer each tested row and count the
+ * unique cells that still flip at hammer counts reduced by safety
+ * margins below its (few-measurement) minimum RDT; each trial's flip
+ * points answer all five margins. The paper observes up to
  * 5 unique flipping cells per row at a 10% margin (spanning up to 4
  * chips, at most 1 per ECC codeword) and none at margins above 10%.
  */
@@ -94,7 +95,9 @@ ExperimentSpec Fig16Spec() {
   spec.description =
       "Figure 16: unique bitflips when hammering below min RDT";
   spec.flags = RowStudyFlagSpecs(
-      "ddr4", "9", {"trials", "10000", "hammer trials per (row, margin)"});
+      "ddr4", "9",
+      {"trials", "10000",
+       "hammer trials per (row, pattern); each trial answers every margin"});
   spec.flags.push_back(ThreadsFlagSpec());
   spec.smoke_args = {"--devices=M1,S2", "--rows=3", "--trials=300"};
   spec.analyze = AnalyzeFig16;

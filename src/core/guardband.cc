@@ -1,6 +1,7 @@
 #include "core/guardband.h"
 
 #include <algorithm>
+#include <array>
 #include <ostream>
 #include <string>
 
@@ -53,13 +54,14 @@ DeviceStudy StudyDevice(const GuardbandConfig& config,
                         const std::string& name) {
   DeviceStudy study;
 
-  // Shard-local scratch reused by every (pattern, row, margin)
-  // combination: the measurement loops are allocation-free once the
-  // buffers reach their high-water capacity.
+  // Shard-local scratch reused by every (pattern, row) combination:
+  // the measurement loops are allocation-free once the buffers reach
+  // their high-water capacity.
   vrd::MeasureContext mctx;
   std::vector<std::int64_t> baseline;
   std::vector<vrd::TrapFaultEngine::CellFlipPoint> points;
-  std::vector<std::uint32_t> flipped_bits;
+  std::array<std::vector<std::uint32_t>, kGuardbandMargins.size()>
+      flipped_bits;
   std::vector<std::uint32_t> chip_scratch;
 
   std::unique_ptr<dram::Device> device =
@@ -106,64 +108,72 @@ DeviceStudy StudyDevice(const GuardbandConfig& config,
           static_cast<Tick>(2 * outcome.min_rdt) *
           (t_on + device->timing().tRP);
 
-      // Step 2: hammer repeatedly at guard-banded hammer counts and
-      // union the flipping cells. All trials of all margins query the
+      // Step 2: hammer repeatedly and union the flipping cells per
+      // margin. One trial is one physical hammer: its per-cell flip
+      // points answer every margin at once (a cell flips at margin m
+      // iff 0 <= hammer count <= the margin's limit), so each margin
+      // still sees config.trials draws of the trap process and the
+      // flip sets are nested as the margin grows. All trials query the
       // same (row, pattern, temperature), so one rebuilt-in-place
-      // MeasureContext and the hoisted scratch buffers serve the
-      // whole sweep without allocating.
+      // MeasureContext and the hoisted scratch buffers serve the whole
+      // sweep without allocating.
       engine->MakeMeasureContext(
           /*bank=*/0, phys, dram::VictimByte(pattern),
           dram::AggressorByte(pattern), t_on, kTemperature,
           device->encoding(), device->Now(), mctx);
-      for (const std::uint32_t margin : kGuardbandMargins) {
-        MarginOutcome per;
-        per.margin = margin;
-        per.hammer_count = GuardbandHammerCount(outcome.min_rdt, margin);
-        flipped_bits.clear();
-        for (std::size_t trial = 0; trial < config.trials; ++trial) {
-          bool any = false;
-          engine->PerCellFlipHammerCounts(mctx, device->Now(), points);
-          for (const auto& point : points) {
+      std::vector<MarginOutcome>& per = outcome.per_margin;
+      per.resize(kGuardbandMargins.size());
+      for (std::size_t m = 0; m < per.size(); ++m) {
+        per[m].margin = kGuardbandMargins[m];
+        per[m].hammer_count =
+            GuardbandHammerCount(outcome.min_rdt, per[m].margin);
+        flipped_bits[m].clear();
+      }
+      for (std::size_t trial = 0; trial < config.trials; ++trial) {
+        std::array<bool, kGuardbandMargins.size()> any{};
+        engine->PerCellFlipHammerCounts(mctx, device->Now(), points);
+        for (const auto& point : points) {
+          for (std::size_t m = 0; m < per.size(); ++m) {
             if (point.hammer_count >= 0.0 &&
                 point.hammer_count <=
-                    static_cast<double>(per.hammer_count)) {
-              flipped_bits.push_back(point.bit_index);
-              any = true;
+                    static_cast<double>(per[m].hammer_count)) {
+              flipped_bits[m].push_back(point.bit_index);
+              any[m] = true;
             }
           }
-          if (any) {
-            ++per.trials_with_flips;
-          }
-          device->Sleep(trial_time);
         }
+        for (std::size_t m = 0; m < per.size(); ++m) {
+          if (any[m]) {
+            ++per[m].trials_with_flips;
+          }
+        }
+        device->Sleep(trial_time);
+      }
 
+      for (std::size_t m = 0; m < per.size(); ++m) {
+        std::vector<std::uint32_t>& bits = flipped_bits[m];
         // Deduplicate across trials: sort+unique in the hoisted
-        // buffer stands in for the ordered set the study previously
-        // populated per margin (same unique bits, same order).
-        std::sort(flipped_bits.begin(), flipped_bits.end());
-        flipped_bits.erase(
-            std::unique(flipped_bits.begin(), flipped_bits.end()),
-            flipped_bits.end());
-        per.unique_bitflips = flipped_bits.size();
+        // buffer stands in for an ordered set (same unique bits, same
+        // order).
+        std::sort(bits.begin(), bits.end());
+        bits.erase(std::unique(bits.begin(), bits.end()), bits.end());
+        per[m].unique_bitflips = bits.size();
 
         // Codeword maxima via run-length scans over the sorted bits
         // (a SECDED codeword covers 8 bytes = 64 bits, a chipkill
         // codeword 16 bytes = 128); chips touched via the sorted
-        // chip-index scratch. All pure functions of the bit set,
-        // identical to the previous histogram-map aggregation.
-        per.max_per_secded_codeword = MaxFlipsPerGroup(flipped_bits, 64);
-        per.max_per_chipkill_codeword =
-            MaxFlipsPerGroup(flipped_bits, 128);
+        // chip-index scratch. All pure functions of the bit set.
+        per[m].max_per_secded_codeword = MaxFlipsPerGroup(bits, 64);
+        per[m].max_per_chipkill_codeword = MaxFlipsPerGroup(bits, 128);
         chip_scratch.clear();
-        for (const std::uint32_t bit : flipped_bits) {
+        for (const std::uint32_t bit : bits) {
           chip_scratch.push_back((bit / 8) % chips);
         }
         std::sort(chip_scratch.begin(), chip_scratch.end());
         chip_scratch.erase(
             std::unique(chip_scratch.begin(), chip_scratch.end()),
             chip_scratch.end());
-        per.chips_touched = chip_scratch.size();
-        outcome.per_margin.push_back(per);
+        per[m].chips_touched = chip_scratch.size();
       }
       study.outcomes.push_back(std::move(outcome));
     }

@@ -97,12 +97,6 @@ Penalty Graphene::OnActivate(std::uint32_t bank, std::uint32_t row,
   return Penalty{};
 }
 
-void Graphene::OnRefresh(Tick now) {
-  (void)now;
-  // Counter tables reset every refresh window; modeled at each REF for
-  // simplicity (more conservative than per-tREFW).
-}
-
 std::vector<std::pair<std::uint32_t, std::vector<Graphene::Entry>>>
 Graphene::SortedTables() const {
   auto tables = SortedByKey(tables_);

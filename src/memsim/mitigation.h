@@ -59,10 +59,6 @@ class Mitigation {
   /// Row activation in `bank`; returns the preventive-action cost.
   virtual Penalty OnActivate(std::uint32_t bank, std::uint32_t row,
                              Tick now) = 0;
-  /// Periodic refresh boundary (counter tables of windowed trackers
-  /// reset here).
-  virtual void OnRefresh(Tick /*now*/) {}
-
   virtual MitigationKind kind() const = 0;
 
   /// Total preventive actions taken (stats).
@@ -101,7 +97,6 @@ class Graphene final : public Mitigation {
   Graphene(std::uint64_t rdt, MitigationCosts costs);
   Penalty OnActivate(std::uint32_t bank, std::uint32_t row,
                      Tick now) override;
-  void OnRefresh(Tick now) override;
   MitigationKind kind() const override {
     return MitigationKind::kGraphene;
   }

@@ -124,7 +124,6 @@ SystemResult SimulateMix(const WorkloadMix& mix,
         for (Tick& free_at : bank_free) {
           free_at = std::max(free_at, next_ref) + t.tRFC;
         }
-        mitigation->OnRefresh(next_ref);
         next_ref += t.tREFI;
       }
     }

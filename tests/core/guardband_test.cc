@@ -36,6 +36,48 @@ TEST(GuardbandTest, SmallerMarginsFlipAtLeastAsManyCells) {
   EXPECT_GE(at_smallest_margin, at_largest_margin);
 }
 
+TEST(GuardbandTest, LargerMarginsFlipNestedSubsetsWithinEveryRow) {
+  // Each trial is one physical hammer whose flip points answer every
+  // margin, so a row's flip sets are nested: walking per_margin from
+  // 10% back to 50% (each step a larger margin, a lower hammer count),
+  // no count may increase. S5 holds a row whose five baseline
+  // measurements miss its min RDT by enough to flip cells even at the
+  // 40% margin; independent per-margin trials broke the order there.
+  GuardbandConfig config = TinyConfig();
+  config.devices = {"M1", "S5"};
+  config.rows_per_device = 9;
+  config.trials = 1000;
+  const auto outcomes = RunGuardbandStudy(config);
+  ASSERT_FALSE(outcomes.empty());
+  std::size_t rows_with_flips = 0;
+  for (const RowGuardbandOutcome& outcome : outcomes) {
+    ASSERT_EQ(outcome.per_margin.size(), kGuardbandMargins.size());
+    if (outcome.per_margin.back().unique_bitflips > 0) {
+      ++rows_with_flips;
+    }
+    for (std::size_t m = outcome.per_margin.size() - 1; m > 0; --m) {
+      const MarginOutcome& smaller = outcome.per_margin[m];
+      const MarginOutcome& larger = outcome.per_margin[m - 1];
+      ASSERT_GT(larger.margin, smaller.margin);
+      const std::string where = outcome.device + " row " +
+                                std::to_string(outcome.row) + " at " +
+                                std::to_string(larger.margin) + "%";
+      EXPECT_LE(larger.unique_bitflips, smaller.unique_bitflips) << where;
+      EXPECT_LE(larger.trials_with_flips, smaller.trials_with_flips)
+          << where;
+      EXPECT_LE(larger.chips_touched, smaller.chips_touched) << where;
+      EXPECT_LE(larger.max_per_secded_codeword,
+                smaller.max_per_secded_codeword)
+          << where;
+      EXPECT_LE(larger.max_per_chipkill_codeword,
+                smaller.max_per_chipkill_codeword)
+          << where;
+    }
+  }
+  // Not vacuous: rows flip at the smallest margin.
+  EXPECT_GT(rows_with_flips, 0u);
+}
+
 TEST(GuardbandTest, HammerCountsMatchMargins) {
   const auto outcomes = RunGuardbandStudy(TinyConfig());
   ASSERT_FALSE(outcomes.empty());

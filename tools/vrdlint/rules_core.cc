@@ -662,13 +662,17 @@ void CheckKernelAllocation(const std::string& path, const FileView& view,
       if (view.Allowed(line, {"kernel-allocation"})) {
         continue;
       }
-      diagnostics->push_back(Diagnostic{
-          path, line, "kernel-allocation",
-          "'" + std::string(obj) + "." + std::string(method) +
-              "' with no earlier '" + std::string(obj) +
-              ".reserve(...)': growth in a kernel path allocates "
-              "(DESIGN.md §9); reserve the capacity at construction or "
-              "annotate with // vrdlint: allow(kernel-allocation)"});
+      // One string grown by append: the chained operator+ temporaries
+      // drew GCC 12 -Wrestrict false positives here.
+      std::string message = "'";
+      message.append(obj).append(".").append(method);
+      message.append("' with no earlier '").append(obj);
+      message.append(
+          ".reserve(...)': growth in a kernel path allocates "
+          "(DESIGN.md §9); reserve the capacity at construction or "
+          "annotate with // vrdlint: allow(kernel-allocation)");
+      diagnostics->push_back(
+          Diagnostic{path, line, "kernel-allocation", std::move(message)});
     }
   }
 }

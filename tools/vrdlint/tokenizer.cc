@@ -185,7 +185,9 @@ std::string StripCommentsAndStrings(std::string_view text) {
         } else if (c == '"' && i > 0 && text[i - 1] == 'R' &&
                    (i < 2 || !IsIdentChar(text[i - 2]))) {
           // Raw string literal: R"delim( ... )delim"
-          raw_delim = ")";
+          // assign(1, ')') rather than = ")": GCC 12 draws a false
+          // -Wrestrict from the const char* assignment here.
+          raw_delim.assign(1, ')');
           for (std::size_t j = i + 1;
                j < text.size() && text[j] != '(' && j < i + 20; ++j) {
             raw_delim += text[j];
