@@ -15,7 +15,6 @@
 
 #include "common/error.h"
 #include "common/experiment.h"
-#include "common/thread_pool.h"
 #include "core/csv_export.h"
 
 namespace vrddram::bench {
@@ -78,27 +77,17 @@ void AnalyzeFig07(const core::CampaignResult& result, Report* report) {
     bool varies_under_all = true;
     bool varies_under_any = false;
   };
-  // One shard per record; each slot keeps only what the fold reads, so
-  // no full SeriesAnalysis outlives its shard.
-  struct SeriesSummary {
-    double cv = 0.0;
-    double max_over_min = 0.0;
-    std::size_t unique_values = 0;
-  };
-  const auto summaries = MapShards(
-      result.records.size(), config.threads, [&](std::size_t i) {
-        const core::SeriesAnalysis a =
-            core::AnalyzeSeries(result.records[i].series, /*acf_max_lag=*/1);
-        return SeriesSummary{a.cv, a.max_over_min, a.unique_values};
-      });
+  // Each series' CV, max/min and unique count come from its runs in
+  // O(runs).
   std::map<std::pair<std::string, dram::RowAddr>, RowAgg> rows;
-  for (std::size_t i = 0; i < result.records.size(); ++i) {
-    const core::SeriesRecord& record = result.records[i];
-    const SeriesSummary& a = summaries[i];
+  for (const core::SeriesRecord& record : result.records) {
+    const core::SortedFlips& flips = record.flips;
     RowAgg& agg = rows[{record.device, record.row}];
-    agg.max_cv = std::max(agg.max_cv, a.cv);
-    agg.max_ratio = std::max(agg.max_ratio, a.max_over_min);
-    if (a.unique_values > 1) {
+    agg.max_cv = std::max(agg.max_cv, core::ComputeMoments(flips).cv);
+    agg.max_ratio = std::max(
+        agg.max_ratio, static_cast<double>(flips.run_values.back()) /
+                           static_cast<double>(flips.run_values.front()));
+    if (flips.run_values.size() > 1) {
       agg.varies_under_any = true;
     } else {
       agg.varies_under_all = false;

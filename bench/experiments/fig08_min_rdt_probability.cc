@@ -41,7 +41,7 @@ void AnalyzeFig08(const core::CampaignResult& result, Report* report) {
   double sum_norm_low_prob = 0.0;
   for (const core::SeriesRecord& record : result.records) {
     const core::RowMinRdtResult mc =
-        core::AnalyzeRowSeries(record.series, settings);
+        core::AnalyzeRowSeries(record.flips, settings);
     for (std::size_t i = 0; i < mc.per_n.size(); ++i) {
       prob_by_n[i].push_back(mc.per_n[i].prob_find_min);
       norm_by_n[i].push_back(mc.per_n[i].expected_norm_min);

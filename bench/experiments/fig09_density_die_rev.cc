@@ -44,7 +44,7 @@ void AnalyzeFig09(const core::CampaignResult& result, Report* report) {
   std::map<GroupKey, std::vector<std::vector<double>>> groups;
   for (const core::SeriesRecord& record : result.records) {
     const core::RowMinRdtResult mc =
-        core::AnalyzeRowSeries(record.series, settings);
+        core::AnalyzeRowSeries(record.flips, settings);
     auto& group =
         groups[GroupKey{record.mfr, record.density_gbit,
                         record.die_rev}];

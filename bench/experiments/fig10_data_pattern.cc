@@ -37,7 +37,7 @@ void AnalyzeFig10(const core::CampaignResult& result, Report* report) {
       groups;
   for (const core::SeriesRecord& record : result.records) {
     const core::RowMinRdtResult mc =
-        core::AnalyzeRowSeries(record.series, settings);
+        core::AnalyzeRowSeries(record.flips, settings);
     auto& per_pattern =
         groups[ManufacturerGroupName(record)][record.pattern];
     if (per_pattern.empty()) {

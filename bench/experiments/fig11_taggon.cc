@@ -37,7 +37,7 @@ void AnalyzeFig11(const core::CampaignResult& result, Report* report) {
       groups;
   for (const core::SeriesRecord& record : result.records) {
     const core::RowMinRdtResult mc =
-        core::AnalyzeRowSeries(record.series, settings);
+        core::AnalyzeRowSeries(record.flips, settings);
     auto& per_ton = groups[ManufacturerGroupName(record)][record.t_on];
     if (per_ton.empty()) {
       per_ton.resize(settings.sample_sizes.size());

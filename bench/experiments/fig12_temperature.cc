@@ -38,7 +38,7 @@ void AnalyzeFig12(const core::CampaignResult& result, Report* report) {
   std::map<std::string, std::map<int, std::vector<double>>> groups;
   for (const core::SeriesRecord& record : result.records) {
     const core::RowMinRdtResult mc =
-        core::AnalyzeRowSeries(record.series, settings);
+        core::AnalyzeRowSeries(record.flips, settings);
     groups[record.device][static_cast<int>(record.temperature)]
         .push_back(mc.per_n[0].expected_norm_min);
   }

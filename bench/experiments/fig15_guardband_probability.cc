@@ -40,7 +40,7 @@ void AnalyzeFig15(const core::CampaignResult& result, Report* report) {
       std::vector<std::vector<double>>(settings.margins.size()));
   for (const core::SeriesRecord& record : result.records) {
     const core::RowMinRdtResult mc =
-        core::AnalyzeRowSeries(record.series, settings);
+        core::AnalyzeRowSeries(record.flips, settings);
     for (std::size_t n = 0; n < settings.sample_sizes.size(); ++n) {
       for (std::size_t m = 0; m < settings.margins.size(); ++m) {
         probs[n][m].push_back(mc.per_n[n].prob_within_margin[m]);

@@ -45,20 +45,16 @@ void AnalyzeTable07(const core::CampaignResult& result, Report* report) {
       agg.norm_by_n.resize(settings.sample_sizes.size());
     }
     const core::RowMinRdtResult mc =
-        core::AnalyzeRowSeries(record.series, settings);
+        core::AnalyzeRowSeries(record.flips, settings);
     for (std::size_t i = 0; i < mc.per_n.size(); ++i) {
       agg.norm_by_n[i].push_back(mc.per_n[i].expected_norm_min);
     }
-    std::int64_t series_min = -1;
-    for (const std::int64_t v : record.series) {
-      if (v >= 0 && (series_min < 0 || v < series_min)) {
-        series_min = v;
-      }
-    }
+    // AnalyzeRowSeries rejected a series without flips.
+    const std::int64_t series_min = record.flips.run_values.front();
     std::int64_t& slot = (record.t_on == core::TOnChoice::kMinTras)
                              ? agg.min_rdt_tras
                              : agg.min_rdt_trefi;
-    if (series_min >= 0 && (slot < 0 || series_min < slot)) {
+    if (slot < 0 || series_min < slot) {
       slot = series_min;
     }
   }

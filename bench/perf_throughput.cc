@@ -59,9 +59,9 @@ void BM_MeasurementAnalytic(benchmark::State& state) {
 }
 BENCHMARK(BM_MeasurementAnalytic);
 
-// fig07's per-series analysis: one deterministic 1000-measurement
-// series of the fixture row, analysed with fig07's lag-1 ACF; items are
-// series.
+// The single-row experiments' per-series analysis: one deterministic
+// 1000-measurement series of the fixture row, analysed with a lag-1
+// ACF; items are series.
 void BM_AnalyzeSeries(benchmark::State& state) {
   ProfilerFixture fx;
   const std::vector<std::int64_t> series =
@@ -104,7 +104,7 @@ void BM_CampaignThreads(benchmark::State& state) {
     const core::CampaignResult result = core::RunCampaign(config);
     measurements = 0;
     for (const core::SeriesRecord& record : result.records) {
-      measurements += record.series.size();
+      measurements += record.flips.measurements();
     }
     benchmark::DoNotOptimize(measurements);
   }

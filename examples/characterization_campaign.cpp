@@ -7,7 +7,8 @@
  * per-module VRD profile with a guardband recommendation.
  *
  * This exercises the public API the benches are built from:
- * core::RunCampaign + core::AnalyzeSeries + core::AnalyzeRowSeries.
+ * core::RunCampaign, whose records keep each series as sorted runs,
+ * + core::ComputeMoments + core::AnalyzeRowSeries.
  */
 #include <algorithm>
 #include <iostream>
@@ -16,7 +17,6 @@
 #include "common/table.h"
 #include "core/campaign.h"
 #include "core/min_rdt.h"
-#include "core/series_analysis.h"
 
 int main() {
   using namespace vrddram;
@@ -55,17 +55,21 @@ int main() {
   settings.sample_sizes = {10};
 
   for (const core::SeriesRecord& record : result.records) {
-    const core::SeriesAnalysis a =
-        core::AnalyzeSeries(record.series, /*acf_max_lag=*/1);
+    const core::SortedFlips& flips = record.flips;
+    // Throws for a series without flips, before its runs are read.
+    const double cv = core::ComputeMoments(flips).cv;
+    const std::int64_t min_rdt = flips.run_values.front();
     ModuleSummary& summary = modules[record.device];
     ++summary.series;
-    summary.worst_cv = std::max(summary.worst_cv, a.cv);
-    summary.worst_ratio = std::max(summary.worst_ratio, a.max_over_min);
-    if (summary.min_rdt < 0 || a.min_rdt < summary.min_rdt) {
-      summary.min_rdt = a.min_rdt;
+    summary.worst_cv = std::max(summary.worst_cv, cv);
+    summary.worst_ratio = std::max(
+        summary.worst_ratio, static_cast<double>(flips.run_values.back()) /
+                                 static_cast<double>(min_rdt));
+    if (summary.min_rdt < 0 || min_rdt < summary.min_rdt) {
+      summary.min_rdt = min_rdt;
     }
     const core::RowMinRdtResult mc =
-        core::AnalyzeRowSeries(record.series, settings);
+        core::AnalyzeRowSeries(flips, settings);
     summary.worst_norm_min_n10 = std::max(
         summary.worst_norm_min_n10, mc.per_n[0].expected_norm_min);
   }

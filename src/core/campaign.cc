@@ -168,8 +168,8 @@ std::vector<SeriesRecord> RunShard(const CampaignConfig& config,
 
   std::vector<SeriesRecord> records;
   // Hoisted series scratch: the measurement loop reuses one buffer and
-  // the profiler's in-place series context; only the per-record copy
-  // into `records` allocates.
+  // the profiler's in-place series context; each record keeps only the
+  // series' runs, built once here.
   std::vector<std::int64_t> series_scratch;
   for (const TOnChoice t_on_choice : config.t_ons) {
     const Tick t_on = ResolveTOn(t_on_choice, device->timing());
@@ -198,7 +198,7 @@ std::vector<SeriesRecord> RunShard(const CampaignConfig& config,
         record.rdt_guess = *guess;
         profiler.MeasureSeries(row, *guess, config.measurements,
                                series_scratch);
-        record.series = series_scratch;
+        record.flips = BuildSortedFlips(series_scratch);
         records.push_back(std::move(record));
       }
     }
@@ -404,7 +404,7 @@ CampaignResult RunCampaign(const CampaignConfig& config,
         std::set<dram::RowAddr> distinct;
         for (const SeriesRecord& record : per_shard[index]) {
           distinct.insert(record.row);
-          measurements += record.series.size();
+          measurements += record.flips.measurements();
         }
         rows = distinct.size();
       }
@@ -435,7 +435,7 @@ CampaignResult RunCampaign(const CampaignConfig& config,
   for (std::vector<SeriesRecord>& records : per_shard) {
     for (SeriesRecord& record : records) {
       total_series += 1;
-      total_measurements += record.series.size();
+      total_measurements += record.flips.measurements();
       result.records.push_back(std::move(record));
     }
   }

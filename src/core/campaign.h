@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/rdt_profiler.h"
+#include "core/sorted_flips.h"
 #include "vrd/chip_catalog.h"
 
 namespace vrddram::core {
@@ -112,7 +113,13 @@ struct CampaignConfig {
   bool resume = false;
 };
 
-/// One collected measurement series and its full test-parameter key.
+/**
+ * One collected measurement series and its full test-parameter key.
+ * The series is kept as its value distribution (sorted runs plus the
+ * no-flip count), not in measurement order: every campaign analysis
+ * reads only the distribution, and a paper-scale series of 1,000
+ * measurements has ~14 distinct values (DESIGN.md §9).
+ */
 struct SeriesRecord {
   std::string device;
   vrd::Manufacturer mfr = vrd::Manufacturer::kMfrH;
@@ -124,7 +131,7 @@ struct SeriesRecord {
   TOnChoice t_on = TOnChoice::kMinTras;
   Celsius temperature = 50.0;
   std::uint64_t rdt_guess = 0;
-  std::vector<std::int64_t> series;
+  SortedFlips flips;
 };
 
 struct CampaignResult {

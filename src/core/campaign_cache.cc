@@ -79,7 +79,7 @@ std::string CampaignCache::EntryPath(
 }
 
 std::optional<CampaignResult> CampaignCache::Lookup(
-    const CampaignConfig& config) {
+    const CampaignConfig& config, std::ostream* telemetry) {
   const std::uint64_t hash = HashCampaignConfig(config);
   const auto memo = memo_.find(hash);
   if (memo != memo_.end()) {
@@ -88,7 +88,18 @@ std::optional<CampaignResult> CampaignCache::Lookup(
   }
   if (!dir_.empty()) {
     CampaignCheckpoint checkpoint;
-    if (LoadCheckpointFor(EntryPath(config), hash, &checkpoint)) {
+    bool loaded = false;
+    try {
+      loaded = LoadCheckpointFor(EntryPath(config), hash, &checkpoint);
+    } catch (const CheckpointChecksumError& error) {
+      // A damaged entry is recomputed and overwritten by the Store that
+      // follows the miss; only a well-formed foreign entry is an error.
+      if (telemetry != nullptr) {
+        *telemetry << "campaign-cache: warning: " << error.what()
+                   << "; re-executing\n";
+      }
+    }
+    if (loaded) {
       // A valid entry must cover every shard of the campaign exactly
       // once (quarantined shards are never serialized). Anything less
       // is a foreign or partial file: fall through to a fresh run.
@@ -139,7 +150,8 @@ CampaignResult RunCampaignCached(const CampaignConfig& config,
   // A stored entry never makes an invalid config valid.
   ValidateCampaignConfig(config);
   const std::string key = HashHex(HashCampaignConfig(config));
-  if (std::optional<CampaignResult> result = cache->Lookup(config)) {
+  if (std::optional<CampaignResult> result =
+          cache->Lookup(config, telemetry)) {
     if (telemetry != nullptr) {
       *telemetry << "campaign-cache: hit " << key << " ("
                  << result->records.size() << " series, "

@@ -25,7 +25,9 @@
  * entry whose format version or config hash does not match raises
  * `FatalError` naming the offending file — silently mixing results
  * from a different configuration is the one failure mode a
- * content-addressed store must never have.
+ * content-addressed store must never have. An entry whose checksum
+ * does not match its content (an edit or a truncation) is a miss: the
+ * campaign re-executes and the store overwrites the entry.
  */
 #ifndef VRDDRAM_CORE_CAMPAIGN_CACHE_H
 #define VRDDRAM_CORE_CAMPAIGN_CACHE_H
@@ -55,12 +57,15 @@ class CampaignCache {
 
   /**
    * Return the cached result for `config`, or nullopt on a miss.
-   * Disk entries are validated (format version, config hash, one
-   * entry per shard, no quarantined shards) before use; a version or
-   * hash mismatch raises FatalError naming the file, while an
-   * incomplete entry is treated as a miss.
+   * Disk entries are validated (format version, checksum, config hash,
+   * one entry per shard, no quarantined shards) before use; a version
+   * or hash mismatch raises FatalError naming the file, while an
+   * incomplete entry is treated as a miss, and so is a checksum
+   * mismatch, after a `campaign-cache: warning:` line naming the file
+   * on `telemetry` (optional).
    */
-  std::optional<CampaignResult> Lookup(const CampaignConfig& config);
+  std::optional<CampaignResult> Lookup(const CampaignConfig& config,
+                                       std::ostream* telemetry = nullptr);
 
   /**
    * Admit a completed campaign. Results with quarantined shards are

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "common/error.h"
-#include "core/series_analysis.h"
 
 namespace vrddram::core {
 
@@ -38,17 +37,18 @@ void CheckStream(std::ostream& os, const char* what) {
 void WriteSummaryCsv(std::ostream& os, const CampaignResult& result) {
   os << "device,mfr,density_gbit,die_rev,row,pattern,t_on,temperature,"
         "rdt_guess,measurements,valid,min,max,mean,cv,unique_values,"
-        "first_min_index,immediate_change_fraction,shard_status\n";
+        "shard_status\n";
   for (const SeriesRecord& record : result.records) {
-    const SeriesAnalysis a = AnalyzeSeries(record.series, 1);
+    const SortedFlips& flips = record.flips;
+    const FlipMoments moments = ComputeMoments(flips);
     os << record.device << ',' << vrd::ToString(record.mfr) << ','
        << record.density_gbit << ',' << record.die_rev << ','
        << record.row << ',' << dram::ToString(record.pattern) << ','
        << ToString(record.t_on) << ',' << record.temperature << ','
-       << record.rdt_guess << ',' << a.measurements << ',' << a.valid
-       << ',' << a.min_rdt << ',' << a.max_rdt << ',' << a.mean << ','
-       << a.cv << ',' << a.unique_values << ',' << a.first_min_index
-       << ',' << a.immediate_change_fraction << ','
+       << record.rdt_guess << ',' << flips.measurements() << ','
+       << flips.size << ',' << flips.run_values.front() << ','
+       << flips.run_values.back() << ',' << moments.mean << ','
+       << moments.cv << ',' << flips.run_values.size() << ','
        << StatusFor(result, record) << '\n';
   }
   CheckStream(os, "summary export");

@@ -17,9 +17,11 @@ namespace vrddram::core {
  * Summary format, one line per series:
  * device,mfr,density_gbit,die_rev,row,pattern,t_on,temperature,
  * rdt_guess,measurements,valid,min,max,mean,cv,unique_values,
- * first_min_index,immediate_change_fraction,shard_status
+ * shard_status
  * (shard_status is the record's shard outcome — "ok", "retried-<n>" or
- * "quarantined" — and "ok" for results without shard statuses).
+ * "quarantined" — and "ok" for results without shard statuses). Every
+ * column is read from the record's runs; a record keeps no measurement
+ * order. Throws a FatalError for a series without flips.
  *
  * The writer verifies the stream after writing and raises FatalError
  * on failure, so a short write cannot pass as a complete export.

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "core/sorted_flips.h"
 
 namespace vrddram::core {
 
@@ -19,9 +18,8 @@ double ProbAllAbove(std::size_t covered, std::size_t valid_count,
 
 }  // namespace
 
-RowMinRdtResult AnalyzeRowSeries(std::span<const std::int64_t> series,
+RowMinRdtResult AnalyzeRowSeries(const SortedFlips& flips,
                                  const MinRdtSettings& settings) {
-  const SortedFlips flips = BuildSortedFlips(series);
   VRD_FATAL_IF(flips.size == 0, "series has no flipping measurements");
   const std::int64_t series_min = flips.run_values.front();
   VRD_FATAL_IF(series_min <= 0, "RDT values must be positive");

@@ -16,8 +16,9 @@
 #define VRDDRAM_CORE_MIN_RDT_H
 
 #include <cstdint>
-#include <span>
 #include <vector>
+
+#include "core/sorted_flips.h"
 
 namespace vrddram::core {
 
@@ -47,11 +48,12 @@ struct RowMinRdtResult {
 };
 
 /**
- * Exact statistics for one series (kNoFlip sentinels removed) at every
- * configured N and margin, from one core::SortedFlips of the series.
- * Throws when no measurement flipped or an RDT value is not positive.
+ * Exact statistics for one series at every configured N and margin,
+ * read from its runs (a campaign record's `flips`, or BuildSortedFlips
+ * of a raw series); no-flip measurements take no part. Throws when no
+ * measurement flipped or an RDT value is not positive.
  */
-RowMinRdtResult AnalyzeRowSeries(std::span<const std::int64_t> series,
+RowMinRdtResult AnalyzeRowSeries(const SortedFlips& flips,
                                  const MinRdtSettings& settings);
 
 /// Single-draw (N = 1) P(find min) = k/L compared with `permille`/1000

@@ -44,13 +44,12 @@ SeriesAnalysis AnalyzeSeries(std::span<const std::int64_t> series,
     }
   }
 
-  // Sums run in measurement order, the order every report was computed
-  // in; the box and the chi-square take this mean and stddev rather
-  // than re-summing the sorted values, which could round differently.
-  const std::vector<double> values = stats::ToDoubles(valid);
-  out.mean = stats::Mean(values);
-  out.stddev = stats::SampleStddev(values);
-  out.cv = (out.mean != 0.0) ? out.stddev / out.mean : 0.0;
+  // The closed-form moments a campaign record's runs give too, so the
+  // single-row and campaign experiments share one CV.
+  const FlipMoments moments = ComputeMoments(flips);
+  out.mean = moments.mean;
+  out.stddev = moments.stddev;
+  out.cv = moments.cv;
   out.box = stats::ComputeBoxStats(
       flips.size,
       [&flips](std::size_t i) {
@@ -76,7 +75,7 @@ SeriesAnalysis AnalyzeSeries(std::span<const std::int64_t> series,
   const std::size_t max_lag =
       std::min(acf_max_lag, valid.size() > 1 ? valid.size() - 1 : 0);
   if (max_lag >= 1) {
-    out.acf = stats::Autocorrelation(values, max_lag);
+    out.acf = stats::Autocorrelation(stats::ToDoubles(valid), max_lag);
     out.acf_significant_fraction =
         stats::FractionSignificantLags(out.acf, valid.size());
   }

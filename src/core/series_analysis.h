@@ -57,9 +57,10 @@ inline constexpr std::size_t kMinAnalyzedFlips = 8;
  * kMinAnalyzedFlips measurements flipped.
  *
  * The flipping measurements are sorted once (core::SortedFlips); the
- * minimum, unique-value count, box, chi-square categories and histogram
- * read that table. The mean, stddev, ACF, run lengths and first-minimum
- * index read the series in measurement order.
+ * minimum, unique-value count, box, chi-square categories, histogram
+ * and the closed-form mean, stddev and CV (core::ComputeMoments) read
+ * that table. The ACF, run lengths and first-minimum index read the
+ * series in measurement order.
  */
 SeriesAnalysis AnalyzeSeries(std::span<const std::int64_t> series,
                              std::size_t acf_max_lag = 40);

@@ -16,24 +16,6 @@ double Mean(std::span<const double> xs) {
   return sum / static_cast<double>(xs.size());
 }
 
-double SampleVariance(std::span<const double> xs) {
-  VRD_FATAL_IF(xs.empty(), "SampleVariance of empty series");
-  if (xs.size() == 1) {
-    return 0.0;
-  }
-  const double mu = Mean(xs);
-  double ss = 0.0;
-  for (double x : xs) {
-    const double d = x - mu;
-    ss += d * d;
-  }
-  return ss / static_cast<double>(xs.size() - 1);
-}
-
-double SampleStddev(std::span<const double> xs) {
-  return std::sqrt(SampleVariance(xs));
-}
-
 double Percentile(std::span<const double> xs, double p) {
   VRD_FATAL_IF(xs.empty(), "Percentile of empty series");
   VRD_FATAL_IF(p < 0.0 || p > 100.0, "percentile must be in [0, 100]");

@@ -19,12 +19,6 @@ namespace vrddram::stats {
 /// Arithmetic mean; empty input is a caller error.
 double Mean(std::span<const double> xs);
 
-/// Sample variance (n - 1 denominator); returns 0 for n == 1.
-double SampleVariance(std::span<const double> xs);
-
-/// Sample standard deviation.
-double SampleStddev(std::span<const double> xs);
-
 /**
  * Percentile by linear interpolation between closest ranks;
  * p in [0, 100]. Matches the common "linear" convention (numpy

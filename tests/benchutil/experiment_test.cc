@@ -96,9 +96,10 @@ TEST(ExperimentRegistryTest, RejectsDuplicateAndMalformedSpecs) {
 /**
  * Every campaign experiment's config, built from its schema defaults
  * and from its smoke arguments, hashes to the value recorded before
- * the flag-to-config code was shared. The hash is the campaign cache
- * key, so a drift here would silently re-measure (or mis-share) every
- * cached campaign.
+ * the flag-to-config code was shared (re-recorded for checkpoint format
+ * version 2: the key includes the version, and the key string is
+ * otherwise unchanged). The hash is the campaign cache key, so a drift
+ * here would silently re-measure (or mis-share) every cached campaign.
  */
 TEST(ExperimentRegistryTest, CampaignConfigHashesArePinned) {
   const struct {
@@ -106,18 +107,18 @@ TEST(ExperimentRegistryTest, CampaignConfigHashesArePinned) {
     std::uint64_t defaults;
     std::uint64_t smoke;
   } kPinned[] = {
-      {"fig07_cv_scurve", 0x98209bf9d9988b0eull, 0xd8ef5a01949a69a1ull},
-      {"fig08_min_rdt_probability", 0xb0cf61233ad5b34cull,
-       0xae13e081f1985bd8ull},
-      {"fig09_density_die_rev", 0x18c4a4d7e180caffull,
-       0xfca62473c6a0848cull},
-      {"fig10_data_pattern", 0xbadac4e1705cabb2ull, 0xd213275ede1d2ff6ull},
-      {"fig11_taggon", 0x99a16c292e192555ull, 0xb6cd30ef2bae3a06ull},
-      {"fig12_temperature", 0xb6abae22d2603c3aull, 0x8dba3fcc52f7c93cull},
-      {"fig15_guardband_probability", 0x99098c5b934b628dull,
-       0xbbb5e8bf605268a3ull},
-      {"table07_module_summary", 0xdd8767b550a76f7cull,
-       0x1c03f08a983dbdc9ull},
+      {"fig07_cv_scurve", 0x6883810a677ba093ull, 0x901895d8bc1aae91ull},
+      {"fig08_min_rdt_probability", 0xfe1b4287d4f35e0aull,
+       0x8eca763d6839a42eull},
+      {"fig09_density_die_rev", 0xbd7e86124d63905full,
+       0x99446efc9a2291f0ull},
+      {"fig10_data_pattern", 0xed0f7c5973c409cbull, 0x85aa6c9fe86bd2faull},
+      {"fig11_taggon", 0x4e70cda30e972cfeull, 0xab3193b08b13a064ull},
+      {"fig12_temperature", 0x6ec92d36005a3327ull, 0x8ebdda8bd19aced9ull},
+      {"fig15_guardband_probability", 0xbda9e9f054b7fcaaull,
+       0xac54cba55331c373ull},
+      {"table07_module_summary", 0x7102afdcf1b82a7eull,
+       0x162ceff36b5b72a6ull},
   };
   std::size_t campaigns = 0;
   for (const ExperimentSpec* spec : ExperimentRegistry::Instance().All()) {

@@ -55,7 +55,7 @@ void ExpectResultsIdentical(const CampaignResult& expected,
     EXPECT_EQ(a.t_on, b.t_on);
     EXPECT_EQ(a.temperature, b.temperature);
     EXPECT_EQ(a.rdt_guess, b.rdt_guess);
-    ASSERT_EQ(a.series, b.series) << context << " record " << i;
+    ASSERT_EQ(a.flips, b.flips) << context << " record " << i;
   }
   ASSERT_EQ(expected.shards.size(), actual.shards.size()) << context;
   for (std::size_t i = 0; i < expected.shards.size(); ++i) {

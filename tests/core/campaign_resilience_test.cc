@@ -17,6 +17,7 @@
 #include "common/error.h"
 #include "core/campaign.h"
 #include "core/campaign_checkpoint.h"
+#include "core/checkpoint_text.h"
 
 namespace vrddram::core {
 namespace {
@@ -55,7 +56,7 @@ void ExpectRecordsIdentical(const std::vector<SeriesRecord>& expected,
     EXPECT_EQ(a.t_on, b.t_on);
     EXPECT_EQ(a.temperature, b.temperature);
     EXPECT_EQ(a.rdt_guess, b.rdt_guess);
-    ASSERT_EQ(a.series, b.series) << context << " record " << i;
+    ASSERT_EQ(a.flips, b.flips) << context << " record " << i;
   }
 }
 
@@ -63,12 +64,10 @@ void ExpectRecordsIdentical(const std::vector<SeriesRecord>& expected,
 /// record's mfr, standard, density, die_rev, row, pattern and t_on.
 std::string CheckpointText(const std::string& shard_state,
                            const std::string& record_fields) {
-  return "vrddram-campaign-checkpoint " +
-         std::to_string(CampaignCheckpoint::kFormatVersion) +
-         "\nconfig 0000000000000000\nshards 1\nshard 0 M1 " +
-         "4054000000000000 " + shard_state + " 1 0\nerror \nrecords 1\n" +
-         "record M1 " + record_fields + " 4054000000000000 42000 1\n" +
-         "41000\nend\n";
+  return SealCheckpoint(
+      "config 0000000000000000\nshards 1\nshard 0 M1 4054000000000000 " +
+      shard_state + " 1 0\nerror \nrecords 1\nrecord M1 " + record_fields +
+      " 4054000000000000 42000 1 0 1\n41000 1\nend\n");
 }
 
 /// The FatalError message of `read`, or "" if it did not throw.
@@ -103,7 +102,7 @@ TEST(CampaignCheckpointTest, RoundTripPreservesEverything) {
   record.t_on = TOnChoice::kNineTrefi;
   record.temperature = 80.0;
   record.rdt_guess = 42000;
-  record.series = {41000, -1, 43000};
+  record.flips = BuildSortedFlips(std::vector<std::int64_t>{41000, -1, 43000});
   entry.records.push_back(record);
   checkpoint.shards.push_back(entry);
 

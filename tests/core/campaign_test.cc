@@ -88,7 +88,7 @@ TEST(CampaignTest, TinyCampaignProducesAllCombinations) {
   std::set<std::tuple<dram::RowAddr, int, int, int>> combos;
   for (const SeriesRecord& record : result.records) {
     EXPECT_EQ(record.device, "M1");
-    EXPECT_EQ(record.series.size(), 60u);
+    EXPECT_EQ(record.flips.measurements(), 60u);
     EXPECT_GT(record.rdt_guess, 0u);
     combos.insert({record.row, static_cast<int>(record.pattern),
                    static_cast<int>(record.t_on),
@@ -111,7 +111,7 @@ TEST(CampaignTest, DeterministicAcrossRuns) {
   ASSERT_EQ(a.records.size(), b.records.size());
   for (std::size_t i = 0; i < a.records.size(); ++i) {
     EXPECT_EQ(a.records[i].row, b.records[i].row);
-    EXPECT_EQ(a.records[i].series, b.records[i].series);
+    EXPECT_EQ(a.records[i].flips, b.records[i].flips);
   }
 }
 
@@ -131,7 +131,7 @@ TEST(CampaignTest, MetadataCarriedThrough) {
 TEST(CampaignTest, ParallelOutputBitIdenticalToSerial) {
   // The golden determinism contract of the parallel executor: every
   // worker count produces the same records, in the same order, with
-  // the same series values, bit for bit.
+  // the same series runs, bit for bit.
   CampaignConfig config;
   config.devices = {"M1", "S2"};
   config.rows_per_device = 3;
@@ -162,7 +162,7 @@ TEST(CampaignTest, ParallelOutputBitIdenticalToSerial) {
       EXPECT_EQ(a.t_on, b.t_on);
       EXPECT_EQ(a.temperature, b.temperature);
       EXPECT_EQ(a.rdt_guess, b.rdt_guess);
-      ASSERT_EQ(a.series, b.series)
+      ASSERT_EQ(a.flips, b.flips)
           << "workers=" << workers << " record=" << i;
     }
   }

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <streambuf>
 #include <string>
+#include <vector>
 
 #include "common/error.h"
 
@@ -32,8 +33,8 @@ CampaignResult TinyResult() {
   record.t_on = TOnChoice::kMinTras;
   record.temperature = 50.0;
   record.rdt_guess = 5000;
-  record.series = {5000, 4950, -1, 5050, 5000, 4900, 5000, 5000,
-                   4950, 5000};
+  record.flips = BuildSortedFlips(std::vector<std::int64_t>{
+      5000, 4950, -1, 5050, 5000, 4900, 5000, 5000, 4950, 5000});
   result.records.push_back(record);
   return result;
 }

@@ -22,7 +22,7 @@ TEST(MinRdtTest, SentinelsIgnored) {
   MinRdtSettings settings;
   settings.sample_sizes = {1};
   const RowMinRdtResult result =
-      AnalyzeRowSeries(series, settings);
+      AnalyzeRowSeries(BuildSortedFlips(series), settings);
   ASSERT_EQ(result.per_n.size(), 1u);
   EXPECT_DOUBLE_EQ(result.per_n[0].prob_find_min, 1.0);
 }
@@ -34,7 +34,7 @@ TEST(MinRdtTest, ProbabilityGrowsWithN) {
   }
   MinRdtSettings settings;
   const RowMinRdtResult result =
-      AnalyzeRowSeries(series, settings);
+      AnalyzeRowSeries(BuildSortedFlips(series), settings);
   for (std::size_t i = 1; i < result.per_n.size(); ++i) {
     EXPECT_GE(result.per_n[i].prob_find_min + 0.02,
               result.per_n[i - 1].prob_find_min);
@@ -53,7 +53,7 @@ TEST(MinRdtTest, MarginsWidenTheTarget) {
   MinRdtSettings settings;
   settings.sample_sizes = {1};
   const RowMinRdtResult result =
-      AnalyzeRowSeries(series, settings);
+      AnalyzeRowSeries(BuildSortedFlips(series), settings);
   const auto& margins = result.per_n[0].prob_within_margin;
   ASSERT_EQ(margins.size(), 5u);
   for (std::size_t i = 1; i < margins.size(); ++i) {
@@ -64,7 +64,7 @@ TEST(MinRdtTest, MarginsWidenTheTarget) {
 TEST(MinRdtTest, AllSentinelsThrow) {
   const std::vector<std::int64_t> series(10, -1);
   MinRdtSettings settings;
-  EXPECT_THROW(AnalyzeRowSeries(series, settings), FatalError);
+  EXPECT_THROW(AnalyzeRowSeries(BuildSortedFlips(series), settings), FatalError);
 }
 
 }  // namespace

@@ -4,9 +4,12 @@
  * computed straight from its definition, each order-free one from its
  * own sorted copy of the flipping measurements — the unique-value
  * count, Tukey's hinges, the §4.1 binned chi-square test and the
- * Fig. 4 unique-value histogram. core::AnalyzeSeries reads all of them
- * from one core::SortedFlips table instead; tests check it against
- * this oracle bit for bit.
+ * Fig. 4 unique-value histogram. The mean and variance are the exact
+ * rationals Σx/n and (nΣx² − (Σx)²)/(n(n − 1)), summed in measurement
+ * order and rounded by searching the doubles next to an estimate for
+ * the nearest one. core::AnalyzeSeries reads all of them from one
+ * core::SortedFlips table instead; tests check it against this oracle
+ * bit for bit.
  */
 #ifndef VRDDRAM_TESTS_CORE_SERIES_ANALYSIS_ORACLE_H
 #define VRDDRAM_TESTS_CORE_SERIES_ANALYSIS_ORACLE_H
@@ -14,6 +17,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -28,6 +32,76 @@
 namespace vrddram::oracle {
 
 namespace series_detail {
+
+using Uint128 = unsigned __int128;
+
+/// The double nearest to num / den (ties to the even mantissa): the
+/// estimate and its two neighbours, written as integer mantissas over
+/// one common power of two, compared by their exact distance to the
+/// quotient. Assumes a quotient far from the subnormal range and
+/// magnitudes for which num · 2^-exp fits 128 bits.
+inline double NearestDouble(Uint128 num, Uint128 den) {
+  if (num == 0) {
+    return 0.0;
+  }
+  const double estimate =
+      static_cast<double>(num) / static_cast<double>(den);
+  const double candidates[] = {
+      std::nextafter(estimate, 0.0), estimate,
+      std::nextafter(estimate, std::numeric_limits<double>::infinity())};
+  int exp = std::numeric_limits<int>::max();
+  for (const double c : candidates) {
+    int e = 0;
+    std::frexp(c, &e);
+    exp = std::min(exp, e - 53);
+  }
+  VRD_ASSERT(exp <= 0);
+  const Uint128 target = num << -exp;  // num / den == target / (den 2^-exp)
+  double best = 0.0;
+  Uint128 best_err = 0;
+  bool best_even = false;
+  bool first = true;
+  for (const double c : candidates) {
+    const auto mantissa = static_cast<Uint128>(std::ldexp(c, -exp));
+    const Uint128 scaled = mantissa * den;
+    const Uint128 err = scaled > target ? scaled - target : target - scaled;
+    int e = 0;
+    const auto own = static_cast<std::uint64_t>(
+        std::ldexp(std::frexp(c, &e), 53));
+    const bool even = own % 2 == 0;
+    if (first || err < best_err || (err == best_err && even && !best_even)) {
+      best = c;
+      best_err = err;
+      best_even = even;
+      first = false;
+    }
+  }
+  return best;
+}
+
+struct Moments {
+  double mean = 0.0;
+  double stddev = 0.0;
+};
+
+/// Exact sums over the series in measurement order, then one rounding
+/// each for the mean and the variance.
+inline Moments ClosedFormMoments(std::span<const std::int64_t> valid) {
+  Uint128 sum = 0;
+  Uint128 sum_sq = 0;
+  for (const std::int64_t v : valid) {
+    sum += static_cast<Uint128>(v);
+    sum_sq += static_cast<Uint128>(v) * static_cast<Uint128>(v);
+  }
+  const Uint128 n = valid.size();
+  Moments out;
+  out.mean = NearestDouble(sum, n);
+  if (n > 1) {
+    out.stddev =
+        std::sqrt(NearestDouble(n * sum_sq - sum * sum, n * (n - 1)));
+  }
+  return out;
+}
 
 inline std::vector<double> Sorted(std::span<const double> xs) {
   std::vector<double> sorted(xs.begin(), xs.end());
@@ -44,7 +118,7 @@ inline std::size_t CountUnique(std::span<const double> xs) {
 // Paper footnote 6: Q1/Q3 are the medians of the first/second halves
 // of the ordered data (Tukey's hinges, excluding the middle element
 // for odd n).
-inline stats::BoxStats BoxStats(std::span<const double> xs) {
+inline stats::BoxStats BoxStats(std::span<const double> xs, double mean) {
   const std::vector<double> sorted = Sorted(xs);
   auto median_of = [&](std::size_t lo, std::size_t hi) {
     const std::size_t n = hi - lo;
@@ -65,7 +139,7 @@ inline stats::BoxStats BoxStats(std::span<const double> xs) {
     out.q1 = median_of(0, n / 2);
     out.q3 = median_of(n - n / 2, n);
   }
-  out.mean = stats::Mean(xs);
+  out.mean = mean;
   return out;
 }
 
@@ -73,11 +147,10 @@ inline stats::BoxStats BoxStats(std::span<const double> xs) {
 // v_i exactly when the latent value lies in (v_{i-1}, v_i], with
 // Sheppard's corrections for the grid step; adjacent categories are
 // pooled until each expects at least 5 samples.
-inline stats::GoodnessOfFit ChiSquareBinned(std::span<const double> xs) {
+inline stats::GoodnessOfFit ChiSquareBinned(std::span<const double> xs,
+                                            double mean, double stddev) {
   constexpr double kMinExpected = 5.0;
   VRD_FATAL_IF(xs.size() < 8, "chi-square test needs at least 8 samples");
-  const double mean = stats::Mean(xs);
-  const double stddev = stats::SampleStddev(xs);
   const auto n = static_cast<double>(xs.size());
   std::vector<double> values;
   std::vector<double> counts;
@@ -210,17 +283,20 @@ inline core::SeriesAnalysis AnalyzeSeries(
 
   const std::vector<double> values = stats::ToDoubles(valid);
   out.unique_values = series_detail::CountUnique(values);
-  out.mean = stats::Mean(values);
-  out.stddev = stats::SampleStddev(values);
+  const series_detail::Moments moments =
+      series_detail::ClosedFormMoments(valid);
+  out.mean = moments.mean;
+  out.stddev = moments.stddev;
   out.cv = (out.mean != 0.0) ? out.stddev / out.mean : 0.0;
-  out.box = series_detail::BoxStats(values);
+  out.box = series_detail::BoxStats(values, out.mean);
 
   out.run_lengths = stats::ComputeRunLengths(valid);
   out.immediate_change_fraction =
       out.run_lengths.ImmediateChangeFraction();
 
   if (out.stddev > 0.0) {
-    out.normal_fit = series_detail::ChiSquareBinned(values);
+    out.normal_fit =
+        series_detail::ChiSquareBinned(values, out.mean, out.stddev);
   } else {
     out.normal_fit.p_value = 1.0;
     out.normal_fit.fitted_mean = out.mean;

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
+#include "common/error.h"
 #include "core/rdt_profiler.h"
 
 namespace vrddram::core {
@@ -14,6 +17,8 @@ TEST(SortedFlipsTest, DropsSentinelsAndCollapsesRuns) {
                                             100, kNoFlip, 300};
   const SortedFlips flips = BuildSortedFlips(series);
   EXPECT_EQ(flips.size, 6u);
+  EXPECT_EQ(flips.no_flips, 2u);
+  EXPECT_EQ(flips.measurements(), series.size());
   EXPECT_EQ(flips.run_values, (std::vector<std::int64_t>{100, 200, 300}));
   EXPECT_EQ(flips.run_counts, (std::vector<std::size_t>{2, 1, 3}));
   const std::vector<std::int64_t> by_rank = {100, 100, 200, 300, 300, 300};
@@ -28,6 +33,54 @@ TEST(SortedFlipsTest, NoFlipsGiveAnEmptyTable) {
   EXPECT_EQ(flips.size, 0u);
   EXPECT_TRUE(flips.run_values.empty());
   EXPECT_TRUE(flips.run_counts.empty());
+  EXPECT_EQ(flips.no_flips, 5u);
+  EXPECT_THROW(ComputeMoments(flips), FatalError);
+}
+
+TEST(SortedFlipsTest, MomentsAreTheExactValuesRoundedOnce) {
+  const FlipMoments m =
+      ComputeMoments(BuildSortedFlips(std::vector<std::int64_t>{
+          4, kNoFlip, 1, 3, 2}));
+  // Σx = 10, Σx² = 30, n = 4: mean 5/2, variance (120 - 100)/12 = 5/3.
+  EXPECT_EQ(m.mean, 2.5);
+  EXPECT_EQ(m.stddev, std::sqrt(5.0 / 3.0));
+  EXPECT_EQ(m.cv, std::sqrt(5.0 / 3.0) / 2.5);
+
+  // Population variance 4, sample variance 32/7.
+  const FlipMoments known =
+      ComputeMoments(BuildSortedFlips(std::vector<std::int64_t>{
+          2, 4, 4, 4, 5, 5, 7, 9}));
+  EXPECT_EQ(known.mean, 5.0);
+  EXPECT_EQ(known.stddev, std::sqrt(32.0 / 7.0));
+
+  const FlipMoments one =
+      ComputeMoments(BuildSortedFlips(std::vector<std::int64_t>{7}));
+  EXPECT_EQ(one.mean, 7.0);
+  EXPECT_EQ(one.stddev, 0.0);
+  EXPECT_EQ(one.cv, 0.0);
+}
+
+TEST(SortedFlipsTest, MomentsDoNotDependOnMeasurementOrder) {
+  // Summed in measurement order, (x - mean)^2 rounds differently for
+  // these two orders; the closed form reads only the runs.
+  std::vector<std::int64_t> series;
+  for (std::int64_t i = 0; i < 1000; ++i) {
+    series.push_back(40000 + (i * 7919) % 997);
+  }
+  const FlipMoments forward = ComputeMoments(BuildSortedFlips(series));
+  std::reverse(series.begin(), series.end());
+  const FlipMoments backward = ComputeMoments(BuildSortedFlips(series));
+  EXPECT_EQ(forward.mean, backward.mean);
+  EXPECT_EQ(forward.stddev, backward.stddev);
+  EXPECT_EQ(forward.cv, backward.cv);
+}
+
+TEST(SortedFlipsTest, MomentsRejectValuesTooLargeForExactSums) {
+  SortedFlips flips;
+  flips.run_values = {std::int64_t{1} << 62};
+  flips.run_counts = {2};
+  flips.size = 2;
+  EXPECT_THROW(ComputeMoments(flips), FatalError);
 }
 
 }  // namespace

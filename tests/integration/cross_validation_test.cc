@@ -62,7 +62,7 @@ TEST(CrossValidationTest, MonteCarloMatchesClosedFormOnRealSeries) {
   core::MinRdtSettings settings;
   settings.sample_sizes = {1, 10, 100};
   const core::RowMinRdtResult exact =
-      core::AnalyzeRowSeries(series, settings);
+      core::AnalyzeRowSeries(core::BuildSortedFlips(series), settings);
   Rng rng(3);
   for (std::size_t i = 0; i < settings.sample_sizes.size(); ++i) {
     const std::size_t n = settings.sample_sizes[i];

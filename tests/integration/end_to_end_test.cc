@@ -54,7 +54,7 @@ TEST(EndToEndTest, MinimumRdtIsHardToFindWithFewMeasurements) {
 
   const core::MinRdtSettings settings;
   const core::RowMinRdtResult mc =
-      core::AnalyzeRowSeries(series, settings);
+      core::AnalyzeRowSeries(core::BuildSortedFlips(series), settings);
   // Finding 7/9: P(find min) grows with N and is small for N = 1.
   EXPECT_LT(mc.per_n.front().prob_find_min, 0.6);
   EXPECT_GT(mc.per_n.back().prob_find_min,

@@ -69,7 +69,7 @@ class FindingsTest : public ::testing::Test {
       if (!predicate(record)) {
         continue;
       }
-      values.push_back(core::AnalyzeRowSeries(record.series, settings)
+      values.push_back(core::AnalyzeRowSeries(record.flips, settings)
                            .per_n[0]
                            .expected_norm_min);
     }
@@ -120,9 +120,8 @@ TEST_F(FindingsTest, Finding04ChangesAreUnpredictable) {
 TEST_F(FindingsTest, Finding05AllRowsExhibitVariation) {
   std::map<std::pair<std::string, dram::RowAddr>, double> max_cv;
   for (const core::SeriesRecord& record : campaign().records) {
-    const auto a = core::AnalyzeSeries(record.series, 1);
     auto& slot = max_cv[{record.device, record.row}];
-    slot = std::max(slot, a.cv);
+    slot = std::max(slot, core::ComputeMoments(record.flips).cv);
   }
   for (const auto& [key, cv] : max_cv) {
     EXPECT_GT(cv, 0.0) << key.first << " row " << key.second;
@@ -132,10 +131,9 @@ TEST_F(FindingsTest, Finding05AllRowsExhibitVariation) {
 TEST_F(FindingsTest, Finding06MostRowsVaryUnderAllCombos) {
   std::map<std::pair<std::string, dram::RowAddr>, bool> varies_all;
   for (const core::SeriesRecord& record : campaign().records) {
-    const auto a = core::AnalyzeSeries(record.series, 1);
     auto [it, inserted] =
         varies_all.try_emplace({record.device, record.row}, true);
-    it->second = it->second && (a.unique_values > 1);
+    it->second = it->second && (record.flips.run_values.size() > 1);
   }
   std::size_t all = 0;
   for (const auto& [key, varies] : varies_all) {
@@ -152,7 +150,7 @@ TEST_F(FindingsTest, Finding07MinUnlikelyWithOneMeasurement) {
   std::vector<double> probs;
   for (const core::SeriesRecord& record : campaign().records) {
     probs.push_back(
-        core::AnalyzeRowSeries(record.series, settings)
+        core::AnalyzeRowSeries(record.flips, settings)
             .per_n[0]
             .prob_find_min);
   }
@@ -173,7 +171,7 @@ TEST_F(FindingsTest, Finding09ProbabilityGrowsWithN) {
   double p100 = 0.0;
   for (const core::SeriesRecord& record : campaign().records) {
     const auto mc =
-        core::AnalyzeRowSeries(record.series, settings);
+        core::AnalyzeRowSeries(record.flips, settings);
     p1 += mc.per_n[0].prob_find_min;
     p10 += mc.per_n[1].prob_find_min;
     p100 += mc.per_n[2].prob_find_min;
@@ -209,7 +207,7 @@ TEST_F(FindingsTest, Finding11VrdWorsensWithTechnology) {
   std::map<std::string, std::vector<double>> norm;
   for (const core::SeriesRecord& record : result.records) {
     norm[record.device].push_back(
-        core::AnalyzeRowSeries(record.series, settings)
+        core::AnalyzeRowSeries(record.flips, settings)
             .per_n[0]
             .expected_norm_min);
   }
@@ -257,7 +255,7 @@ TEST_F(FindingsTest, Finding13NoSingleWorstPattern) {
           continue;
         }
         values.push_back(
-            core::AnalyzeRowSeries(record.series, settings)
+            core::AnalyzeRowSeries(record.flips, settings)
                 .per_n[0]
                 .expected_norm_min);
       }
@@ -307,7 +305,7 @@ TEST_F(FindingsTest, Finding17TrueAndAntiCellsBehaveAlike) {
     const bool anti = device->encoding().RowEncoding(phys) ==
                       dram::CellEncoding::kAntiCell;
     cv_by_class[anti].push_back(
-        core::AnalyzeSeries(record.series, 1).cv);
+        core::ComputeMoments(record.flips).cv);
   }
   if (cv_by_class[true].empty() || cv_by_class[false].empty()) {
     GTEST_SKIP() << "sampled rows are all one encoding class";

@@ -59,8 +59,15 @@ GoodnessOfFit Binned(const std::vector<double>& xs) {
     }
     ++counts.back();
   }
-  return ChiSquareNormalTestBinned(values, counts, Mean(xs),
-                                   SampleStddev(xs));
+  const double mean = Mean(xs);
+  double ss = 0.0;
+  for (const double x : xs) {
+    const double d = x - mean;
+    ss += d * d;
+  }
+  return ChiSquareNormalTestBinned(
+      values, counts, mean,
+      std::sqrt(ss / static_cast<double>(xs.size() - 1)));
 }
 
 TEST(ChiSquareTest, ConstantSeriesTriviallyPasses) {

@@ -19,18 +19,6 @@ TEST(DescriptiveTest, MeanOfEmptyThrows) {
   EXPECT_THROW(Mean(xs), FatalError);
 }
 
-TEST(DescriptiveTest, SampleVariance) {
-  const std::vector<double> xs = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-  // Known: population variance 4, sample variance 32/7.
-  EXPECT_NEAR(SampleVariance(xs), 32.0 / 7.0, 1e-12);
-}
-
-TEST(DescriptiveTest, SingleElementVarianceIsZero) {
-  const std::vector<double> xs = {3.0};
-  EXPECT_DOUBLE_EQ(SampleVariance(xs), 0.0);
-  EXPECT_DOUBLE_EQ(SampleStddev(xs), 0.0);
-}
-
 TEST(DescriptiveTest, PercentileLinearInterpolation) {
   const std::vector<double> xs = {1.0, 2.0, 3.0, 4.0};
   EXPECT_DOUBLE_EQ(Percentile(xs, 0.0), 1.0);

@@ -20,7 +20,7 @@ RowMinRdtResult Analyze(const std::vector<std::int64_t>& series,
   MinRdtSettings settings;
   settings.sample_sizes = std::move(sample_sizes);
   settings.margins = std::move(margins);
-  return AnalyzeRowSeries(series, settings);
+  return AnalyzeRowSeries(BuildSortedFlips(series), settings);
 }
 
 TEST(MinRdtExactTest, DegenerateSeriesAlwaysFindsMin) {
@@ -187,7 +187,7 @@ TEST_P(OracleAgreementTest, ExactWithinFiveSigmaOfMonteCarlo) {
     }
   }
   const MinRdtSettings settings;
-  const RowMinRdtResult exact = AnalyzeRowSeries(series, settings);
+  const RowMinRdtResult exact = AnalyzeRowSeries(BuildSortedFlips(series), settings);
   ASSERT_EQ(exact.valid_count, valid.size());
   EXPECT_EQ(exact.min_count,
             static_cast<std::size_t>(std::count(
