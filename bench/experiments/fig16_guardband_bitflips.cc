@@ -85,8 +85,7 @@ void AnalyzeFig16(const core::CampaignResult&, Report* report) {
 
   const double ber = core::WorstBitErrorRate(outcomes, 10, 65536);
   PrintCheck(out, "fig16.worst_bit_error_rate_at_10pct", 7.6e-5, ber, 6);
-  out << "\n(That bit error rate feeds Table 3; see "
-         "bench_table03_ecc.)\n";
+  out << "\n(That bit error rate feeds Table 3; see table03_ecc.)\n";
 }
 
 ExperimentSpec Fig16Spec() {

@@ -24,8 +24,9 @@ std::string_view Trim(std::string_view s) {
 double ParseProbability(std::string_view value, std::string_view fragment) {
   double p = 0.0;
   auto [ptr, ec] = std::from_chars(value.data(), value.data() + value.size(), p);
+  // Written as a range test that NaN fails: from_chars accepts "nan".
   VRD_FATAL_IF(ec != std::errc{} || ptr != value.data() + value.size() ||
-                   p < 0.0 || p > 1.0,
+                   !(p >= 0.0 && p <= 1.0),
                "fault spec: bad probability in '" + std::string(fragment) +
                    "' (want a number in [0, 1])");
   return p;

@@ -1,16 +1,20 @@
 /**
  * @file
- * Analytic error-probability model behind Table 3: probabilities of
+ * Error-probability model behind Table 3: probabilities of
  * uncorrectable / undetectable / detectable-but-uncorrectable errors
  * for SEC, SECDED, and Chipkill-like SSC codes under an i.i.d. bit
  * error rate (the paper uses the worst empirically observed rate,
- * 7.6e-5, from 5 bitflips in a 64 Kibit row at a 10% guardband).
+ * 7.6e-5, from 5 bitflips in a 64 Kibit row at a 10% guardband), both
+ * analytic (AnalyzeCode) and exact through the real codecs
+ * (EnumerateCode).
  */
 #ifndef VRDDRAM_ECC_ANALYSIS_H
 #define VRDDRAM_ECC_ANALYSIS_H
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 namespace vrddram::ecc {
 
@@ -44,6 +48,37 @@ struct ErrorProbabilities {
  * hit (symbol error rate 1 - (1-ber)^8).
  */
 ErrorProbabilities AnalyzeCode(CodeKind kind, double ber);
+
+/// Decoder outcomes over every error pattern of one weight.
+struct PatternCounts {
+  std::uint64_t patterns = 0;       ///< C(n, k)
+  std::uint64_t uncorrectable = 0;  ///< flagged, or decoded to wrong data
+  std::uint64_t undetectable = 0;   ///< decoded to wrong data, unflagged
+};
+
+/// EnumerateCode's result for one code.
+struct EnumeratedCode {
+  std::size_t bits = 0;  ///< codeword length n
+  /// by_errors[k]: outcomes of the C(n, k) patterns of k error bits,
+  /// for k = 0 .. the largest weight enumerated.
+  std::vector<PatternCounts> by_errors;
+  /// sum_k BinomialPmf(n, k, ber) * count_k / C(n, k) over by_errors.
+  /// detectable_uncorrectable is negative for SEC, which cannot flag.
+  ErrorProbabilities probabilities;
+  /// BinomialTail(n, kmax + 1, ber): the mass of the patterns not
+  /// enumerated, which bounds how far each probability can be low.
+  double dropped_tail = 0.0;
+};
+
+/**
+ * Exact per-codeword probabilities at bit error rate `ber`, by
+ * decoding every error pattern of up to 4 bits of the 72-bit word
+ * (Hamming72::DecodeSecOnly for SEC, Decode for SECDED) or up to 3
+ * bits of the 144-bit word (ChipkillSsc::Decode). The codes are
+ * linear, so a pattern's outcome does not depend on the data; the
+ * all-zero codeword carries the errors.
+ */
+EnumeratedCode EnumerateCode(CodeKind kind, double ber);
 
 /// The worst bit error rate observed in the paper's §6.4 experiment:
 /// 5 unique bitflips in a 64 Kibit (65,536-bit) row.

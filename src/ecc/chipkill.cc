@@ -38,6 +38,11 @@ SscDecodeResult ChipkillSsc::Decode(const CodewordSsc& word) const {
   std::uint8_t s0 = 0;
   std::uint8_t s1 = 0;
   for (std::size_t i = 0; i < kTotalSymbols; ++i) {
+    // A zero symbol adds nothing to either syndrome; skipping it makes
+    // a sparse word (an error pattern on the zero codeword) cheap.
+    if (word.symbols[i] == 0) {
+      continue;
+    }
     s0 = gf.Add(s0, word.symbols[i]);
     s1 = gf.Add(s1, gf.Mul(word.symbols[i], gf.Exp(static_cast<int>(i))));
   }

@@ -40,76 +40,73 @@ Hamming72::Hamming72() {
   for (std::size_t i = 0; i < 8; ++i) {
     columns_[64 + i] = static_cast<std::uint8_t>(1u << i);
   }
+
+  // A byte's syndrome is its lowest set bit's column XOR the syndrome
+  // of the byte without that bit.
+  for (std::size_t byte = 0; byte < 8; ++byte) {
+    for (unsigned value = 1; value < 256; ++value) {
+      byte_syndrome_[byte][value] = static_cast<std::uint8_t>(
+          byte_syndrome_[byte][value & (value - 1)] ^
+          columns_[8 * byte +
+                   static_cast<std::size_t>(std::countr_zero(value))]);
+    }
+  }
+  position_of_.fill(kNoPosition);
+  for (std::size_t i = 0; i < 72; ++i) {
+    position_of_[columns_[i]] = static_cast<std::uint8_t>(i);
+  }
+}
+
+std::uint8_t Hamming72::DataSyndrome(std::uint64_t data) const {
+  std::uint8_t syndrome = 0;
+  for (std::size_t byte = 0; byte < 8; ++byte) {
+    syndrome ^= byte_syndrome_[byte][(data >> (8 * byte)) & 0xFF];
+  }
+  return syndrome;
 }
 
 Codeword72 Hamming72::Encode(std::uint64_t data) const {
   Codeword72 word;
   word.data = data;
-  std::uint8_t check = 0;
-  for (std::size_t i = 0; i < 64; ++i) {
-    if ((data >> i) & 1) {
-      check ^= columns_[i];
-    }
-  }
-  word.check = check;
+  word.check = DataSyndrome(data);
   return word;
 }
 
-std::uint8_t Hamming72::Syndrome(const Codeword72& word) const {
-  std::uint8_t syndrome = 0;
-  for (std::size_t i = 0; i < 72; ++i) {
-    if (word.GetBit(i)) {
-      syndrome ^= columns_[i];
-    }
+DecodeResult Hamming72::DecodeWith(const Codeword72& word,
+                                   DecodeStatus unmatched) const {
+  // The check bits' columns are the unit vectors, so they enter the
+  // syndrome as the check byte itself.
+  const std::uint8_t syndrome =
+      static_cast<std::uint8_t>(word.check ^ DataSyndrome(word.data));
+  DecodeResult result;
+  result.data = word.data;
+  if (syndrome == 0) {
+    result.status = DecodeStatus::kClean;
+    return result;
   }
-  return syndrome;
+  const std::uint8_t position = position_of_[syndrome];
+  if (position == kNoPosition) {
+    result.status = unmatched;
+    return result;
+  }
+  if (position < 64) {
+    result.data ^= 1ull << position;
+  }
+  result.status = DecodeStatus::kCorrected;
+  return result;
 }
 
 DecodeResult Hamming72::Decode(const Codeword72& word) const {
-  const std::uint8_t syndrome = Syndrome(word);
-  DecodeResult result;
-  result.data = word.data;
-  if (syndrome == 0) {
-    result.status = DecodeStatus::kClean;
-    return result;
-  }
-  for (std::size_t i = 0; i < 72; ++i) {
-    if (columns_[i] == syndrome) {
-      Codeword72 fixed = word;
-      fixed.FlipBit(i);
-      result.status = DecodeStatus::kCorrected;
-      result.data = fixed.data;
-      return result;
-    }
-  }
   // All columns are odd weight: a double error yields an even-weight
   // syndrome that matches no column; odd-weight non-column syndromes
   // (>= 3 errors) are likewise flagged.
-  result.status = DecodeStatus::kDetected;
-  return result;
+  return DecodeWith(word, DecodeStatus::kDetected);
 }
 
 DecodeResult Hamming72::DecodeSecOnly(const Codeword72& word) const {
-  const std::uint8_t syndrome = Syndrome(word);
-  DecodeResult result;
-  result.data = word.data;
-  if (syndrome == 0) {
-    result.status = DecodeStatus::kClean;
-    return result;
-  }
-  for (std::size_t i = 0; i < 72; ++i) {
-    if (columns_[i] == syndrome) {
-      Codeword72 fixed = word;
-      fixed.FlipBit(i);
-      result.status = DecodeStatus::kCorrected;
-      result.data = fixed.data;
-      return result;
-    }
-  }
   // A SEC decoder has no detection rule: an unmatched syndrome means
   // it silently passes the (corrupted) data through.
-  result.status = DecodeStatus::kClean;
-  return result;
+  return DecodeWith(word, DecodeStatus::kClean);
 }
 
 }  // namespace vrddram::ecc

@@ -44,6 +44,11 @@ struct DecodeResult {
  * DecodeSecOnly() implements a plain SEC decoder on the same code
  * (corrects whatever single-bit flip the syndrome points at, never
  * declares detection).
+ *
+ * Table-driven: the constructor folds the parity-check matrix into one
+ * 256-entry syndrome table per data byte and one syndrome -> position
+ * table, so a syndrome is the check byte XOR eight lookups and the
+ * correction is one lookup.
  */
 class Hamming72 {
  public:
@@ -61,10 +66,22 @@ class Hamming72 {
   }
 
  private:
-  std::uint8_t Syndrome(const Codeword72& word) const;
+  /// position_of_ entry of a syndrome that matches no column.
+  static constexpr std::uint8_t kNoPosition = 0xFF;
+
+  /// Check bits of `data` (the syndrome of its data bits alone).
+  std::uint8_t DataSyndrome(std::uint64_t data) const;
+  /// The shared decoder; `unmatched` is the status of a nonzero
+  /// syndrome that matches no column.
+  DecodeResult DecodeWith(const Codeword72& word,
+                          DecodeStatus unmatched) const;
 
   /// columns_[0..63]: data bits; columns_[64..71]: check bits.
   std::array<std::uint8_t, 72> columns_{};
+  /// byte_syndrome_[b][v]: syndrome of data byte b holding value v.
+  std::array<std::array<std::uint8_t, 256>, 8> byte_syndrome_{};
+  /// position_of_[s]: the codeword position whose column is s.
+  std::array<std::uint8_t, 256> position_of_{};
 };
 
 }  // namespace vrddram::ecc

@@ -41,6 +41,7 @@ TEST(FaultPlanTest, MalformedSpecsAreFatal) {
   EXPECT_THROW(FaultPlan::Parse("a.b:p", 0), FatalError);
   EXPECT_THROW(FaultPlan::Parse("a.b:p=2", 0), FatalError);
   EXPECT_THROW(FaultPlan::Parse("a.b:p=-0.5", 0), FatalError);
+  EXPECT_THROW(FaultPlan::Parse("a.b:p=nan", 0), FatalError);
   EXPECT_THROW(FaultPlan::Parse("a.b:max=abc", 0), FatalError);
   EXPECT_THROW(FaultPlan::Parse("a.b:mystery=1", 0), FatalError);
   EXPECT_THROW(FaultPlan::Parse("a.b;a.b", 0), FatalError);

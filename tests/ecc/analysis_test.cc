@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
-#include "ecc/chipkill.h"
-#include "ecc/hamming.h"
+#include <cmath>
+
+#include "common/error.h"
 
 namespace vrddram::ecc {
 namespace {
@@ -16,6 +16,13 @@ TEST(BinomialTest, PmfKnownValues) {
   EXPECT_DOUBLE_EQ(BinomialPmf(5, 0, 0.0), 1.0);
   EXPECT_DOUBLE_EQ(BinomialPmf(5, 5, 1.0), 1.0);
   EXPECT_DOUBLE_EQ(BinomialPmf(5, 2, 0.0), 0.0);
+}
+
+TEST(BinomialTest, RejectsProbabilitiesOutsideTheUnitInterval) {
+  for (const double p : {-0.1, 1.5, std::nan("")}) {
+    EXPECT_THROW(BinomialPmf(72, 1, p), FatalError) << p;
+    EXPECT_THROW(EnumerateCode(CodeKind::kSecded, p), FatalError) << p;
+  }
 }
 
 TEST(BinomialTest, TailComplementsPmf) {
@@ -66,71 +73,94 @@ TEST(AnalysisTest, ProbabilitiesGrowWithBer) {
   }
 }
 
-// Monte Carlo cross-check: inject i.i.d. bit errors into real
-// codewords and compare uncorrectable rates against the analytic
-// model.
-TEST(AnalysisTest, MonteCarloSecdedMatchesAnalytic) {
-  const Hamming72 codec;
-  Rng rng(55);
-  const double ber = 2e-3;  // inflated so the MC converges quickly
-  const int trials = 200000;
-  int uncorrectable = 0;
-  const std::uint64_t data = 0x1122334455667788ull;
-  const Codeword72 clean = codec.Encode(data);
-  for (int t = 0; t < trials; ++t) {
-    Codeword72 word = clean;
-    int flips = 0;
-    for (std::size_t bit = 0; bit < 72; ++bit) {
-      if (rng.NextBernoulli(ber)) {
-        word.FlipBit(bit);
-        ++flips;
-      }
-    }
-    if (flips == 0) {
-      continue;
-    }
-    const DecodeResult result = codec.Decode(word);
-    if (result.status == DecodeStatus::kDetected ||
-        result.data != data) {
-      ++uncorrectable;
-    }
-  }
-  const double analytic =
-      AnalyzeCode(CodeKind::kSecded, ber).uncorrectable;
-  EXPECT_NEAR(static_cast<double>(uncorrectable) / trials, analytic,
-              analytic * 0.15);
+TEST(BinomialTest, TailKeepsDigitsFarBelowOne) {
+  // Summed from the top term down, not as 1 - head: the k >= 5 tail of
+  // a 72-bit word at the paper's BER is 3.6013562e-14 (exact rational
+  // arithmetic), far below the rounding of 1.0.
+  EXPECT_NEAR(BinomialTail(72, 5, kPaperWorstBer), 3.6013562086513535e-14,
+              1e-22);
+  EXPECT_NEAR(BinomialTail(144, 4, kPaperWorstBer), 5.770913575946926e-10,
+              1e-18);
+  EXPECT_GT(BinomialTail(72, 5, 1.0 / 65536.0), 0.0);
 }
 
-TEST(AnalysisTest, MonteCarloChipkillMatchesAnalytic) {
-  const ChipkillSsc codec;
-  Rng rng(56);
-  const double ber = 2e-3;
-  const int trials = 100000;
-  int uncorrectable = 0;
-  std::array<std::uint8_t, 16> data{};
-  for (std::size_t i = 0; i < 16; ++i) {
-    data[i] = static_cast<std::uint8_t>(i * 17);
-  }
-  const CodewordSsc clean = codec.Encode(data);
-  for (int t = 0; t < trials; ++t) {
-    CodewordSsc word = clean;
-    for (std::size_t symbol = 0; symbol < 18; ++symbol) {
-      for (int bit = 0; bit < 8; ++bit) {
-        if (rng.NextBernoulli(ber)) {
-          word.symbols[symbol] ^= static_cast<std::uint8_t>(1 << bit);
-        }
-      }
+/// Expect by_errors[k] to hold `patterns` patterns of which
+/// `uncorrectable` fail and `undetectable` fail unflagged.
+void ExpectCounts(const EnumeratedCode& code, std::size_t k,
+                  std::uint64_t patterns, std::uint64_t uncorrectable,
+                  std::uint64_t undetectable) {
+  ASSERT_LT(k, code.by_errors.size());
+  const PatternCounts& counts = code.by_errors[k];
+  EXPECT_EQ(counts.patterns, patterns) << "k=" << k;
+  EXPECT_EQ(counts.uncorrectable, uncorrectable) << "k=" << k;
+  EXPECT_EQ(counts.undetectable, undetectable) << "k=" << k;
+}
+
+TEST(EnumerateCodeTest, SecdedCountsEveryPatternUpToFourBits) {
+  const EnumeratedCode code =
+      EnumerateCode(CodeKind::kSecded, kPaperWorstBer);
+  EXPECT_EQ(code.bits, 72u);
+  ASSERT_EQ(code.by_errors.size(), 5u);
+  ExpectCounts(code, 0, 1, 0, 0);
+  ExpectCounts(code, 1, 72, 0, 0);            // every single corrected
+  ExpectCounts(code, 2, 2556, 2556, 0);       // every double detected
+  ExpectCounts(code, 3, 59640, 59640, 34164);
+  ExpectCounts(code, 4, 1028790, 1028790, 8541);
+}
+
+TEST(EnumerateCodeTest, SecPassesOnlyCheckBitPairs) {
+  const EnumeratedCode code = EnumerateCode(CodeKind::kSec, kPaperWorstBer);
+  ASSERT_EQ(code.by_errors.size(), 5u);
+  ExpectCounts(code, 1, 72, 0, 0);
+  // SEC cannot flag, so every failure is silent. A pair of check bits
+  // leaves an unmatched syndrome and the data intact: the C(8,2) = 28
+  // such pairs pass.
+  ExpectCounts(code, 2, 2556, 2556 - 28, 2556 - 28);
+  ExpectCounts(code, 3, 59640, 59640, 59640);
+  ExpectCounts(code, 4, 1028790, 1028720, 1028720);
+  EXPECT_LT(code.probabilities.detectable_uncorrectable, 0.0);  // N/A
+}
+
+TEST(EnumerateCodeTest, ChipkillCorrectsOnlySameSymbolPatterns) {
+  const EnumeratedCode code =
+      EnumerateCode(CodeKind::kChipkill, kPaperWorstBer);
+  EXPECT_EQ(code.bits, 144u);
+  ASSERT_EQ(code.by_errors.size(), 4u);
+  ExpectCounts(code, 1, 144, 0, 0);
+  // 18 * C(8,2) = 504 pairs and 18 * C(8,3) = 1,008 triples stay in one
+  // symbol and are corrected; every other pattern fails.
+  EXPECT_EQ(code.by_errors[2].patterns, 10296u);
+  EXPECT_EQ(code.by_errors[2].uncorrectable, 10296u - 504u);
+  EXPECT_EQ(code.by_errors[3].patterns, 487344u);
+  EXPECT_EQ(code.by_errors[3].uncorrectable, 487344u - 1008u);
+}
+
+TEST(EnumerateCodeTest, ExactMatchesTheAnalyticModelWithinTheDroppedTail) {
+  // The analytic model calls every >= 2-bit (SECDED) or >= 2-symbol
+  // (SSC) error uncorrectable, which the counts above confirm pattern
+  // by pattern, so only the patterns left out can separate the two.
+  // At the paper's BER the SECDED gap equals its tail to the last few
+  // ulps of the ~1e-5 sums, hence a rounding slack.
+  const double slack = 1e-18;
+  for (const double ber : {kPaperWorstBer, 2e-3}) {
+    for (const CodeKind kind : {CodeKind::kSecded, CodeKind::kChipkill}) {
+      const EnumeratedCode exact = EnumerateCode(kind, ber);
+      const double analytic = AnalyzeCode(kind, ber).uncorrectable;
+      EXPECT_LE(exact.probabilities.uncorrectable, analytic + slack)
+          << ToString(kind) << " at " << ber;
+      EXPECT_LE(analytic - exact.probabilities.uncorrectable,
+                exact.dropped_tail + slack)
+          << ToString(kind) << " at " << ber;
+      EXPECT_GT(exact.dropped_tail, 0.0);
     }
-    const SscDecodeResult result = codec.Decode(word);
-    if (result.status == DecodeStatus::kDetected ||
-        result.data != data) {
-      ++uncorrectable;
-    }
   }
-  const double analytic =
-      AnalyzeCode(CodeKind::kChipkill, ber).uncorrectable;
-  EXPECT_NEAR(static_cast<double>(uncorrectable) / trials, analytic,
-              analytic * 0.15);
+  // The paper-BER values Table 3's cross-check prints.
+  EXPECT_NEAR(EnumerateCode(CodeKind::kSecded, kPaperWorstBer)
+                  .probabilities.uncorrectable,
+              1.483e-5, 0.001e-5);
+  EXPECT_NEAR(EnumerateCode(CodeKind::kChipkill, kPaperWorstBer)
+                  .probabilities.undetectable,
+              3.610e-6, 0.001e-6);
 }
 
 TEST(AnalysisTest, Names) {

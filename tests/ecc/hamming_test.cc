@@ -6,6 +6,7 @@
 #include <set>
 
 #include "common/rng.h"
+#include "ecc/hamming_oracle.h"
 
 namespace vrddram::ecc {
 namespace {
@@ -116,6 +117,49 @@ TEST(HammingTest, TripleErrorsMayEscapeSecded) {
     }
   }
   EXPECT_GT(undetected, 0) << "of " << checked << " triples";
+}
+
+TEST(HammingTest, TableDrivenDecodersMatchTheBitwiseReference) {
+  // Every pattern of <= 3 flipped bits of two codewords: the clean word,
+  // 72 singles, 2,556 pairs and 59,640 triples each.
+  const Hamming72 codec;
+  std::size_t patterns = 0;
+  for (const std::uint64_t data :
+       {0x0000000000000000ull, 0xDEADBEEFCAFEBABEull}) {
+    const Codeword72 clean = codec.Encode(data);
+    ASSERT_EQ(oracle::ReferenceDecode(codec, clean, true).status,
+              DecodeStatus::kClean);
+    const auto check = [&](const Codeword72& word) {
+      ++patterns;
+      for (const bool detect : {false, true}) {
+        const DecodeResult expected =
+            oracle::ReferenceDecode(codec, word, detect);
+        const DecodeResult actual =
+            detect ? codec.Decode(word) : codec.DecodeSecOnly(word);
+        ASSERT_EQ(actual.status, expected.status)
+            << std::hex << word.data << " / " << int{word.check};
+        ASSERT_EQ(actual.data, expected.data)
+            << std::hex << word.data << " / " << int{word.check};
+      }
+    };
+    check(clean);
+    for (std::size_t i = 0; i < 72; ++i) {
+      Codeword72 one = clean;
+      one.FlipBit(i);
+      check(one);
+      for (std::size_t j = i + 1; j < 72; ++j) {
+        Codeword72 two = one;
+        two.FlipBit(j);
+        check(two);
+        for (std::size_t k = j + 1; k < 72; ++k) {
+          Codeword72 three = two;
+          three.FlipBit(k);
+          check(three);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(patterns, 2u * (1 + 72 + 2556 + 59640));
 }
 
 TEST(HammingTest, BitAccessors) {
