@@ -7,7 +7,7 @@
  * each with 0%, 10%, 25%, and 50% safety margins.
  */
 #include <iostream>
-#include <map>
+#include <vector>
 
 #include "common/experiment.h"
 #include "common/thread_pool.h"
@@ -92,7 +92,7 @@ void AnalyzeFig14(const core::CampaignResult&, Report* report) {
 
   TextTable table({"RDT (margin)", "configured", "Graphene", "PRAC",
                    "PARA", "MINT"});
-  std::map<std::pair<int, int>, double> cell;  // (config idx, kind idx)
+  std::vector<double> mean_of(std::size(configs) * num_kinds);
   for (std::size_t c = 0; c < std::size(configs); ++c) {
     std::vector<std::string> row = {
         Cell(configs[c].base_rdt) + " (" + Cell(configs[c].margin_pct) +
@@ -106,7 +106,7 @@ void AnalyzeFig14(const core::CampaignResult&, Report* report) {
         sum += normalized[(c * num_kinds + k) * mixes.size() + m];
       }
       const double mean = sum / static_cast<double>(mixes.size());
-      cell[{static_cast<int>(c), static_cast<int>(k)}] = mean;
+      mean_of[c * num_kinds + k] = mean;
       row.push_back(Cell(mean, 3));
     }
     table.AddRow(row);
@@ -133,9 +133,10 @@ void AnalyzeFig14(const core::CampaignResult&, Report* report) {
   }
 
   PrintBanner(out, "§6.3 checks (losses relative to no margin)");
-  auto loss_vs_margin0 = [&](int kind, int margin_cfg, int base_cfg) {
-    return 100.0 * (1.0 - cell[{margin_cfg, kind}] /
-                              cell[{base_cfg, kind}]);
+  auto loss_vs_margin0 = [&](std::size_t kind, std::size_t margin_cfg,
+                             std::size_t base_cfg) {
+    return 100.0 * (1.0 - mean_of[margin_cfg * num_kinds + kind] /
+                              mean_of[base_cfg * num_kinds + kind]);
   };
   // At RDT = 128: 10% margin costs Graphene 1.0%, PRAC 0.0%,
   // PARA 5.9%, MINT 0.0%; 50% margin costs 8.5 / 7.6 / 35.0 / 45.0%.

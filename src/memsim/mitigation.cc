@@ -1,23 +1,11 @@
 #include "memsim/mitigation.h"
 
 #include <algorithm>
-#include <cmath>
+#include <bit>
 
 #include "common/error.h"
-#include "common/sorted.h"
 
 namespace vrddram::memsim {
-
-std::string ToString(MitigationKind kind) {
-  switch (kind) {
-    case MitigationKind::kNone: return "None";
-    case MitigationKind::kGraphene: return "Graphene";
-    case MitigationKind::kPrac: return "PRAC";
-    case MitigationKind::kPara: return "PARA";
-    case MitigationKind::kMint: return "MINT";
-  }
-  throw PanicError("unknown mitigation kind");
-}
 
 MitigationCosts MitigationCosts::FromTiming(
     const dram::TimingParams& timing) {
@@ -44,7 +32,7 @@ std::unique_ptr<Mitigation> MakeMitigation(
     case MitigationKind::kPara:
       return std::make_unique<Para>(rdt, costs, seed);
     case MitigationKind::kMint:
-      return std::make_unique<Mint>(rdt, costs, seed);
+      return std::make_unique<Mint>(rdt, costs);
   }
   throw PanicError("unknown mitigation kind");
 }
@@ -64,9 +52,8 @@ Graphene::Graphene(std::uint64_t rdt, MitigationCosts costs)
       std::clamp<std::uint64_t>(acts_per_window / threshold_, 8, 4096));
 }
 
-Penalty Graphene::OnActivate(std::uint32_t bank, std::uint32_t row,
-                             Tick now) {
-  (void)now;
+Penalty Graphene::OnActivate(std::uint32_t bank, std::uint32_t row) {
+  VRD_ASSERT(bank < kNumBanks);
   std::vector<Entry>& table = tables_[bank];
   for (Entry& entry : table) {
     if (entry.row == row) {
@@ -85,9 +72,8 @@ Penalty Graphene::OnActivate(std::uint32_t bank, std::uint32_t row,
     table.push_back(Entry{row, 1});
     return Penalty{};
   }
-  // Misra-Gries: decrement all when the table is full and the row is
-  // untracked (the spill counter absorbs the increment).
-  ++spill_count_;
+  // Misra-Gries: when the table is full and the row is untracked, the
+  // activation cancels against one count of every tracked row.
   for (Entry& entry : table) {
     if (entry.count > 0) {
       --entry.count;
@@ -97,17 +83,6 @@ Penalty Graphene::OnActivate(std::uint32_t bank, std::uint32_t row,
   return Penalty{};
 }
 
-std::vector<std::pair<std::uint32_t, std::vector<Graphene::Entry>>>
-Graphene::SortedTables() const {
-  auto tables = SortedByKey(tables_);
-  for (auto& [bank, table] : tables) {
-    (void)bank;
-    std::sort(table.begin(), table.end(),
-              [](const Entry& a, const Entry& b) { return a.row < b.row; });
-  }
-  return tables;
-}
-
 // -- PRAC --------------------------------------------------------------------
 
 Prac::Prac(std::uint64_t rdt, MitigationCosts costs) : costs_(costs) {
@@ -115,13 +90,10 @@ Prac::Prac(std::uint64_t rdt, MitigationCosts costs) : costs_(costs) {
   // Back-off when a row's count reaches ~40% of the threshold, leaving
   // headroom for the ALERT handshake latency and in-flight activations
   // (the Chronus/PRAC analyses use similarly conservative margins).
-  threshold_ = std::max<std::uint64_t>(
-      2, static_cast<std::uint64_t>(static_cast<double>(rdt) * 0.4));
+  threshold_ = std::max<std::uint64_t>(2, rdt * 2 / 5);
 }
 
-Penalty Prac::OnActivate(std::uint32_t bank, std::uint32_t row,
-                         Tick now) {
-  (void)now;
+Penalty Prac::OnActivate(std::uint32_t bank, std::uint32_t row) {
   const std::uint64_t key =
       (static_cast<std::uint64_t>(bank) << 32) | row;
   std::uint64_t& count = counters_[key];
@@ -136,11 +108,6 @@ Penalty Prac::OnActivate(std::uint32_t bank, std::uint32_t row,
   return penalty;
 }
 
-std::vector<std::pair<std::uint64_t, std::uint64_t>> Prac::SortedCounters()
-    const {
-  return SortedByKey(counters_);
-}
-
 // -- PARA --------------------------------------------------------------------
 
 Para::Para(std::uint64_t rdt, MitigationCosts costs, std::uint64_t seed)
@@ -152,11 +119,9 @@ Para::Para(std::uint64_t rdt, MitigationCosts costs, std::uint64_t seed)
   probability_ = std::min(1.0, kLnEps / static_cast<double>(rdt));
 }
 
-Penalty Para::OnActivate(std::uint32_t bank, std::uint32_t row,
-                         Tick now) {
+Penalty Para::OnActivate(std::uint32_t bank, std::uint32_t row) {
   (void)bank;
   (void)row;
-  (void)now;
   if (rng_.NextBernoulli(probability_)) {
     ++preventive_actions_;
     Penalty penalty;
@@ -169,22 +134,24 @@ Penalty Para::OnActivate(std::uint32_t bank, std::uint32_t row,
 
 // -- MINT --------------------------------------------------------------------
 
-Mint::Mint(std::uint64_t rdt, MitigationCosts costs, std::uint64_t seed)
-    : costs_(costs), rng_(seed) {
+Mint::Mint(std::uint64_t rdt, MitigationCosts costs) : costs_(costs) {
   VRD_FATAL_IF(rdt < 8, "RDT too small to configure MINT");
-  // One RFM per rdt/8 activations keeps the sampled-aggressor bound
-  // below the threshold; the interval is quantized to a power of two
-  // (the tracker's window register), which is why small threshold
-  // changes (128 -> 115) often do not change MINT's behaviour at all.
+  // One RFM per rdt/16 activations keeps the sampled-aggressor bound
+  // below the threshold; the interval is quantized to the nearest power
+  // of two (the tracker's window register), which is why small
+  // threshold changes (128 -> 115) often do not change MINT's
+  // behaviour at all. Nearest in log2: raw rounds up to 2p exactly when
+  // log2(raw) >= log2(p) + 1/2, i.e. raw^2 >= 2p^2 (squared in 128 bits).
+  using Uint128 = unsigned __int128;
   const std::uint64_t raw = std::max<std::uint64_t>(2, rdt / 16);
-  rfm_interval_ = std::uint64_t{1} << static_cast<unsigned>(
-      std::lround(std::log2(static_cast<double>(raw))));
+  const std::uint64_t p = std::bit_floor(raw);
+  rfm_interval_ =
+      Uint128{raw} * raw >= 2 * Uint128{p} * p ? 2 * p : p;
 }
 
-Penalty Mint::OnActivate(std::uint32_t bank, std::uint32_t row,
-                         Tick now) {
+Penalty Mint::OnActivate(std::uint32_t bank, std::uint32_t row) {
   (void)row;
-  (void)now;
+  VRD_ASSERT(bank < kNumBanks);
   std::uint64_t& count = acts_since_rfm_[bank];
   Penalty penalty;
   if (++count >= rfm_interval_) {
@@ -195,11 +162,6 @@ Penalty Mint::OnActivate(std::uint32_t bank, std::uint32_t row,
     penalty.extra_activations = 4;  // refresh-management row cycles
   }
   return penalty;
-}
-
-std::vector<std::pair<std::uint32_t, std::uint64_t>>
-Mint::SortedBankCounters() const {
-  return SortedByKey(acts_since_rfm_);
 }
 
 }  // namespace vrddram::memsim

@@ -12,11 +12,10 @@
 #ifndef VRDDRAM_MEMSIM_MITIGATION_H
 #define VRDDRAM_MEMSIM_MITIGATION_H
 
+#include <array>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -33,7 +32,8 @@ enum class MitigationKind : std::uint8_t {
   kMint,
 };
 
-std::string ToString(MitigationKind kind);
+/// Banks per channel; every engine's per-bank state has this many slots.
+constexpr std::uint32_t kNumBanks = 32;
 
 /// Cost constants shared by the engines (derived from the timing set).
 struct MitigationCosts {
@@ -56,10 +56,9 @@ class Mitigation {
  public:
   virtual ~Mitigation() = default;
 
-  /// Row activation in `bank`; returns the preventive-action cost.
-  virtual Penalty OnActivate(std::uint32_t bank, std::uint32_t row,
-                             Tick now) = 0;
-  virtual MitigationKind kind() const = 0;
+  /// Row activation in `bank` (< kNumBanks); returns the
+  /// preventive-action cost.
+  virtual Penalty OnActivate(std::uint32_t bank, std::uint32_t row) = 0;
 
   /// Total preventive actions taken (stats).
   std::uint64_t preventive_actions() const { return preventive_actions_; }
@@ -81,10 +80,9 @@ std::unique_ptr<Mitigation> MakeMitigation(
 /// No mitigation: the Fig. 14 baseline.
 class NoMitigation final : public Mitigation {
  public:
-  Penalty OnActivate(std::uint32_t, std::uint32_t, Tick) override {
+  Penalty OnActivate(std::uint32_t, std::uint32_t) override {
     return Penalty{};
   }
-  MitigationKind kind() const override { return MitigationKind::kNone; }
 };
 
 /**
@@ -95,32 +93,19 @@ class NoMitigation final : public Mitigation {
 class Graphene final : public Mitigation {
  public:
   Graphene(std::uint64_t rdt, MitigationCosts costs);
-  Penalty OnActivate(std::uint32_t bank, std::uint32_t row,
-                     Tick now) override;
-  MitigationKind kind() const override {
-    return MitigationKind::kGraphene;
-  }
+  Penalty OnActivate(std::uint32_t bank, std::uint32_t row) override;
   std::uint64_t threshold() const { return threshold_; }
 
+ private:
   struct Entry {
     std::uint32_t row = 0;
     std::uint64_t count = 0;
   };
-  /**
-   * Bank-sorted snapshot of the Misra-Gries tables, each table's
-   * entries sorted by row. All stats/output over tracker state go
-   * through this (never the raw hash map), so reported rows are a pure
-   * function of the tracked counts — DESIGN.md §6.
-   */
-  std::vector<std::pair<std::uint32_t, std::vector<Entry>>> SortedTables()
-      const;
 
- private:
   std::uint64_t threshold_;
   std::size_t table_size_;
   MitigationCosts costs_;
-  std::unordered_map<std::uint32_t, std::vector<Entry>> tables_;
-  std::uint64_t spill_count_ = 0;
+  std::array<std::vector<Entry>, kNumBanks> tables_;
 };
 
 /**
@@ -132,20 +117,14 @@ class Graphene final : public Mitigation {
 class Prac final : public Mitigation {
  public:
   Prac(std::uint64_t rdt, MitigationCosts costs);
-  Penalty OnActivate(std::uint32_t bank, std::uint32_t row,
-                     Tick now) override;
-  MitigationKind kind() const override { return MitigationKind::kPrac; }
+  Penalty OnActivate(std::uint32_t bank, std::uint32_t row) override;
   std::uint64_t threshold() const { return threshold_; }
   static constexpr Tick kPerActTax = 1 * units::kNanosecond;
-
-  /// Key-sorted ((bank << 32) | row, count) snapshot of the per-row
-  /// activation counters; the only sanctioned way to enumerate them.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> SortedCounters()
-      const;
 
  private:
   std::uint64_t threshold_;
   MitigationCosts costs_;
+  /// Keyed (bank << 32) | row and only ever looked up, never walked.
   std::unordered_map<std::uint64_t, std::uint64_t> counters_;
 };
 
@@ -157,9 +136,7 @@ class Prac final : public Mitigation {
 class Para final : public Mitigation {
  public:
   Para(std::uint64_t rdt, MitigationCosts costs, std::uint64_t seed);
-  Penalty OnActivate(std::uint32_t bank, std::uint32_t row,
-                     Tick now) override;
-  MitigationKind kind() const override { return MitigationKind::kPara; }
+  Penalty OnActivate(std::uint32_t bank, std::uint32_t row) override;
   double probability() const { return probability_; }
 
  private:
@@ -170,26 +147,19 @@ class Para final : public Mitigation {
 
 /**
  * MINT: a minimalist in-DRAM tracker that mitigates one sampled
- * aggressor per RFM; security requires one RFM per ~RDT/8 activations,
- * modeled as a periodic RFM blackout every K activations per bank.
+ * aggressor per RFM, modeled as a periodic RFM blackout every K
+ * activations per bank, with K the power of two nearest RDT/16.
  */
 class Mint final : public Mitigation {
  public:
-  Mint(std::uint64_t rdt, MitigationCosts costs, std::uint64_t seed);
-  Penalty OnActivate(std::uint32_t bank, std::uint32_t row,
-                     Tick now) override;
-  MitigationKind kind() const override { return MitigationKind::kMint; }
+  Mint(std::uint64_t rdt, MitigationCosts costs);
+  Penalty OnActivate(std::uint32_t bank, std::uint32_t row) override;
   std::uint64_t rfm_interval() const { return rfm_interval_; }
-
-  /// Bank-sorted (bank, activations-since-RFM) snapshot.
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> SortedBankCounters()
-      const;
 
  private:
   std::uint64_t rfm_interval_;
   MitigationCosts costs_;
-  Rng rng_;
-  std::unordered_map<std::uint32_t, std::uint64_t> acts_since_rfm_;
+  std::array<std::uint64_t, kNumBanks> acts_since_rfm_{};
 };
 
 }  // namespace vrddram::memsim

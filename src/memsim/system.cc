@@ -9,9 +9,8 @@ namespace vrddram::memsim {
 
 namespace {
 
-/// The channel: one DDR5-8800 rank of 32 banks of 2^17 rows.
+/// The channel: one DDR5-8800 rank of kNumBanks banks of 2^17 rows.
 const dram::TimingParams kTiming = dram::MakeDdr5_8800();
-constexpr std::uint32_t kNumBanks = 32;
 constexpr std::uint32_t kRowsPerBank = 1u << 17;
 /// Outstanding misses per core.
 constexpr std::uint32_t kMlp = 8;
@@ -29,13 +28,11 @@ SystemResult SimulateMix(const WorkloadMix& mix,
   std::vector<Tick> think(num_cores);
   std::vector<std::vector<Tick>> completion_window(num_cores);
   std::vector<std::uint64_t> issued(num_cores, 0);
-  std::vector<Tick> last_issue(num_cores, 0);
   std::vector<Tick> next_issue(num_cores, 0);
   std::vector<Tick> core_finish(num_cores, 0);
   generators.reserve(num_cores);
   for (std::size_t c = 0; c < num_cores; ++c) {
-    generators.emplace_back(static_cast<std::uint32_t>(c), mix.cores[c],
-                            kNumBanks, kRowsPerBank,
+    generators.emplace_back(mix.cores[c], kNumBanks, kRowsPerBank,
                             MixSeed(config.seed, c, 0x3e4));
     think[c] = generators.back().ThinkTime();
     completion_window[c].assign(kMlp, 0);
@@ -60,7 +57,6 @@ SystemResult SimulateMix(const WorkloadMix& mix,
 
   const std::uint64_t total_requests =
       static_cast<std::uint64_t>(config.requests_per_core) * num_cores;
-  std::uint64_t served = 0;
 
   // Each core exposes one head-of-line request; the scheduler picks
   // among the heads.
@@ -69,7 +65,7 @@ SystemResult SimulateMix(const WorkloadMix& mix,
     head[c] = generators[c].Next();
   }
 
-  while (served < total_requests) {
+  while (result.total_requests < total_requests) {
     // Pick a head per the configured policy.
     std::size_t core = num_cores;
     if (config.scheduler == Scheduler::kInOrder) {
@@ -145,7 +141,7 @@ SystemResult SimulateMix(const WorkloadMix& mix,
       ++result.activations;
       const Tick act_at = std::max(start, rank_act_free);
       const Penalty penalty =
-          mitigation->OnActivate(request.bank, request.row, act_at);
+          mitigation->OnActivate(request.bank, request.row);
       const Tick act_wait = act_at - start;
       access_latency = act_wait + t.tRP + t.tRCD + penalty.bank_busy +
                        (request.is_write ? t.tCWL : t.tCL);
@@ -181,7 +177,6 @@ SystemResult SimulateMix(const WorkloadMix& mix,
     // the (k+1-MLP)th completion.
     const std::uint64_t k = issued[core];
     completion_window[core][k % kMlp] = completion;
-    last_issue[core] = issue_time;
     ++issued[core];
     Tick pace = issue_time + think[core];
     if (issued[core] >= kMlp) {
@@ -191,7 +186,6 @@ SystemResult SimulateMix(const WorkloadMix& mix,
     }
     next_issue[core] = pace;
     core_finish[core] = std::max(core_finish[core], completion);
-    ++served;
   }
 
   result.preventive_actions = mitigation->preventive_actions();

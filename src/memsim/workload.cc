@@ -50,13 +50,11 @@ std::vector<WorkloadMix> MakeHighMemoryIntensityMixes(std::uint64_t seed) {
   return mixes;
 }
 
-CoreGenerator::CoreGenerator(std::uint32_t core_id,
-                             const CoreProfile& profile,
+CoreGenerator::CoreGenerator(const CoreProfile& profile,
                              std::uint32_t num_banks,
                              std::uint32_t rows_per_bank,
                              std::uint64_t seed)
-    : core_id_(core_id),
-      profile_(profile),
+    : profile_(profile),
       num_banks_(num_banks),
       rows_per_bank_(rows_per_bank),
       rng_(seed) {
@@ -86,7 +84,6 @@ Request CoreGenerator::Next() {
     current_row_ = hot_rows_[rng_.NextBelow(hot_rows_.size())];
   }
   Request request;
-  request.core = core_id_;
   request.bank = current_bank_;
   request.row = current_row_;
   request.is_write = rng_.NextBernoulli(profile_.write_fraction);

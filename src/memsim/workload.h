@@ -40,7 +40,6 @@ std::vector<WorkloadMix> MakeHighMemoryIntensityMixes(
 
 /// One memory request produced by a core generator.
 struct Request {
-  std::uint32_t core = 0;
   std::uint32_t bank = 0;
   std::uint32_t row = 0;
   bool is_write = false;
@@ -53,19 +52,15 @@ struct Request {
  */
 class CoreGenerator {
  public:
-  CoreGenerator(std::uint32_t core_id, const CoreProfile& profile,
-                std::uint32_t num_banks, std::uint32_t rows_per_bank,
-                std::uint64_t seed);
+  CoreGenerator(const CoreProfile& profile, std::uint32_t num_banks,
+                std::uint32_t rows_per_bank, std::uint64_t seed);
 
   Request Next();
 
   /// Average core-time between requests (from MPKI and core IPC).
   Tick ThinkTime() const;
 
-  const CoreProfile& profile() const { return profile_; }
-
  private:
-  std::uint32_t core_id_;
   CoreProfile profile_;
   std::uint32_t num_banks_;
   std::uint32_t rows_per_bank_;

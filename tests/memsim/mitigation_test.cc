@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <utility>
 
 #include "common/error.h"
+#include "common/rng.h"
 
 namespace vrddram::memsim {
 namespace {
@@ -17,20 +19,25 @@ bool IsFree(const Penalty& p) {
 }
 
 TEST(MitigationTest, FactoryBuildsEveryKind) {
-  for (const MitigationKind kind :
-       {MitigationKind::kNone, MitigationKind::kGraphene,
-        MitigationKind::kPrac, MitigationKind::kPara,
-        MitigationKind::kMint}) {
-    const auto mitigation = MakeMitigation(kind, 1024, kTiming, 1);
-    ASSERT_NE(mitigation, nullptr);
-    EXPECT_EQ(mitigation->kind(), kind);
-  }
+  auto make = [](MitigationKind kind) {
+    return MakeMitigation(kind, 1024, kTiming, 1);
+  };
+  EXPECT_NE(dynamic_cast<NoMitigation*>(make(MitigationKind::kNone).get()),
+            nullptr);
+  EXPECT_NE(dynamic_cast<Graphene*>(make(MitigationKind::kGraphene).get()),
+            nullptr);
+  EXPECT_NE(dynamic_cast<Prac*>(make(MitigationKind::kPrac).get()),
+            nullptr);
+  EXPECT_NE(dynamic_cast<Para*>(make(MitigationKind::kPara).get()),
+            nullptr);
+  EXPECT_NE(dynamic_cast<Mint*>(make(MitigationKind::kMint).get()),
+            nullptr);
 }
 
 TEST(MitigationTest, NoMitigationIsFree) {
   NoMitigation none;
   for (int i = 0; i < 1000; ++i) {
-    EXPECT_TRUE(IsFree(none.OnActivate(0, 5, i)));
+    EXPECT_TRUE(IsFree(none.OnActivate(0, 5)));
   }
   EXPECT_EQ(none.preventive_actions(), 0u);
 }
@@ -44,7 +51,7 @@ TEST(MitigationTest, GrapheneTriggersAtThreshold) {
   Tick total_penalty = 0;
   std::uint32_t total_extra_acts = 0;
   for (std::uint64_t i = 0; i < threshold; ++i) {
-    const Penalty penalty = graphene.OnActivate(0, 42, 0);
+    const Penalty penalty = graphene.OnActivate(0, 42);
     total_penalty += penalty.bank_busy;
     total_extra_acts += penalty.extra_activations;
   }
@@ -54,7 +61,7 @@ TEST(MitigationTest, GrapheneTriggersAtThreshold) {
   // Counter reset: the next threshold-1 activations are free.
   total_penalty = 0;
   for (std::uint64_t i = 0; i + 1 < threshold; ++i) {
-    total_penalty += graphene.OnActivate(0, 42, 0).bank_busy;
+    total_penalty += graphene.OnActivate(0, 42).bank_busy;
   }
   EXPECT_EQ(total_penalty, 0);
 }
@@ -66,10 +73,49 @@ TEST(MitigationTest, GrapheneTracksPerBank) {
   // its own counter, so neither reaches the threshold.
   Tick penalty = 0;
   for (std::uint64_t i = 0; i < threshold - 1; ++i) {
-    penalty += graphene.OnActivate(0, 7, 0).bank_busy;
-    penalty += graphene.OnActivate(1, 7, 0).bank_busy;
+    penalty += graphene.OnActivate(0, 7).bank_busy;
+    penalty += graphene.OnActivate(1, 7).bank_busy;
   }
   EXPECT_EQ(penalty, 0);
+}
+
+TEST(MitigationTest, GrapheneSpillsArePinned) {
+  // Hot rows 0-3 share two banks with a stream of cold rows that keeps
+  // the 64-entry tables full, so the Misra-Gries decrement-all path
+  // runs and delays the hot rows' refreshes: an unbounded table would
+  // take 96 actions (each hot row gets ~12,500 activations).
+  Graphene graphene(4096, MitigationCosts::FromTiming(kTiming));
+  ASSERT_EQ(graphene.threshold(), 1024u);
+  Rng rng(7);
+  for (int i = 0; i < 200000; ++i) {
+    const auto bank = static_cast<std::uint32_t>(rng.NextBelow(2));
+    const auto row = static_cast<std::uint32_t>(
+        rng.NextBernoulli(0.5) ? rng.NextBelow(4) : rng.NextBelow(1000));
+    graphene.OnActivate(bank, row);
+  }
+  EXPECT_EQ(graphene.preventive_actions(), 88u);
+}
+
+TEST(MitigationTest, PerBankEnginesRejectOutOfRangeBanks) {
+  const MitigationCosts costs = MitigationCosts::FromTiming(kTiming);
+  Graphene graphene(1024, costs);
+  Mint mint(1024, costs);
+  EXPECT_NO_THROW(graphene.OnActivate(kNumBanks - 1, 0));
+  EXPECT_NO_THROW(mint.OnActivate(kNumBanks - 1, 0));
+  EXPECT_THROW(graphene.OnActivate(kNumBanks, 0), PanicError);
+  EXPECT_THROW(mint.OnActivate(kNumBanks, 0), PanicError);
+}
+
+TEST(MitigationTest, PracThresholdIsTwoFifthsOfRdt) {
+  const MitigationCosts costs = MitigationCosts::FromTiming(kTiming);
+  // rdt * 2 / 5 in integers, floored at 2: every Fig. 14 configured
+  // RDT plus the smallest accepted one.
+  const std::pair<std::uint64_t, std::uint64_t> pins[] = {
+      {4, 2},     {64, 25},   {96, 38},   {115, 46},  {128, 51},
+      {512, 204}, {768, 307}, {921, 368}, {1024, 409}};
+  for (const auto& [rdt, threshold] : pins) {
+    EXPECT_EQ(Prac(rdt, costs).threshold(), threshold) << rdt;
+  }
 }
 
 TEST(MitigationTest, PracChargesPerActTaxAndBacksOff) {
@@ -79,7 +125,7 @@ TEST(MitigationTest, PracChargesPerActTaxAndBacksOff) {
   Tick bank_total = 0;
   Tick rank_total = 0;
   for (std::uint64_t i = 0; i < threshold; ++i) {
-    const Penalty penalty = prac.OnActivate(0, 9, 0);
+    const Penalty penalty = prac.OnActivate(0, 9);
     bank_total += penalty.bank_busy;
     rank_total += penalty.rank_busy;
   }
@@ -104,7 +150,7 @@ TEST(MitigationTest, ParaRefreshRateMatchesProbability) {
   const int n = 200000;
   int refreshes = 0;
   for (int i = 0; i < n; ++i) {
-    if (!IsFree(para.OnActivate(0, 1, 0))) {
+    if (!IsFree(para.OnActivate(0, 1))) {
       ++refreshes;
     }
   }
@@ -114,12 +160,14 @@ TEST(MitigationTest, ParaRefreshRateMatchesProbability) {
 
 TEST(MitigationTest, MintIntervalIsPowerOfTwo) {
   const MitigationCosts costs = MitigationCosts::FromTiming(kTiming);
-  for (const std::uint64_t rdt : {64u, 128u, 1024u, 100000u}) {
-    Mint mint(rdt, costs, 1);
+  // The power of two nearest rdt/16 in log2 (the tracker's window
+  // register): 115/16 = 7 rounds up to 8, 100000/16 = 6250 to 8192.
+  const std::pair<std::uint64_t, std::uint64_t> pins[] = {
+      {64, 4}, {115, 8}, {128, 8}, {1024, 64}, {100000, 8192}};
+  for (const auto& [rdt, interval] : pins) {
+    const Mint mint(rdt, costs);
     EXPECT_TRUE(std::has_single_bit(mint.rfm_interval())) << rdt;
-    // Nearest power of two of rdt/8 (the tracker's window register).
-    EXPECT_LE(mint.rfm_interval(),
-              2 * std::max<std::uint64_t>(2, rdt / 8));
+    EXPECT_EQ(mint.rfm_interval(), interval) << rdt;
   }
 }
 
@@ -127,21 +175,21 @@ TEST(MitigationTest, MintSmallMarginDoesNotChangeBehaviour) {
   // The paper's footnote 16: MINT's preventive actions do not change
   // when RDT drops from 128 to 115 (the interval register quantizes).
   const MitigationCosts costs = MitigationCosts::FromTiming(kTiming);
-  Mint at_128(128, costs, 1);
-  Mint at_115(115, costs, 1);
+  Mint at_128(128, costs);
+  Mint at_115(115, costs);
   EXPECT_EQ(at_128.rfm_interval(), at_115.rfm_interval());
   // A 50% margin does change it.
-  Mint at_64(64, costs, 1);
+  Mint at_64(64, costs);
   EXPECT_LT(at_64.rfm_interval(), at_128.rfm_interval());
 }
 
 TEST(MitigationTest, MintChargesRfmPeriodically) {
   const MitigationCosts costs = MitigationCosts::FromTiming(kTiming);
-  Mint mint(1024, costs, 1);
+  Mint mint(1024, costs);
   const std::uint64_t interval = mint.rfm_interval();
   Tick total = 0;
   for (std::uint64_t i = 0; i < interval * 5; ++i) {
-    total += mint.OnActivate(0, static_cast<std::uint32_t>(i), 0).bank_busy;
+    total += mint.OnActivate(0, static_cast<std::uint32_t>(i)).bank_busy;
   }
   EXPECT_EQ(total, 5 * costs.rfm);
   EXPECT_EQ(mint.preventive_actions(), 5u);
@@ -152,53 +200,7 @@ TEST(MitigationTest, TooSmallRdtRejected) {
   EXPECT_THROW(Graphene(2, costs), FatalError);
   EXPECT_THROW(Prac(2, costs), FatalError);
   EXPECT_THROW(Para(1, costs, 1), FatalError);
-  EXPECT_THROW(Mint(4, costs, 1), FatalError);
-}
-
-TEST(MitigationTest, SortedSnapshotsAreKeyOrdered) {
-  const MitigationCosts costs = MitigationCosts::FromTiming(kTiming);
-
-  Graphene graphene(1024, costs);
-  graphene.OnActivate(3, 90, 0);
-  graphene.OnActivate(1, 70, 0);
-  graphene.OnActivate(1, 50, 0);
-  const auto tables = graphene.SortedTables();
-  ASSERT_EQ(tables.size(), 2u);
-  EXPECT_EQ(tables[0].first, 1u);
-  EXPECT_EQ(tables[1].first, 3u);
-  ASSERT_EQ(tables[0].second.size(), 2u);
-  EXPECT_EQ(tables[0].second[0].row, 50u);
-  EXPECT_EQ(tables[0].second[1].row, 70u);
-  EXPECT_EQ(tables[0].second[0].count, 1u);
-
-  Prac prac(1024, costs);
-  prac.OnActivate(2, 9, 0);
-  prac.OnActivate(0, 4, 0);
-  prac.OnActivate(0, 4, 0);
-  const auto counters = prac.SortedCounters();
-  ASSERT_EQ(counters.size(), 2u);
-  EXPECT_EQ(counters[0].first, (std::uint64_t{0} << 32) | 4u);
-  EXPECT_EQ(counters[0].second, 2u);
-  EXPECT_EQ(counters[1].first, (std::uint64_t{2} << 32) | 9u);
-
-  Mint mint(1024, costs, 1);
-  mint.OnActivate(5, 1, 0);
-  mint.OnActivate(2, 1, 0);
-  mint.OnActivate(2, 2, 0);
-  const auto banks = mint.SortedBankCounters();
-  ASSERT_EQ(banks.size(), 2u);
-  EXPECT_EQ(banks[0].first, 2u);
-  EXPECT_EQ(banks[0].second, 2u);
-  EXPECT_EQ(banks[1].first, 5u);
-  EXPECT_EQ(banks[1].second, 1u);
-}
-
-TEST(MitigationTest, Names) {
-  EXPECT_EQ(ToString(MitigationKind::kGraphene), "Graphene");
-  EXPECT_EQ(ToString(MitigationKind::kPrac), "PRAC");
-  EXPECT_EQ(ToString(MitigationKind::kPara), "PARA");
-  EXPECT_EQ(ToString(MitigationKind::kMint), "MINT");
-  EXPECT_EQ(ToString(MitigationKind::kNone), "None");
+  EXPECT_THROW(Mint(4, costs), FatalError);
 }
 
 }  // namespace

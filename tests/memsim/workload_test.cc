@@ -33,8 +33,8 @@ TEST(WorkloadTest, MixesAreDeterministic) {
 
 TEST(WorkloadTest, GeneratorIsDeterministic) {
   const CoreProfile profile{"p", 30.0, 0.5, 0.2, 64};
-  CoreGenerator a(0, profile, 32, 1024, 7);
-  CoreGenerator b(0, profile, 32, 1024, 7);
+  CoreGenerator a(profile, 32, 1024, 7);
+  CoreGenerator b(profile, 32, 1024, 7);
   for (int i = 0; i < 1000; ++i) {
     const Request ra = a.Next();
     const Request rb = b.Next();
@@ -46,20 +46,19 @@ TEST(WorkloadTest, GeneratorIsDeterministic) {
 
 TEST(WorkloadTest, AddressesStayInBounds) {
   const CoreProfile profile{"p", 30.0, 0.3, 0.2, 256};
-  CoreGenerator gen(1, profile, 8, 128, 9);
+  CoreGenerator gen(profile, 8, 128, 9);
   for (int i = 0; i < 5000; ++i) {
     const Request r = gen.Next();
     EXPECT_LT(r.bank, 8u);
     EXPECT_LT(r.row, 128u);
-    EXPECT_EQ(r.core, 1u);
   }
 }
 
 TEST(WorkloadTest, LocalityControlsRowReuse) {
   const CoreProfile local{"local", 30.0, 0.9, 0.0, 64};
   const CoreProfile random{"random", 30.0, 0.05, 0.0, 64};
-  CoreGenerator local_gen(0, local, 32, 65536, 3);
-  CoreGenerator random_gen(0, random, 32, 65536, 3);
+  CoreGenerator local_gen(local, 32, 65536, 3);
+  CoreGenerator random_gen(random, 32, 65536, 3);
 
   auto reuse_rate = [](CoreGenerator& gen) {
     Request prev = gen.Next();
@@ -81,8 +80,8 @@ TEST(WorkloadTest, LocalityControlsRowReuse) {
 TEST(WorkloadTest, ThinkTimeInverseInMpki) {
   const CoreProfile slow{"slow", 20.0, 0.5, 0.2, 64};
   const CoreProfile fast{"fast", 80.0, 0.5, 0.2, 64};
-  CoreGenerator slow_gen(0, slow, 32, 1024, 1);
-  CoreGenerator fast_gen(0, fast, 32, 1024, 1);
+  CoreGenerator slow_gen(slow, 32, 1024, 1);
+  CoreGenerator fast_gen(fast, 32, 1024, 1);
   EXPECT_GT(slow_gen.ThinkTime(), fast_gen.ThinkTime());
   // MPKI 20 -> 50 instructions per miss -> 6.25 ns at 8 instr/ns.
   EXPECT_EQ(slow_gen.ThinkTime(), units::FromNs(6.25));
@@ -90,7 +89,7 @@ TEST(WorkloadTest, ThinkTimeInverseInMpki) {
 
 TEST(WorkloadTest, WriteFractionRespected) {
   const CoreProfile profile{"w", 30.0, 0.5, 0.35, 64};
-  CoreGenerator gen(0, profile, 32, 1024, 5);
+  CoreGenerator gen(profile, 32, 1024, 5);
   int writes = 0;
   const int n = 50000;
   for (int i = 0; i < n; ++i) {
@@ -119,7 +118,7 @@ TEST(WorkloadTest, MixesSpanMultipleArchetypes) {
 
 TEST(WorkloadTest, HotBanksBoundBankSpread) {
   const CoreProfile profile{"p", 30.0, 0.0, 0.2, 64, 4};
-  CoreGenerator gen(0, profile, 32, 1024, 11);
+  CoreGenerator gen(profile, 32, 1024, 11);
   std::set<std::uint32_t> banks;
   for (int i = 0; i < 5000; ++i) {
     banks.insert(gen.Next().bank);
