@@ -8,7 +8,7 @@
 #include <tuple>
 
 #include "common/error.h"
-#include "common/thread_pool.h"
+#include "common/shards.h"
 
 namespace vrddram::bench {
 

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <ostream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "common/error.h"
@@ -138,6 +139,15 @@ RunOptions ParseRunArgs(const std::vector<std::string>& args) {
   return options;
 }
 
+/// Creates the directory a `--<flag>=DIR` option names, and raises a
+/// FatalError naming the flag and the path when it cannot.
+void CreateFlagDirectory(const std::string& flag, const std::string& dir) {
+  std::error_code error;
+  std::filesystem::create_directories(dir, error);
+  VRD_FATAL_IF(error, "--" + flag + "=" + dir +
+                          ": cannot create directory: " + error.message());
+}
+
 int RunCommand(const std::vector<std::string>& args, std::ostream& out,
                std::ostream& err) {
   const RunOptions options = ParseRunArgs(args);
@@ -173,8 +183,13 @@ int RunCommand(const std::vector<std::string>& args, std::ostream& out,
 
   core::CampaignCache cache(options.cache_dir);
   core::CampaignCache* cache_ptr = options.no_cache ? nullptr : &cache;
+  // Both directories are made before any experiment runs, so a bad
+  // path fails fast instead of after a campaign has executed.
+  if (cache_ptr != nullptr && !options.cache_dir.empty()) {
+    CreateFlagDirectory("cache_dir", options.cache_dir);
+  }
   if (!options.out_dir.empty()) {
-    std::filesystem::create_directories(options.out_dir);
+    CreateFlagDirectory("out_dir", options.out_dir);
   }
 
   for (const ExperimentSpec* spec : selected) {

@@ -12,7 +12,9 @@
  * (prepend each experiment's tiny smoke parameters), `--no-cache`
  * (bypass the campaign cache), `--cache_dir=DIR` (persist cache
  * entries on disk), `--out_dir=DIR` (write each report to
- * DIR/<name>.txt instead of stdout). Every other `--key=value` token
+ * DIR/<name>.txt instead of stdout). Both directories are created
+ * before any experiment runs; one that cannot be created is a
+ * configuration error (exit 2). Every other `--key=value` token
  * is forwarded to the selected experiments; a forwarded flag that no
  * selected experiment declares aborts with the real schema.
  *

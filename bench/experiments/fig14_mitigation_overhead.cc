@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "common/experiment.h"
-#include "common/thread_pool.h"
+#include "common/shards.h"
 #include "core/guardband.h"
 #include "memsim/system.h"
 

@@ -2,18 +2,17 @@
  * @file
  * Throughput microbenchmarks (google-benchmark): how fast the
  * simulation substrate itself runs - analytic RDT measurements, series
- * analysis, raw fault-engine queries, campaign and thread-pool scaling,
+ * analysis, raw fault-engine queries, campaign thread scaling,
  * Poisson draws, and memory-system events.
  */
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "core/campaign.h"
 #include "core/rdt_profiler.h"
 #include "core/series_analysis.h"
@@ -118,21 +117,6 @@ BENCHMARK(BM_CampaignThreads)
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
-
-// Raw pool overhead: fan tiny tasks out over the work-stealing pool.
-void BM_ThreadPoolParallelFor(benchmark::State& state) {
-  ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  std::atomic<std::uint64_t> sum{0};
-  for (auto _ : state) {
-    pool.ParallelFor(1024, [&](std::size_t i) {
-      sum.fetch_add(i, std::memory_order_relaxed);
-    });
-  }
-  benchmark::DoNotOptimize(sum.load());
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) * 1024);
-}
-BENCHMARK(BM_ThreadPoolParallelFor)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 // Poisson draw throughput: row-state initialization is dominated by
 // per-cell/per-trap count draws, all served by PoissonSampler.

@@ -12,7 +12,7 @@
 #include "common/error.h"
 #include "common/faultinject.h"
 #include "common/telemetry.h"
-#include "common/thread_pool.h"
+#include "common/shards.h"
 #include "core/campaign_checkpoint.h"
 
 namespace vrddram::core {

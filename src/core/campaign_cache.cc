@@ -5,6 +5,7 @@
 #include <map>
 #include <ostream>
 #include <sstream>
+#include <system_error>
 #include <utility>
 
 #include "common/error.h"
@@ -130,7 +131,10 @@ bool CampaignCache::Store(const CampaignConfig& config,
   const std::uint64_t hash = HashCampaignConfig(config);
   memo_.insert_or_assign(hash, result);
   if (!dir_.empty()) {
-    std::filesystem::create_directories(dir_);
+    std::error_code error;
+    std::filesystem::create_directories(dir_, error);
+    VRD_FATAL_IF(error, "cannot create campaign cache directory '" + dir_ +
+                            "': " + error.message());
     CampaignCheckpoint checkpoint;
     checkpoint.config_hash = hash;
     checkpoint.shards = ToShardEntries(result);

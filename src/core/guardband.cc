@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <array>
+#include <memory>
 #include <ostream>
 #include <string>
 
 #include "common/error.h"
-#include "common/thread_pool.h"
+#include "common/shards.h"
 #include "core/campaign.h"
 
 namespace vrddram::core {

@@ -248,5 +248,29 @@ TEST(DriverTest, OutDirWritesOneReportPerExperiment) {
   std::filesystem::remove_all(out_dir);
 }
 
+TEST(DriverTest, DirectoryFlagNamingAFileFailsWithExitTwo) {
+  const std::string file =
+      (std::filesystem::path(::testing::TempDir()) / "vrddram_driver_file")
+          .string();
+  std::ofstream(file) << "not a directory\n";
+  // fig09 runs a campaign: the bad --cache_dir is refused before it
+  // executes, so stderr holds no campaign-cache line.
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"run", "table01_population", "--smoke",
+                                 "--out_dir=" + file},
+        std::vector<std::string>{"run", "fig09_density_die_rev", "--smoke",
+                                 "--cache_dir=" + file}}) {
+    const DriverRun run = Drive(args);
+    const std::string& flag = args.back();
+    EXPECT_EQ(run.exit_code, 2) << flag;
+    EXPECT_TRUE(run.out.empty()) << flag;
+    EXPECT_NE(run.err.find(flag + ": cannot create directory"),
+              std::string::npos)
+        << run.err;
+    EXPECT_EQ(run.err.find("campaign-cache"), std::string::npos) << run.err;
+  }
+  std::filesystem::remove(file);
+}
+
 }  // namespace
 }  // namespace vrddram::bench

@@ -168,6 +168,22 @@ TEST(CampaignCacheTest, RefusesToStoreQuarantinedCampaigns) {
   EXPECT_EQ(cache.stats().stores, 0u);
 }
 
+TEST(CampaignCacheTest, StoreUnderAFileRaisesFatalErrorNamingTheDirectory) {
+  const std::string file = TempCacheDir("file");
+  std::ofstream(file) << "not a directory\n";
+  CampaignCache cache(file);
+  const CampaignConfig config = TinyConfig();
+  try {
+    cache.Store(config, RunCampaign(config));
+    FAIL() << "expected a FatalError";
+  } catch (const FatalError& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + file + "'"),
+              std::string::npos)
+        << e.what();
+  }
+  std::filesystem::remove(file);
+}
+
 TEST(CampaignCacheTest, PartialEntryIsAMissNotAnError) {
   const std::string dir = TempCacheDir("partial");
   const CampaignConfig config = TinyConfig();
