@@ -146,7 +146,8 @@ std::string Flags::Describe(const std::vector<FlagSpec>& schema) {
   return os.str();
 }
 
-std::vector<std::string> ResolveDevices(const std::string& spec) {
+std::vector<std::string> ResolveDevices(const std::string& spec,
+                                        const std::string& flag) {
   if (spec == "all") {
     return vrd::AllDeviceNames();
   }
@@ -156,15 +157,24 @@ std::vector<std::string> ResolveDevices(const std::string& spec) {
   if (spec == "hbm2") {
     return vrd::Hbm2ChipNames();
   }
+  const std::vector<std::string>& known = vrd::AllDeviceNames();
+  const std::string where = "--" + flag + "=" + spec + ": ";
   std::vector<std::string> names;
   std::istringstream is(spec);
   std::string token;
   while (std::getline(is, token, ',')) {
-    if (!token.empty()) {
-      names.push_back(token);
+    if (token.empty()) {
+      continue;
     }
+    VRD_FATAL_IF(std::find(known.begin(), known.end(), token) == known.end(),
+                 where + "unknown device '" + token +
+                     "'; expected all, ddr4, hbm2 or a comma list of "
+                     "table01_population's devices");
+    VRD_FATAL_IF(std::find(names.begin(), names.end(), token) != names.end(),
+                 where + "device '" + token + "' is listed twice");
+    names.push_back(token);
   }
-  VRD_FATAL_IF(names.empty(), "no devices in --devices spec");
+  VRD_FATAL_IF(names.empty(), where + "no devices");
   return names;
 }
 
@@ -274,11 +284,33 @@ std::vector<std::optional<SingleRowAnalysis>> AnalyzeSingleRowSeries(
 
 void ClearSingleRowAnalyses() { SingleRowMemo().clear(); }
 
-void AddBoxRow(TextTable& table, const std::string& label,
+void AddBoxRow(TextTable& table, const std::vector<std::string>& labels,
                const stats::BoxStats& box, int precision) {
-  table.AddRow({label, Cell(box.min, precision), Cell(box.q1, precision),
-                Cell(box.median, precision), Cell(box.q3, precision),
-                Cell(box.max, precision), Cell(box.mean, precision)});
+  std::vector<std::string> row = labels;
+  for (const double value :
+       {box.min, box.q1, box.median, box.q3, box.max, box.mean}) {
+    row.push_back(Cell(value, precision));
+  }
+  table.AddRow(row);
+}
+
+double AddNormMinRows(TextTable& table,
+                      const std::vector<std::string>& labels,
+                      const std::vector<std::vector<double>>& per_n,
+                      const core::MinRdtSettings& settings) {
+  double median_n1 = std::nan("");
+  for (std::size_t i = 0; i < settings.sample_sizes.size(); ++i) {
+    const stats::BoxStats box = Box(per_n[i]);
+    std::vector<std::string> row = labels;
+    row.insert(row.end(),
+               {Cell(static_cast<std::uint64_t>(settings.sample_sizes[i])),
+                Cell(box.median, 4), Cell(box.max, 4), Cell(box.mean, 4)});
+    table.AddRow(row);
+    if (settings.sample_sizes[i] == 1) {
+      median_n1 = box.median;
+    }
+  }
+  return median_n1;
 }
 
 void PrintCheck(std::ostream& os, const std::string& name,

@@ -12,10 +12,12 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/table.h"
 #include "core/campaign.h"
+#include "core/min_rdt.h"
 #include "core/rdt_profiler.h"
 #include "core/series_analysis.h"
 #include "stats/descriptive.h"
@@ -76,9 +78,11 @@ class Flags {
   std::vector<FlagSpec> schema_;
 };
 
-/// Resolve a --devices= flag value: "all", "ddr4", "hbm2", or a
-/// comma-separated list of catalog names.
-std::vector<std::string> ResolveDevices(const std::string& spec);
+/// Resolve a device-set flag value: "all", "ddr4", "hbm2", or a
+/// comma-separated list of catalog names. An unknown or repeated name,
+/// or an empty list, raises FatalError naming `--<flag>` and the token.
+std::vector<std::string> ResolveDevices(const std::string& spec,
+                                        const std::string& flag = "devices");
 
 /// Print the per-shard execution summary (ok/retried/quarantined
 /// counts plus one line for each shard that did not run clean).
@@ -132,10 +136,41 @@ std::vector<std::optional<SingleRowAnalysis>> AnalyzeSingleRowSeries(
 /// `run` starts, so every run measures cold.
 void ClearSingleRowAnalyses();
 
-/// Append one box-and-whiskers row (min / Q1 / median / Q3 / max /
-/// mean) to a table.
-void AddBoxRow(TextTable& table, const std::string& label,
+/// Append one box-and-whiskers row (the labels, then min / Q1 / median
+/// / Q3 / max / mean) to a table.
+void AddBoxRow(TextTable& table, const std::vector<std::string>& labels,
                const stats::BoxStats& box, int precision = 0);
+
+/**
+ * The expected normalized minimum RDT of every record, grouped by
+ * `key_of(record)`: slot i of a group holds N = settings.sample_sizes[i],
+ * its values in record order. AnalyzeRowSeries throws on a record
+ * without flips.
+ */
+template <typename KeyOf>
+auto GroupNormMins(const core::CampaignResult& result,
+                   const core::MinRdtSettings& settings, KeyOf key_of) {
+  using Key = std::invoke_result_t<KeyOf, const core::SeriesRecord&>;
+  std::map<Key, std::vector<std::vector<double>>> groups;
+  for (const core::SeriesRecord& record : result.records) {
+    const core::RowMinRdtResult mc =
+        core::AnalyzeRowSeries(record.flips, settings);
+    auto& per_n = groups[key_of(record)];
+    per_n.resize(mc.per_n.size());
+    for (std::size_t i = 0; i < mc.per_n.size(); ++i) {
+      per_n[i].push_back(mc.per_n[i].expected_norm_min);
+    }
+  }
+  return groups;
+}
+
+/// Append one "labels..., N, median, max, mean" row per sample size of
+/// a GroupNormMins group, and return the median at N = 1 (NaN when
+/// `settings` has no N = 1).
+double AddNormMinRows(TextTable& table,
+                      const std::vector<std::string>& labels,
+                      const std::vector<std::vector<double>>& per_n,
+                      const core::MinRdtSettings& settings);
 
 /// Paper-vs-measured check line, greppable for EXPERIMENTS.md:
 /// "CHECK <name>: paper=<paper> measured=<measured>".

@@ -25,6 +25,10 @@ void AnalyzeFig01(const core::CampaignResult&, Report* report) {
   const std::uint64_t seed = flags.GetUint("seed");
   const std::string scan = flags.GetString("scan");
   const auto threads = static_cast<std::size_t>(flags.GetUint("threads"));
+  // A bad --scan fails before the headline row is measured.
+  const std::vector<std::string> scan_devices =
+      scan == "none" ? std::vector<std::string>{}
+                     : ResolveDevices(scan, "scan");
 
   PrintBanner(out, "Figure 1: RDT of one row over " +
                        std::to_string(measurements) +
@@ -97,7 +101,6 @@ void AnalyzeFig01(const core::CampaignResult&, Report* report) {
         {"device", "row", "first min at", "min RDT", "max/min"});
     const std::size_t scan_measurements =
         std::min<std::size_t>(measurements, 100000);
-    const std::vector<std::string> scan_devices = ResolveDevices(scan);
     const auto scanned = AnalyzeSingleRowSeries(
         scan_devices, scan_measurements, seed + 17, threads);
     std::size_t worst = 0;

@@ -39,7 +39,7 @@ void AnalyzeFig03(const core::CampaignResult&, Report* report) {
       continue;
     }
     const core::SeriesAnalysis& analysis = analyses[i]->analysis;
-    AddBoxRow(table, name, analysis.box);
+    AddBoxRow(table, {name}, analysis.box);
     if (analysis.max_over_min > worst_ratio) {
       worst_ratio = analysis.max_over_min;
       worst_device = name;

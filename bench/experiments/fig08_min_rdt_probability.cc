@@ -57,24 +57,19 @@ void AnalyzeFig08(const core::CampaignResult& result, Report* report) {
     }
   }
 
-  PrintBanner(out, "Top: P(find min RDT) across rows");
-  TextTable top({"N", "min", "Q1", "median", "Q3", "max", "mean"});
-  for (std::size_t i = 0; i < settings.sample_sizes.size(); ++i) {
-    AddBoxRow(top, Cell(static_cast<std::uint64_t>(
-                       settings.sample_sizes[i])),
-              Box(prob_by_n[i]), 4);
+  for (const auto& [title, by_n] :
+       {std::pair{"Top: P(find min RDT) across rows", &prob_by_n},
+        std::pair{"Middle: expected normalized value of the minimum RDT",
+                  &norm_by_n}}) {
+    PrintBanner(out, title);
+    TextTable panel({"N", "min", "Q1", "median", "Q3", "max", "mean"});
+    for (std::size_t i = 0; i < settings.sample_sizes.size(); ++i) {
+      AddBoxRow(panel,
+                {Cell(static_cast<std::uint64_t>(settings.sample_sizes[i]))},
+                Box((*by_n)[i]), 4);
+    }
+    panel.Print(out);
   }
-  top.Print(out);
-
-  PrintBanner(out,
-              "Middle: expected normalized value of the minimum RDT");
-  TextTable mid({"N", "min", "Q1", "median", "Q3", "max", "mean"});
-  for (std::size_t i = 0; i < settings.sample_sizes.size(); ++i) {
-    AddBoxRow(mid, Cell(static_cast<std::uint64_t>(
-                       settings.sample_sizes[i])),
-              Box(norm_by_n[i]), 4);
-  }
-  mid.Print(out);
 
   PrintBanner(out,
               "Bottom (Fig. 25): per-row scatter summary for N = 1");

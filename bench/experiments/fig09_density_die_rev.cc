@@ -5,12 +5,11 @@
  * (die density, die revision) combination. The VRD profile worsens
  * with density and with more advanced technology nodes.
  */
-#include <algorithm>
 #include <iostream>
 #include <map>
+#include <tuple>
 
 #include "common/experiment.h"
-#include "core/min_rdt.h"
 
 namespace vrddram::bench {
 namespace {
@@ -32,44 +31,20 @@ void AnalyzeFig09(const core::CampaignResult& result, Report* report) {
   PrintShardSummary(out, result);
 
   // Group rows by (manufacturer, density, die revision).
-  struct GroupKey {
-    vrd::Manufacturer mfr;
-    std::uint32_t density;
-    char rev;
-    bool operator<(const GroupKey& other) const {
-      return std::tie(mfr, density, rev) <
-             std::tie(other.mfr, other.density, other.rev);
-    }
-  };
-  std::map<GroupKey, std::vector<std::vector<double>>> groups;
-  for (const core::SeriesRecord& record : result.records) {
-    const core::RowMinRdtResult mc =
-        core::AnalyzeRowSeries(record.flips, settings);
-    auto& group =
-        groups[GroupKey{record.mfr, record.density_gbit,
-                        record.die_rev}];
-    if (group.empty()) {
-      group.resize(settings.sample_sizes.size());
-    }
-    for (std::size_t i = 0; i < mc.per_n.size(); ++i) {
-      group[i].push_back(mc.per_n[i].expected_norm_min);
-    }
-  }
+  using GroupKey = std::tuple<vrd::Manufacturer, std::uint32_t, char>;
+  const auto groups =
+      GroupNormMins(result, settings, [](const core::SeriesRecord& r) {
+        return GroupKey{r.mfr, r.density_gbit, r.die_rev};
+      });
 
   TextTable table({"mfr", "density/rev", "N", "median", "max", "mean"});
   std::map<GroupKey, double> median_n1;
   for (const auto& [key, per_n] : groups) {
-    for (std::size_t i = 0; i < settings.sample_sizes.size(); ++i) {
-      const stats::BoxStats box = Box(per_n[i]);
-      table.AddRow(
-          {ToString(key.mfr),
-           Cell(std::uint64_t{key.density}) + "Gb-" + key.rev,
-           Cell(static_cast<std::uint64_t>(settings.sample_sizes[i])),
-           Cell(box.median, 4), Cell(box.max, 4), Cell(box.mean, 4)});
-      if (settings.sample_sizes[i] == 1) {
-        median_n1[key] = box.median;
-      }
-    }
+    const auto& [mfr, density, rev] = key;
+    median_n1[key] = AddNormMinRows(
+        table,
+        {ToString(mfr), Cell(std::uint64_t{density}) + "Gb-" + rev},
+        per_n, settings);
   }
   table.Print(out);
 

@@ -9,7 +9,6 @@
 #include <map>
 
 #include "common/experiment.h"
-#include "core/min_rdt.h"
 
 namespace vrddram::bench {
 namespace {
@@ -31,44 +30,22 @@ void AnalyzeFig10(const core::CampaignResult& result, Report* report) {
 
   PrintShardSummary(out, result);
 
-  // group -> pattern -> per-N list of expected normalized minima.
-  std::map<std::string,
-           std::map<dram::DataPattern, std::vector<std::vector<double>>>>
-      groups;
-  for (const core::SeriesRecord& record : result.records) {
-    const core::RowMinRdtResult mc =
-        core::AnalyzeRowSeries(record.flips, settings);
-    auto& per_pattern =
-        groups[ManufacturerGroupName(record)][record.pattern];
-    if (per_pattern.empty()) {
-      per_pattern.resize(settings.sample_sizes.size());
-    }
-    for (std::size_t i = 0; i < mc.per_n.size(); ++i) {
-      per_pattern[i].push_back(mc.per_n[i].expected_norm_min);
-    }
-  }
+  const auto groups =
+      GroupNormMins(result, settings, [](const core::SeriesRecord& r) {
+        return std::pair{ManufacturerGroupName(r), r.pattern};
+      });
 
   TextTable table(
       {"group", "pattern", "N", "median", "max", "mean"});
   std::map<std::string, dram::DataPattern> worst_pattern;
   std::map<std::string, double> worst_median;
-  for (const auto& [group, per_pattern] : groups) {
-    for (const auto& [pattern, per_n] : per_pattern) {
-      for (std::size_t i = 0; i < settings.sample_sizes.size(); ++i) {
-        if (per_n[i].empty()) {
-          continue;
-        }
-        const stats::BoxStats box = Box(per_n[i]);
-        table.AddRow(
-            {group, ToString(pattern),
-             Cell(static_cast<std::uint64_t>(settings.sample_sizes[i])),
-             Cell(box.median, 4), Cell(box.max, 4), Cell(box.mean, 4)});
-        if (settings.sample_sizes[i] == 1 &&
-            box.median > worst_median[group]) {
-          worst_median[group] = box.median;
-          worst_pattern[group] = pattern;
-        }
-      }
+  for (const auto& [key, per_n] : groups) {
+    const auto& [group, pattern] = key;
+    const double median_n1 =
+        AddNormMinRows(table, {group, ToString(pattern)}, per_n, settings);
+    if (median_n1 > worst_median[group]) {
+      worst_median[group] = median_n1;
+      worst_pattern[group] = pattern;
     }
   }
   table.Print(out);

@@ -10,7 +10,6 @@
 #include <map>
 
 #include "common/experiment.h"
-#include "core/min_rdt.h"
 
 namespace vrddram::bench {
 namespace {
@@ -32,56 +31,30 @@ void AnalyzeFig11(const core::CampaignResult& result, Report* report) {
 
   PrintShardSummary(out, result);
 
-  std::map<std::string,
-           std::map<core::TOnChoice, std::vector<std::vector<double>>>>
-      groups;
-  for (const core::SeriesRecord& record : result.records) {
-    const core::RowMinRdtResult mc =
-        core::AnalyzeRowSeries(record.flips, settings);
-    auto& per_ton = groups[ManufacturerGroupName(record)][record.t_on];
-    if (per_ton.empty()) {
-      per_ton.resize(settings.sample_sizes.size());
-    }
-    for (std::size_t i = 0; i < mc.per_n.size(); ++i) {
-      per_ton[i].push_back(mc.per_n[i].expected_norm_min);
-    }
-  }
+  const auto groups =
+      GroupNormMins(result, settings, [](const core::SeriesRecord& r) {
+        return std::pair{ManufacturerGroupName(r), r.t_on};
+      });
 
   TextTable table({"group", "tAggOn", "N", "median", "max", "mean"});
-  std::map<std::string, std::map<core::TOnChoice, double>> median_n1;
-  for (const auto& [group, per_ton_map] : groups) {
-    for (const auto& [ton, per_n] : per_ton_map) {
-      for (std::size_t i = 0; i < settings.sample_sizes.size(); ++i) {
-        if (per_n[i].empty()) {
-          continue;
-        }
-        const stats::BoxStats box = Box(per_n[i]);
-        table.AddRow(
-            {group, ToString(ton),
-             Cell(static_cast<std::uint64_t>(settings.sample_sizes[i])),
-             Cell(box.median, 4), Cell(box.max, 4), Cell(box.mean, 4)});
-        if (settings.sample_sizes[i] == 1) {
-          median_n1[group][ton] = box.median;
-        }
-      }
-    }
+  // group -> the N = 1 median of each of its tAggOn levels.
+  std::map<std::string, std::vector<double>> median_n1;
+  for (const auto& [key, per_n] : groups) {
+    const auto& [group, ton] = key;
+    median_n1[group].push_back(
+        AddNormMinRows(table, {group, ToString(ton)}, per_n, settings));
   }
   table.Print(out);
 
   PrintBanner(out, "Findings 14-15 checks");
-  for (const auto& [group, per_ton] : median_n1) {
-    if (per_ton.size() < 2) {
+  for (const auto& [group, medians] : median_n1) {
+    if (medians.size() < 2) {
       continue;
     }
-    double mn = 2.0;
-    double mx = 0.0;
-    for (const auto& [ton, median] : per_ton) {
-      mn = std::min(mn, median);
-      mx = std::max(mx, median);
-    }
+    const auto [mn, mx] = std::minmax_element(medians.begin(), medians.end());
     PrintCheck(out, "fig11.profile_changes_with_taggon." + group,
                "medians differ across tAggOn",
-               Cell(mn, 4) + " .. " + Cell(mx, 4));
+               Cell(*mn, 4) + " .. " + Cell(*mx, 4));
   }
 }
 

@@ -6,11 +6,11 @@
  * tAggOn = minimum tRAS. The temperature sweep runs through the
  * simulated heater-pad + PID rig.
  */
+#include <algorithm>
 #include <iostream>
 #include <map>
 
 #include "common/experiment.h"
-#include "core/min_rdt.h"
 
 namespace vrddram::bench {
 namespace {
@@ -35,30 +35,25 @@ void AnalyzeFig12(const core::CampaignResult& result, Report* report) {
 
   PrintShardSummary(out, result);
 
-  std::map<std::string, std::map<int, std::vector<double>>> groups;
-  for (const core::SeriesRecord& record : result.records) {
-    const core::RowMinRdtResult mc =
-        core::AnalyzeRowSeries(record.flips, settings);
-    groups[record.device][static_cast<int>(record.temperature)]
-        .push_back(mc.per_n[0].expected_norm_min);
-  }
+  const auto groups =
+      GroupNormMins(result, settings, [](const core::SeriesRecord& r) {
+        return std::pair{r.device, static_cast<int>(r.temperature)};
+      });
 
   TextTable table({"device", "temperature", "min", "Q1", "median",
                    "Q3", "max", "mean"});
+  // device -> the median of each of its temperatures.
+  std::map<std::string, std::vector<double>> medians;
+  for (const auto& [key, per_n] : groups) {
+    const auto& [device, temp] = key;
+    const stats::BoxStats box = Box(per_n[0]);
+    AddBoxRow(table, {device, Cell(temp) + " degC"}, box, 4);
+    medians[device].push_back(box.median);
+  }
   std::size_t devices_with_change = 0;
-  for (const auto& [device, per_temp] : groups) {
-    double lo_median = 10.0;
-    double hi_median = 0.0;
-    for (const auto& [temp, values] : per_temp) {
-      const stats::BoxStats box = Box(values);
-      table.AddRow({device, Cell(temp) + " degC", Cell(box.min, 4),
-                    Cell(box.q1, 4), Cell(box.median, 4),
-                    Cell(box.q3, 4), Cell(box.max, 4),
-                    Cell(box.mean, 4)});
-      lo_median = std::min(lo_median, box.median);
-      hi_median = std::max(hi_median, box.median);
-    }
-    if (hi_median > lo_median) {
+  for (const auto& [device, values] : medians) {
+    const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
+    if (*hi > *lo) {
       ++devices_with_change;
     }
   }
@@ -70,7 +65,7 @@ void AnalyzeFig12(const core::CampaignResult& result, Report* report) {
              "all",
              Cell(static_cast<std::uint64_t>(devices_with_change)) +
                  " of " +
-                 Cell(static_cast<std::uint64_t>(groups.size())));
+                 Cell(static_cast<std::uint64_t>(medians.size())));
 }
 
 ExperimentSpec Fig12Spec() {

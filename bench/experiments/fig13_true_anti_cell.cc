@@ -128,10 +128,8 @@ void AnalyzeFig13(const core::CampaignResult&, Report* report) {
   for (const auto& [subplot, per_class] : cv) {
     for (const auto& [is_anti, values] : per_class) {
       const stats::BoxStats box = Box(values);
-      table.AddRow({subplot, is_anti ? "anti-cell" : "true-cell",
-                    Cell(box.min, 4), Cell(box.q1, 4),
-                    Cell(box.median, 4), Cell(box.q3, 4),
-                    Cell(box.max, 4), Cell(box.mean, 4)});
+      AddBoxRow(table, {subplot, is_anti ? "anti-cell" : "true-cell"}, box,
+                4);
       if (is_anti) {
         medians[subplot].first = box.median;
       } else {

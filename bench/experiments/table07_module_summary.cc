@@ -5,12 +5,10 @@
  * N = 1, 5, 50, 500 measurements, and the minimum observed RDT across
  * all measurements for tAggOn = tRAS and tAggOn = tREFI.
  */
-#include <algorithm>
 #include <iostream>
 #include <map>
 
 #include "common/experiment.h"
-#include "core/min_rdt.h"
 
 namespace vrddram::bench {
 namespace {
@@ -33,27 +31,22 @@ void AnalyzeTable07(const core::CampaignResult& result, Report* report) {
 
   PrintShardSummary(out, result);
 
-  struct ModuleAgg {
-    std::vector<std::vector<double>> norm_by_n;  // per N
-    std::int64_t min_rdt_tras = -1;
-    std::int64_t min_rdt_trefi = -1;
+  const auto norm_mins =
+      GroupNormMins(result, settings,
+                    [](const core::SeriesRecord& r) { return r.device; });
+  // Per module, the smallest RDT measured at tAggOn = tRAS and tREFI.
+  struct MinRdts {
+    std::int64_t tras = -1;
+    std::int64_t trefi = -1;
   };
-  std::map<std::string, ModuleAgg> modules;
+  std::map<std::string, MinRdts> min_rdts;
   for (const core::SeriesRecord& record : result.records) {
-    ModuleAgg& agg = modules[record.device];
-    if (agg.norm_by_n.empty()) {
-      agg.norm_by_n.resize(settings.sample_sizes.size());
-    }
-    const core::RowMinRdtResult mc =
-        core::AnalyzeRowSeries(record.flips, settings);
-    for (std::size_t i = 0; i < mc.per_n.size(); ++i) {
-      agg.norm_by_n[i].push_back(mc.per_n[i].expected_norm_min);
-    }
-    // AnalyzeRowSeries rejected a series without flips.
+    // GroupNormMins rejected a series without flips.
     const std::int64_t series_min = record.flips.run_values.front();
+    MinRdts& mins = min_rdts[record.device];
     std::int64_t& slot = (record.t_on == core::TOnChoice::kMinTras)
-                             ? agg.min_rdt_tras
-                             : agg.min_rdt_trefi;
+                             ? mins.tras
+                             : mins.trefi;
     if (slot < 0 || series_min < slot) {
       slot = series_min;
     }
@@ -63,19 +56,18 @@ void AnalyzeTable07(const core::CampaignResult& result, Report* report) {
                    "N=5 max", "N=50 med", "N=50 max", "N=500 med",
                    "N=500 max", "minRDT tRAS", "minRDT tREFI"});
   for (const std::string& name : config.devices) {
-    const auto it = modules.find(name);
-    if (it == modules.end()) {
+    const auto it = norm_mins.find(name);
+    if (it == norm_mins.end()) {
       continue;
     }
-    const ModuleAgg& agg = it->second;
     std::vector<std::string> row = {name};
-    for (std::size_t i = 0; i < settings.sample_sizes.size(); ++i) {
-      const stats::BoxStats box = Box(agg.norm_by_n[i]);
+    for (const std::vector<double>& values : it->second) {
+      const stats::BoxStats box = Box(values);
       row.push_back(Cell(box.median, 2));
       row.push_back(Cell(box.max, 2));
     }
-    row.push_back(Cell(agg.min_rdt_tras));
-    row.push_back(Cell(agg.min_rdt_trefi));
+    row.push_back(Cell(min_rdts[name].tras));
+    row.push_back(Cell(min_rdts[name].trefi));
     table.AddRow(row);
   }
   table.Print(out);
@@ -84,16 +76,16 @@ void AnalyzeTable07(const core::CampaignResult& result, Report* report) {
   auto spot = [&](const std::string& name, double paper_med_n1,
                   std::int64_t paper_min_tras,
                   std::int64_t paper_min_trefi) {
-    const auto it = modules.find(name);
-    if (it == modules.end()) {
+    const auto it = norm_mins.find(name);
+    if (it == norm_mins.end()) {
       return;
     }
     PrintCheck(out, "table07." + name + ".median_n1", paper_med_n1,
-               Box(it->second.norm_by_n[0]).median, 2);
+               Box(it->second[0]).median, 2);
     PrintCheck(out, "table07." + name + ".min_rdt_tras",
-               Cell(paper_min_tras), Cell(it->second.min_rdt_tras));
+               Cell(paper_min_tras), Cell(min_rdts[name].tras));
     PrintCheck(out, "table07." + name + ".min_rdt_trefi",
-               Cell(paper_min_trefi), Cell(it->second.min_rdt_trefi));
+               Cell(paper_min_trefi), Cell(min_rdts[name].trefi));
   };
   spot("H1", 1.07, 7835, 1941);
   spot("M1", 1.08, 4250, 1796);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cmath>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -152,6 +154,22 @@ TEST(DevicesTest, ResolvesCommaSeparatedList) {
   EXPECT_THROW(ResolveDevices(""), FatalError);
 }
 
+TEST(DevicesTest, RejectsUnknownRepeatedAndEmptyListsNamingTheFlag) {
+  const std::string unknown = FatalMessage([] { ResolveDevices("M1,XYZ"); });
+  EXPECT_NE(unknown.find("--devices=M1,XYZ"), std::string::npos) << unknown;
+  EXPECT_NE(unknown.find("unknown device 'XYZ'"), std::string::npos)
+      << unknown;
+  const std::string twice = FatalMessage([] { ResolveDevices("M1,S2,M1"); });
+  EXPECT_NE(twice.find("--devices=M1,S2,M1"), std::string::npos) << twice;
+  EXPECT_NE(twice.find("device 'M1' is listed twice"), std::string::npos)
+      << twice;
+  const std::string scan = FatalMessage([] { ResolveDevices("Q9", "scan"); });
+  EXPECT_NE(scan.find("--scan=Q9"), std::string::npos) << scan;
+  const std::string empty = FatalMessage([] { ResolveDevices(",,"); });
+  EXPECT_NE(empty.find("--devices=,,: no devices"), std::string::npos)
+      << empty;
+}
+
 TEST(SingleRowTest, CollectsDeterministicSeries) {
   SingleRowSeries a;
   SingleRowSeries b;
@@ -188,6 +206,95 @@ TEST(SingleRowTest, MemoizedAnalysisMatchesCollectThenAnalyze) {
         << device;
   }
   ClearSingleRowAnalyses();
+}
+
+/// A campaign record of `device` whose measurements are `series`.
+core::SeriesRecord MakeRecord(const std::string& device,
+                              const std::vector<std::int64_t>& series) {
+  core::SeriesRecord record;
+  record.device = device;
+  record.flips = core::BuildSortedFlips(series);
+  return record;
+}
+
+/// N = 5 before N = 1, so a slot is found by position, not by N.
+core::MinRdtSettings FiveThenOne() {
+  core::MinRdtSettings settings;
+  settings.sample_sizes = {5, 1};
+  return settings;
+}
+
+std::string PrintTable(const TextTable& table) {
+  std::ostringstream os;
+  table.Print(os);
+  return os.str();
+}
+
+TEST(GroupNormMinsTest, GroupsInKeyOrderWithValuesInRecordOrder) {
+  // {10, 30}: one draw finds the minimum half the time, so E[min]/min is
+  // 2 at N = 1 and (1 - 2^-5) + 3 * 2^-5 = 1.0625 at N = 5. {20} has one
+  // value: 1 at every N.
+  core::CampaignResult result;
+  result.records = {MakeRecord("B", {10, 30}), MakeRecord("A", {20}),
+                    MakeRecord("B", {20})};
+  const auto groups =
+      GroupNormMins(result, FiveThenOne(),
+                    [](const core::SeriesRecord& r) { return r.device; });
+  ASSERT_EQ(groups.size(), 2u);
+  auto it = groups.begin();
+  EXPECT_EQ(it->first, "A");
+  EXPECT_EQ(it->second,
+            (std::vector<std::vector<double>>{{1.0}, {1.0}}));
+  ++it;
+  EXPECT_EQ(it->first, "B");
+  ASSERT_EQ(it->second.size(), 2u);
+  ASSERT_EQ(it->second[0].size(), 2u);
+  EXPECT_DOUBLE_EQ(it->second[0][0], 1.0625);  // N = 5, first B record
+  EXPECT_DOUBLE_EQ(it->second[0][1], 1.0);
+  ASSERT_EQ(it->second[1].size(), 2u);
+  EXPECT_DOUBLE_EQ(it->second[1][0], 2.0);  // N = 1
+  EXPECT_DOUBLE_EQ(it->second[1][1], 1.0);
+}
+
+TEST(GroupNormMinsTest, RecordWithoutFlipsThrows) {
+  core::CampaignResult result;
+  result.records = {MakeRecord("A", {20}), MakeRecord("B", {-1, -1})};
+  EXPECT_THROW(GroupNormMins(result, FiveThenOne(),
+                             [](const core::SeriesRecord& r) {
+                               return r.device;
+                             }),
+               FatalError);
+}
+
+TEST(GroupNormMinsTest, AddNormMinRowsWritesOneRowPerNAndReturnsN1Median) {
+  const core::MinRdtSettings settings = FiveThenOne();
+  // Slot 0 is N = 5, slot 1 is N = 1.
+  const std::vector<std::vector<double>> per_n = {{1.0625, 1.0, 1.5},
+                                                  {2.0, 1.0, 1.25}};
+  TextTable table({"group", "key", "N", "median", "max", "mean"});
+  EXPECT_DOUBLE_EQ(AddNormMinRows(table, {"A", "x"}, per_n, settings), 1.25);
+
+  TextTable expected({"group", "key", "N", "median", "max", "mean"});
+  expected.AddRow({"A", "x", "5", "1.0625", "1.5000", "1.1875"});
+  expected.AddRow({"A", "x", "1", "1.2500", "2.0000", "1.4167"});
+  EXPECT_EQ(PrintTable(table), PrintTable(expected));
+
+  core::MinRdtSettings no_n1;
+  no_n1.sample_sizes = {5};
+  TextTable unused({"N", "median", "max", "mean"});
+  EXPECT_TRUE(std::isnan(AddNormMinRows(unused, {}, {{1.0}}, no_n1)));
+}
+
+TEST(BoxTest, AddBoxRowPutsTheLabelsFirst) {
+  TextTable table({"a", "b", "min", "Q1", "median", "Q3", "max", "mean"});
+  const stats::BoxStats box{.min = 1.0, .q1 = 1.5, .median = 2.25,
+                            .q3 = 3.0, .max = 4.0, .mean = 2.4};
+  AddBoxRow(table, {"M1", "50 degC"}, box, 2);
+  TextTable expected(
+      {"a", "b", "min", "Q1", "median", "Q3", "max", "mean"});
+  expected.AddRow(
+      {"M1", "50 degC", "1.00", "1.50", "2.25", "3.00", "4.00", "2.40"});
+  EXPECT_EQ(PrintTable(table), PrintTable(expected));
 }
 
 TEST(BoxTest, WrapsComputeBoxStats) {

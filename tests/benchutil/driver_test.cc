@@ -12,6 +12,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 namespace vrddram::bench {
@@ -270,6 +271,28 @@ TEST(DriverTest, DirectoryFlagNamingAFileFailsWithExitTwo) {
     EXPECT_EQ(run.err.find("campaign-cache"), std::string::npos) << run.err;
   }
   std::filesystem::remove(file);
+}
+
+TEST(DriverTest, UnknownOrRepeatedDeviceFailsWithExitTwoBeforeAnyWork) {
+  // table07 and fig08 run a campaign, fig03 measures single rows and
+  // fig01 scans a device set: each refuses the list before it measures,
+  // so neither a report line nor a shard summary is printed.
+  for (const auto& [experiment, flag, token] :
+       std::vector<std::tuple<std::string, std::string, std::string>>{
+           {"table07_module_summary", "--devices=XYZ", "unknown device 'XYZ'"},
+           {"table07_module_summary", "--devices=M1,M1",
+            "device 'M1' is listed twice"},
+           {"fig08_min_rdt_probability", "--devices=M1,S2,M1",
+            "device 'M1' is listed twice"},
+           {"fig03_rdt_distribution", "--devices=XYZ", "unknown device 'XYZ'"},
+           {"fig01_rdt_series", "--scan=M1,XYZ", "unknown device 'XYZ'"}}) {
+    const DriverRun run =
+        Drive({"run", experiment, "--smoke", "--no-cache", flag});
+    EXPECT_EQ(run.exit_code, 2) << experiment << ' ' << flag;
+    EXPECT_TRUE(run.out.empty()) << run.out;
+    EXPECT_NE(run.err.find(flag + ": " + token), std::string::npos)
+        << run.err;
+  }
 }
 
 }  // namespace

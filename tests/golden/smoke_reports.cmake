@@ -1,0 +1,131 @@
+# Byte-identity gate for the smoke-scale reports.
+#
+# Runs `vrdrepro run --all --smoke --no-cache` at --threads 1 and 8,
+# and each example once, then compares the SHA-256 of every
+# report and of every example's stdout with the digests in GOLDEN. A
+# mismatch names the experiments (or examples) that moved and prints
+# the command that rewrites GOLDEN.
+#
+#   cmake -DVRDREPRO=<build>/bench/vrdrepro -DEXAMPLES_DIR=<build>/examples
+#         -DGOLDEN=tests/golden/smoke_reports.txt -DWORK_DIR=<scratch dir>
+#         [-DTOOLCHAIN="<compiler> <version> <arch>"]
+#         [-DUPDATE=ON] -P tests/golden/smoke_reports.cmake
+#
+# UPDATE=ON writes GOLDEN from the --threads=1 run instead of
+# comparing. The digests depend on the compiler and libm, so the file's
+# header records both; a mismatch under another toolchain says so.
+
+foreach(var VRDREPRO EXAMPLES_DIR GOLDEN WORK_DIR)
+  if(NOT DEFINED ${var})
+    message(FATAL_ERROR "smoke_reports.cmake: -D${var}=... is required")
+  endif()
+endforeach()
+set(examples quickstart characterization_campaign mitigation_tuning
+    ecc_tradeoff)
+
+execute_process(COMMAND getconf GNU_LIBC_VERSION
+                OUTPUT_VARIABLE libc OUTPUT_STRIP_TRAILING_WHITESPACE
+                ERROR_QUIET)
+set(toolchain "${TOOLCHAIN}, ${libc}")
+
+# Appends "<sha256>  <dir>/<file>" for every file of WORK_DIR/<dir>
+# to the list `out_var`, in file-name order.
+function(append_digests dir out_var)
+  file(GLOB files RELATIVE "${WORK_DIR}/${dir}" "${WORK_DIR}/${dir}/*.txt")
+  list(SORT files)
+  set(lines ${${out_var}})
+  foreach(name IN LISTS files)
+    file(SHA256 "${WORK_DIR}/${dir}/${name}" digest)
+    list(APPEND lines "${digest}  ${dir}/${name}")
+  endforeach()
+  set(${out_var} ${lines} PARENT_SCOPE)
+endfunction()
+
+file(REMOVE_RECURSE "${WORK_DIR}")
+file(MAKE_DIRECTORY "${WORK_DIR}/examples")
+set(example_lines)
+foreach(example IN LISTS examples)
+  execute_process(COMMAND "${EXAMPLES_DIR}/${example}"
+                  OUTPUT_FILE "${WORK_DIR}/examples/${example}.txt"
+                  ERROR_VARIABLE stderr RESULT_VARIABLE status)
+  if(NOT status EQUAL 0)
+    message(FATAL_ERROR "example ${example} exited ${status}:\n${stderr}")
+  endif()
+endforeach()
+append_digests(examples example_lines)
+
+set(regenerate "cmake -DVRDREPRO=${VRDREPRO} -DEXAMPLES_DIR=${EXAMPLES_DIR} \
+-DGOLDEN=${GOLDEN} -DWORK_DIR=${WORK_DIR} \"-DTOOLCHAIN=${TOOLCHAIN}\" \
+-DUPDATE=ON -P ${CMAKE_CURRENT_LIST_FILE}")
+
+# Fails naming every entry whose digest in `lines` differs from GOLDEN,
+# is missing from it, or is new to it.
+function(compare_digests threads lines)
+  file(STRINGS "${GOLDEN}" golden_lines REGEX "^[0-9a-f]+  ")
+  file(STRINGS "${GOLDEN}" golden_toolchain REGEX "^# toolchain: ")
+  set(entries)
+  foreach(line IN LISTS golden_lines)
+    string(REGEX MATCH "^([0-9a-f]+)  (.*)$" unused "${line}")
+    set("want_${CMAKE_MATCH_2}" "${CMAKE_MATCH_1}")
+    list(APPEND entries "${CMAKE_MATCH_2}")
+  endforeach()
+  foreach(line IN LISTS lines)
+    string(REGEX MATCH "^([0-9a-f]+)  (.*)$" unused "${line}")
+    set("got_${CMAKE_MATCH_2}" "${CMAKE_MATCH_1}")
+    list(APPEND entries "${CMAKE_MATCH_2}")
+  endforeach()
+  list(REMOVE_DUPLICATES entries)
+  list(SORT entries)
+  set(moved)
+  foreach(entry IN LISTS entries)
+    if(NOT DEFINED "want_${entry}")
+      list(APPEND moved "${entry} (new)")
+    elseif(NOT DEFINED "got_${entry}")
+      list(APPEND moved "${entry} (missing)")
+    elseif(NOT "${want_${entry}}" STREQUAL "${got_${entry}}")
+      list(APPEND moved "${entry}")
+    endif()
+  endforeach()
+  if(moved)
+    list(JOIN moved "\n  " moved_text)
+    message(FATAL_ERROR
+            "smoke digests differ from ${GOLDEN} at --threads=${threads}:\n"
+            "  ${moved_text}\n"
+            "this build: # toolchain: ${toolchain}\n"
+            "golden:     ${golden_toolchain}\n"
+            "The reports are in ${WORK_DIR}. If the change is a documented "
+            "correction, regenerate the digests with:\n  ${regenerate}")
+  endif()
+  list(LENGTH lines count)
+  message(STATUS "--threads=${threads}: all ${count} digests match")
+endfunction()
+
+foreach(threads 1 8)
+  file(REMOVE_RECURSE "${WORK_DIR}/reports")
+  execute_process(COMMAND "${VRDREPRO}" run --all --smoke --no-cache
+                          --threads=${threads} "--out_dir=${WORK_DIR}/reports"
+                  OUTPUT_QUIET ERROR_VARIABLE stderr RESULT_VARIABLE status)
+  if(NOT status EQUAL 0)
+    message(FATAL_ERROR
+            "vrdrepro run --all --smoke --threads=${threads} exited "
+            "${status}:\n${stderr}")
+  endif()
+  set(lines)
+  append_digests(reports lines)
+  list(APPEND lines ${example_lines})
+
+  if(UPDATE)
+    list(JOIN lines "\n" body)
+    file(WRITE "${GOLDEN}"
+         "# SHA-256 of every `vrdrepro run --all --smoke --no-cache` report\n"
+         "# (reports/<experiment>.txt) and of each example's stdout\n"
+         "# (examples/<example>.txt). Checked by smoke_reports.cmake at\n"
+         "# --threads 1 and 8; regenerate only for a documented correction.\n"
+         "# toolchain: ${toolchain}\n"
+         "${body}\n")
+    message(STATUS "wrote ${GOLDEN} from --threads=${threads}")
+    return()
+  endif()
+
+  compare_digests(${threads} "${lines}")
+endforeach()
