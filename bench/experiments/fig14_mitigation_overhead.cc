@@ -9,6 +9,7 @@
 #include <iostream>
 #include <vector>
 
+#include "common/error.h"
 #include "common/experiment.h"
 #include "common/shards.h"
 #include "core/guardband.h"
@@ -18,6 +19,7 @@ namespace vrddram::bench {
 namespace {
 
 using memsim::MakeHighMemoryIntensityMixes;
+using memsim::MakeMixStreams;
 using memsim::MitigationKind;
 using memsim::NormalizedPerformance;
 using memsim::Scheduler;
@@ -37,6 +39,14 @@ void AnalyzeFig14(const core::CampaignResult&, Report* report) {
                                   ? Scheduler::kFrFcfs
                                   : Scheduler::kInOrder;
   const auto threads = static_cast<std::size_t>(flags.GetUint("threads"));
+  auto mixes = MakeHighMemoryIntensityMixes(42);
+  // Mix 0 feeds the latency table and every mix's baseline must serve
+  // requests, so neither count may be 0; past 15 there is no mix.
+  VRD_FATAL_IF(num_mixes < 1 || num_mixes > mixes.size(),
+               "flag --mixes=" + std::to_string(num_mixes) + ": expected 1-" +
+                   std::to_string(mixes.size()));
+  VRD_FATAL_IF(requests < 1, "flag --requests=0: expected at least 1");
+  mixes.resize(num_mixes);
 
   PrintBanner(out,
               "Figure 14: normalized performance of read-disturbance "
@@ -55,10 +65,6 @@ void AnalyzeFig14(const core::CampaignResult&, Report* report) {
       MitigationKind::kGraphene, MitigationKind::kPrac,
       MitigationKind::kPara, MitigationKind::kMint};
 
-  auto mixes = MakeHighMemoryIntensityMixes(42);
-  if (mixes.size() > num_mixes) {
-    mixes.resize(num_mixes);
-  }
   const std::size_t num_kinds = std::size(kinds);
   auto config_for = [&](std::size_t m) {
     SystemConfig sc;
@@ -68,26 +74,40 @@ void AnalyzeFig14(const core::CampaignResult&, Report* report) {
     return sc;
   };
 
-  // Every simulation is a pure function of (mix, SystemConfig), so each
-  // one is a shard: first the baseline per mix, then every (config,
-  // kind, mix) run. A mitigated slot keeps only its normalized
-  // performance; a SystemResult holds every request latency.
-  const std::vector<SystemResult> baselines =
+  // One shard per mix. Each core's request stream depends only on
+  // (mix, seed, core), so the shard generates the mix's streams once
+  // and replays them in its baseline and its (config, kind) runs. Only
+  // mix 0's shard records latencies: its baseline and a MINT @ RDT 64
+  // run feed the tail-latency table.
+  struct MixRuns {
+    SystemResult baseline;
+    SystemResult mint_rdt64;  // mix 0 only
+    std::vector<double> normalized;  // indexed c * num_kinds + k
+  };
+  const std::vector<MixRuns> runs =
       MapShards(mixes.size(), threads, [&](std::size_t m) {
-        return SimulateMix(mixes[m], config_for(m));
-      });
-  const std::vector<double> normalized = MapShards(
-      std::size(configs) * num_kinds * mixes.size(), threads,
-      [&](std::size_t i) {
-        const std::size_t m = i % mixes.size();
-        const std::size_t k = i / mixes.size() % num_kinds;
-        const Config& config = configs[i / mixes.size() / num_kinds];
         SystemConfig sc = config_for(m);
-        sc.mitigation = kinds[k];
-        sc.rdt = core::GuardbandHammerCount(config.base_rdt,
-                                            config.margin_pct);
-        return NormalizedPerformance(SimulateMix(mixes[m], sc),
-                                     baselines[m]);
+        sc.record_latencies = m == 0;
+        const memsim::MixStreams streams = MakeMixStreams(mixes[m], sc);
+        MixRuns mix_runs;
+        mix_runs.baseline = SimulateMix(mixes[m], sc, streams);
+        if (m == 0) {
+          SystemConfig worst = sc;
+          worst.mitigation = MitigationKind::kMint;
+          worst.rdt = 64;
+          mix_runs.mint_rdt64 = SimulateMix(mixes[m], worst, streams);
+        }
+        sc.record_latencies = false;
+        for (const Config& config : configs) {
+          sc.rdt = core::GuardbandHammerCount(config.base_rdt,
+                                              config.margin_pct);
+          for (const MitigationKind kind : kinds) {
+            sc.mitigation = kind;
+            mix_runs.normalized.push_back(NormalizedPerformance(
+                SimulateMix(mixes[m], sc, streams), mix_runs.baseline));
+          }
+        }
+        return mix_runs;
       });
 
   TextTable table({"RDT (margin)", "configured", "Graphene", "PRAC",
@@ -102,8 +122,8 @@ void AnalyzeFig14(const core::CampaignResult&, Report* report) {
     for (std::size_t k = 0; k < num_kinds; ++k) {
       // Summed in mix order, so the mean is the same at any --threads.
       double sum = 0.0;
-      for (std::size_t m = 0; m < mixes.size(); ++m) {
-        sum += normalized[(c * num_kinds + k) * mixes.size() + m];
+      for (const MixRuns& mix_runs : runs) {
+        sum += mix_runs.normalized[c * num_kinds + k];
       }
       const double mean = sum / static_cast<double>(mixes.size());
       mean_of[c * num_kinds + k] = mean;
@@ -113,14 +133,10 @@ void AnalyzeFig14(const core::CampaignResult&, Report* report) {
   }
   table.Print(out);
 
-  // Tail-latency view of the worst configuration. The mix0 baseline is
-  // baselines[0]: same mix, seed and config.
+  // Tail-latency view of the worst configuration.
   {
-    const SystemResult& base = baselines[0];
-    SystemConfig sc = config_for(0);
-    sc.mitigation = MitigationKind::kMint;
-    sc.rdt = 64;
-    const SystemResult worst = SimulateMix(mixes[0], sc);
+    const SystemResult& base = runs[0].baseline;
+    const SystemResult& worst = runs[0].mint_rdt64;
     PrintBanner(out, "Latency (mix0): baseline vs MINT @ RDT 64");
     TextTable latency({"config", "avg (ns)", "p50 (ns)", "p99 (ns)"});
     latency.AddRow({"baseline", Cell(base.AvgLatencyNs(), 1),

@@ -2,7 +2,7 @@
  * @file
  * The shard executor (RunShards / MapShards), which every parallel site
  * of the suite dispatches through: campaign shards, the guardband
- * study's devices, fig14's memsim runs and the single-row series
+ * study's devices, fig14's mixes and the single-row series
  * experiments.
  *
  * Design constraints, in order:

@@ -17,24 +17,45 @@ constexpr std::uint32_t kMlp = 8;
 
 }  // namespace
 
+MixStreams MakeMixStreams(const WorkloadMix& mix,
+                          const SystemConfig& config) {
+  MixStreams streams(mix.cores.size());
+  for (std::size_t c = 0; c < mix.cores.size(); ++c) {
+    CoreGenerator generator(mix.cores[c], kNumBanks, kRowsPerBank,
+                            MixSeed(config.seed, c, 0x3e4));
+    streams[c].reserve(config.requests_per_core);
+    for (std::size_t i = 0; i < config.requests_per_core; ++i) {
+      streams[c].push_back(generator.Next());
+    }
+  }
+  return streams;
+}
+
 SystemResult SimulateMix(const WorkloadMix& mix,
                          const SystemConfig& config) {
+  return SimulateMix(mix, config, MakeMixStreams(mix, config));
+}
+
+SystemResult SimulateMix(const WorkloadMix& mix, const SystemConfig& config,
+                         const MixStreams& streams) {
   VRD_FATAL_IF(mix.cores.empty(), "mix has no cores");
+  VRD_FATAL_IF(streams.size() != mix.cores.size(),
+               "need one request stream per core");
+  for (const std::vector<Request>& stream : streams) {
+    VRD_FATAL_IF(stream.size() < config.requests_per_core,
+                 "request stream shorter than requests_per_core");
+  }
   const dram::TimingParams& t = kTiming;
 
-  // Per-core generators and pacing state.
+  // Per-core pacing state.
   const std::size_t num_cores = mix.cores.size();
-  std::vector<CoreGenerator> generators;
   std::vector<Tick> think(num_cores);
   std::vector<std::vector<Tick>> completion_window(num_cores);
   std::vector<std::uint64_t> issued(num_cores, 0);
   std::vector<Tick> next_issue(num_cores, 0);
   std::vector<Tick> core_finish(num_cores, 0);
-  generators.reserve(num_cores);
   for (std::size_t c = 0; c < num_cores; ++c) {
-    generators.emplace_back(mix.cores[c], kNumBanks, kRowsPerBank,
-                            MixSeed(config.seed, c, 0x3e4));
-    think[c] = generators.back().ThinkTime();
+    think[c] = ThinkTime(mix.cores[c]);
     completion_window[c].assign(kMlp, 0);
   }
 
@@ -57,14 +78,12 @@ SystemResult SimulateMix(const WorkloadMix& mix,
 
   const std::uint64_t total_requests =
       static_cast<std::uint64_t>(config.requests_per_core) * num_cores;
-
-  // Each core exposes one head-of-line request; the scheduler picks
-  // among the heads.
-  std::vector<Request> head(num_cores);
-  for (std::size_t c = 0; c < num_cores; ++c) {
-    head[c] = generators[c].Next();
+  if (config.record_latencies) {
+    result.latencies.reserve(total_requests);
   }
 
+  // Each core exposes one head-of-line request, streams[c][issued[c]];
+  // the scheduler picks among the heads.
   while (result.total_requests < total_requests) {
     // Pick a head per the configured policy.
     std::size_t core = num_cores;
@@ -89,7 +108,7 @@ SystemResult SimulateMix(const WorkloadMix& mix,
         if (issued[c] >= config.requests_per_core) {
           continue;
         }
-        const Request& candidate = head[c];
+        const Request& candidate = streams[c][issued[c]];
         const Tick start_c =
             std::max(next_issue[c], bank_free[candidate.bank]);
         const bool hit_c =
@@ -110,8 +129,7 @@ SystemResult SimulateMix(const WorkloadMix& mix,
     }
     VRD_ASSERT(core < num_cores);
     const Tick issue_time = next_issue[core];
-    const Request request = head[core];
-    head[core] = generators[core].Next();
+    const Request& request = streams[core][issued[core]];
 
     // Refresh blackouts that have come due.
     if (config.refresh_enabled) {
@@ -171,7 +189,9 @@ SystemResult SimulateMix(const WorkloadMix& mix,
 
     result.total_latency += completion - issue_time;
     ++result.total_requests;
-    result.latencies.push_back(completion - issue_time);
+    if (config.record_latencies) {
+      result.latencies.push_back(completion - issue_time);
+    }
 
     // Core pacing: the (k+1)th request waits for think time and for
     // the (k+1-MLP)th completion.
@@ -201,7 +221,8 @@ SystemResult SimulateMix(const WorkloadMix& mix,
 }
 
 double SystemResult::LatencyPercentileNs(double p) const {
-  VRD_FATAL_IF(latencies.empty(), "no latencies recorded");
+  VRD_FATAL_IF(latencies.empty(),
+               "no latencies recorded (set SystemConfig::record_latencies)");
   VRD_FATAL_IF(p < 0.0 || p > 100.0, "percentile out of range");
   std::vector<Tick> sorted = latencies;
   std::sort(sorted.begin(), sorted.end());

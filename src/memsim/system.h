@@ -37,6 +37,9 @@ struct SystemConfig {
   std::uint64_t rdt = 1024;  ///< configured read disturbance threshold
   std::uint64_t seed = 1;
   bool refresh_enabled = true;
+  /// Keep every request's latency in SystemResult::latencies, which
+  /// LatencyPercentileNs reads (8 bytes per request).
+  bool record_latencies = false;
 };
 
 struct CoreStats {
@@ -61,7 +64,8 @@ struct SystemResult {
   /// Sum of per-request (completion - issue) latencies.
   Tick total_latency = 0;
   std::uint64_t total_requests = 0;
-  /// Every request's latency, for percentile reporting.
+  /// Every request's latency in issue order, when
+  /// SystemConfig::record_latencies is set; empty otherwise.
   std::vector<Tick> latencies;
 
   /// Average memory latency in nanoseconds.
@@ -76,7 +80,25 @@ struct SystemResult {
   double LatencyPercentileNs(double p) const;
 };
 
-/// Simulate one mix under one configuration.
+/// Per-core request streams of one mix: streams[c] is core c's
+/// address stream, in order.
+using MixStreams = std::vector<std::vector<Request>>;
+
+/**
+ * The first `config.requests_per_core` requests of each core of `mix`.
+ * Core c's stream depends only on (mix.cores[c], config.seed, c), not
+ * on the mitigation, the RDT or the scheduler, so every simulation of
+ * one mix at one seed can replay the same streams.
+ */
+MixStreams MakeMixStreams(const WorkloadMix& mix,
+                          const SystemConfig& config);
+
+/// Simulate one mix under one configuration, replaying `streams`
+/// (one per core, each at least `config.requests_per_core` long).
+SystemResult SimulateMix(const WorkloadMix& mix, const SystemConfig& config,
+                         const MixStreams& streams);
+
+/// SimulateMix over the mix's own MakeMixStreams.
 SystemResult SimulateMix(const WorkloadMix& mix,
                          const SystemConfig& config);
 

@@ -90,10 +90,11 @@ Request CoreGenerator::Next() {
   return request;
 }
 
-Tick CoreGenerator::ThinkTime() const {
+Tick ThinkTime(const CoreProfile& profile) {
+  VRD_FATAL_IF(profile.mpki <= 0.0, "MPKI must be positive");
   // A 4 GHz core retiring 2 IPC between misses: 1000/MPKI instructions
   // take (1000 / MPKI) / 8 ns.
-  const double instructions = 1000.0 / profile_.mpki;
+  const double instructions = 1000.0 / profile.mpki;
   const double ns = instructions / 8.0;
   return static_cast<Tick>(ns * static_cast<double>(units::kNanosecond));
 }

@@ -34,6 +34,10 @@ struct WorkloadMix {
   std::vector<CoreProfile> cores;
 };
 
+/// Average core-time between one core's requests (from its MPKI and
+/// the core's IPC).
+Tick ThinkTime(const CoreProfile& profile);
+
 /// The 15 four-core highly-memory-intensive mixes.
 std::vector<WorkloadMix> MakeHighMemoryIntensityMixes(
     std::uint64_t seed = 42);
@@ -56,9 +60,6 @@ class CoreGenerator {
                 std::uint32_t rows_per_bank, std::uint64_t seed);
 
   Request Next();
-
-  /// Average core-time between requests (from MPKI and core IPC).
-  Tick ThinkTime() const;
 
  private:
   CoreProfile profile_;

@@ -196,6 +196,72 @@ TEST(DriverTest, SingleRowAnalysesSharedAcrossExperimentsMatchRunsAlone) {
   EXPECT_EQ(shared.err, alone.err);
 }
 
+/// Whitespace-separated field `column` of the first line after `banner`
+/// in `text` whose first field is `device`; empty if there is none.
+std::string FieldAfter(const std::string& text, const std::string& banner,
+                       const std::string& device, std::size_t column) {
+  const std::size_t at = text.find(banner);
+  std::istringstream lines(at == std::string::npos ? "" : text.substr(at));
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.starts_with(device + " ")) {
+      std::istringstream fields(line);
+      std::string field;
+      for (std::size_t i = 0; i <= column; ++i) {
+        fields >> field;
+      }
+      return field;
+    }
+  }
+  return "";
+}
+
+TEST(DriverTest, Fig01ScanSharesTheSingleRowAnalysesItMeasures) {
+  // fig01's --scan keys its analyses on the same (device, measurements,
+  // seed) as fig03/04/05, so in one run fig01 fills the memo and the
+  // other three read it. Each experiment run alone measures cold.
+  const std::vector<std::string> experiments = {
+      "fig01_rdt_series", "fig03_rdt_distribution", "fig04_rdt_histograms",
+      "fig05_run_lengths"};
+  const std::vector<std::string> flags = {"--no-cache", "--measurements=2000",
+                                          "--threads=2"};
+  const std::string scan = "--scan=M1,S2,Chip1";
+  const std::string devices = "--devices=M1,S2,Chip1";
+  std::vector<std::string> together = {"run"};
+  together.insert(together.end(), experiments.begin(), experiments.end());
+  together.insert(together.end(), flags.begin(), flags.end());
+  together.push_back(scan);
+  together.push_back(devices);
+  const DriverRun shared = Drive(together);
+  ASSERT_EQ(shared.exit_code, 0) << shared.err;
+
+  // Alone, each experiment gets only the device flag it declares.
+  DriverRun alone;
+  for (const std::string& experiment : experiments) {
+    std::vector<std::string> args = {"run", experiment};
+    args.insert(args.end(), flags.begin(), flags.end());
+    args.push_back(experiment == "fig01_rdt_series" ? scan : devices);
+    const DriverRun run = Drive(args);
+    ASSERT_EQ(run.exit_code, 0) << experiment << ": " << run.err;
+    alone.out += run.out;
+    alone.err += run.err;
+  }
+  EXPECT_NE(shared.out.find("CHECK fig01.worst_first_min_index"),
+            std::string::npos);
+  EXPECT_NE(shared.out.find("CHECK fig05."), std::string::npos);
+  // The scan reads the very series fig03 plots: same minimum RDT.
+  for (const std::string device : {"M1", "S2", "Chip1"}) {
+    const std::string scan_min =
+        FieldAfter(shared.out, "== Worst-case first-minimum", device, 3);
+    EXPECT_FALSE(scan_min.empty()) << device;
+    EXPECT_EQ(scan_min,
+              FieldAfter(shared.out, "== Figure 3:", device, 1))
+        << device;
+  }
+  EXPECT_EQ(shared.out, alone.out);
+  EXPECT_EQ(shared.err, alone.err);
+}
+
 TEST(DriverTest, Fig07CsvToAnUnwritablePathNamesThePath) {
   const std::string csv =
       (std::filesystem::path(::testing::TempDir()) /
@@ -219,6 +285,19 @@ TEST(DriverTest, Fig07ParameterCountsOutOfRangeNameTheFlag) {
     EXPECT_EQ(run.exit_code, 2) << flag;
     EXPECT_NE(run.err.find("flag " + flag + ": expected 1-"),
               std::string::npos)
+        << run.err;
+    EXPECT_TRUE(run.out.empty()) << flag;
+  }
+}
+
+TEST(DriverTest, Fig14CountsOutOfRangeNameTheFlag) {
+  // --mixes=0 used to index an empty result vector and crash, and
+  // --mixes=16 ran 15 mixes.
+  for (const std::string flag : {"--mixes=0", "--mixes=16", "--requests=0"}) {
+    const DriverRun run = Drive(
+        {"run", "fig14_mitigation_overhead", "--smoke", "--no-cache", flag});
+    EXPECT_EQ(run.exit_code, 2) << flag;
+    EXPECT_NE(run.err.find("flag " + flag + ": expected "), std::string::npos)
         << run.err;
     EXPECT_TRUE(run.out.empty()) << flag;
   }

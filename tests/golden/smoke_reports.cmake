@@ -1,10 +1,10 @@
 # Byte-identity gate for the smoke-scale reports.
 #
-# Runs `vrdrepro run --all --smoke --no-cache` at --threads 1 and 8,
-# and each example once, then compares the SHA-256 of every
-# report and of every example's stdout with the digests in GOLDEN. A
-# mismatch names the experiments (or examples) that moved and prints
-# the command that rewrites GOLDEN.
+# Runs `vrdrepro run --all --smoke --no-cache` and the smoke-scale
+# variants below at --threads 1 and 8, and each example once, then
+# compares the SHA-256 of every report and of every example's stdout
+# with the digests in GOLDEN. A mismatch names the experiments (or
+# examples) that moved and prints the command that rewrites GOLDEN.
 #
 #   cmake -DVRDREPRO=<build>/bench/vrdrepro -DEXAMPLES_DIR=<build>/examples
 #         -DGOLDEN=tests/golden/smoke_reports.txt -DWORK_DIR=<scratch dir>
@@ -22,6 +22,12 @@ foreach(var VRDREPRO EXAMPLES_DIR GOLDEN WORK_DIR)
 endforeach()
 set(examples quickstart characterization_campaign mitigation_tuning
     ecc_tradeoff)
+# Paths `run --all --smoke` does not take, as "<name>|<run arguments>":
+# fig14 under FR-FCFS and fig01's worst-case scan. Each report lands in
+# variants/<name>.txt.
+set(variants
+    "fig14_mitigation_overhead.frfcfs|fig14_mitigation_overhead --frfcfs=true"
+    "fig01_rdt_series.scan|fig01_rdt_series --scan=M1,S2")
 
 execute_process(COMMAND getconf GNU_LIBC_VERSION
                 OUTPUT_VARIABLE libc OUTPUT_STRIP_TRAILING_WHITESPACE
@@ -110,17 +116,36 @@ foreach(threads 1 8)
             "vrdrepro run --all --smoke --threads=${threads} exited "
             "${status}:\n${stderr}")
   endif()
+  file(REMOVE_RECURSE "${WORK_DIR}/variants")
+  file(MAKE_DIRECTORY "${WORK_DIR}/variants")
+  foreach(variant IN LISTS variants)
+    string(REGEX MATCH "^([^|]+)\\|(.*)$" unused "${variant}")
+    set(name "${CMAKE_MATCH_1}")
+    set(run_args "${CMAKE_MATCH_2}")
+    separate_arguments(args UNIX_COMMAND "${run_args}")
+    execute_process(COMMAND "${VRDREPRO}" run ${args} --smoke --no-cache
+                            --threads=${threads}
+                    OUTPUT_FILE "${WORK_DIR}/variants/${name}.txt"
+                    ERROR_VARIABLE stderr RESULT_VARIABLE status)
+    if(NOT status EQUAL 0)
+      message(FATAL_ERROR
+              "vrdrepro run ${run_args} --smoke --threads=${threads} "
+              "exited ${status}:\n${stderr}")
+    endif()
+  endforeach()
   set(lines)
   append_digests(reports lines)
+  append_digests(variants lines)
   list(APPEND lines ${example_lines})
 
   if(UPDATE)
     list(JOIN lines "\n" body)
     file(WRITE "${GOLDEN}"
          "# SHA-256 of every `vrdrepro run --all --smoke --no-cache` report\n"
-         "# (reports/<experiment>.txt) and of each example's stdout\n"
-         "# (examples/<example>.txt). Checked by smoke_reports.cmake at\n"
-         "# --threads 1 and 8; regenerate only for a documented correction.\n"
+         "# (reports/<experiment>.txt), of the smoke-scale variants that\n"
+         "# smoke_reports.cmake lists (variants/<name>.txt) and of each\n"
+         "# example's stdout (examples/<example>.txt). Checked at --threads\n"
+         "# 1 and 8; regenerate only for a documented correction.\n"
          "# toolchain: ${toolchain}\n"
          "${body}\n")
     message(STATUS "wrote ${GOLDEN} from --threads=${threads}")

@@ -97,6 +97,118 @@ TEST(SystemTest, ResultsArePinned) {
   }
 }
 
+/// Every field ResultsArePinned pins, plus the per-core stats.
+void ExpectSameResult(const SystemResult& a, const SystemResult& b,
+                      const std::string& id) {
+  EXPECT_EQ(a.makespan, b.makespan) << id;
+  EXPECT_EQ(a.activations, b.activations) << id;
+  EXPECT_EQ(a.row_hits, b.row_hits) << id;
+  EXPECT_EQ(a.preventive_actions, b.preventive_actions) << id;
+  EXPECT_EQ(a.total_latency, b.total_latency) << id;
+  EXPECT_EQ(a.total_requests, b.total_requests) << id;
+  ASSERT_EQ(a.cores.size(), b.cores.size()) << id;
+  for (std::size_t c = 0; c < a.cores.size(); ++c) {
+    EXPECT_EQ(a.cores[c].requests, b.cores[c].requests) << id;
+    EXPECT_EQ(a.cores[c].finish_time, b.cores[c].finish_time) << id;
+    EXPECT_EQ(a.cores[c].instructions, b.cores[c].instructions) << id;
+  }
+}
+
+TEST(SystemTest, SharedStreamsMatchFreshStreams) {
+  // fig14 builds each mix's streams once and replays them in every
+  // run of that mix. One MakeMixStreams per mix, shared by all five
+  // kinds under both schedulers, gives what each run's own streams
+  // give.
+  using enum Scheduler;
+  for (const bool conflict : {false, true}) {
+    const WorkloadMix mix = conflict ? ConflictMix() : OneMix();
+    SystemConfig config;
+    config.requests_per_core = 2000;
+    config.rdt = 128;
+    const MixStreams streams = MakeMixStreams(mix, config);
+    for (const Scheduler scheduler : {kInOrder, kFrFcfs}) {
+      for (const MitigationKind kind :
+           {MitigationKind::kNone, MitigationKind::kGraphene,
+            MitigationKind::kPrac, MitigationKind::kPara,
+            MitigationKind::kMint}) {
+        config.mitigation = kind;
+        config.scheduler = scheduler;
+        ExpectSameResult(SimulateMix(mix, config, streams),
+                         SimulateMix(mix, config),
+                         "kind " + std::to_string(static_cast<int>(kind)) +
+                             (scheduler == kFrFcfs ? " FR-FCFS" : "") +
+                             (conflict ? " conflict" : ""));
+      }
+    }
+  }
+}
+
+TEST(SystemTest, StreamsDependOnlyOnMixSeedAndLength) {
+  const WorkloadMix mix = OneMix();
+  SystemConfig config;
+  config.requests_per_core = 300;
+  const MixStreams streams = MakeMixStreams(mix, config);
+  ASSERT_EQ(streams.size(), mix.cores.size());
+  for (const std::vector<Request>& stream : streams) {
+    EXPECT_EQ(stream.size(), config.requests_per_core);
+  }
+
+  auto same = [](const MixStreams& a, const MixStreams& b,
+                 std::size_t length) {
+    for (std::size_t c = 0; c < a.size(); ++c) {
+      for (std::size_t i = 0; i < length; ++i) {
+        if (a[c][i].bank != b[c][i].bank || a[c][i].row != b[c][i].row ||
+            a[c][i].is_write != b[c][i].is_write) {
+          return false;
+        }
+      }
+    }
+    return true;
+  };
+  SystemConfig other = config;
+  other.mitigation = MitigationKind::kMint;
+  other.rdt = 64;
+  other.scheduler = Scheduler::kFrFcfs;
+  other.record_latencies = true;
+  EXPECT_TRUE(same(streams, MakeMixStreams(mix, other), 300));
+  // A longer stream extends the shorter one.
+  other.requests_per_core = 500;
+  EXPECT_TRUE(same(streams, MakeMixStreams(mix, other), 300));
+  other.seed = config.seed + 1;
+  EXPECT_FALSE(same(streams, MakeMixStreams(mix, other), 300));
+}
+
+TEST(SystemTest, StreamsMustCoverEveryCoreAndRequest) {
+  const WorkloadMix mix = OneMix();
+  SystemConfig config;
+  config.requests_per_core = 100;
+  MixStreams streams = MakeMixStreams(mix, config);
+  streams.pop_back();
+  EXPECT_THROW(SimulateMix(mix, config, streams), FatalError);
+  streams = MakeMixStreams(mix, config);
+  streams[2].pop_back();
+  EXPECT_THROW(SimulateMix(mix, config, streams), FatalError);
+}
+
+TEST(SystemTest, LatencyRecordingChangesNothingElse) {
+  SystemConfig config = FastConfig();
+  config.mitigation = MitigationKind::kPara;
+  config.rdt = 128;
+  const SystemResult quiet = SimulateMix(OneMix(), config);
+  EXPECT_TRUE(quiet.latencies.empty());
+  EXPECT_THROW(quiet.LatencyPercentileNs(50.0), FatalError);
+
+  config.record_latencies = true;
+  const SystemResult recorded = SimulateMix(OneMix(), config);
+  ExpectSameResult(quiet, recorded, "PARA @ 128");
+  ASSERT_EQ(recorded.latencies.size(), recorded.total_requests);
+  Tick sum = 0;
+  for (const Tick latency : recorded.latencies) {
+    sum += latency;
+  }
+  EXPECT_EQ(sum, recorded.total_latency);
+}
+
 TEST(SystemTest, SelfNormalizationIsOne) {
   const SystemResult result = SimulateMix(OneMix(), FastConfig());
   EXPECT_DOUBLE_EQ(NormalizedPerformance(result, result), 1.0);
@@ -238,8 +350,15 @@ TEST(SchedulerTest, MitigationOrderingHoldsUnderFrFcfs) {
 namespace vrddram::memsim {
 namespace {
 
+/// FastConfig with every request's latency recorded.
+SystemConfig LatencyConfig() {
+  SystemConfig config = FastConfig();
+  config.record_latencies = true;
+  return config;
+}
+
 TEST(LatencyTest, AverageLatencyTracked) {
-  const SystemResult result = SimulateMix(OneMix(), FastConfig());
+  const SystemResult result = SimulateMix(OneMix(), LatencyConfig());
   EXPECT_EQ(result.total_requests, 4u * 4000u);
   EXPECT_GT(result.AvgLatencyNs(), units::ToNs(
       dram::MakeDdr5_8800().tCL));
@@ -247,7 +366,7 @@ TEST(LatencyTest, AverageLatencyTracked) {
 }
 
 TEST(LatencyTest, MitigationInflatesLatency) {
-  SystemConfig config = FastConfig();
+  SystemConfig config = LatencyConfig();
   const double base = SimulateMix(OneMix(), config).AvgLatencyNs();
   config.mitigation = MitigationKind::kPara;
   config.rdt = 64;
@@ -263,7 +382,7 @@ namespace vrddram::memsim {
 namespace {
 
 TEST(LatencyTest, PercentilesOrdered) {
-  const SystemResult result = SimulateMix(OneMix(), FastConfig());
+  const SystemResult result = SimulateMix(OneMix(), LatencyConfig());
   const double p50 = result.LatencyPercentileNs(50.0);
   const double p99 = result.LatencyPercentileNs(99.0);
   EXPECT_GT(p50, 0.0);
@@ -273,7 +392,7 @@ TEST(LatencyTest, PercentilesOrdered) {
 }
 
 TEST(LatencyTest, MitigationInflatesTail) {
-  SystemConfig config = FastConfig();
+  SystemConfig config = LatencyConfig();
   const SystemResult base = SimulateMix(OneMix(), config);
   config.mitigation = MitigationKind::kMint;
   config.rdt = 64;

@@ -1,5 +1,7 @@
 #include "memsim/workload.h"
 
+#include "common/error.h"
+
 #include <gtest/gtest.h>
 
 #include <set>
@@ -80,11 +82,10 @@ TEST(WorkloadTest, LocalityControlsRowReuse) {
 TEST(WorkloadTest, ThinkTimeInverseInMpki) {
   const CoreProfile slow{"slow", 20.0, 0.5, 0.2, 64};
   const CoreProfile fast{"fast", 80.0, 0.5, 0.2, 64};
-  CoreGenerator slow_gen(slow, 32, 1024, 1);
-  CoreGenerator fast_gen(fast, 32, 1024, 1);
-  EXPECT_GT(slow_gen.ThinkTime(), fast_gen.ThinkTime());
+  EXPECT_GT(ThinkTime(slow), ThinkTime(fast));
   // MPKI 20 -> 50 instructions per miss -> 6.25 ns at 8 instr/ns.
-  EXPECT_EQ(slow_gen.ThinkTime(), units::FromNs(6.25));
+  EXPECT_EQ(ThinkTime(slow), units::FromNs(6.25));
+  EXPECT_THROW(ThinkTime(CoreProfile{"idle", 0.0}), FatalError);
 }
 
 TEST(WorkloadTest, WriteFractionRespected) {
