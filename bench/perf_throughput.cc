@@ -7,6 +7,7 @@
  */
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -42,19 +43,68 @@ struct ProfilerFixture {
   std::uint64_t guess = 0;
 };
 
-// The path every campaign shard runs: one analytic series per
-// iteration into a hoisted buffer; items are measurements.
+// The rows one fig07 campaign shard measures on M1: three per bank
+// region, the lowest mean RDT of 192 scanned rows each, with their
+// GuessRdt. Their mix of trap counts and distinct sweep durations is
+// what the kernel and its occupancy memo see in a campaign.
+struct CampaignRowsFixture {
+  CampaignRowsFixture() {
+    device = vrd::BuildDevice("M1");
+    auto& engine = dynamic_cast<vrd::TrapFaultEngine&>(device->model());
+    profiler = std::make_unique<core::RdtProfiler>(*device,
+                                                   core::ProfilerConfig{});
+    for (const dram::RowAddr row : core::SelectVulnerableRows(
+             *device, engine, /*bank=*/0, /*per_region=*/3,
+             /*scan_per_region=*/192, dram::DataPattern::kCheckered0,
+             device->timing().tRAS)) {
+      if (const auto guess = profiler->GuessRdt(row)) {
+        rows.push_back({row, *guess});
+        traps += engine.RowStateOf(0, device->mapper().ToPhysical(row))
+                     .traps.size();
+      }
+    }
+    VRD_FATAL_IF(rows.empty(),
+                 "perf fixture: no campaign row of device M1 flips");
+  }
+  std::unique_ptr<dram::Device> device;
+  std::unique_ptr<core::RdtProfiler> profiler;
+  std::vector<core::RdtProfiler::Victim> rows;
+  std::size_t traps = 0;  ///< summed over `rows`
+};
+
+// The path every campaign shard runs: one 1000-measurement analytic
+// series per iteration into a hoisted buffer, cycling through the
+// campaign rows; items are measurements. `traps` and
+// `distinct_durations` (distinct series values, each one sweep
+// duration) are means over the rows' series.
 void BM_MeasurementAnalytic(benchmark::State& state) {
   constexpr std::size_t kSeriesLength = 1000;
-  ProfilerFixture fx;
+  CampaignRowsFixture fx;
   std::vector<std::int64_t> series;
+  std::size_t next = 0;
   for (auto _ : state) {
-    fx.profiler->MeasureSeries(fx.victim, fx.guess, kSeriesLength, series);
+    const core::RdtProfiler::Victim& row = fx.rows[next];
+    next = next + 1 == fx.rows.size() ? 0 : next + 1;
+    fx.profiler->MeasureSeries(row.row, row.rdt_guess, kSeriesLength,
+                               series);
     benchmark::DoNotOptimize(series.data());
     benchmark::ClobberMemory();
   }
+  // One more series per row, untimed, for the duration count.
+  std::size_t distinct = 0;
+  for (const core::RdtProfiler::Victim& row : fx.rows) {
+    fx.profiler->MeasureSeries(row.row, row.rdt_guess, kSeriesLength,
+                               series);
+    std::sort(series.begin(), series.end());
+    distinct += static_cast<std::size_t>(
+        std::unique(series.begin(), series.end()) - series.begin());
+  }
+  const auto row_count = static_cast<double>(fx.rows.size());
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kSeriesLength));
+  state.counters["traps"] = static_cast<double>(fx.traps) / row_count;
+  state.counters["distinct_durations"] =
+      static_cast<double>(distinct) / row_count;
 }
 BENCHMARK(BM_MeasurementAnalytic);
 

@@ -68,14 +68,33 @@ Tick RdtProfiler::FixedIterationTime() const {
   return init + read;
 }
 
+Tick RdtProfiler::SweepDuration(const SeriesContext& ctx,
+                                std::uint64_t steps) {
+  // The per-iteration time is affine in the hammer count, so the sum
+  // over the executed grid prefix has a closed form: the arithmetic
+  // hammer-count sequence lo, lo+step, ..., last.
+  const Grid& grid = ctx.grid;
+  const std::uint64_t last_hc = grid.lo + (steps - 1) * grid.step;
+  const auto hammer_sum = static_cast<Tick>(
+      steps * (grid.lo + last_hc) / 2);
+  return static_cast<Tick>(steps) * ctx.fixed_per_step +
+         ctx.per_hammer * hammer_sum;
+}
+
 void RdtProfiler::MakeSeriesContext(dram::RowAddr victim,
                                     std::uint64_t rdt_guess,
                                     SeriesContext& ctx) {
   ctx.grid = GridFor(rdt_guess);
+  const Grid& grid = ctx.grid;
   const Tick t_on = EffectiveTOn();
   ctx.fixed_per_step = FixedIterationTime();
   // Double-sided hammering: each hammer activates both aggressors.
   ctx.per_hammer = 2 * (t_on + device_->timing().tRP);
+  // The last grid index below hi; a measurement that flips at none
+  // runs the whole grid.
+  const std::uint64_t last_index = (grid.hi - 1 - grid.lo) / grid.step;
+  ctx.last_index = static_cast<double>(last_index);
+  ctx.no_flip_duration = SweepDuration(ctx, last_index + 1);
   // In-place rebuild: the engine clears and refills the context's
   // vectors without releasing their capacity.
   engine_->MakeMeasureContext(
@@ -92,36 +111,25 @@ std::int64_t RdtProfiler::MeasureOnceWith(SeriesContext& ctx) {
       engine_->MinFlipHammerCount(ctx.measure, device_->Now());
 
   // First grid value whose hammer count reaches the flipping count.
+  // The grid index is decided in double: a flipping count far beyond
+  // the grid has an index no integer type holds.
   std::int64_t observed = kNoFlip;
+  Tick duration = ctx.no_flip_duration;
   if (rdt_true >= 0.0) {
-    if (rdt_true <= static_cast<double>(grid.lo)) {
-      observed = static_cast<std::int64_t>(grid.lo);
-    } else {
-      const double offset = rdt_true - static_cast<double>(grid.lo);
-      const auto steps = static_cast<std::uint64_t>(
-          std::ceil(offset / static_cast<double>(grid.step)));
-      const std::uint64_t value = grid.lo + steps * grid.step;
-      if (value < grid.hi) {
-        observed = static_cast<std::int64_t>(value);
-      }
+    const double lo = static_cast<double>(grid.lo);
+    const double index =
+        rdt_true <= lo
+            ? 0.0
+            : std::ceil((rdt_true - lo) / static_cast<double>(grid.step));
+    if (index <= ctx.last_index) {
+      const auto k = static_cast<std::uint64_t>(index);
+      observed = static_cast<std::int64_t>(grid.lo + k * grid.step);
+      duration = SweepDuration(ctx, k + 1);
     }
   }
 
   // Advance device time by the duration the real sweep would take, so
-  // trap dynamics keep their physical pace. The per-iteration time is
-  // affine in the hammer count, so the sum over the executed grid
-  // prefix has a closed form.
-  const std::uint64_t last_hc =
-      (observed != kNoFlip) ? static_cast<std::uint64_t>(observed)
-                            : grid.lo + ((grid.hi - 1 - grid.lo) /
-                                         grid.step) * grid.step;
-  const std::uint64_t steps = (last_hc - grid.lo) / grid.step + 1;
-  // Sum of the arithmetic hammer-count sequence lo, lo+step, ..., last.
-  const auto hammer_sum = static_cast<Tick>(
-      steps * (grid.lo + last_hc) / 2);
-  const Tick duration =
-      static_cast<Tick>(steps) * ctx.fixed_per_step +
-      ctx.per_hammer * hammer_sum;
+  // trap dynamics keep their physical pace.
   device_->Sleep(duration);
 
   if (fi::ShouldFire("core.profiler.noflip")) {

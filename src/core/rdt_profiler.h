@@ -98,17 +98,23 @@ class RdtProfiler {
   /**
    * Everything about one (victim, rdt_guess) series that is invariant
    * across its measurements: the sweep grid, the timing-derived
-   * constants of the analytic duration model, and the engine-side
-   * MeasureContext (pinned row state, per-cell invariant multipliers,
-   * occupancy-probability memo). Computed once per series instead of
-   * once per measurement, which keeps the 100k-measurement inner loop
-   * free of mapper lookups, hash-map probes, and invariant
+   * constants of the analytic duration model (with the whole-grid
+   * sweep's duration, which every no-flip measurement takes), and the
+   * engine-side MeasureContext (pinned row state, per-cell invariant
+   * multipliers, occupancy-probability memo). Computed once per series
+   * instead of once per measurement, which keeps the 100k-measurement
+   * inner loop free of mapper lookups, hash-map probes, and invariant
    * recomputation.
    */
   struct SeriesContext {
     Grid grid;
     Tick fixed_per_step = 0;  ///< FixedIterationTime()
     Tick per_hammer = 0;      ///< 2 * (EffectiveTOn() + tRP)
+    /// The grid's last index, (hi - 1 - lo) / step, as a double: the
+    /// bound a measurement's index is checked against before any cast.
+    double last_index = 0.0;
+    /// Device time of a sweep that flips nowhere on the grid.
+    Tick no_flip_duration = 0;
     /// Engine-side series cache. Mutated by every measurement (memo
     /// and kernel scratch), hence the non-const threading below.
     vrd::MeasureContext measure;
@@ -119,6 +125,10 @@ class RdtProfiler {
                          SeriesContext& ctx);
 
   std::int64_t MeasureOnceWith(SeriesContext& ctx);
+
+  /// Device time of a sweep that runs the grid's first `steps` hammer
+  /// counts (steps >= 1).
+  static Tick SweepDuration(const SeriesContext& ctx, std::uint64_t steps);
 
   /// Elapsed time of one sweep iteration apart from its hammers: the
   /// neighbourhood initialization plus the victim readback.

@@ -1,6 +1,7 @@
 #include "vrd/trap_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <string>
 
@@ -359,42 +360,50 @@ void TrapFaultEngine::Evaluate(const dram::VictimContext& ctx,
   state.last_sample = ctx.now;
 }
 
+void MeasureContext::ClearMemo() {
+  memo_slot_.fill(0);
+  memo_size_ = 0;
+}
+
 const std::array<double, 2>* MeasureContext::OccupancyFor(Tick dt) {
-  for (OccupancyEntry& entry : memo_) {
-    if (entry.dt == dt) {
-      return entry.p_occupied.data();
-    }
-  }
-  // Miss: compute both probabilities for every trap of the row. The
-  // analytic sweep revisits a bounded set of durations, so the memo
-  // saturates after a handful of entries; round-robin eviction bounds
-  // memory without affecting values.
-  constexpr std::size_t kMemoCapacity = 16;
-  OccupancyEntry* slot = nullptr;
-  for (OccupancyEntry& entry : memo_) {
-    if (entry.dt < 0) {  // invalidated by a context rebuild
-      slot = &entry;
-      break;
-    }
-  }
-  if (slot == nullptr) {
-    if (memo_.size() < kMemoCapacity) {
-      // vrdlint: allow(kernel-allocation) -- memo growth, not steady state
-      memo_.emplace_back();
-      slot = &memo_.back();
-    } else {
-      slot = &memo_[memo_next_evict_];
-      memo_next_evict_ = (memo_next_evict_ + 1) % kMemoCapacity;
-    }
-  }
-  slot->dt = dt;
+  static_assert(kMemoCapacity < 256, "entry numbers fit memo_slot_");
+  static_assert((kMemoSlots & (kMemoSlots - 1)) == 0, "power of two");
   const std::vector<TrapFaultEngine::Trap>& traps = state_->traps;
-  // First fill of a memo slot; the sweep's bounded duration set makes
-  // this settle after a handful of entries.
-  // vrdlint: allow(kernel-allocation)
-  slot->p_occupied.resize(traps.size());
+  const std::size_t stride = traps.size();
+  // Fibonacci hashing: the top bits of dt times 2^64/phi spread the
+  // sweep's evenly spaced durations over the slots.
+  constexpr int kShift = 64 - std::countr_zero(kMemoSlots);
+  const std::uint64_t mixed =
+      static_cast<std::uint64_t>(dt) * 0x9E3779B97F4A7C15ULL;
+  const auto home = static_cast<std::size_t>(mixed >> kShift);
+  std::size_t slot = home;
+  for (; memo_slot_[slot] != 0; slot = (slot + 1) & (kMemoSlots - 1)) {
+    const std::size_t entry = memo_slot_[slot] - 1u;
+    if (memo_dt_[entry] == dt) {
+      const std::size_t offset = entry * stride;
+      return memo_p_.data() + offset;
+    }
+  }
+  // Miss: compute both probabilities for every trap of the row. A
+  // paper-scale series visits a few dozen durations, so the memo
+  // rarely fills; emptying it when it does bounds memory without
+  // affecting values.
+  if (memo_size_ == kMemoCapacity) {
+    ClearMemo();
+    slot = home;
+  }
+  const std::size_t entry = memo_size_++;
+  memo_slot_[slot] = static_cast<std::uint8_t>(entry + 1);
+  memo_dt_[entry] = dt;
+  if (memo_p_.size() < (entry + 1) * stride) {
+    // Memo growth up to its high-water mark, not steady state.
+    // vrdlint: allow(kernel-allocation)
+    memo_p_.resize((entry + 1) * stride);
+  }
+  const std::size_t offset = entry * stride;
+  std::array<double, 2>* const p_occupied = memo_p_.data() + offset;
   const double seconds = units::ToSeconds(dt);
-  for (std::size_t i = 0; i < traps.size(); ++i) {
+  for (std::size_t i = 0; i < stride; ++i) {
     // The two-state relaxation p = occ + (prev - occ) * decay for
     // prev = 0 and prev = 1; the operation order is pinned by the
     // kernel's golden digests.
@@ -403,10 +412,9 @@ const std::array<double, 2>* MeasureContext::OccupancyFor(Tick dt) {
     const double occ = traps[i].occupancy;
     const double relax_from_empty = (0.0 - occ) * decay;
     const double relax_from_occupied = (1.0 - occ) * decay;
-    slot->p_occupied[i] = {occ + relax_from_empty,
-                           occ + relax_from_occupied};
+    p_occupied[i] = {occ + relax_from_empty, occ + relax_from_occupied};
   }
-  return slot->p_occupied.data();
+  return p_occupied;
 }
 
 MeasureContext TrapFaultEngine::MakeMeasureContext(
@@ -430,14 +438,11 @@ void TrapFaultEngine::MakeMeasureContext(
   ctx.q10_scale_ =
       std::pow(profile_.trap_rate_q10, (temperature - 50.0) / 10.0);
 
-  // Reuse: drop contents but keep every vector's capacity, and mark
-  // the memo lanes stale in place (their inner buffers are retained),
-  // so rebuilding a hoisted context allocates nothing in steady state.
+  // Reuse: drop contents but keep every vector's capacity (the memo's
+  // value storage included), so rebuilding a hoisted context allocates
+  // nothing in steady state.
   ctx.cells_.clear();
-  for (MeasureContext::OccupancyEntry& entry : ctx.memo_) {
-    entry.dt = -1;
-  }
-  ctx.memo_next_evict_ = 0;
+  ctx.ClearMemo();
 
   ctx.cells_.reserve(state.cells.size());
   for (const WeakCell& cell : state.cells) {

@@ -129,8 +129,10 @@ class TrapFaultEngine final : public dram::ReadDisturbanceModel {
    *  - the Q10 trap-rate factor of its temperature, and
    *  - an exact memo of each trap's next-sample occupancy probability,
    *    from empty and from occupied, keyed on the tick delta between
-   *    measurements (the analytic sweep revisits a handful of distinct
-   *    durations, so almost every measurement reuses a cached pair).
+   *    measurements: an open-addressed index over up to kMemoCapacity
+   *    deltas, which covers the few dozen distinct sweep durations of
+   *    a paper-scale series, so only a series' first visit to a
+   *    duration pays the exp per trap.
    *
    * It also owns the kernel's per-cell and per-pair scratch, reserved
    * at build, so a measurement allocates nothing.
@@ -147,6 +149,10 @@ class TrapFaultEngine final : public dram::ReadDisturbanceModel {
     /// Number of weak cells of the pinned row (introspection).
     std::size_t cell_count() const { return cells_.size(); }
 
+    /// Distinct deltas the occupancy memo holds; a miss with the memo
+    /// full empties it first.
+    static constexpr std::size_t kMemoCapacity = 64;
+
    private:
     friend class TrapFaultEngine;
 
@@ -161,21 +167,27 @@ class TrapFaultEngine final : public dram::ReadDisturbanceModel {
       double noise_sigma = 0.0;
     };
 
-    struct OccupancyEntry {
-      Tick dt = -1;
-      /// Per row trap index: [0] from empty, [1] from occupied.
-      std::vector<std::array<double, 2>> p_occupied;
-    };
+    /// Index slots: twice the capacity keeps linear probes short.
+    static constexpr std::size_t kMemoSlots = 2 * kMemoCapacity;
 
     /// Each trap's probability of being occupied `dt` after a sample,
     /// given its state then, memoized on dt.
     const std::array<double, 2>* OccupancyFor(Tick dt);
+    /// Forget every memo entry, keeping the storage.
+    void ClearMemo();
 
     RowState* state_ = nullptr;
     std::vector<CellPre> cells_;
     double q10_scale_ = 1.0;  ///< trap-rate factor at the temperature
-    std::vector<OccupancyEntry> memo_;
-    std::size_t memo_next_evict_ = 0;
+    /// Open-addressed index on dt: 0 for an empty slot, else the
+    /// entry number plus one.
+    std::array<std::uint8_t, kMemoSlots> memo_slot_{};
+    std::array<Tick, kMemoCapacity> memo_dt_{};  ///< per entry
+    std::size_t memo_size_ = 0;                  ///< entries in use
+    /// Per entry, per row trap: [0] from empty, [1] from occupied.
+    /// Entry k starts at k * (the row's trap count); the vector only
+    /// grows, so a rebuilt context reuses it.
+    std::vector<std::array<double, 2>> memo_p_;
     // Kernel scratch, refilled by every measurement.
     std::vector<double> boost_;             ///< per cell
     std::vector<Rng::PolarPair> pairs_;     ///< per fresh polar pair

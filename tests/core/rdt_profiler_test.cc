@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -205,6 +206,38 @@ TEST(RdtProfilerTest, NoFlipRecordedWhenGridTooLow) {
   const auto series = profiler.MeasureSeries(victim->row, 4, 1);
   EXPECT_EQ(series, std::vector<std::int64_t>{kNoFlip});
   EXPECT_GT(rig.device->Now(), t0);
+}
+
+TEST(RdtProfilerTest, FlipCountFarBeyondTheGridIsNoFlip) {
+  // At a median RDT of 1e22 the flipping count sits ~1e21 grid steps
+  // past the first grid value: more than any 64-bit index holds. Such
+  // a measurement must record kNoFlip and take the whole-grid sweep's
+  // time, exactly like one at 1e18, whose index still fits.
+  auto measure = [](double median_rdt, Tick* elapsed) {
+    vrd::TestedChip chip = vrd::MakeTestedChip("M1");
+    chip.fault.median_rdt = median_rdt;
+    dram::Device device(chip.device,
+                        std::make_unique<vrd::TrapFaultEngine>(
+                            chip.fault, chip.device.seed, chip.device.org));
+    auto& engine = dynamic_cast<vrd::TrapFaultEngine&>(device.model());
+    dram::RowAddr row = 1;
+    while (engine.RowStateOf(0, device.mapper().ToPhysical(row))
+               .cells.empty()) {
+      ++row;
+    }
+    RdtProfiler profiler(device, ProfilerConfig{});
+    const Tick t0 = device.Now();
+    const std::vector<std::int64_t> series =
+        profiler.MeasureSeries(row, 1000, 5);
+    *elapsed = device.Now() - t0;
+    return series;
+  };
+  Tick far_elapsed = 0;
+  Tick near_elapsed = 0;
+  const std::vector<std::int64_t> no_flips(5, kNoFlip);
+  EXPECT_EQ(measure(1e22, &far_elapsed), no_flips);
+  EXPECT_EQ(measure(1e18, &near_elapsed), no_flips);
+  EXPECT_EQ(far_elapsed, near_elapsed);
 }
 
 TEST(RdtProfilerTest, GuessRdtNulloptForInvulnerableRow) {

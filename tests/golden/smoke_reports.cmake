@@ -14,8 +14,18 @@
 # UPDATE=ON writes GOLDEN from the --threads=1 run instead of
 # comparing. The digests depend on the compiler and libm, so the file's
 # header records both; a mismatch under another toolchain says so.
+#
+# Paper-scale CHECK ledger: with -DCHECKS=ON (EXAMPLES_DIR is then not
+# needed) the script instead runs `vrdrepro run --all --no-cache` once at
+# default scale and compares every report's CHECK lines, in report-name
+# order, with GOLDEN (tests/golden/checks_default.txt); UPDATE=ON
+# rewrites GOLDEN from the run.
 
-foreach(var VRDREPRO EXAMPLES_DIR GOLDEN WORK_DIR)
+set(required VRDREPRO GOLDEN WORK_DIR)
+if(NOT CHECKS)
+  list(APPEND required EXAMPLES_DIR)
+endif()
+foreach(var IN LISTS required)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "smoke_reports.cmake: -D${var}=... is required")
   endif()
@@ -46,6 +56,68 @@ function(append_digests dir out_var)
   endforeach()
   set(${out_var} ${lines} PARENT_SCOPE)
 endfunction()
+
+if(CHECKS)
+  file(REMOVE_RECURSE "${WORK_DIR}")
+  execute_process(COMMAND "${VRDREPRO}" run --all --no-cache --threads=0
+                          "--out_dir=${WORK_DIR}/reports"
+                  OUTPUT_QUIET ERROR_VARIABLE stderr RESULT_VARIABLE status)
+  if(NOT status EQUAL 0)
+    message(FATAL_ERROR "vrdrepro run --all exited ${status}:\n${stderr}")
+  endif()
+  file(GLOB reports RELATIVE "${WORK_DIR}/reports" "${WORK_DIR}/reports/*.txt")
+  list(SORT reports)
+  set(ledger "")
+  foreach(name IN LISTS reports)
+    file(STRINGS "${WORK_DIR}/reports/${name}" lines REGEX "^CHECK ")
+    foreach(line IN LISTS lines)
+      string(APPEND ledger "${line}\n")
+    endforeach()
+  endforeach()
+  set(got "${WORK_DIR}/checks_default.txt")
+  file(WRITE "${got}" "${ledger}")
+  if(UPDATE)
+    file(WRITE "${GOLDEN}"
+         "# Every CHECK line of `vrdrepro run --all --no-cache` at default\n"
+         "# (paper) scale, in report-name order. Regenerate only for a\n"
+         "# documented correction.\n"
+         "# toolchain: ${toolchain}\n"
+         "${ledger}")
+    message(STATUS "wrote ${GOLDEN}")
+    return()
+  endif()
+  file(STRINGS "${GOLDEN}" want REGEX "^CHECK ")
+  file(STRINGS "${got}" have REGEX "^CHECK ")
+  list(LENGTH have have_count)
+  list(JOIN want "\n" want_text)
+  list(JOIN have "\n" have_text)
+  if(NOT want_text STREQUAL have_text)
+    list(LENGTH want want_count)
+    set(moved)
+    foreach(line IN LISTS have)
+      list(FIND want "${line}" at)
+      if(at EQUAL -1)
+        list(APPEND moved "${line}")
+      endif()
+    endforeach()
+    list(JOIN moved "\n  " moved_text)
+    file(STRINGS "${GOLDEN}" golden_toolchain REGEX "^# toolchain: ")
+    message(FATAL_ERROR
+            "paper-scale CHECK lines differ from ${GOLDEN} "
+            "(${have_count} lines, ${want_count} expected); this run's lines "
+            "missing from it (if none, their order differs):\n"
+            "  ${moved_text}\n"
+            "this build: # toolchain: ${toolchain}\n"
+            "golden:     ${golden_toolchain}\n"
+            "This run's ledger is ${got}. If the change is a documented "
+            "correction, regenerate the file with:\n"
+            "  cmake -DCHECKS=ON -DVRDREPRO=${VRDREPRO} -DGOLDEN=${GOLDEN} "
+            "-DWORK_DIR=${WORK_DIR} \"-DTOOLCHAIN=${TOOLCHAIN}\" -DUPDATE=ON "
+            "-P ${CMAKE_CURRENT_LIST_FILE}")
+  endif()
+  message(STATUS "all ${have_count} paper-scale CHECK lines match")
+  return()
+endif()
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}/examples")

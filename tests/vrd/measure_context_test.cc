@@ -351,6 +351,69 @@ TEST(MeasureContextTest, CommandPathAndKernelShareOneSampleTick) {
       << "measured 0x" << std::hex << digest.value() << "ULL";
 }
 
+/**
+ * A series that cycles through more distinct deltas than the occupancy
+ * memo holds makes it empty and refill over and over. Every output must
+ * still equal the one-shot path on a twin engine, whose memo is cold on
+ * every call.
+ */
+TEST(MeasureContextTest, MemoEvictionKeepsEveryOutput) {
+  const TestedChip chip = MakeTestedChip("M1");
+  TrapFaultEngine warm(chip.fault, chip.device.seed, chip.device.org);
+  TrapFaultEngine cold(chip.fault, chip.device.seed, chip.device.org);
+  const dram::CellEncodingLayout encoding(chip.device.seed,
+                                          chip.device.anti_cell_fraction);
+  const Tick t_on = chip.device.timing.tRAS;
+  const Celsius temp = 65.0;
+
+  // First row with at least two weak cells; both engines create its
+  // state at tick 0.
+  dram::PhysicalRow row{0};
+  for (dram::RowAddr r = 1; r < 4000; ++r) {
+    if (warm.RowStateOf(0, dram::PhysicalRow{r}).cells.size() >= 2) {
+      row = dram::PhysicalRow{r};
+      break;
+    }
+  }
+  ASSERT_NE(row.value, 0u);
+  ASSERT_EQ(cold.RowStateOf(0, row).cells.size(),
+            warm.RowStateOf(0, row).cells.size());
+
+  MeasureContext ctx =
+      warm.MakeMeasureContext(0, row, 0x55, 0xAA, t_on, temp, encoding, 0);
+  // Over twice the memo's capacity of distinct deltas per cycle, and
+  // three cycles, so deltas come back after their entries were dropped.
+  const std::size_t distinct = 2 * MeasureContext::kMemoCapacity + 3;
+  std::vector<TrapFaultEngine::CellFlipPoint> warm_points;
+  Tick now = 0;
+  int compared = 0;
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    for (std::size_t d = 0; d < distinct; ++d) {
+      now += static_cast<Tick>(d + 1) * 97 * units::kMicrosecond;
+      if (d % 4 == 3) {
+        warm.PerCellFlipHammerCounts(ctx, now, warm_points);
+        const std::vector<TrapFaultEngine::CellFlipPoint> cold_points =
+            cold.PerCellFlipHammerCounts(0, row, 0x55, 0xAA, t_on, temp,
+                                         encoding, now);
+        ASSERT_EQ(warm_points.size(), cold_points.size());
+        for (std::size_t i = 0; i < cold_points.size(); ++i) {
+          EXPECT_EQ(warm_points[i].bit_index, cold_points[i].bit_index);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(warm_points[i].hammer_count),
+                    std::bit_cast<std::uint64_t>(cold_points[i].hammer_count));
+        }
+      } else {
+        const double warm_min = warm.MinFlipHammerCount(ctx, now);
+        const double cold_min = cold.MinFlipHammerCount(
+            0, row, 0x55, 0xAA, t_on, temp, encoding, now);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(warm_min),
+                  std::bit_cast<std::uint64_t>(cold_min));
+      }
+      ++compared;
+    }
+  }
+  EXPECT_EQ(compared, 3 * static_cast<int>(distinct));
+}
+
 /// Rebuilding a hoisted MeasureContext must not grow memory once warm
 /// (the allocation-free steady state the campaign shards rely on).
 TEST(MeasureContextTest, ReuseOverloadMatchesFreshContext) {
