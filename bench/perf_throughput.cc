@@ -122,6 +122,22 @@ void BM_AnalyzeSeries(benchmark::State& state) {
 }
 BENCHMARK(BM_AnalyzeSeries);
 
+// The shape fig01, fig03, fig04 and fig05 analyse: one 100,000-
+// measurement series of the fixture row at the default 40 ACF lags;
+// items are measurements.
+void BM_AnalyzeSeriesPaperScale(benchmark::State& state) {
+  constexpr std::size_t kSeriesLength = 100000;
+  ProfilerFixture fx;
+  const std::vector<std::int64_t> series =
+      fx.profiler->MeasureSeries(fx.victim, fx.guess, kSeriesLength);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::AnalyzeSeries(series));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kSeriesLength));
+}
+BENCHMARK(BM_AnalyzeSeriesPaperScale);
+
 void BM_EngineQuery(benchmark::State& state) {
   auto device = vrd::BuildDevice("M1");
   auto* engine = dynamic_cast<vrd::TrapFaultEngine*>(&device->model());

@@ -162,7 +162,7 @@ bool FaultScope::Fire(std::string_view site) {
 
 bool ShouldFire(std::string_view site) {
   FaultScope* scope = g_active_scope;
-  return scope != nullptr && scope->Fire(site);
+  return scope != nullptr && scope->armed() && scope->Fire(site);
 }
 
 }  // namespace vrddram::fi

@@ -111,6 +111,9 @@ class FaultScope {
   const std::string& label() const { return label_; }
   std::uint64_t attempt() const { return attempt_; }
 
+  /// False when the plan names no site, so no evaluation can fire.
+  bool armed() const { return !plan_->empty(); }
+
   /// One evaluation of `site` in this scope; true = inject the fault.
   bool Fire(std::string_view site);
 
@@ -132,7 +135,9 @@ class FaultScope {
 /**
  * Ask the innermost active scope of the calling thread whether this
  * evaluation of `site` injects its fault. Always false when no scope
- * is active — instrumented code needs no configuration to run clean.
+ * is active — instrumented code needs no configuration to run clean —
+ * and, without a lookup, when the active scope's plan is empty (every
+ * campaign measurement asks).
  */
 bool ShouldFire(std::string_view site);
 

@@ -25,14 +25,19 @@ SecurityResult EvaluateThreshold(dram::Device& device,
   result.configured_threshold = threshold;
   result.episodes = episodes;
 
+  // Every episode measures the same (row, pattern, t_on, temperature),
+  // so one context serves them all; a held context continues the
+  // series bit for bit, and keeps its occupancy memo across episodes.
+  vrd::MeasureContext ctx;
+  engine.MakeMeasureContext(/*bank=*/0, phys, dram::VictimByte(pattern),
+                            dram::AggressorByte(pattern),
+                            device.timing().tRAS, device.temperature(),
+                            device.encoding(), device.Now(), ctx);
   for (std::uint64_t episode = 0; episode < episodes; ++episode) {
     // The idealized tracker lets exactly `threshold` activations per
     // aggressor through before refreshing the victim. The episode
     // breaches if the row can flip at or below that count right now.
-    const double flip_at = engine.MinFlipHammerCount(
-        /*bank=*/0, phys, dram::VictimByte(pattern),
-        dram::AggressorByte(pattern), device.timing().tRAS,
-        device.temperature(), device.encoding(), device.Now());
+    const double flip_at = engine.MinFlipHammerCount(ctx, device.Now());
     if (flip_at >= 0.0 &&
         flip_at <= static_cast<double>(threshold)) {
       ++result.breached_episodes;

@@ -13,21 +13,14 @@ SeriesAnalysis AnalyzeSeries(std::span<const std::int64_t> series,
   SeriesAnalysis out;
   out.measurements = series.size();
 
-  std::vector<std::int64_t> valid;
-  valid.reserve(series.size());
-  for (const std::int64_t v : series) {
-    if (v >= 0) {
-      valid.push_back(v);
-    }
-  }
-  out.valid = valid.size();
+  // Order-free statistics: one count of the flipping values, read as
+  // runs of equal values.
+  const SortedFlips flips = BuildSortedFlips(series);
+  out.valid = flips.size;
   VRD_FATAL_IF(out.valid < kMinAnalyzedFlips,
                "series has " + std::to_string(out.valid) +
                    " flipping measurements; analysis needs at least " +
                    std::to_string(kMinAnalyzedFlips));
-
-  // Order-free statistics: one sort, read as runs of equal values.
-  const SortedFlips flips = BuildSortedFlips(valid);
   out.min_rdt = flips.run_values.front();
   out.max_rdt = flips.run_values.back();
   out.max_over_min = static_cast<double>(out.max_rdt) /
@@ -57,7 +50,20 @@ SeriesAnalysis AnalyzeSeries(std::span<const std::int64_t> series,
       },
       out.mean);
 
-  out.run_lengths = stats::ComputeRunLengths(valid);
+  // The ordered statistics read the flipping measurements in order. The
+  // integer copy is dropped before the ACF allocates its deviations.
+  std::vector<double> values;
+  {
+    std::vector<std::int64_t> valid;
+    valid.reserve(out.valid);
+    for (const std::int64_t v : series) {
+      if (v >= 0) {
+        valid.push_back(v);
+      }
+    }
+    out.run_lengths = stats::ComputeRunLengths(valid);
+    values = stats::ToDoubles(valid);
+  }
   out.immediate_change_fraction =
       out.run_lengths.ImmediateChangeFraction();
 
@@ -73,11 +79,11 @@ SeriesAnalysis AnalyzeSeries(std::span<const std::int64_t> series,
   }
 
   const std::size_t max_lag =
-      std::min(acf_max_lag, valid.size() > 1 ? valid.size() - 1 : 0);
+      std::min(acf_max_lag, out.valid > 1 ? out.valid - 1 : 0);
   if (max_lag >= 1) {
-    out.acf = stats::Autocorrelation(stats::ToDoubles(valid), max_lag);
+    out.acf = stats::Autocorrelation(values, max_lag);
     out.acf_significant_fraction =
-        stats::FractionSignificantLags(out.acf, valid.size());
+        stats::FractionSignificantLags(out.acf, out.valid);
   }
 
   out.histogram =

@@ -56,7 +56,7 @@ inline constexpr std::size_t kMinAnalyzedFlips = 8;
  * Throws a FatalError naming the count when fewer than
  * kMinAnalyzedFlips measurements flipped.
  *
- * The flipping measurements are sorted once (core::SortedFlips); the
+ * The flipping measurements are counted once (core::SortedFlips); the
  * minimum, unique-value count, box, chi-square categories, histogram
  * and the closed-form mean, stddev and CV (core::ComputeMoments) read
  * that table. The ACF, run lengths and first-minimum index read the

@@ -1,7 +1,7 @@
 /**
  * @file
  * The sorted view of one measurement series: its flipping measurements
- * sorted once and collapsed into runs of equal values, plus its no-flip
+ * counted once and collapsed into runs of equal values, plus its no-flip
  * count. It is the series' whole value distribution without its order,
  * which is all a campaign analysis reads, so a campaign record stores
  * it in place of the raw series (core::SeriesRecord). core::AnalyzeSeries
@@ -34,7 +34,8 @@ struct SortedFlips {
 };
 
 /// Count and drop the kNoFlip sentinels (negative values) of `series`,
-/// sort the rest once and record its runs.
+/// count the occurrences of each distinct flipping value in one pass
+/// and order only the d distinct values: O(n + d log d).
 SortedFlips BuildSortedFlips(std::span<const std::int64_t> series);
 
 /// Mean, sample standard deviation (n - 1 denominator) and coefficient

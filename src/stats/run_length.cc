@@ -1,5 +1,7 @@
 #include "stats/run_length.h"
 
+#include <vector>
+
 #include "common/error.h"
 
 namespace vrddram::stats {
@@ -34,16 +36,30 @@ RunLengthHistogram ComputeRunLengths(std::span<const std::int64_t> xs) {
   if (xs.empty()) {
     return hist;
   }
+  // Runs are counted in a flat vector indexed by length, which grows to
+  // the longest run only, and the map is built from it once, in order.
+  std::vector<std::uint64_t> by_length;
+  const auto count = [&by_length](std::size_t run) {
+    if (run >= by_length.size()) {
+      by_length.resize(run + 1, 0);
+    }
+    ++by_length[run];
+  };
   std::size_t run = 1;
   for (std::size_t i = 1; i < xs.size(); ++i) {
     if (xs[i] == xs[i - 1]) {
       ++run;
     } else {
-      ++hist.counts[run];
+      count(run);
       run = 1;
     }
   }
-  ++hist.counts[run];
+  count(run);
+  for (std::size_t len = 1; len < by_length.size(); ++len) {
+    if (by_length[len] != 0) {
+      hist.counts.emplace_hint(hist.counts.end(), len, by_length[len]);
+    }
+  }
   return hist;
 }
 

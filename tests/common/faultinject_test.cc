@@ -122,5 +122,18 @@ TEST(FaultScopeTest, ScopesNest) {
   EXPECT_TRUE(ShouldFire("a.b")) << "outer scope restored";
 }
 
+TEST(FaultScopeTest, EmptyInnerScopeAnswersForItsArmedOuterScope) {
+  const FaultPlan armed_plan = FaultPlan::Parse("a.b", 1);
+  const FaultPlan empty_plan = FaultPlan::Parse("", 1);
+  FaultScope outer(armed_plan, "outer");
+  EXPECT_TRUE(outer.armed());
+  {
+    FaultScope inner(empty_plan, "inner");
+    EXPECT_FALSE(inner.armed());
+    EXPECT_FALSE(ShouldFire("a.b")) << "innermost scope answers";
+  }
+  EXPECT_TRUE(ShouldFire("a.b")) << "outer scope restored";
+}
+
 }  // namespace
 }  // namespace vrddram::fi

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/error.h"
 #include "core/campaign.h"
 
@@ -41,6 +44,73 @@ TEST(SecurityEvalTest, HugeThresholdBreachesImmediately) {
   ASSERT_TRUE(result.first_breach.has_value());
   EXPECT_EQ(*result.first_breach, 0u);
   EXPECT_EQ(result.breached_episodes, result.episodes);
+}
+
+// The per-episode loop with a one-shot engine query each time, as the
+// evaluation ran before it held one MeasureContext.
+SecurityResult OneShotEpisodes(SecurityRig& rig, std::uint64_t threshold,
+                               std::uint64_t episodes, Tick gap) {
+  dram::Device& device = *rig.device;
+  const dram::PhysicalRow phys = device.mapper().ToPhysical(rig.victim);
+  SecurityResult result;
+  result.configured_threshold = threshold;
+  result.episodes = episodes;
+  for (std::uint64_t episode = 0; episode < episodes; ++episode) {
+    const double flip_at = rig.engine->MinFlipHammerCount(
+        0, phys, dram::VictimByte(dram::DataPattern::kCheckered0),
+        dram::AggressorByte(dram::DataPattern::kCheckered0),
+        device.timing().tRAS, device.temperature(), device.encoding(),
+        device.Now());
+    if (flip_at >= 0.0 && flip_at <= static_cast<double>(threshold)) {
+      ++result.breached_episodes;
+      if (!result.first_breach) {
+        result.first_breach = episode;
+      }
+    }
+    device.Sleep(static_cast<Tick>(2 * threshold) *
+                     (device.timing().tRAS + device.timing().tRP) +
+                 gap);
+  }
+  return result;
+}
+
+TEST(SecurityEvalTest, HeldContextContinuesTheOneShotSeries) {
+  // A threshold at the row's median flipping count breaches in some
+  // episodes and not in others.
+  SecurityRig probe;
+  std::vector<double> counts;
+  for (int i = 0; i < 41; ++i) {
+    counts.push_back(probe.engine->MinFlipHammerCount(
+        0, probe.device->mapper().ToPhysical(probe.victim), 0x55, 0xAA,
+        probe.device->timing().tRAS, probe.device->temperature(),
+        probe.device->encoding(), probe.device->Now() + i * 1000000));
+  }
+  std::nth_element(counts.begin(), counts.begin() + 20, counts.end());
+  const auto threshold = static_cast<std::uint64_t>(counts[20]);
+
+  SecurityRig held;
+  SecurityRig one_shot;
+  const SecurityResult got = EvaluateThreshold(
+      *held.device, *held.engine, held.victim, threshold,
+      /*episodes=*/300, units::kMillisecond);
+  const SecurityResult want = OneShotEpisodes(one_shot, threshold, 300,
+                                              units::kMillisecond);
+  EXPECT_GT(want.breached_episodes, 0u);
+  EXPECT_LT(want.breached_episodes, want.episodes);
+  EXPECT_EQ(got.breached_episodes, want.breached_episodes);
+  EXPECT_EQ(got.first_breach, want.first_breach);
+  EXPECT_EQ(held.device->Now(), one_shot.device->Now());
+  // The row's trap state and RNG stream continue identically.
+  const dram::PhysicalRow phys =
+      held.device->mapper().ToPhysical(held.victim);
+  EXPECT_EQ(held.engine->MinFlipHammerCount(
+                0, phys, 0x55, 0xAA, held.device->timing().tRAS,
+                held.device->temperature(), held.device->encoding(),
+                held.device->Now()),
+            one_shot.engine->MinFlipHammerCount(
+                0, phys, 0x55, 0xAA, one_shot.device->timing().tRAS,
+                one_shot.device->temperature(),
+                one_shot.device->encoding(), one_shot.device->Now()));
 }
 
 TEST(SecurityEvalTest, LargerMarginsBreachNoMoreOften) {

@@ -4,10 +4,11 @@
  * computed straight from its definition, each order-free one from its
  * own sorted copy of the flipping measurements — the unique-value
  * count, Tukey's hinges, the §4.1 binned chi-square test and the
- * Fig. 4 unique-value histogram. The mean and variance are the exact
- * rationals Σx/n and (nΣx² − (Σx)²)/(n(n − 1)), summed in measurement
- * order and rounded by searching the doubles next to an estimate for
- * the nearest one. core::AnalyzeSeries reads all of them from one
+ * Fig. 4 unique-value histogram. The ACF and the run lengths are the
+ * serial definitions of stats/series_stats_oracle.h. The mean and
+ * variance are the exact rationals Σx/n and (nΣx² − (Σx)²)/(n(n − 1)),
+ * summed in measurement order and rounded by searching the doubles
+ * next to an estimate for the nearest one. core::AnalyzeSeries reads all of them from one
  * core::SortedFlips table instead; tests check it against this oracle
  * bit for bit.
  */
@@ -28,6 +29,7 @@
 #include "stats/descriptive.h"
 #include "stats/histogram.h"
 #include "stats/run_length.h"
+#include "stats/series_stats_oracle.h"
 
 namespace vrddram::oracle {
 
@@ -290,7 +292,7 @@ inline core::SeriesAnalysis AnalyzeSeries(
   out.cv = (out.mean != 0.0) ? out.stddev / out.mean : 0.0;
   out.box = series_detail::BoxStats(values, out.mean);
 
-  out.run_lengths = stats::ComputeRunLengths(valid);
+  out.run_lengths = MapRunLengths(valid);
   out.immediate_change_fraction =
       out.run_lengths.ImmediateChangeFraction();
 
@@ -305,7 +307,7 @@ inline core::SeriesAnalysis AnalyzeSeries(
   const std::size_t max_lag =
       std::min(acf_max_lag, valid.size() > 1 ? valid.size() - 1 : 0);
   if (max_lag >= 1) {
-    out.acf = stats::Autocorrelation(values, max_lag);
+    out.acf = SerialAutocorrelation(values, max_lag);
     out.acf_significant_fraction =
         stats::FractionSignificantLags(out.acf, valid.size());
   }

@@ -4,13 +4,91 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "core/rdt_profiler.h"
 
 namespace vrddram::core {
 namespace {
+
+// The table by definition: drop the sentinels, sort the rest, walk the
+// runs of equal values.
+SortedFlips SortAndWalk(std::span<const std::int64_t> series) {
+  std::vector<std::int64_t> sorted;
+  SortedFlips out;
+  for (const std::int64_t v : series) {
+    if (v >= 0) {
+      sorted.push_back(v);
+    } else {
+      ++out.no_flips;
+    }
+  }
+  std::sort(sorted.begin(), sorted.end());
+  out.size = sorted.size();
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    if (i == 0 || sorted[i] != sorted[i - 1]) {
+      out.run_values.push_back(sorted[i]);
+      out.run_counts.push_back(0);
+    }
+    ++out.run_counts.back();
+  }
+  return out;
+}
+
+// `length` measurements drawn from `distinct` values (a sweep grid, or
+// values scattered up to 2^40, 0 included), with a share of sentinels
+// and of repeats of the previous measurement.
+std::vector<std::int64_t> RandomSeries(Rng& rng, std::size_t length,
+                                       std::size_t distinct, bool grid) {
+  std::vector<std::int64_t> pool;
+  for (std::size_t i = 0; i < distinct; ++i) {
+    pool.push_back(grid ? 4000 + 37 * static_cast<std::int64_t>(i)
+                        : static_cast<std::int64_t>(
+                              rng.NextBelow(std::uint64_t{1} << 40)));
+  }
+  pool[0] = grid ? pool[0] : 0;
+  const double noflip = rng.NextDouble() * 0.3;
+  std::vector<std::int64_t> series;
+  series.reserve(length);
+  for (std::size_t i = 0; i < length; ++i) {
+    if (rng.NextBernoulli(noflip)) {
+      series.push_back(kNoFlip);
+    } else if (!series.empty() && rng.NextBernoulli(0.2)) {
+      series.push_back(series.back());
+    } else {
+      series.push_back(pool[rng.NextBelow(pool.size())]);
+    }
+  }
+  return series;
+}
+
+TEST(SortedFlipsTest, MatchesSortAndWalkOnRandomSeries) {
+  Rng rng(0xf11b5);
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t length = rng.NextBelow(3000);
+    const std::size_t distinct = 1 + rng.NextBelow(trial % 2 == 0 ? 40 : 5000);
+    const std::vector<std::int64_t> series =
+        RandomSeries(rng, length, distinct, trial % 3 == 0);
+    EXPECT_EQ(BuildSortedFlips(series), SortAndWalk(series))
+        << "trial " << trial << ": " << length << " measurements of "
+        << distinct << " values";
+  }
+  // Paper scale, and enough distinct values to grow the table often.
+  for (const std::size_t distinct : {7u, 5000u}) {
+    const std::vector<std::int64_t> series =
+        RandomSeries(rng, 100000, distinct, false);
+    EXPECT_EQ(BuildSortedFlips(series), SortAndWalk(series)) << distinct;
+  }
+  for (const std::vector<std::int64_t>& edge :
+       {std::vector<std::int64_t>{}, std::vector<std::int64_t>{0},
+        std::vector<std::int64_t>{kNoFlip, 0, kNoFlip, 0},
+        std::vector<std::int64_t>(1000, std::int64_t{1} << 40)}) {
+    EXPECT_EQ(BuildSortedFlips(edge), SortAndWalk(edge)) << edge.size();
+  }
+}
 
 TEST(SortedFlipsTest, DropsSentinelsAndCollapsesRuns) {
   const std::vector<std::int64_t> series = {300, kNoFlip, 100, 300, 200,

@@ -4,6 +4,9 @@
 
 #include <vector>
 
+#include "common/rng.h"
+#include "stats/series_stats_oracle.h"
+
 namespace vrddram::stats {
 namespace {
 
@@ -60,6 +63,26 @@ TEST(RunLengthTest, MergeAggregates) {
   EXPECT_EQ(a.counts.at(2), 1u);
   EXPECT_EQ(a.counts.at(3), 1u);
   EXPECT_EQ(a.TotalRuns(), 3u);
+}
+
+TEST(RunLengthTest, MatchesOneMapIncrementPerRun) {
+  Rng rng(0x5a11);
+  for (int trial = 0; trial < 50; ++trial) {
+    // Short runs mostly, long ones sometimes; a few values only.
+    const std::size_t length = rng.NextBelow(5000);
+    const double repeat = trial % 5 == 0 ? 0.99 : 0.3;
+    std::vector<std::int64_t> xs;
+    for (std::size_t i = 0; i < length; ++i) {
+      xs.push_back(!xs.empty() && rng.NextBernoulli(repeat)
+                       ? xs.back()
+                       : static_cast<std::int64_t>(rng.NextBelow(4)));
+    }
+    EXPECT_EQ(ComputeRunLengths(xs).counts, oracle::MapRunLengths(xs).counts)
+        << "trial " << trial;
+  }
+  const std::vector<std::int64_t> one_run(100000, 7);
+  EXPECT_EQ(ComputeRunLengths(one_run).counts,
+            oracle::MapRunLengths(one_run).counts);
 }
 
 }  // namespace

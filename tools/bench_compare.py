@@ -9,9 +9,15 @@ the base fails the gate.
 
 Each side may be given several raw google-benchmark JSON files (one per
 round). Only benchmarks present on both sides are compared, and each
-side is reduced to the minimum real_time across all of its files and
-repetitions -- on shared CI boxes the minimum is the least-interference
-estimate, so the gate measures the code, not the neighbours.
+side is reduced to its minimum across all of its files and repetitions
+-- on shared CI boxes the minimum is the least-interference estimate,
+so the gate measures the code, not the neighbours.
+
+The compared quantity is the time per item, 1 / items_per_second, when
+both sides report items_per_second for a benchmark, so a change to the
+fixture (how many items one iteration processes) is not read as a
+speed-up or a regression; otherwise it is the time per iteration,
+real_time.
 
 Usage:
   bench_compare.py --base BASE.json... --candidate CAND.json...
@@ -24,7 +30,8 @@ import sys
 
 
 def load_runs(paths):
-    """Map benchmark name -> minimum real_time (ns) over all files."""
+    """Map benchmark name -> {"real": minimum real_time (ns), "item":
+    minimum time per item (ns), or None if a row lacks items_per_second}."""
     runs = {}
     for path in paths:
         with open(path) as f:
@@ -34,9 +41,23 @@ def load_runs(paths):
             if bench.get("run_type", "iteration") != "iteration":
                 continue
             name = bench.get("run_name", bench["name"])
-            time = float(bench["real_time"])
-            runs[name] = min(runs.get(name, float("inf")), time)
+            rate = float(bench.get("items_per_second", 0.0))
+            item = 1e9 / rate if rate > 0 else None
+            entry = runs.setdefault(
+                name, {"real": float("inf"), "item": float("inf")})
+            entry["real"] = min(entry["real"], float(bench["real_time"]))
+            if item is None or entry["item"] is None:
+                entry["item"] = None
+            else:
+                entry["item"] = min(entry["item"], item)
     return runs
+
+
+def compared(base, cand):
+    """The (base, candidate, unit) pair the gate compares."""
+    if base["item"] is not None and cand["item"] is not None:
+        return base["item"], cand["item"], "ns/item"
+    return base["real"], cand["real"], "ns"
 
 
 def main(argv=None):
@@ -64,8 +85,7 @@ def main(argv=None):
     width = max(len(name) for name in shared)
     regressions = []
     for name in shared:
-        base = baseline[name]
-        cand = candidate[name]
+        base, cand, unit = compared(baseline[name], candidate[name])
         ratio = cand / base if base > 0 else float("inf")
         verdict = "ok"
         if ratio > 1.0 + args.tolerance:
@@ -73,8 +93,8 @@ def main(argv=None):
             regressions.append(name)
         elif ratio < 1.0:
             verdict = "faster"
-        print(f"{name:<{width}}  base {base:>12.0f} ns  "
-              f"cand {cand:>12.0f} ns  x{ratio:.2f}  {verdict}")
+        print(f"{name:<{width}}  base {base:>12.1f} {unit:<7}  "
+              f"cand {cand:>12.1f} {unit:<7}  x{ratio:.2f}  {verdict}")
 
     extra = sorted(set(candidate) - set(baseline))
     if extra:
