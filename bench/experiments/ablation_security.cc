@@ -17,6 +17,7 @@
 #include <iostream>
 #include <map>
 
+#include "common/error.h"
 #include "common/experiment.h"
 #include "core/campaign.h"
 #include "core/online_profiler.h"
@@ -34,7 +35,12 @@ void AnalyzeAblationSecurity(const core::CampaignResult&,
       static_cast<std::size_t>(flags.GetUint("rows"));
   const auto episodes = flags.GetUint("episodes");
   const std::uint64_t seed = flags.GetUint("seed");
-  const std::vector<double> margins = {0.0, 0.10, 0.25, 0.50};
+  const std::vector<std::uint32_t> margins = {0, 10, 25, 50};
+  // With no rows the CHECK reads "0 of 0"; with no episodes no
+  // threshold is ever tested.
+  VRD_FATAL_IF(rows_per_device < 1,
+               "flag --rows=0: expected at least 1");
+  VRD_FATAL_IF(episodes < 1, "flag --episodes=0: expected at least 1");
 
   PrintBanner(out,
               "Part 1: breach rate of statically guardbanded "
@@ -44,7 +50,7 @@ void AnalyzeAblationSecurity(const core::CampaignResult&,
   TextTable static_table({"device", "row", "margin", "threshold",
                           "breached episodes", "first breach"});
   // margin -> (breached rows, total rows)
-  std::map<double, std::pair<std::size_t, std::size_t>> by_margin;
+  std::map<std::uint32_t, std::pair<std::size_t, std::size_t>> by_margin;
   for (const std::string& name : devices) {
     auto device = vrd::BuildDevice(name, seed);
     auto* engine = dynamic_cast<vrd::TrapFaultEngine*>(&device->model());
@@ -62,7 +68,7 @@ void AnalyzeAblationSecurity(const core::CampaignResult&,
       for (std::size_t m = 0; m < margins.size(); ++m) {
         const core::SecurityResult& r = results[m];
         static_table.AddRow(
-            {name, Cell(row), Cell(margins[m] * 100.0, 0) + "%",
+            {name, Cell(row), Cell(margins[m]) + "%",
              Cell(r.configured_threshold), Cell(r.breached_episodes),
              r.first_breach ? Cell(*r.first_breach) : "never"});
         auto& [breached, total] = by_margin[margins[m]];
@@ -76,16 +82,16 @@ void AnalyzeAblationSecurity(const core::CampaignResult&,
   PrintBanner(out, "Rows with at least one breach, per margin");
   TextTable summary({"margin", "breached rows", "total rows"});
   for (const auto& [margin, counts] : by_margin) {
-    summary.AddRow({Cell(margin * 100.0, 0) + "%",
+    summary.AddRow({Cell(margin) + "%",
                     Cell(static_cast<std::uint64_t>(counts.first)),
                     Cell(static_cast<std::uint64_t>(counts.second))});
   }
   summary.Print(out);
   PrintCheck(out, "security.margin0_rows_eventually_breach",
              "expected (Takeaway 1: few measurements miss minima)",
-             Cell(static_cast<std::uint64_t>(by_margin[0.0].first)) +
+             Cell(static_cast<std::uint64_t>(by_margin[0].first)) +
                  " of " +
-                 Cell(static_cast<std::uint64_t>(by_margin[0.0].second)));
+                 Cell(static_cast<std::uint64_t>(by_margin[0].second)));
 
   PrintBanner(out,
               "Part 2: online profiling with adaptive guardband");
@@ -118,7 +124,7 @@ void AnalyzeAblationSecurity(const core::CampaignResult&,
         {name, Cell(row),
          Cell(static_cast<std::uint64_t>(online.windows_run())),
          Cell(static_cast<std::uint64_t>(online.discoveries())),
-         Cell(*threshold), Cell(online.guardband(), 2),
+         Cell(*threshold), Cell(online.guardband_pct() / 100.0, 2),
          Cell(verdict.breached_episodes)});
   }
   online_table.Print(out);

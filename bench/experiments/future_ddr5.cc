@@ -12,6 +12,7 @@
 #include "bender/host.h"
 #include "common/error.h"
 #include "common/experiment.h"
+#include "core/guardband.h"
 #include "core/online_profiler.h"
 #include "core/security_eval.h"
 
@@ -77,8 +78,8 @@ void AnalyzeFutureDdr5(const core::CampaignResult&, Report* report) {
     // PRAC is configured below the profiler's recommendation: the
     // counter fires early enough that in-flight activations cannot
     // carry the dose past the row's deepest observed states.
-    const auto prac_threshold =
-        static_cast<std::uint64_t>(*final_threshold * 0.6);
+    const std::uint64_t prac_threshold =
+        core::GuardbandHammerCount(*final_threshold, 40);
     device->SetPracThreshold(prac_threshold);
 
     // Initialize the victim neighbourhood, then attack well past the

@@ -8,7 +8,9 @@
  */
 #include <algorithm>
 #include <iostream>
+#include <string>
 
+#include "common/error.h"
 #include "common/experiment.h"
 
 namespace vrddram::bench {
@@ -21,12 +23,12 @@ void AnalyzeSpatialVariation(const core::CampaignResult&,
   const std::string device_name = flags.GetString("device");
   const auto rows = flags.GetUint("rows");
   const std::uint64_t seed = flags.GetUint("seed");
+  // Row 0 is the bank edge, so rows 1..rows-1 are measured.
+  VRD_FATAL_IF(rows < 2, "flag --rows=" + std::to_string(rows) +
+                             ": expected at least 2");
 
   auto device = vrd::BuildDevice(device_name, seed);
   auto* engine = dynamic_cast<vrd::TrapFaultEngine*>(&device->model());
-
-  PrintBanner(out, "Spatial variation of RDT across the first " +
-                       Cell(rows) + " rows of " + device_name);
 
   std::vector<double> rdts;
   std::size_t invulnerable = 0;
@@ -43,6 +45,14 @@ void AnalyzeSpatialVariation(const core::CampaignResult&,
       ++invulnerable;
     }
   }
+
+  VRD_FATAL_IF(rdts.empty(),
+               "flag --rows=" + std::to_string(rows) +
+                   ": expected at least one flipping row, but rows 1.." +
+                   std::to_string(rows - 1) + " never flip");
+
+  PrintBanner(out, "Spatial variation of RDT across the first " +
+                       Cell(rows) + " rows of " + device_name);
 
   TextTable table({"percentile of rows", "RDT"});
   for (const double p :

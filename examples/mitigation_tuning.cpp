@@ -11,6 +11,7 @@
 #include <iostream>
 
 #include "common/table.h"
+#include "core/guardband.h"
 #include "core/rdt_profiler.h"
 #include "core/series_analysis.h"
 #include "memsim/system.h"
@@ -55,11 +56,11 @@ int main() {
 
   TextTable table({"guardband", "configured RDT", "covers true min?",
                    "Graphene", "PRAC", "PARA", "MINT"});
-  for (const double guardband : {0.0, 0.10, 0.25, 0.50}) {
-    const auto configured = static_cast<std::uint64_t>(
-        static_cast<double>(profiled_min) * (1.0 - guardband));
+  for (const std::uint32_t guardband_pct : {0u, 10u, 25u, 50u}) {
+    const std::uint64_t configured = core::GuardbandHammerCount(
+        static_cast<std::uint64_t>(profiled_min), guardband_pct);
     std::vector<std::string> row = {
-        Cell(guardband * 100.0, 0) + "%", Cell(configured),
+        Cell(guardband_pct) + "%", Cell(configured),
         configured <= static_cast<std::uint64_t>(truth.min_rdt)
             ? "yes"
             : "NO (insecure)"};

@@ -186,8 +186,8 @@ DeviceStudy StudyDevice(const GuardbandConfig& config,
 
 std::uint64_t GuardbandHammerCount(std::uint64_t min_rdt,
                                    std::uint32_t margin_pct) {
-  VRD_FATAL_IF(margin_pct > 100, "margin above 100%");
-  return min_rdt * (100 - margin_pct) / 100;
+  VRD_FATAL_IF(margin_pct >= 100, "margin must be below 100%");
+  return std::max<std::uint64_t>(1, min_rdt * (100 - margin_pct) / 100);
 }
 
 std::vector<RowGuardbandOutcome> RunGuardbandStudy(

@@ -64,7 +64,10 @@ struct RowGuardbandOutcome {
 };
 
 /// The hammer count `margin_pct` percent below `min_rdt`, rounded
-/// down: min_rdt * (100 - margin_pct) / 100 in integer arithmetic.
+/// down: min_rdt * (100 - margin_pct) / 100 in integer arithmetic,
+/// clamped to at least 1 (a threshold of 0 configures no mitigation).
+/// The one rule that turns a minimum RDT and a margin into a
+/// threshold; `margin_pct` must be below 100.
 std::uint64_t GuardbandHammerCount(std::uint64_t min_rdt,
                                    std::uint32_t margin_pct);
 

@@ -2,19 +2,22 @@
 
 #include <algorithm>
 
+#include "core/guardband.h"
+
 namespace vrddram::core {
 
 namespace {
 
 /// Measurements taken per maintenance window.
 constexpr std::size_t kMeasurementsPerWindow = 4;
-/// Guardband bounds; the adaptive guardband stays within them.
-constexpr double kMinGuardband = 0.10;
-constexpr double kMaxGuardband = 0.50;
+/// Guardband bounds in integer percent; the adaptive guardband stays
+/// within them.
+constexpr std::uint32_t kMinGuardbandPct = 10;
+constexpr std::uint32_t kMaxGuardbandPct = 50;
 /// Each newly discovered minimum widens the guardband by this much.
-constexpr double kWidenOnDiscovery = 0.10;
+constexpr std::uint32_t kWidenOnDiscoveryPct = 10;
 /// Each quiet window narrows it by this much (never below the minimum).
-constexpr double kNarrowOnQuiet = 0.01;
+constexpr std::uint32_t kNarrowOnQuietPct = 1;
 
 }  // namespace
 
@@ -22,7 +25,7 @@ OnlineRdtProfiler::OnlineRdtProfiler(dram::Device& device,
                                      dram::RowAddr victim)
     : victim_(victim),
       profiler_(device, ProfilerConfig{}),
-      guardband_(kMinGuardband) {}
+      guardband_pct_(kMinGuardbandPct) {}
 
 bool OnlineRdtProfiler::RunMaintenanceWindow() {
   ++windows_run_;
@@ -42,9 +45,11 @@ bool OnlineRdtProfiler::RunMaintenanceWindow() {
   if (discovered) {
     observed_min_ = static_cast<std::uint64_t>(window_min);
     ++discoveries_;
-    guardband_ = std::min(kMaxGuardband, guardband_ + kWidenOnDiscovery);
+    guardband_pct_ =
+        std::min(kMaxGuardbandPct, guardband_pct_ + kWidenOnDiscoveryPct);
   } else {
-    guardband_ = std::max(kMinGuardband, guardband_ - kNarrowOnQuiet);
+    guardband_pct_ =
+        std::max(kMinGuardbandPct, guardband_pct_ - kNarrowOnQuietPct);
   }
   return discovered;
 }
@@ -54,9 +59,7 @@ OnlineRdtProfiler::RecommendedThreshold() const {
   if (!observed_min_) {
     return std::nullopt;
   }
-  return std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(
-             static_cast<double>(*observed_min_) * (1.0 - guardband_)));
+  return GuardbandHammerCount(*observed_min_, guardband_pct_);
 }
 
 }  // namespace vrddram::core

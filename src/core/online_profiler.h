@@ -41,13 +41,13 @@ class OnlineRdtProfiler {
   /// Running minimum observed so far (nullopt before the first flip).
   std::optional<std::uint64_t> observed_min() const { return observed_min_; }
 
-  /// Current adaptive guardband fraction.
-  double guardband() const { return guardband_; }
+  /// Current adaptive guardband, in integer percent (10..50).
+  std::uint32_t guardband_pct() const { return guardband_pct_; }
 
   /**
-   * Threshold to program into the mitigation right now: the running
-   * minimum shrunk by the adaptive guardband. nullopt until the row
-   * has flipped at least once.
+   * Threshold to program into the mitigation right now:
+   * GuardbandHammerCount of the running minimum at the adaptive
+   * guardband. nullopt until the row has flipped at least once.
    */
   std::optional<std::uint64_t> RecommendedThreshold() const;
 
@@ -59,7 +59,7 @@ class OnlineRdtProfiler {
   RdtProfiler profiler_;
   std::optional<std::uint64_t> rdt_guess_;
   std::optional<std::uint64_t> observed_min_;
-  double guardband_;
+  std::uint32_t guardband_pct_;
   std::size_t windows_run_ = 0;
   std::size_t discoveries_ = 0;
 };

@@ -1,8 +1,7 @@
 #include "core/security_eval.h"
 
-#include <algorithm>
-
 #include "common/error.h"
+#include "core/guardband.h"
 #include "core/rdt_profiler.h"
 
 namespace vrddram::core {
@@ -57,7 +56,7 @@ SecurityResult EvaluateThreshold(dram::Device& device,
 std::vector<SecurityResult> EvaluateGuardbands(
     dram::Device& device, vrd::TrapFaultEngine& engine,
     dram::RowAddr victim, std::size_t profile_measurements,
-    const std::vector<double>& margins, std::uint64_t episodes,
+    const std::vector<std::uint32_t>& margins, std::uint64_t episodes,
     dram::DataPattern pattern) {
   VRD_FATAL_IF(margins.empty(), "need at least one margin");
   VRD_FATAL_IF(profile_measurements == 0, "need profiling measurements");
@@ -74,12 +73,9 @@ std::vector<SecurityResult> EvaluateGuardbands(
 
   std::vector<SecurityResult> results;
   results.reserve(margins.size());
-  for (const double margin : margins) {
-    VRD_FATAL_IF(margin < 0.0 || margin >= 1.0,
-                 "margin must be in [0, 1)");
-    const auto threshold = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(
-               static_cast<double>(min_rdt) * (1.0 - margin)));
+  for (const std::uint32_t margin_pct : margins) {
+    const std::uint64_t threshold = GuardbandHammerCount(
+        static_cast<std::uint64_t>(min_rdt), margin_pct);
     results.push_back(EvaluateThreshold(device, engine, victim,
                                         threshold, episodes,
                                         100 * units::kMillisecond,

@@ -52,14 +52,15 @@ SecurityResult EvaluateThreshold(dram::Device& device,
 
 /**
  * Sweep guardbands: profile the row's minimum RDT with
- * `profile_measurements` measurements, then evaluate thresholds at
- * each margin below that minimum. Returns one SecurityResult per
- * margin, in the given order.
+ * `profile_measurements` measurements, then evaluate the threshold
+ * GuardbandHammerCount sets at each margin (integer percent below that
+ * minimum, each under 100). Returns one SecurityResult per margin, in
+ * the given order.
  */
 std::vector<SecurityResult> EvaluateGuardbands(
     dram::Device& device, vrd::TrapFaultEngine& engine,
     dram::RowAddr victim, std::size_t profile_measurements,
-    const std::vector<double>& margins, std::uint64_t episodes,
+    const std::vector<std::uint32_t>& margins, std::uint64_t episodes,
     dram::DataPattern pattern = dram::DataPattern::kCheckered0);
 
 }  // namespace vrddram::core

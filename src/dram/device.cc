@@ -166,11 +166,6 @@ void Device::ServiceAlert() {
   alert_pending_ = false;
 }
 
-std::uint64_t Device::PracCountOf(BankId bank, PhysicalRow row) const {
-  const auto it = prac_counters_.find(Key(bank, row));
-  return it == prac_counters_.end() ? 0 : it->second;
-}
-
 void Device::Activate(BankId bank, RowAddr logical_row) {
   VRD_FATAL_IF(!config_.org.ValidBank(bank), "bank out of range");
   VRD_FATAL_IF(!config_.org.ValidRow(logical_row), "row out of range");
@@ -201,11 +196,6 @@ void Device::Precharge(BankId bank) {
   // whole time it was open.
   model_->OnActivations(bank, open, 1, open_time, now_, temperature_,
                         StoreOf(bank, open).data);
-}
-
-void Device::WriteRow(BankId bank, RowAddr logical_row, std::uint8_t fill) {
-  std::vector<std::uint8_t> bytes(config_.org.row_bytes, fill);
-  Write(bank, logical_row, 0, bytes);
 }
 
 void Device::Write(BankId bank, RowAddr logical_row, ColAddr col,
@@ -396,13 +386,6 @@ void Device::BulkInitializeRow(BankId bank, RowAddr logical_row,
   // for that long, exactly as the per-command path reports via PRE.
   model_->OnActivations(bank, phys, 1, pre_at - act_at, now_, temperature_,
                         store.data);
-}
-
-std::vector<std::uint8_t> Device::PeekRowPhysical(BankId bank,
-                                                  PhysicalRow row) {
-  VRD_FATAL_IF(!config_.org.ValidBank(bank), "bank out of range");
-  VRD_FATAL_IF(row.value >= config_.org.rows_per_bank, "row out of range");
-  return StoreOf(bank, row).data;
 }
 
 }  // namespace vrddram::dram

@@ -94,7 +94,6 @@ class Device {
   /// Program the back-off threshold; 0 disables alerting. Requires
   /// has_prac.
   void SetPracThreshold(std::uint64_t threshold);
-  std::uint64_t PracThreshold() const { return prac_threshold_; }
   /// ALERT_n: a row's activation count crossed the threshold.
   bool AlertPending() const { return alert_pending_; }
   /// The controller's back-off: the device refreshes the neighbours of
@@ -102,15 +101,10 @@ class Device {
   /// deasserts ALERT_n. Advances time by one tRFC per serviced row.
   /// All banks must be precharged.
   void ServiceAlert();
-  /// Current PRAC counter of a row (physical address; test hook).
-  std::uint64_t PracCountOf(BankId bank, PhysicalRow row) const;
 
   // -- commands (logical row addresses) ------------------------------------
   void Activate(BankId bank, RowAddr logical_row);
   void Precharge(BankId bank);
-  /// Fill the entire open row with `fill`; issues the full burst train
-  /// (e.g. 128 write bursts for an 8 KiB row).
-  void WriteRow(BankId bank, RowAddr logical_row, std::uint8_t fill);
   /// Write arbitrary bytes at a column offset of the open row.
   void Write(BankId bank, RowAddr logical_row, ColAddr col,
              std::span<const std::uint8_t> bytes);
@@ -151,9 +145,6 @@ class Device {
   // -- introspection -------------------------------------------------------
   const CommandCounts& counts() const { return counts_; }
   BankState StateOf(BankId bank) const;
-  /// Raw stored bytes of a row (physical address), bypassing commands
-  /// and timing; for tests and debugging only.
-  std::vector<std::uint8_t> PeekRowPhysical(BankId bank, PhysicalRow row);
 
  private:
   struct RowStore {

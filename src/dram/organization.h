@@ -26,11 +26,6 @@ struct Organization {
   std::uint32_t rows_per_bank = 1u << 16;
   std::uint32_t row_bytes = 8192;   ///< module-level row size (64 Kibit)
 
-  /// Total addressable bytes in one bank.
-  std::uint64_t BankBytes() const {
-    return static_cast<std::uint64_t>(rows_per_bank) * row_bytes;
-  }
-
   /// True if `row` is a legal row address.
   bool ValidRow(RowAddr row) const { return row < rows_per_bank; }
 

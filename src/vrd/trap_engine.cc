@@ -286,18 +286,6 @@ double TrapFaultEngine::FixedPerHammerDose(
   return per_hammer;
 }
 
-std::vector<TrapFaultEngine::CellFlipPoint>
-TrapFaultEngine::PerCellFlipHammerCounts(
-    dram::BankId bank, dram::PhysicalRow victim, std::uint8_t victim_byte,
-    std::uint8_t aggressor_byte, Tick t_on, Celsius temperature,
-    const dram::CellEncodingLayout& encoding, Tick now) {
-  MakeMeasureContext(bank, victim, victim_byte, aggressor_byte, t_on,
-                     temperature, encoding, now, one_shot_);
-  std::vector<CellFlipPoint> points;
-  PerCellFlipHammerCounts(one_shot_, now, points);
-  return points;
-}
-
 double TrapFaultEngine::MinFlipHammerCount(
     dram::BankId bank, dram::PhysicalRow victim, std::uint8_t victim_byte,
     std::uint8_t aggressor_byte, Tick t_on, Celsius temperature,

@@ -226,19 +226,6 @@ class TrapFaultEngine final : public dram::ReadDisturbanceModel {
     double hammer_count = 0.0;  ///< negative: cannot flip
   };
 
-  /**
-   * Per-cell variant of MinFlipHammerCount: the flipping hammer count
-   * of every weak cell of the victim (trap states sampled at `now`).
-   * Used by the guardband bitflip study (Fig. 16), which needs to know
-   * *which* cells flip at a given hammer count. One-shot convenience
-   * over the context kernel, like MinFlipHammerCount above.
-   */
-  std::vector<CellFlipPoint> PerCellFlipHammerCounts(
-      dram::BankId bank, dram::PhysicalRow victim,
-      std::uint8_t victim_byte, std::uint8_t aggressor_byte, Tick t_on,
-      Celsius temperature, const dram::CellEncodingLayout& encoding,
-      Tick now);
-
   // -- series-scoped fast path ----------------------------------------------
   /**
    * Build a MeasureContext for a series of measurements of `victim`
@@ -270,8 +257,13 @@ class TrapFaultEngine final : public dram::ReadDisturbanceModel {
   /// allocation.
   double MinFlipHammerCount(MeasureContext& ctx, Tick now);
 
-  /// Context-based PerCellFlipHammerCounts writing into caller-owned
-  /// scratch (cleared first).
+  /**
+   * Per-cell variant of MinFlipHammerCount: the flipping hammer count
+   * of every weak cell of the pinned row (trap states sampled at
+   * `now`), in cell order, written into caller-owned scratch (cleared
+   * first). Used by the guardband bitflip study (Fig. 16), which needs
+   * to know *which* cells flip at a given hammer count.
+   */
   void PerCellFlipHammerCounts(MeasureContext& ctx, Tick now,
                                std::vector<CellFlipPoint>& out);
 
@@ -322,8 +314,8 @@ class TrapFaultEngine final : public dram::ReadDisturbanceModel {
   PoissonSampler weak_cell_sampler_;
   PoissonSampler fast_trap_sampler_;
   std::unordered_map<std::uint64_t, RowState> states_;
-  /// Rebuilt in place by each one-shot query, so those allocate only
-  /// their result once warm.
+  /// Rebuilt in place by each one-shot MinFlipHammerCount, so it
+  /// allocates nothing once warm.
   MeasureContext one_shot_;
 };
 

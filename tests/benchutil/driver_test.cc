@@ -13,6 +13,7 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 namespace vrddram::bench {
@@ -290,17 +291,42 @@ TEST(DriverTest, Fig07ParameterCountsOutOfRangeNameTheFlag) {
   }
 }
 
-TEST(DriverTest, Fig14CountsOutOfRangeNameTheFlag) {
-  // --mixes=0 used to index an empty result vector and crash, and
-  // --mixes=16 ran 15 mixes.
-  for (const std::string flag : {"--mixes=0", "--mixes=16", "--requests=0"}) {
-    const DriverRun run = Drive(
-        {"run", "fig14_mitigation_overhead", "--smoke", "--no-cache", flag});
-    EXPECT_EQ(run.exit_code, 2) << flag;
-    EXPECT_NE(run.err.find("flag " + flag + ": expected "), std::string::npos)
+TEST(DriverTest, CountsOutOfRangeNameTheFlag) {
+  // fig14: --mixes=0 used to index an empty result vector and crash,
+  // and --mixes=16 ran 15 mixes. ablation_security --rows=0 printed
+  // "measured=0 of 0" and exited 0; --episodes=0 failed without naming
+  // the flag. spatial_variation --rows=0 or 1 measures no row and
+  // failed with "Percentile of empty series".
+  const std::pair<const char*, const char*> cases[] = {
+      {"fig14_mitigation_overhead", "--mixes=0"},
+      {"fig14_mitigation_overhead", "--mixes=16"},
+      {"fig14_mitigation_overhead", "--requests=0"},
+      {"ablation_security", "--rows=0"},
+      {"ablation_security", "--episodes=0"},
+      {"spatial_variation", "--rows=0"},
+      {"spatial_variation", "--rows=1"},
+  };
+  for (const auto& [name, flag] : cases) {
+    const DriverRun run = Drive({"run", name, "--smoke", "--no-cache", flag});
+    EXPECT_EQ(run.exit_code, 2) << name << " " << flag;
+    EXPECT_NE(run.err.find(std::string("flag ") + flag + ": expected "),
+              std::string::npos)
         << run.err;
-    EXPECT_TRUE(run.out.empty()) << flag;
+    EXPECT_TRUE(run.out.empty()) << name << " " << flag;
   }
+}
+
+TEST(DriverTest, SpatialVariationWithNoFlippingRowNamesTheFlag) {
+  // --rows=2 measures row 1 only, which has no weak cell on this
+  // device and seed, so there is no RDT to take percentiles of.
+  const DriverRun run =
+      Drive({"run", "spatial_variation", "--no-cache", "--device=M0",
+             "--seed=16", "--rows=2"});
+  EXPECT_EQ(run.exit_code, 2);
+  EXPECT_NE(run.err.find("flag --rows=2: expected at least one flipping row"),
+            std::string::npos)
+      << run.err;
+  EXPECT_TRUE(run.out.empty());
 }
 
 TEST(DriverTest, OutDirWritesOneReportPerExperiment) {

@@ -43,10 +43,13 @@ TEST(HostTest, InitializeNeighborhoodWritesTable2Bytes) {
   host.InitializeNeighborhood(0, victim, dram::DataPattern::kCheckered0);
 
   const dram::PhysicalRow phys = rig.device->mapper().ToPhysical(victim);
+  // Read each row back through ACT/RD/PRE at its logical address.
   auto row_byte = [&](std::int64_t offset) {
-    const auto data = rig.device->PeekRowPhysical(
-        0, dram::PhysicalRow{
-               static_cast<dram::RowAddr>(phys.value + offset)});
+    const dram::RowAddr logical = rig.device->mapper().ToLogical(
+        dram::PhysicalRow{static_cast<dram::RowAddr>(phys.value + offset)});
+    rig.device->Activate(0, logical);
+    const auto data = rig.device->ReadRow(0, logical);
+    rig.device->Precharge(0);
     return data[0];
   };
   EXPECT_EQ(row_byte(0), 0x55);   // victim

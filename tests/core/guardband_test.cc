@@ -90,6 +90,12 @@ TEST(GuardbandTest, HammerCountsMatchMargins) {
   // 90 * (1.0 - 0.30) is 62.99999... in binary floating point; the
   // hammer count 30% below a min RDT of 90 is exactly 63.
   EXPECT_EQ(GuardbandHammerCount(90, 30), 63u);
+  // Three double steps of 0.10 sum to 0.30000000000000004, which
+  // configured 902 at a min RDT of 1290; 30% below 1290 is 903.
+  EXPECT_EQ(GuardbandHammerCount(1290, 30), 903u);
+  // Never 0, which would configure no mitigation at all.
+  EXPECT_EQ(GuardbandHammerCount(1, 50), 1u);
+  EXPECT_THROW(GuardbandHammerCount(90, 100), FatalError);
   EXPECT_THROW(GuardbandHammerCount(90, 101), FatalError);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/campaign.h"
+#include "core/guardband.h"
 #include "vrd/chip_catalog.h"
 
 namespace vrddram::core {
@@ -53,16 +54,17 @@ TEST(OnlineProfilerTest, ThresholdBelowObservedMinByGuardband) {
   OnlineRdtProfiler online(*rig.device, rig.victim);
   for (int window = 0; window < 20; ++window) {
     online.RunMaintenanceWindow();
+    const auto min = online.observed_min();
+    const auto threshold = online.RecommendedThreshold();
+    ASSERT_EQ(min.has_value(), threshold.has_value()) << window;
+    if (min) {
+      EXPECT_LT(*threshold, *min) << window;
+      EXPECT_EQ(*threshold,
+                GuardbandHammerCount(*min, online.guardband_pct()))
+          << window;
+    }
   }
-  const auto min = online.observed_min();
-  const auto threshold = online.RecommendedThreshold();
-  ASSERT_TRUE(min.has_value());
-  ASSERT_TRUE(threshold.has_value());
-  EXPECT_LT(*threshold, *min);
-  const double implied =
-      1.0 - static_cast<double>(*threshold) /
-                static_cast<double>(*min);
-  EXPECT_NEAR(implied, online.guardband(), 0.02);
+  EXPECT_TRUE(online.observed_min().has_value());
 }
 
 TEST(OnlineProfilerTest, GuardbandStaysWithinBounds) {
@@ -71,8 +73,8 @@ TEST(OnlineProfilerTest, GuardbandStaysWithinBounds) {
   // The adaptive guardband is bounded to [10%, 50%].
   for (int window = 0; window < 100; ++window) {
     online.RunMaintenanceWindow();
-    EXPECT_GE(online.guardband(), 0.10 - 1e-12);
-    EXPECT_LE(online.guardband(), 0.50 + 1e-12);
+    EXPECT_GE(online.guardband_pct(), 10u);
+    EXPECT_LE(online.guardband_pct(), 50u);
   }
 }
 

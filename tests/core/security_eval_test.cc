@@ -7,6 +7,7 @@
 
 #include "common/error.h"
 #include "core/campaign.h"
+#include "core/guardband.h"
 
 namespace vrddram::core {
 namespace {
@@ -115,12 +116,19 @@ TEST(SecurityEvalTest, HeldContextContinuesTheOneShotSeries) {
 
 TEST(SecurityEvalTest, LargerMarginsBreachNoMoreOften) {
   SecurityRig rig;
-  const std::vector<double> margins = {0.0, 0.25, 0.50};
+  const std::vector<std::uint32_t> margins = {0, 25, 50};
   const auto results = EvaluateGuardbands(
       *rig.device, *rig.engine, rig.victim,
       /*profile_measurements=*/5, margins, /*episodes=*/500);
   ASSERT_EQ(results.size(), 3u);
-  // Thresholds shrink with margin...
+  // Margin 0 configures the profiled minimum itself, every other
+  // margin the integer rule below it, so thresholds shrink...
+  for (std::size_t i = 0; i < margins.size(); ++i) {
+    EXPECT_EQ(results[i].configured_threshold,
+              GuardbandHammerCount(results[0].configured_threshold,
+                                   margins[i]))
+        << margins[i];
+  }
   EXPECT_GT(results[0].configured_threshold,
             results[1].configured_threshold);
   EXPECT_GT(results[1].configured_threshold,
@@ -143,7 +151,7 @@ TEST(SecurityEvalTest, InvalidArgumentsThrow) {
                                   5, {}, 10),
                FatalError);
   EXPECT_THROW(EvaluateGuardbands(*rig.device, *rig.engine, rig.victim,
-                                  5, {1.5}, 10),
+                                  5, {100}, 10),
                FatalError);
 }
 

@@ -18,6 +18,7 @@
 
 #include "bender/host.h"
 #include "common/error.h"
+#include "dram/write_row.h"
 
 namespace vrddram::oracle {
 
@@ -68,7 +69,7 @@ inline std::vector<dram::BitFlip> TestOnceExact(
     const dram::RowAddr logical = device.mapper().ToLogical(
         dram::PhysicalRow{static_cast<dram::RowAddr>(target)});
     device.Activate(bank, logical);
-    device.WriteRow(bank, logical, fill);
+    dram::WriteRow(device, bank, logical, fill);
     device.Precharge(bank);
   }
 

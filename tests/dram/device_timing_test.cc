@@ -4,6 +4,7 @@
 
 #include "common/error.h"
 #include "dram/device.h"
+#include "dram/write_row.h"
 
 namespace vrddram::dram {
 namespace {
@@ -54,7 +55,7 @@ TEST(DeviceTimingTest, WriteBurstTrainPacedByTccdLWr) {
   Device device(MultiBankConfig());
   device.Activate(0, 3);
   const Tick before = device.Now();
-  device.WriteRow(0, 3, 0x11);  // two 64 B bursts
+  WriteRow(device, 0, 3, 0x11);  // two 64 B bursts
   const Tick after = device.Now();
   // At least one tCCD_L_WR between the two bursts plus the data time.
   EXPECT_GE(after - before,

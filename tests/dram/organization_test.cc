@@ -44,8 +44,6 @@ TEST(OrganizationTest, Validators) {
   EXPECT_TRUE(org.ValidBank(15));
   EXPECT_FALSE(org.ValidBank(16));
   EXPECT_EQ(org.LargestRowAddress(), org.rows_per_bank - 1);
-  EXPECT_EQ(org.BankBytes(),
-            static_cast<std::uint64_t>(org.rows_per_bank) * 8192);
 }
 
 TEST(OrganizationTest, RejectsUnsupportedGeometry) {

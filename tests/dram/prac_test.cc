@@ -2,6 +2,8 @@
 // controller back-off protecting victims (JESD79-5C semantics).
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/error.h"
 #include "dram/device.h"
 #include "vrd/trap_engine.h"
@@ -29,16 +31,25 @@ TEST(PracTest, DisabledWithoutHardware) {
 }
 
 TEST(PracTest, CountersTrackActivations) {
+  // At threshold 501, 500 bulk hammers of row 10 stay below it and one
+  // more ACT through the command path reaches it.
   Device device(PracConfig());
-  device.SetPracThreshold(1000000);  // count, never alert
+  device.SetPracThreshold(501);
   device.HammerSingleSided(0, 10, 500, device.timing().tRAS);
-  EXPECT_EQ(device.PracCountOf(0, PhysicalRow{10}), 500u);
+  EXPECT_FALSE(device.AlertPending());
   device.Activate(0, 10);
   device.Precharge(0);
-  EXPECT_EQ(device.PracCountOf(0, PhysicalRow{10}), 501u);
-  // Other rows and banks unaffected.
-  EXPECT_EQ(device.PracCountOf(0, PhysicalRow{11}), 0u);
-  EXPECT_EQ(device.PracCountOf(1, PhysicalRow{10}), 0u);
+  EXPECT_TRUE(device.AlertPending());
+  // Other rows and banks keep their own counters.
+  for (const auto& [bank, row] : {std::pair<BankId, RowAddr>{0, 11},
+                                 std::pair<BankId, RowAddr>{1, 10}}) {
+    Device other(PracConfig());
+    other.SetPracThreshold(501);
+    other.HammerSingleSided(0, 10, 500, other.timing().tRAS);
+    other.Activate(bank, row);
+    other.Precharge(bank);
+    EXPECT_FALSE(other.AlertPending()) << "bank " << bank << " row " << row;
+  }
 }
 
 TEST(PracTest, AlertRaisedAtThreshold) {
@@ -66,9 +77,13 @@ TEST(PracTest, ServiceAlertResetsCountersAndTakesTime) {
   device.ServiceAlert();
   EXPECT_FALSE(device.AlertPending());
   // Both aggressors (rows 19 and 21) were above threshold.
-  EXPECT_EQ(device.PracCountOf(0, PhysicalRow{19}), 0u);
-  EXPECT_EQ(device.PracCountOf(0, PhysicalRow{21}), 0u);
   EXPECT_GE(device.Now() - before, 2 * device.timing().tRFC);
+  // Their counters restart at 0: threshold - 1 further hammers stay
+  // below it, and one more reaches it.
+  device.HammerDoubleSided(0, 20, 99, device.timing().tRAS);
+  EXPECT_FALSE(device.AlertPending());
+  device.HammerDoubleSided(0, 20, 1, device.timing().tRAS);
+  EXPECT_TRUE(device.AlertPending());
 }
 
 TEST(PracTest, BackOffPreventsBitflips) {

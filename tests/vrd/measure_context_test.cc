@@ -240,8 +240,9 @@ TEST(MeasureContextTest, KernelOutputsMatchGoldenDigests) {
       const bool per_call = i % 2 == 0;
       if (i % 3 == 2) {
         if (per_call) {
-          points = engine.PerCellFlipHammerCounts(0, row, 0x55, 0xAA, t_on,
-                                                  temp, encoding, now);
+          MeasureContext fresh = engine.MakeMeasureContext(
+              0, row, 0x55, 0xAA, t_on, temp, encoding, now);
+          engine.PerCellFlipHammerCounts(fresh, now, points);
         } else {
           engine.PerCellFlipHammerCounts(ctx, now, points);
         }
@@ -354,8 +355,8 @@ TEST(MeasureContextTest, CommandPathAndKernelShareOneSampleTick) {
 /**
  * A series that cycles through more distinct deltas than the occupancy
  * memo holds makes it empty and refill over and over. Every output must
- * still equal the one-shot path on a twin engine, whose memo is cold on
- * every call.
+ * still equal a context rebuilt for every call on a twin engine, whose
+ * memo is therefore cold.
  */
 TEST(MeasureContextTest, MemoEvictionKeepsEveryOutput) {
   const TestedChip chip = MakeTestedChip("M1");
@@ -392,9 +393,10 @@ TEST(MeasureContextTest, MemoEvictionKeepsEveryOutput) {
       now += static_cast<Tick>(d + 1) * 97 * units::kMicrosecond;
       if (d % 4 == 3) {
         warm.PerCellFlipHammerCounts(ctx, now, warm_points);
-        const std::vector<TrapFaultEngine::CellFlipPoint> cold_points =
-            cold.PerCellFlipHammerCounts(0, row, 0x55, 0xAA, t_on, temp,
-                                         encoding, now);
+        MeasureContext cold_ctx = cold.MakeMeasureContext(
+            0, row, 0x55, 0xAA, t_on, temp, encoding, now);
+        std::vector<TrapFaultEngine::CellFlipPoint> cold_points;
+        cold.PerCellFlipHammerCounts(cold_ctx, now, cold_points);
         ASSERT_EQ(warm_points.size(), cold_points.size());
         for (std::size_t i = 0; i < cold_points.size(); ++i) {
           EXPECT_EQ(warm_points[i].bit_index, cold_points[i].bit_index);

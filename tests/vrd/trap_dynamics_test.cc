@@ -205,8 +205,10 @@ TEST(TrapDynamicsTest, PerCellFlipPointsCoverAllCells) {
   for (dram::RowAddr r = 1; r < 200; ++r) {
     const dram::PhysicalRow row{r};
     const std::size_t cells = engine.RowStateOf(0, row).cells.size();
-    const auto points = engine.PerCellFlipHammerCounts(
+    MeasureContext ctx = engine.MakeMeasureContext(
         0, row, 0xFF, 0x00, profile.t_ras, 50.0, encoding, 0);
+    std::vector<TrapFaultEngine::CellFlipPoint> points;
+    engine.PerCellFlipHammerCounts(ctx, 0, points);
     EXPECT_EQ(points.size(), cells);
     std::set<std::uint32_t> bits;
     for (const auto& point : points) {
