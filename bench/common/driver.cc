@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <ostream>
+#include <sstream>
 #include <string>
 #include <system_error>
 #include <vector>
@@ -210,9 +211,13 @@ int RunCommand(const std::vector<std::string>& args, std::ostream& out,
                                        cache_ptr, &err);
     }
 
+    // The report is written only once analyze returns, so a failing
+    // experiment leaves no partial report behind.
+    std::ostringstream buffer;
+    Report report{buffer, flags};
+    spec->analyze(result, &report);
     if (options.out_dir.empty()) {
-      Report report{out, flags};
-      spec->analyze(result, &report);
+      out << buffer.view();
     } else {
       const std::string path = (std::filesystem::path(options.out_dir) /
                                 (spec->name + ".txt"))
@@ -220,8 +225,7 @@ int RunCommand(const std::vector<std::string>& args, std::ostream& out,
       std::ofstream file(path, std::ios::trunc);
       VRD_FATAL_IF(!file,
                    "cannot open '" + path + "' for writing");
-      Report report{file, flags};
-      spec->analyze(result, &report);
+      file << buffer.view();
       file.close();
       VRD_FATAL_IF(!file, "failed to finish writing '" + path + "'");
       err << "vrdrepro: " << spec->name << " -> " << path << '\n';

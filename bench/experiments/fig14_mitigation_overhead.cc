@@ -7,6 +7,7 @@
  * each with 0%, 10%, 25%, and 50% safety margins.
  */
 #include <iostream>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -23,7 +24,7 @@ using memsim::MakeMixStreams;
 using memsim::MitigationKind;
 using memsim::NormalizedPerformance;
 using memsim::Scheduler;
-using memsim::SimulateMix;
+using memsim::SimulateRuns;
 using memsim::SystemConfig;
 using memsim::SystemResult;
 
@@ -76,9 +77,10 @@ void AnalyzeFig14(const core::CampaignResult&, Report* report) {
 
   // One shard per mix. Each core's request stream depends only on
   // (mix, seed, core), so the shard generates the mix's streams once
-  // and replays them in its baseline and its (config, kind) runs. Only
-  // mix 0's shard records latencies: its baseline and a MINT @ RDT 64
-  // run feed the tail-latency table.
+  // and SimulateRuns replays them in its baseline and its (config,
+  // kind) runs, simulating each distinct run once. Only mix 0 records
+  // latencies: its baseline and a MINT @ RDT 64 run feed the
+  // tail-latency table.
   struct MixRuns {
     SystemResult baseline;
     SystemResult mint_rdt64;  // mix 0 only
@@ -87,25 +89,35 @@ void AnalyzeFig14(const core::CampaignResult&, Report* report) {
   const std::vector<MixRuns> runs =
       MapShards(mixes.size(), threads, [&](std::size_t m) {
         SystemConfig sc = config_for(m);
-        sc.record_latencies = m == 0;
         const memsim::MixStreams streams = MakeMixStreams(mixes[m], sc);
-        MixRuns mix_runs;
-        mix_runs.baseline = SimulateMix(mixes[m], sc, streams);
+        sc.record_latencies = m == 0;
+        std::vector<SystemConfig> run_configs = {sc};
         if (m == 0) {
           SystemConfig worst = sc;
           worst.mitigation = MitigationKind::kMint;
           worst.rdt = 64;
-          mix_runs.mint_rdt64 = SimulateMix(mixes[m], worst, streams);
+          run_configs.push_back(worst);
         }
+        const std::size_t first_mitigated = run_configs.size();
         sc.record_latencies = false;
         for (const Config& config : configs) {
           sc.rdt = core::GuardbandHammerCount(config.base_rdt,
                                               config.margin_pct);
           for (const MitigationKind kind : kinds) {
             sc.mitigation = kind;
-            mix_runs.normalized.push_back(NormalizedPerformance(
-                SimulateMix(mixes[m], sc, streams), mix_runs.baseline));
+            run_configs.push_back(sc);
           }
+        }
+        std::vector<SystemResult> results =
+            SimulateRuns(mixes[m], run_configs, streams);
+        MixRuns mix_runs;
+        for (std::size_t r = first_mitigated; r < results.size(); ++r) {
+          mix_runs.normalized.push_back(
+              NormalizedPerformance(results[r], results[0]));
+        }
+        mix_runs.baseline = std::move(results[0]);
+        if (m == 0) {
+          mix_runs.mint_rdt64 = std::move(results[1]);
         }
         return mix_runs;
       });

@@ -23,11 +23,17 @@ void AnalyzeSpatialVariation(const core::CampaignResult&,
   const std::string device_name = flags.GetString("device");
   const auto rows = flags.GetUint("rows");
   const std::uint64_t seed = flags.GetUint("seed");
-  // Row 0 is the bank edge, so rows 1..rows-1 are measured.
+  // Rows 0 and the bank's last are its edges, so rows 1..rows-1 (short
+  // of the last) are measured.
   VRD_FATAL_IF(rows < 2, "flag --rows=" + std::to_string(rows) +
                              ": expected at least 2");
 
   auto device = vrd::BuildDevice(device_name, seed);
+  // Past the bank's last row there is nothing more to measure.
+  const std::uint64_t bank_rows = device->org().rows_per_bank;
+  VRD_FATAL_IF(rows > bank_rows, "flag --rows=" + std::to_string(rows) +
+                                     ": expected at most " +
+                                     std::to_string(bank_rows));
   auto* engine = dynamic_cast<vrd::TrapFaultEngine*>(&device->model());
 
   std::vector<double> rdts;

@@ -209,6 +209,28 @@ void BM_MemsimRequests(benchmark::State& state) {
 }
 BENCHMARK(BM_MemsimRequests);
 
+// The counting trackers inside the simulator: Graphene and PRAC at
+// fig14's near-future and very-low RDTs, replaying mix0's streams.
+void BM_MemsimTrackers(benchmark::State& state) {
+  const auto mixes = memsim::MakeHighMemoryIntensityMixes();
+  memsim::SystemConfig config;
+  config.requests_per_core = 2000;
+  config.mitigation = static_cast<memsim::MitigationKind>(state.range(0));
+  config.rdt = static_cast<std::uint64_t>(state.range(1));
+  const memsim::MixStreams streams =
+      memsim::MakeMixStreams(mixes[0], config);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        memsim::SimulateMix(mixes[0], config, streams));
+  }
+  state.SetItemsProcessed(state.iterations() * 8000);
+}
+BENCHMARK(BM_MemsimTrackers)
+    ->ArgsProduct(
+        {{static_cast<std::int64_t>(memsim::MitigationKind::kGraphene),
+          static_cast<std::int64_t>(memsim::MitigationKind::kPrac)},
+         {128, 1024}});
+
 }  // namespace
 
 /**

@@ -39,14 +39,20 @@ std::unique_ptr<Mitigation> MakeMitigation(
 
 // -- Graphene ---------------------------------------------------------------
 
-Graphene::Graphene(std::uint64_t rdt, MitigationCosts costs)
-    : costs_(costs) {
+std::uint64_t Graphene::ThresholdFor(std::uint64_t rdt) {
   VRD_FATAL_IF(rdt < 4, "RDT too small to configure Graphene");
   // Refresh neighbors once a row accumulates a quarter of the
-  // threshold; the Misra-Gries table is sized so no row can exceed the
-  // threshold between resets (Graphene's W/T sizing, bounded for
-  // simulation practicality).
-  threshold_ = std::max<std::uint64_t>(1, rdt / 4);
+  // threshold.
+  return std::max<std::uint64_t>(1, rdt / 4);
+}
+
+Graphene::Graphene(std::uint64_t rdt, MitigationCosts costs)
+    : threshold_(ThresholdFor(rdt)),
+      costs_(costs),
+      ring_(std::size_t{kNumBanks} << ring_log_, 0) {
+  // The Misra-Gries table is sized so no row can exceed the threshold
+  // between resets (Graphene's W/T sizing, bounded for simulation
+  // practicality).
   const std::uint64_t acts_per_window = 8192 * 8;  // ~tREFW at tRC pace
   table_size_ = static_cast<std::size_t>(
       std::clamp<std::uint64_t>(acts_per_window / threshold_, 8, 4096));
@@ -54,49 +60,87 @@ Graphene::Graphene(std::uint64_t rdt, MitigationCosts costs)
 
 Penalty Graphene::OnActivate(std::uint32_t bank, std::uint32_t row) {
   VRD_ASSERT(bank < kNumBanks);
-  std::vector<Entry>& table = tables_[bank];
-  for (Entry& entry : table) {
-    if (entry.row == row) {
-      if (++entry.count >= threshold_) {
-        entry.count = 0;
-        ++preventive_actions_;
-        Penalty penalty;
-        penalty.bank_busy = costs_.neighbor_refresh;
-        penalty.extra_activations = 2;
-        return penalty;
+  const std::uint64_t key = RowKey(bank, row);
+  const std::uint64_t base = base_[bank];
+  RowTable<Tracked>::Slot& slot = rows_.Probe(key);
+  if (slot.key == key && Live(slot.value, bank)) {
+    Tracked& tracked = slot.value;
+    --Bucket(bank, tracked.stored);
+    Penalty penalty;
+    const std::uint64_t count = tracked.stored - base + 1;
+    if (count >= threshold_) {
+      tracked = Tracked{base, 1};
+      ++preventive_actions_;
+      penalty.bank_busy = costs_.neighbor_refresh;
+      penalty.extra_activations = 2;
+    } else {
+      if ((count >> ring_log_) != 0) {
+        GrowRing();
       }
-      return Penalty{};
+      tracked = Tracked{base + count, 0};
     }
+    ++Bucket(bank, tracked.stored);
+    return penalty;
   }
-  if (table.size() < table_size_) {
-    table.push_back(Entry{row, 1});
+  if (size_[bank] < table_size_) {
+    // Admitted at count 1, with no threshold check (so at threshold 1
+    // the row acts on its second activation).
+    ++size_[bank];
+    ++Bucket(bank, base + 1);
+    const Tracked admitted{base + 1, 0};
+    if (slot.key == key) {
+      slot.value = admitted;  // the row left the table earlier
+    } else {
+      rows_.Insert(key, admitted,
+                   [this](const RowTable<Tracked>::Slot& kept) {
+                     return Live(kept.value,
+                                 static_cast<std::uint32_t>(kept.key >> 32));
+                   });
+    }
     return Penalty{};
   }
   // Misra-Gries: when the table is full and the row is untracked, the
-  // activation cancels against one count of every tracked row.
-  for (Entry& entry : table) {
-    if (entry.count > 0) {
-      --entry.count;
+  // activation cancels against one count of every tracked row, and the
+  // rows at counts 0 and 1 leave the table.
+  std::uint32_t& at_zero = Bucket(bank, base);
+  std::uint32_t& at_one = Bucket(bank, base + 1);
+  size_[bank] -= at_zero + at_one;
+  at_zero = 0;
+  at_one = 0;
+  base_[bank] = base + 1;
+  return Penalty{};
+}
+
+void Graphene::GrowRing() {
+  const std::uint64_t length = std::uint64_t{1} << ring_log_;
+  std::vector<std::uint32_t> grown(ring_.size() * 2, 0);
+  for (std::uint32_t bank = 0; bank < kNumBanks; ++bank) {
+    for (std::uint64_t stored = base_[bank];
+         stored < base_[bank] + length; ++stored) {
+      grown[(std::size_t{bank} << (ring_log_ + 1)) |
+            (stored & (2 * length - 1))] = Bucket(bank, stored);
     }
   }
-  std::erase_if(table, [](const Entry& e) { return e.count == 0; });
-  return Penalty{};
+  ring_ = std::move(grown);
+  ++ring_log_;
 }
 
 // -- PRAC --------------------------------------------------------------------
 
-Prac::Prac(std::uint64_t rdt, MitigationCosts costs) : costs_(costs) {
+std::uint64_t Prac::ThresholdFor(std::uint64_t rdt) {
   VRD_FATAL_IF(rdt < 4, "RDT too small to configure PRAC");
   // Back-off when a row's count reaches ~40% of the threshold, leaving
   // headroom for the ALERT handshake latency and in-flight activations
   // (the Chronus/PRAC analyses use similarly conservative margins).
-  threshold_ = std::max<std::uint64_t>(2, rdt * 2 / 5);
+  return std::max<std::uint64_t>(2, rdt * 2 / 5);
 }
 
+Prac::Prac(std::uint64_t rdt, MitigationCosts costs)
+    : threshold_(ThresholdFor(rdt)), costs_(costs) {}
+
 Penalty Prac::OnActivate(std::uint32_t bank, std::uint32_t row) {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(bank) << 32) | row;
-  std::uint64_t& count = counters_[key];
+  VRD_ASSERT(bank < kNumBanks);
+  std::uint64_t& count = counters_[RowKey(bank, row)];
   Penalty penalty;
   penalty.bank_busy = kPerActTax;  // counter-update tRC stretch
   if (++count >= threshold_) {
@@ -134,7 +178,7 @@ Penalty Para::OnActivate(std::uint32_t bank, std::uint32_t row) {
 
 // -- MINT --------------------------------------------------------------------
 
-Mint::Mint(std::uint64_t rdt, MitigationCosts costs) : costs_(costs) {
+std::uint64_t Mint::IntervalFor(std::uint64_t rdt) {
   VRD_FATAL_IF(rdt < 8, "RDT too small to configure MINT");
   // One RFM per rdt/16 activations keeps the sampled-aggressor bound
   // below the threshold; the interval is quantized to the nearest power
@@ -145,9 +189,11 @@ Mint::Mint(std::uint64_t rdt, MitigationCosts costs) : costs_(costs) {
   using Uint128 = unsigned __int128;
   const std::uint64_t raw = std::max<std::uint64_t>(2, rdt / 16);
   const std::uint64_t p = std::bit_floor(raw);
-  rfm_interval_ =
-      Uint128{raw} * raw >= 2 * Uint128{p} * p ? 2 * p : p;
+  return Uint128{raw} * raw >= 2 * Uint128{p} * p ? 2 * p : p;
 }
+
+Mint::Mint(std::uint64_t rdt, MitigationCosts costs)
+    : rfm_interval_(IntervalFor(rdt)), costs_(costs) {}
 
 Penalty Mint::OnActivate(std::uint32_t bank, std::uint32_t row) {
   (void)row;

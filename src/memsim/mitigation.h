@@ -15,12 +15,12 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/units.h"
 #include "dram/timing.h"
+#include "memsim/row_table.h"
 
 namespace vrddram::memsim {
 
@@ -89,23 +89,58 @@ class NoMitigation final : public Mitigation {
  * Graphene: per-bank Misra-Gries frequent-element tables; when a
  * tracked row's estimated count reaches the threshold, its neighbors
  * are preventively refreshed and the counter resets.
+ *
+ * Every operation is O(1) amortized. A table-full decrement of a whole
+ * bank bumps the bank's base instead of walking its entries (the
+ * Stream-Summary bookkeeping of Space-Saving): a row's count is its
+ * stored value minus the base, and a ring of per-stored-value entry
+ * counts says how many entries the decrement drops, the ones at counts
+ * 0 and 1. The rows live in one (bank, row) RowTable, whose rebuilds
+ * shed the dropped entries.
  */
 class Graphene final : public Mitigation {
  public:
   Graphene(std::uint64_t rdt, MitigationCosts costs);
   Penalty OnActivate(std::uint32_t bank, std::uint32_t row) override;
   std::uint64_t threshold() const { return threshold_; }
+  /// The threshold a Graphene configured for `rdt` acts at.
+  static std::uint64_t ThresholdFor(std::uint64_t rdt);
 
  private:
-  struct Entry {
-    std::uint32_t row = 0;
-    std::uint64_t count = 0;
+  /// A row's count plus its bank's base at the time.
+  struct Tracked {
+    std::uint64_t stored : 63;
+    /// Reset to count 0 since the bank's last decrement. A row the
+    /// last decrement took from count 1 also has stored == base, but
+    /// it left the table.
+    std::uint64_t zeroed : 1;
   };
+
+  bool Live(const Tracked& tracked, std::uint32_t bank) const {
+    return tracked.stored > base_[bank] ||
+           (tracked.zeroed != 0 && tracked.stored == base_[bank]);
+  }
+  /// Live entries of `bank` stored at `stored`.
+  std::uint32_t& Bucket(std::uint32_t bank, std::uint64_t stored) {
+    return ring_[(std::size_t{bank} << ring_log_) |
+                 (stored & ((std::uint64_t{1} << ring_log_) - 1))];
+  }
+  /// Doubles every bank's ring, for counts up to twice as high.
+  void GrowRing();
 
   std::uint64_t threshold_;
   std::size_t table_size_;
   MitigationCosts costs_;
-  std::array<std::vector<Entry>, kNumBanks> tables_;
+  /// Decrements so far, per bank.
+  std::array<std::uint64_t, kNumBanks> base_{};
+  /// Live entries per bank, the Misra-Gries table size.
+  std::array<std::size_t, kNumBanks> size_{};
+  /// log2 of each bank's ring length. A ring covers the stored values
+  /// base .. base + 2^ring_log_ - 1, so every live count must stay
+  /// below its length.
+  int ring_log_ = 3;
+  std::vector<std::uint32_t> ring_;
+  RowTable<Tracked> rows_;
 };
 
 /**
@@ -119,13 +154,15 @@ class Prac final : public Mitigation {
   Prac(std::uint64_t rdt, MitigationCosts costs);
   Penalty OnActivate(std::uint32_t bank, std::uint32_t row) override;
   std::uint64_t threshold() const { return threshold_; }
+  /// The back-off threshold a PRAC configured for `rdt` acts at.
+  static std::uint64_t ThresholdFor(std::uint64_t rdt);
   static constexpr Tick kPerActTax = 1 * units::kNanosecond;
 
  private:
   std::uint64_t threshold_;
   MitigationCosts costs_;
-  /// Keyed (bank << 32) | row and only ever looked up, never walked.
-  std::unordered_map<std::uint64_t, std::uint64_t> counters_;
+  /// Only ever looked up, never walked.
+  RowTable<std::uint64_t> counters_;
 };
 
 /**
@@ -155,6 +192,8 @@ class Mint final : public Mitigation {
   Mint(std::uint64_t rdt, MitigationCosts costs);
   Penalty OnActivate(std::uint32_t bank, std::uint32_t row) override;
   std::uint64_t rfm_interval() const { return rfm_interval_; }
+  /// The RFM interval of a MINT configured for `rdt`.
+  static std::uint64_t IntervalFor(std::uint64_t rdt);
 
  private:
   std::uint64_t rfm_interval_;

@@ -2,8 +2,13 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
+#include <numeric>
+#include <optional>
+#include <utility>
 
 #include "common/error.h"
+#include "memsim/row_table.h"
 
 namespace vrddram::memsim {
 
@@ -14,6 +19,64 @@ const dram::TimingParams kTiming = dram::MakeDdr5_8800();
 constexpr std::uint32_t kRowsPerBank = 1u << 17;
 /// Outstanding misses per core.
 constexpr std::uint32_t kMlp = 8;
+
+std::unique_ptr<Mitigation> MakeTracker(const SystemConfig& config) {
+  return MakeMitigation(config.mitigation, config.rdt, kTiming,
+                        MixSeed(config.seed, 0x317));
+}
+
+/// Forwards each activation to a tracker and counts it per (bank,
+/// row), for SimulateRuns' largest per-row count.
+class RowCounter final : public Mitigation {
+ public:
+  explicit RowCounter(Mitigation& tracker) : tracker_(tracker) {}
+
+  Penalty OnActivate(std::uint32_t bank, std::uint32_t row) override {
+    max_count_ = std::max(max_count_, ++counts_[RowKey(bank, row)]);
+    const Penalty penalty = tracker_.OnActivate(bank, row);
+    preventive_actions_ = tracker_.preventive_actions();
+    return penalty;
+  }
+
+  std::uint64_t max_count() const { return max_count_; }
+
+ private:
+  Mitigation& tracker_;
+  RowTable<std::uint64_t> counts_;
+  std::uint64_t max_count_ = 0;
+};
+
+/// The one number besides the activation stream that a tracker's
+/// decisions depend on.
+std::uint64_t DecisionParameter(const SystemConfig& config) {
+  switch (config.mitigation) {
+    case MitigationKind::kNone:
+      return 0;
+    case MitigationKind::kGraphene:
+      return Graphene::ThresholdFor(config.rdt);
+    case MitigationKind::kPrac:
+      return Prac::ThresholdFor(config.rdt);
+    case MitigationKind::kPara:
+      return config.rdt;
+    case MitigationKind::kMint:
+      return Mint::IntervalFor(config.rdt);
+  }
+  throw PanicError("unknown mitigation kind");
+}
+
+/// `from` with its latencies only if `with_latencies`.
+SystemResult CopyResult(SystemResult& from, bool with_latencies) {
+  if (with_latencies) {
+    return from;
+  }
+  std::vector<Tick> latencies = std::move(from.latencies);
+  SystemResult copy = from;
+  from.latencies = std::move(latencies);
+  return copy;
+}
+
+SystemResult Simulate(const WorkloadMix& mix, const SystemConfig& config,
+                      const MixStreams& streams, Mitigation& tracker);
 
 }  // namespace
 
@@ -38,6 +101,97 @@ SystemResult SimulateMix(const WorkloadMix& mix,
 
 SystemResult SimulateMix(const WorkloadMix& mix, const SystemConfig& config,
                          const MixStreams& streams) {
+  return Simulate(mix, config, streams, *MakeTracker(config));
+}
+
+std::vector<SystemResult> SimulateRuns(
+    const WorkloadMix& mix, const std::vector<SystemConfig>& configs,
+    const MixStreams& streams) {
+  for (const SystemConfig& config : configs) {
+    const SystemConfig& first = configs.front();
+    VRD_FATAL_IF(config.scheduler != first.scheduler ||
+                     config.requests_per_core != first.requests_per_core ||
+                     config.seed != first.seed ||
+                     config.refresh_enabled != first.refresh_enabled,
+                 "SimulateRuns: configs may differ only in mitigation, rdt "
+                 "and record_latencies");
+  }
+  // Baselines first, since rule 1 reads their largest count; PRAC last
+  // and by decreasing RDT, for rule 2.
+  auto rank = [&](std::size_t i) {
+    const MitigationKind kind = configs[i].mitigation;
+    return std::pair(kind != MitigationKind::kNone,
+                     kind == MitigationKind::kPrac ? ~configs[i].rdt : 0);
+  };
+  std::vector<std::size_t> order(configs.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return rank(a) < rank(b);
+                   });
+  const bool any_graphene =
+      std::any_of(configs.begin(), configs.end(), [](const auto& config) {
+        return config.mitigation == MitigationKind::kGraphene;
+      });
+
+  std::vector<SystemResult> results(configs.size());
+  // The first simulated run per (kind, decision parameter): rule 3.
+  std::map<std::pair<MitigationKind, std::uint64_t>, std::size_t> simulated;
+  // Counted runs and their largest per-row counts: rules 1 and 2.
+  std::optional<std::size_t> baseline;
+  std::optional<std::size_t> prac_reference;
+  std::uint64_t baseline_max = 0;
+  std::uint64_t prac_max = 0;
+  for (const std::size_t i : order) {
+    const SystemConfig& config = configs[i];
+    const MitigationKind kind = config.mitigation;
+    const std::uint64_t parameter = DecisionParameter(config);
+    // A run proven identical to this one, if it has the latencies this
+    // config asks for.
+    auto usable = [&](std::optional<std::size_t> from) {
+      return from &&
+             (!config.record_latencies || configs[*from].record_latencies);
+    };
+    std::optional<std::size_t> same;
+    if (kind == MitigationKind::kGraphene && parameter > baseline_max) {
+      same = baseline;
+    } else if (kind == MitigationKind::kPrac && parameter > prac_max) {
+      same = prac_reference;
+    }
+    if (!usable(same)) {
+      const auto it = simulated.find({kind, parameter});
+      same = it == simulated.end() ? std::nullopt
+                                   : std::optional(it->second);
+    }
+    if (usable(same)) {
+      results[i] = CopyResult(results[*same], config.record_latencies);
+      continue;
+    }
+
+    const std::unique_ptr<Mitigation> tracker = MakeTracker(config);
+    if ((kind == MitigationKind::kNone && any_graphene && !baseline) ||
+        (kind == MitigationKind::kPrac && !prac_reference)) {
+      RowCounter counter(*tracker);
+      results[i] = Simulate(mix, config, streams, counter);
+      if (kind == MitigationKind::kNone) {
+        baseline = i;
+        baseline_max = counter.max_count();
+      } else if (results[i].preventive_actions == 0) {
+        prac_reference = i;
+        prac_max = counter.max_count();
+      }
+    } else {
+      results[i] = Simulate(mix, config, streams, *tracker);
+    }
+    simulated.try_emplace({kind, parameter}, i);
+  }
+  return results;
+}
+
+namespace {
+
+SystemResult Simulate(const WorkloadMix& mix, const SystemConfig& config,
+                      const MixStreams& streams, Mitigation& tracker) {
   VRD_FATAL_IF(mix.cores.empty(), "mix has no cores");
   VRD_FATAL_IF(streams.size() != mix.cores.size(),
                "need one request stream per core");
@@ -69,9 +223,6 @@ SystemResult SimulateMix(const WorkloadMix& mix, const SystemConfig& config,
   Tick rank_act_free = 0;
   const Tick act_spacing = std::max(t.tRRD_S, t.tFAW / 4);
   Tick next_ref = t.tREFI;
-
-  std::unique_ptr<Mitigation> mitigation = MakeMitigation(
-      config.mitigation, config.rdt, t, MixSeed(config.seed, 0x317));
 
   SystemResult result;
   result.cores.resize(num_cores);
@@ -159,7 +310,7 @@ SystemResult SimulateMix(const WorkloadMix& mix, const SystemConfig& config,
       ++result.activations;
       const Tick act_at = std::max(start, rank_act_free);
       const Penalty penalty =
-          mitigation->OnActivate(request.bank, request.row);
+          tracker.OnActivate(request.bank, request.row);
       const Tick act_wait = act_at - start;
       access_latency = act_wait + t.tRP + t.tRCD + penalty.bank_busy +
                        (request.is_write ? t.tCWL : t.tCL);
@@ -208,7 +359,7 @@ SystemResult SimulateMix(const WorkloadMix& mix, const SystemConfig& config,
     core_finish[core] = std::max(core_finish[core], completion);
   }
 
-  result.preventive_actions = mitigation->preventive_actions();
+  result.preventive_actions = tracker.preventive_actions();
   for (std::size_t c = 0; c < num_cores; ++c) {
     CoreStats& stats = result.cores[c];
     stats.requests = issued[c];
@@ -219,6 +370,8 @@ SystemResult SimulateMix(const WorkloadMix& mix, const SystemConfig& config,
   }
   return result;
 }
+
+}  // namespace
 
 double SystemResult::LatencyPercentileNs(double p) const {
   VRD_FATAL_IF(latencies.empty(),

@@ -103,6 +103,29 @@ SystemResult SimulateMix(const WorkloadMix& mix,
                          const SystemConfig& config);
 
 /**
+ * SimulateMix(mix, configs[i], streams) for every i, in order, with
+ * each distinct run simulated once. The configs may differ only in
+ * `mitigation`, `rdt` and `record_latencies`. A result is reused, bit
+ * for bit, where one of three rules proves the run identical to one
+ * already simulated:
+ *  1. Graphene's estimate of a row never exceeds the row's activation
+ *     count, so a Graphene whose threshold exceeds the baseline run's
+ *     largest per-(bank, row) count never acts: its run is the
+ *     baseline (when one of the configs is the baseline).
+ *  2. A PRAC count is the activation count until the first action.
+ *     Visiting PRAC configs by decreasing RDT, the first simulated one
+ *     that never acts is the reference; a later one whose threshold
+ *     exceeds the reference's largest per-row count is the reference.
+ *  3. Trackers whose decisions depend on the same number (Graphene's
+ *     and PRAC's thresholds, MINT's RFM interval, PARA's RDT) make the
+ *     same run.
+ * A result that records latencies is only reused from one that did.
+ */
+std::vector<SystemResult> SimulateRuns(
+    const WorkloadMix& mix, const std::vector<SystemConfig>& configs,
+    const MixStreams& streams);
+
+/**
  * Fig. 14 metric: weighted speedup of the mitigated run normalized to
  * the baseline run (same mix, no mitigation): the mean over cores of
  * per-core throughput ratios.

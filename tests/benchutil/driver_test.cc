@@ -296,7 +296,9 @@ TEST(DriverTest, CountsOutOfRangeNameTheFlag) {
   // and --mixes=16 ran 15 mixes. ablation_security --rows=0 printed
   // "measured=0 of 0" and exited 0; --episodes=0 failed without naming
   // the flag. spatial_variation --rows=0 or 1 measures no row and
-  // failed with "Percentile of empty series".
+  // failed with "Percentile of empty series"; past M1's 131,072 rows
+  // per bank it stopped at the last row while the report claimed every
+  // requested row.
   const std::pair<const char*, const char*> cases[] = {
       {"fig14_mitigation_overhead", "--mixes=0"},
       {"fig14_mitigation_overhead", "--mixes=16"},
@@ -305,6 +307,7 @@ TEST(DriverTest, CountsOutOfRangeNameTheFlag) {
       {"ablation_security", "--episodes=0"},
       {"spatial_variation", "--rows=0"},
       {"spatial_variation", "--rows=1"},
+      {"spatial_variation", "--rows=1000000"},
   };
   for (const auto& [name, flag] : cases) {
     const DriverRun run = Drive({"run", name, "--smoke", "--no-cache", flag});
@@ -327,6 +330,29 @@ TEST(DriverTest, SpatialVariationWithNoFlippingRowNamesTheFlag) {
             std::string::npos)
       << run.err;
   EXPECT_TRUE(run.out.empty());
+}
+
+TEST(DriverTest, FailedExperimentLeavesNoPartialReport) {
+  // fig03 prints its banner before one measurement per row proves too
+  // few: neither stdout nor --out_dir may keep that banner.
+  const std::vector<std::string> failing = {
+      "run", "fig03_rdt_distribution", "--smoke", "--no-cache",
+      "--measurements=1"};
+  const DriverRun direct = Drive(failing);
+  EXPECT_EQ(direct.exit_code, 2);
+  EXPECT_TRUE(direct.out.empty()) << direct.out;
+
+  const std::filesystem::path out_dir =
+      std::filesystem::path(::testing::TempDir()) / "vrddram_driver_failed";
+  std::filesystem::remove_all(out_dir);
+  std::vector<std::string> filed = failing;
+  filed.push_back("--out_dir=" + out_dir.string());
+  const DriverRun run = Drive(filed);
+  EXPECT_EQ(run.exit_code, 2);
+  EXPECT_TRUE(std::filesystem::is_directory(out_dir));
+  EXPECT_FALSE(
+      std::filesystem::exists(out_dir / "fig03_rdt_distribution.txt"));
+  std::filesystem::remove_all(out_dir);
 }
 
 TEST(DriverTest, OutDirWritesOneReportPerExperiment) {

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <string>
 #include <utility>
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "memsim/tracker_oracle.h"
 
 namespace vrddram::memsim {
 namespace {
@@ -94,6 +97,68 @@ TEST(MitigationTest, GrapheneSpillsArePinned) {
     graphene.OnActivate(bank, row);
   }
   EXPECT_EQ(graphene.preventive_actions(), 88u);
+}
+
+bool SamePenalty(const Penalty& a, const Penalty& b) {
+  return a.bank_busy == b.bank_busy && a.rank_busy == b.rank_busy &&
+         a.extra_activations == b.extra_activations;
+}
+
+TEST(MitigationTest, TrackersMatchTheirOracles) {
+  // Skewed streams over three banks: 4 hot rows per bank, plus cold
+  // rows from a range 3x the Graphene table, so the tables fill, the
+  // Misra-Gries decrement runs and drops rows an action reset to 0,
+  // and the hot rows reach the threshold. RDT 4 and 5 give threshold
+  // 1, where an admitted row already sits at the threshold.
+  const MitigationCosts costs = MitigationCosts::FromTiming(kTiming);
+  for (const std::uint64_t rdt : {4, 5, 64, 128, 1024, 4096}) {
+    // What the oracle Graphene went through, summed over the seeds.
+    std::uint64_t actions = 0;
+    std::uint64_t decrements = 0;
+    std::uint64_t dropped_at_zero = 0;
+    std::uint64_t prac_actions = 0;
+    for (const std::uint64_t seed : {1, 2}) {
+      oracle::Graphene want_graphene(rdt, costs);
+      oracle::Prac want_prac(rdt, costs);
+      Graphene graphene(rdt, costs);
+      Prac prac(rdt, costs);
+      ASSERT_EQ(graphene.threshold(), want_graphene.threshold());
+      const std::uint64_t cold = want_graphene.table_size() * 3;
+      const std::uint64_t steps =
+          std::max<std::uint64_t>(60000, 16 * want_graphene.table_size());
+      Rng rng(MixSeed(rdt, seed));
+      for (std::uint64_t i = 0; i < steps; ++i) {
+        const auto bank = static_cast<std::uint32_t>(rng.NextBelow(3));
+        const auto row = static_cast<std::uint32_t>(
+            rng.NextBernoulli(0.5) ? rng.NextBelow(4)
+                                   : 4 + rng.NextBelow(cold));
+        // Streamed only when an assertion fails.
+        auto at = [&] {
+          return "rdt " + std::to_string(rdt) + " seed " +
+                 std::to_string(seed) + " step " + std::to_string(i);
+        };
+        ASSERT_TRUE(SamePenalty(graphene.OnActivate(bank, row),
+                                want_graphene.OnActivate(bank, row)))
+            << "Graphene " << at();
+        ASSERT_EQ(graphene.preventive_actions(),
+                  want_graphene.preventive_actions())
+            << "Graphene " << at();
+        ASSERT_TRUE(SamePenalty(prac.OnActivate(bank, row),
+                                want_prac.OnActivate(bank, row)))
+            << "PRAC " << at();
+        ASSERT_EQ(prac.preventive_actions(), want_prac.preventive_actions())
+            << "PRAC " << at();
+      }
+      actions += want_graphene.preventive_actions();
+      decrements += want_graphene.decrements();
+      dropped_at_zero += want_graphene.dropped_at_zero();
+      prac_actions += want_prac.preventive_actions();
+    }
+    EXPECT_GT(actions, 0u) << rdt;
+    EXPECT_GT(decrements, 0u) << rdt;
+    EXPECT_GT(dropped_at_zero, 0u) << rdt;
+    EXPECT_GT(prac_actions, 0u) << rdt;
+  }
 }
 
 TEST(MitigationTest, PerBankEnginesRejectOutOfRangeBanks) {

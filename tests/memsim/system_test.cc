@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
+#include <vector>
 
 namespace vrddram::memsim {
 namespace {
@@ -141,6 +143,128 @@ TEST(SystemTest, SharedStreamsMatchFreshStreams) {
       }
     }
   }
+}
+
+TEST(SystemTest, SimulateRunsMatchesOneSimulateMixPerConfig) {
+  // fig14's shape: a baseline that records latencies, a MINT @ 64 run
+  // that does, then every kind at RDTs where Graphene and PRAC act
+  // (ConflictMix; mix0 at RDT 16) and where they stay silent (65536;
+  // 1024 and 128 on mix0). MINT @ 128 and @ 115 share an RFM interval, as do
+  // MINT @ 64 with and without latencies; the last baseline duplicates
+  // the first without latencies.
+  using enum MitigationKind;
+  using enum Scheduler;
+  for (const bool conflict : {false, true}) {
+    const WorkloadMix mix = conflict ? ConflictMix() : OneMix();
+    for (const Scheduler scheduler : {kInOrder, kFrFcfs}) {
+      SystemConfig config;
+      config.requests_per_core = 2000;
+      config.scheduler = scheduler;
+      const MixStreams streams = MakeMixStreams(mix, config);
+      std::vector<SystemConfig> configs;
+      config.record_latencies = true;
+      configs.push_back(config);
+      config.mitigation = kMint;
+      config.rdt = 64;
+      configs.push_back(config);
+      config.record_latencies = false;
+      for (const std::uint64_t rdt : {65536, 1024, 128, 115, 64, 16}) {
+        for (const MitigationKind kind : {kGraphene, kPrac, kPara, kMint}) {
+          config.mitigation = kind;
+          config.rdt = rdt;
+          configs.push_back(config);
+        }
+      }
+      config.mitigation = kNone;
+      configs.push_back(config);
+
+      const std::vector<SystemResult> results =
+          SimulateRuns(mix, configs, streams);
+      ASSERT_EQ(results.size(), configs.size());
+      // Graphene and PRAC runs that acted and that stayed silent.
+      std::array<int, 2> graphene_runs{};
+      std::array<int, 2> prac_runs{};
+      for (std::size_t i = 0; i < configs.size(); ++i) {
+        const std::string id =
+            "entry " + std::to_string(i) + " kind " +
+            std::to_string(static_cast<int>(configs[i].mitigation)) +
+            " rdt " + std::to_string(configs[i].rdt) +
+            (scheduler == kFrFcfs ? " FR-FCFS" : "") +
+            (conflict ? " conflict" : "");
+        const SystemResult want = SimulateMix(mix, configs[i], streams);
+        ExpectSameResult(results[i], want, id);
+        EXPECT_EQ(results[i].latencies, want.latencies) << id;
+        const bool acted = want.preventive_actions > 0;
+        if (configs[i].mitigation == kGraphene) {
+          ++graphene_runs[acted];
+        } else if (configs[i].mitigation == kPrac) {
+          ++prac_runs[acted];
+        }
+      }
+      for (const bool acted : {false, true}) {
+        EXPECT_GT(graphene_runs[acted], 0) << acted << conflict;
+        EXPECT_GT(prac_runs[acted], 0) << acted << conflict;
+      }
+    }
+  }
+}
+
+TEST(SystemTest, SimulateRunsIsExactAtTheReuseBoundary) {
+  // On mix0 at 2,000 requests per core the busiest row is activated
+  // between 16 and 32 times, so Graphene and PRAC thresholds 8..40 step
+  // across the largest per-row count: the threshold equal to it must
+  // be simulated (it acts once), the ones above it reused.
+  using enum MitigationKind;
+  const WorkloadMix mix = OneMix();
+  for (const Scheduler scheduler : {Scheduler::kInOrder, Scheduler::kFrFcfs}) {
+    SystemConfig config;
+    config.requests_per_core = 2000;
+    config.scheduler = scheduler;
+    const MixStreams streams = MakeMixStreams(mix, config);
+    std::vector<SystemConfig> configs = {config};
+    for (std::uint64_t threshold = 8; threshold <= 40; ++threshold) {
+      config.mitigation = kGraphene;
+      config.rdt = 4 * threshold;
+      configs.push_back(config);
+      config.mitigation = kPrac;
+      config.rdt = (5 * threshold + 1) / 2;  // rdt * 2 / 5 == threshold
+      configs.push_back(config);
+    }
+    const std::vector<SystemResult> results =
+        SimulateRuns(mix, configs, streams);
+    std::array<int, 2> graphene_runs{};
+    std::array<int, 2> prac_runs{};
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      const SystemResult want = SimulateMix(mix, configs[i], streams);
+      ExpectSameResult(results[i], want,
+                       "entry " + std::to_string(i) + " rdt " +
+                           std::to_string(configs[i].rdt));
+      const bool acted = want.preventive_actions > 0;
+      if (configs[i].mitigation == kGraphene) {
+        ++graphene_runs[acted];
+      } else if (configs[i].mitigation == kPrac) {
+        ++prac_runs[acted];
+      }
+    }
+    for (const bool acted : {false, true}) {
+      EXPECT_GT(graphene_runs[acted], 0) << acted;
+      EXPECT_GT(prac_runs[acted], 0) << acted;
+    }
+  }
+}
+
+TEST(SystemTest, SimulateRunsRejectsConfigsOfDifferentRuns) {
+  const WorkloadMix mix = OneMix();
+  SystemConfig config;
+  config.requests_per_core = 100;
+  const MixStreams streams = MakeMixStreams(mix, config);
+  SystemConfig other = config;
+  other.seed = config.seed + 1;
+  EXPECT_THROW(SimulateRuns(mix, {config, other}, streams), FatalError);
+  other = config;
+  other.scheduler = Scheduler::kFrFcfs;
+  EXPECT_THROW(SimulateRuns(mix, {config, other}, streams), FatalError);
+  EXPECT_TRUE(SimulateRuns(mix, {}, streams).empty());
 }
 
 TEST(SystemTest, StreamsDependOnlyOnMixSeedAndLength) {
